@@ -21,6 +21,7 @@ from typing import Optional
 
 from .errors import (
     BudgetExceeded,
+    GridOverflow,
     InapplicableHypothesis,
     InvalidOffsets,
     InvalidSpec,
@@ -699,6 +700,7 @@ def main(argv=None) -> int:
         POutOfRange,
         TailDivergence,
         ZeroPolynomial,
+        GridOverflow,
         ValueError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,6 +5,10 @@ class SplitnormError(Exception):
     """Base class for all package errors."""
 
 
+class InvariantViolation(SplitnormError):
+    """An internal exact identity failed: a bug, never a property of the input."""
+
+
 class ParseError(SplitnormError):
     """A function spec, coefficient file, or config could not be parsed."""
 

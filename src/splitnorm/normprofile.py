@@ -22,17 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import InvalidOffsets, NegativeNorm, OddOrNonintegerP
+from .errors import InvalidOffsets, InvariantViolation, NegativeNorm, OddOrNonintegerP
 from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
     convolve,
-    correlate,
     is_nonincreasing_on,
     l2_inner,
+    real_correlation_sum,
 )
-from .scalars import RAT_ZERO, abs_sq, as_scalar, format_rat, rat
+from .scalars import RAT_ZERO, abs_sq, as_scalar, format_rat, is_rational, rat
 from .splitcore import GenSplitSpec, split
 
 __all__ = [
@@ -137,29 +137,26 @@ def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
 
 
 def _assemble_profile(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
-    """Window, tail value, constancy onset, and t_max of the profile."""
+    """Window, tail value, constancy onset, and t_max of the profile.
+
+    For i < j the (i, j) and (j, i) terms are complex conjugates, and
+    together they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal
+    pairs go into one real accumulation.
+    """
     blocks = _convolution_blocks(plus, minus, m)
     weights = [math.comb(m, i) for i in range(m + 1)]
 
     tail = RAT_ZERO
     for i, g in enumerate(blocks):
         tail = tail + rat(weights[i] ** 2) * l2_inner(g, g)
+    if not is_rational(tail):
+        raise InvariantViolation("the diagonal terms of the profile must be real")
 
-    offdiag = PiecewisePoly([], [])
-    for i in range(m + 1):
-        if blocks[i].is_zero():
-            continue
-        for j in range(i + 1, m + 1):
-            if blocks[j].is_zero():
-                continue
-            corr = correlate(blocks[i], blocks[j])
-            if corr.is_zero():
-                continue
-            term = corr.scale_arg(rat(2 * (i - j))) * rat(weights[i] * weights[j])
-            offdiag = offdiag + term + term.conjugate()
-    offdiag = offdiag.restrict(lo=RAT_ZERO)
-    assert offdiag.is_real(), "conjugate pairs must cancel exactly"
-
+    offdiag = real_correlation_sum(
+        (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
+        for i in range(m + 1)
+        for j in range(i + 1, m + 1)
+    )
     sup = offdiag.support()
     t_max = (sup[1] if sup is not None else RAT_ZERO) + 1
     window = offdiag + PiecewisePoly([RAT_ZERO, t_max], [Poly([tail])])

@@ -402,10 +402,12 @@ def norm_numeric(
 
     fastest = max(1.0, float(g.support_radius()))
     width = 1.0 / (4.0 * fastest)
-    if 2.0 * Y / width * 15.0 > node_cap:
-        msg = f"{2.0 * Y / width:.3g} panels would exceed the node cap {node_cap}"
+    nodes = 2.0 * Y / width * 15.0
+    if nodes > node_cap:
         if strict:
-            raise BudgetExceeded(msg)
+            raise BudgetExceeded(
+                f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {node_cap}"
+            )
         Y = node_cap * width / 30.0
         env = _envelope_constant(betas, rows, Y)
         bound = 2.0 * (env / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)

@@ -11,6 +11,19 @@ Convolution uses the one-sided jump decomposition
 polynomial jump at breakpoint ``b_k``); each jump pair contributes through
 ``(u^m H) * (u^n H)(v) = v^{m+n+1} m! n! / (m+n+1)!``.
 
+Convolution, correlation and inner products run on Python ints, in the
+layout of FLINT's ``fmpq_poly``: integer numerators over one common
+denominator, and no gcd per operation.  Both operands are written in
+``X = L x``, with ``L`` the lcm of their breakpoint denominators, so every
+breakpoint is an integer and every Taylor shift an integer one.  Each
+operand's pieces become integer numerators over one positive denominator,
+real and imaginary parts apart: a real product is one real kernel, a
+complex one three (Karatsuba).  The jump-pair weights are the integers
+``m! n! M / (m+n+1)!`` with ``M = (deg f + deg g + 1)!``; the one-sided
+terms are summed per start point and then in one running sum, and each
+output coefficient is reduced once, by ``rat(num, den)``, so the rational
+type of the results does not change.
+
 Monotonicity and sign decisions are exact, via Descartes/bisection root
 isolation; no floating point is involved anywhere in this module.
 """
@@ -22,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NonRealInput, ZeroPolynomial
+from .errors import InvariantViolation, NonRealInput, ZeroPolynomial
 from .scalars import (
     GaussRat,
     RAT_ONE,
@@ -31,9 +44,12 @@ from .scalars import (
     conj,
     format_rat,
     format_scalar,
+    gauss,
+    im_part,
     parse_rat,
     parse_scalar,
     rat,
+    re_part,
     to_float,
 )
 
@@ -44,6 +60,7 @@ __all__ = [
     "SignVerdict",
     "convolve",
     "correlate",
+    "real_correlation_sum",
     "l2_inner",
     "translate",
     "reflect",
@@ -219,13 +236,15 @@ def _square_free(p: Poly) -> Poly:
     if g.degree <= 0:
         return p
     q, r = _poly_divmod(p, g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise InvariantViolation("the gcd with the derivative must divide the polynomial")
     return q
 
 
 def _divide_out_root(p: Poly, r) -> Poly:
     q, rem = _poly_divmod(p, Poly([-r, 1]))
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise InvariantViolation(f"{r} is not a root of the polynomial")
     return q
 
 
@@ -288,7 +307,7 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
 
     def recurse(a, b, depth):
         if depth > 128:
-            raise RuntimeError("root isolation failed to terminate")
+            raise InvariantViolation("root isolation failed to terminate")
         n = _descartes_bound_01(window_poly(a, b))
         if n == 0:
             return
@@ -354,10 +373,12 @@ def _sign_regions(p: Poly, lo, hi):
     prev = lo  # a point <= the next root, with no uncovered root behind it
     for iv in isolate_real_roots(p, lo, hi):
         sample = (prev + iv[0]) / 2 if prev < iv[0] else prev
-        assert p.eval(sample) != 0
+        if p.eval(sample) == 0:
+            raise InvariantViolation("a sign-region sample point is a root")
         nxt = _shrink_left_edge(sf, iv, sample)
         anchor = (sample + nxt[0]) / 2
-        assert sample < anchor
+        if not sample < anchor:
+            raise InvariantViolation("a sign-region anchor must lie right of its sample")
         regions.append((sample, anchor, 1 if p.eval(sample) > 0 else -1))
         prev = nxt[1]
     sample = (prev + hi) / 2
@@ -612,23 +633,204 @@ def tent(a, b, c) -> PiecewisePoly:
 # convolution / correlation / inner products
 # ---------------------------------------------------------------------------
 
-_FACT = [math.factorial(n) for n in range(130)]
+
+def _breakpoint_scale(*fs) -> int:
+    """The lcm L of all breakpoint denominators: in X = L x every breakpoint is an integer."""
+    return math.lcm(*(int(b.denominator) for f in fs for b in f.breakpoints))
 
 
-def _jump_terms(f: PiecewisePoly):
-    """(b_k, D_k(b_k + u)) with D_k the polynomial jump at breakpoint b_k.
+@dataclass(frozen=True)
+class _IntLayout:
+    """A piecewise polynomial in the scaled variable X = L x, as integer numerators.
 
-    Reconstruction: f(x) = sum over b_k <= x of D_k(x).
+    ``bps`` are the integer breakpoints in X.  ``re[k]`` and ``im[k]`` (``im``
+    is None for real data) are the ascending coefficients of piece k in X,
+    each padded to ``degree + 1`` entries, all over one positive ``den``.
     """
-    terms = []
-    prev = ZERO_POLY
-    for k, b in enumerate(f.breakpoints):
-        cur = f.pieces[k] if k < len(f.pieces) else ZERO_POLY
-        d = cur - prev
-        if not d.is_zero():
-            terms.append((b, d.shift(b)))
-        prev = cur
-    return terms
+
+    bps: list
+    den: int
+    re: list
+    im: Optional[list]
+    degree: int
+
+    @classmethod
+    def of(cls, f: PiecewisePoly, scale: int) -> "_IntLayout":
+        bps = [int(b.numerator) * (scale // int(b.denominator)) for b in f.breakpoints]
+        degree = max(len(q.coeffs) for q in f.pieces) - 1
+        powers = [scale**j for j in range(degree + 1)]
+        real = f.is_real()
+        parts = (re_part,) if real else (re_part, im_part)
+        # a coefficient c of x^j is c / L^j in X
+        den = math.lcm(
+            *(
+                int(part(c).denominator) * powers[j]
+                for q in f.pieces
+                for j, c in enumerate(q.coeffs)
+                for part in parts
+            )
+        )
+
+        def numerators(part):
+            out = []
+            for q in f.pieces:
+                row = [0] * (degree + 1)
+                for j, c in enumerate(q.coeffs):
+                    x = part(c)
+                    row[j] = int(x.numerator) * (den // (int(x.denominator) * powers[j]))
+                out.append(row)
+            return out
+
+        return cls(bps, den, numerators(re_part), None if real else numerators(im_part), degree)
+
+    def conj_reflected(self) -> "_IntLayout":
+        """The layout of x -> conj(f(-x))."""
+
+        def flip(pieces, negate: bool):
+            return [
+                [-c if (j % 2 == 1) != negate else c for j, c in enumerate(q)]
+                for q in reversed(pieces)
+            ]
+
+        im = None if self.im is None else flip(self.im, True)
+        return _IntLayout([-b for b in reversed(self.bps)], self.den, flip(self.re, False), im, self.degree)
+
+    def jumps(self, part: str) -> list:
+        """``(B_k, [m! d_m])`` per breakpoint, ``d_m`` the coefficients of the
+        jump of ``part`` ("re", "im", or "sum" for re + im) in powers of X - B_k."""
+        if part == "sum":
+            pieces = [[a + b for a, b in zip(r, i)] for r, i in zip(self.re, self.im)]
+        else:
+            pieces = getattr(self, part)
+        zero = [0] * (self.degree + 1)
+        fact = [math.factorial(m) for m in range(self.degree + 1)]
+        out = []
+        prev = zero
+        for k, b in enumerate(self.bps):
+            cur = pieces[k] if k < len(pieces) else zero
+            d = [x - y for x, y in zip(cur, prev)]
+            if any(d):
+                out.append((b, [w * c for w, c in zip(fact, _int_taylor_shift(d, b))]))
+            prev = cur
+        return out
+
+
+def _int_taylor_shift(cs: list, h: int) -> list:
+    """Ascending coefficients of P(X + h) from those of P (integer h)."""
+    out = list(cs)
+    if h:
+        n = len(out)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += h * out[j + 1]
+    return out
+
+
+def _int_mul_add(a: list, b: list, out: Optional[list] = None) -> list:
+    """out + a * b for ascending integer coefficient lists (out defaults to 0)."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    nb = len(b)
+    for m, am in enumerate(a):
+        if am:
+            out[m : m + nb] = [o + am * bn for o, bn in zip(out[m : m + nb], b)]
+    return out
+
+
+def _jump_pair_products(fj: list, gj: list) -> dict:
+    """start -> sum of the coefficient products of the jump pairs starting there."""
+    acc: dict = {}
+    for b, a in fj:
+        for c, e in gj:
+            acc[b + c] = _int_mul_add(a, e, acc.get(b + c))
+    return acc
+
+
+def _add_into(dst: dict, src: dict, sign: int) -> dict:
+    for s, cs in src.items():
+        cur = dst.get(s)
+        dst[s] = [sign * c for c in cs] if cur is None else [x + sign * c for x, c in zip(cur, cs)]
+    return dst
+
+
+def _product_jumps(F: _IntLayout, G: _IntLayout, real_only: bool = False):
+    """One-sided terms of F * G: ``(re, im, den)``.
+
+    ``re`` and ``im`` map each start S to the integer coefficients of the
+    polynomial J_S in X with ``F * G = sum_S H(X - S) J_S(X) / den``;
+    ``im`` is None for a real product or when ``real_only`` is set.  With
+    ``M = (deg F + deg G + 1)!`` and the jumps scaled by ``m!``, the jump
+    pair ``(u^m H) * (u^n H) = v^{m+n+1} m! n! / (m+n+1)!`` becomes the
+    integer weight ``M / (m+n+1)!`` on the product coefficient of ``v^{m+n}``.
+    """
+    fr, gr = F.jumps("re"), G.jumps("re")
+    re = _jump_pair_products(fr, gr)
+    im = None
+    if F.im is not None and G.im is not None:
+        p2 = _jump_pair_products(F.jumps("im"), G.jumps("im"))
+        if not real_only:  # Karatsuba: (Fr + Fi)(Gr + Gi) - Fr Gr - Fi Gi
+            im = _jump_pair_products(F.jumps("sum"), G.jumps("sum"))
+            _add_into(_add_into(im, re, -1), p2, -1)
+        _add_into(re, p2, -1)
+    elif F.im is not None and not real_only:
+        im = _jump_pair_products(F.jumps("im"), gr)
+    elif G.im is not None and not real_only:
+        im = _jump_pair_products(fr, G.jumps("im"))
+    length = F.degree + G.degree + 1
+    big_m = math.factorial(length)
+    weights = [0] + [big_m // math.factorial(k + 1) for k in range(length)]
+
+    def one_sided(acc):
+        return {
+            s: _int_taylor_shift([w * c for w, c in zip(weights, [0] + cs)], -s)
+            for s, cs in acc.items()
+        }
+
+    return one_sided(re), None if im is None else one_sided(im), big_m * F.den * G.den
+
+
+def _running_sums(jumps: dict, starts: list, width: int, what: str) -> list:
+    """The pieces between consecutive starts, as running sums of the one-sided
+    terms; the sum past the last start must vanish."""
+    acc = [0] * width
+    pieces = []
+    for s in starts:
+        cs = jumps.get(s)
+        if cs is not None:
+            acc = [a + c for a, c in zip(acc, cs)]
+        pieces.append(acc)
+    if any(acc):
+        raise InvariantViolation(f"{what}: one-sided terms failed to cancel")
+    return pieces[:-1]
+
+
+def _from_int_pieces(starts: list, re: list, im, scale: int, den: int) -> PiecewisePoly:
+    """PiecewisePoly from integer pieces in X = scale * x over ``den``, with
+    one ``rat`` reduction per output coefficient."""
+    if not re:
+        return ZERO_PP
+    powers = [scale**j for j in range(len(re[0]))]
+
+    def coeffs(q):
+        return [rat(c * w, den) for c, w in zip(q, powers)]
+
+    pieces = []
+    for k, q in enumerate(re):
+        cs = coeffs(q)
+        if im is not None and any(im[k]):
+            cs = [gauss(a, b) for a, b in zip(cs, coeffs(im[k]))]
+        pieces.append(Poly(cs))
+    return PiecewisePoly([rat(s, scale) for s in starts], pieces)
+
+
+def _convolve_layouts(F: _IntLayout, G: _IntLayout, scale: int) -> PiecewisePoly:
+    re, im, den = _product_jumps(F, G)
+    starts = sorted(re if im is None else re.keys() | im.keys())
+    width = F.degree + G.degree + 2
+    re_pieces = _running_sums(re, starts, width, "convolve")
+    im_pieces = None if im is None else _running_sums(im, starts, width, "convolve")
+    # (f*g)(x) = (F*G)(X) / L
+    return _from_int_pieces(starts, re_pieces, im_pieces, scale, den * scale)
 
 
 def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
@@ -639,39 +841,8 @@ def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     """
     if f.is_zero() or g.is_zero():
         return ZERO_PP
-    by_start: dict = {}
-    for b, D in _jump_terms(f):
-        dc = D.coeffs
-        for c, E in _jump_terms(g):
-            ec = E.coeffs
-            out = [RAT_ZERO] * (len(dc) + len(ec))
-            for m, dm in enumerate(dc):
-                if not dm:
-                    continue
-                fm = _FACT[m]
-                for n, en in enumerate(ec):
-                    if not en:
-                        continue
-                    out[m + n + 1] = out[m + n + 1] + dm * en * rat(
-                        fm * _FACT[n], _FACT[m + n + 1]
-                    )
-            start = b + c
-            local = Poly(out)
-            if start in by_start:
-                by_start[start] = by_start[start] + local
-            else:
-                by_start[start] = local
-
-    acc = ZERO_POLY
-    bps = []
-    pieces = []
-    for s in sorted(by_start):
-        acc = acc + by_start[s].shift(-s)
-        bps.append(s)
-        pieces.append(acc)
-    # compact support: the accumulated one-sided terms must cancel at the end
-    assert pieces and pieces[-1].is_zero(), "one-sided terms failed to cancel"
-    return PiecewisePoly(bps, pieces[:-1])
+    scale = _breakpoint_scale(f, g)
+    return _convolve_layouts(_IntLayout.of(f, scale), _IntLayout.of(g, scale), scale)
 
 
 def correlate(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
@@ -679,22 +850,83 @@ def correlate(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
 
     ``correlate(f, f)(0)`` is the squared L2 norm of f.
     """
-    return convolve(g, f.conj_reflect())
+    if f.is_zero() or g.is_zero():
+        return ZERO_PP
+    scale = _breakpoint_scale(f, g)
+    return _convolve_layouts(_IntLayout.of(g, scale), _IntLayout.of(f, scale).conj_reflected(), scale)
+
+
+def real_correlation_sum(terms) -> PiecewisePoly:
+    """t -> Re sum_k w_k correlate(f_k, g_k)(c_k t) for t >= 0, zero for t < 0.
+
+    ``terms`` holds ``(w_k, c_k, f_k, g_k)`` with integer weights ``w_k`` and
+    positive integer argument scales ``c_k``.  Only real parts are formed,
+    and all terms go into one accumulation of one-sided terms in the common
+    variable ``Z = L lcm(c_k) t``: one sort and one running sum.
+    """
+    terms = [(w, c, f, g) for w, c, f, g in terms if w and not (f.is_zero() or g.is_zero())]
+    if any(not (isinstance(c, int) and c > 0 and isinstance(w, int)) for w, c, _, _ in terms):
+        raise ValueError("weights must be integers and scales positive integers")
+    if not terms:
+        return ZERO_PP
+    scale = _breakpoint_scale(*(h for _, _, f, g in terms for h in (f, g)))
+    layouts = {id(h): _IntLayout.of(h, scale) for _, _, f, g in terms for h in (f, g)}
+    lcm_c = math.lcm(*(c for _, c, _, _ in terms))
+    parts = []
+    for w, c, f, g in terms:
+        re, _, den = _product_jumps(layouts[id(g)], layouts[id(f)].conj_reflected(), real_only=True)
+        parts.append((w, lcm_c // c, re, den))
+    width = 2 * max(h.degree for h in layouts.values()) + 2
+    # X = L c t = Z / r with r = lcm(c) / c; over the common ``den * r^j``
+    common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))
+    acc: dict = {}
+    for w, r, re, den in parts:
+        mult = [w * (common // (den * r**j)) for j in range(width)]
+        for s, cs in re.items():
+            z = max(s * r, 0)  # t < 0 is cut off: those terms act from t = 0
+            cs = [m * x for m, x in zip(mult, cs)] + [0] * (width - len(cs))
+            cur = acc.get(z)
+            acc[z] = cs if cur is None else [a + b for a, b in zip(cur, cs)]
+    starts = sorted(acc.keys() | {0})
+    pieces = _running_sums(acc, starts, width, "real_correlation_sum")
+    return _from_int_pieces(starts, pieces, None, scale * lcm_c, common * scale)
 
 
 def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
     """Exact int f(x) * conj(g(x)) dx."""
     if f.is_zero() or g.is_zero():
         return RAT_ZERO
-    acc = RAT_ZERO
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    for a, b in zip(bps, bps[1:]):
-        p = f.piece_at(a)
-        q = g.piece_at(a)
-        if p.is_zero() or q.is_zero():
-            continue
-        acc = acc + (p * q.conjugate()).integral(a, b)
-    return acc
+    scale = _breakpoint_scale(f, g)
+    F, G = _IntLayout.of(f, scale), _IntLayout.of(g, scale)
+    lo, hi = max(F.bps[0], G.bps[0]), min(F.bps[-1], G.bps[-1])
+    grid = sorted({b for b in F.bps + G.bps if lo <= b <= hi})
+    # int_A^B X^k dX = (B^{k+1} - A^{k+1}) / (k+1), over the common n!
+    n = F.degree + G.degree + 1
+    big = math.factorial(n)
+    weights = [big // (k + 1) for k in range(n)]
+
+    def integral(cs, a, b):
+        at_a = at_b = 0
+        for w, c in zip(reversed(weights), reversed(cs)):
+            at_a = (at_a + w * c) * a
+            at_b = (at_b + w * c) * b
+        return at_b - at_a
+
+    re = im = 0
+    for a, b in zip(grid, grid[1:]):
+        i = bisect_right(F.bps, a) - 1
+        k = bisect_right(G.bps, a) - 1
+        # f conj(g) = (Fr Gr + Fi Gi) + i (Fi Gr - Fr Gi)
+        re += integral(_int_mul_add(F.re[i], G.re[k]), a, b)
+        if F.im is not None and G.im is not None:
+            re += integral(_int_mul_add(F.im[i], G.im[k]), a, b)
+        if F.im is not None:
+            im += integral(_int_mul_add(F.im[i], G.re[k]), a, b)
+        if G.im is not None:
+            im -= integral(_int_mul_add(F.re[i], G.im[k]), a, b)
+    # int f conj(g) dx = int F conj(G) dX / L
+    den = F.den * G.den * big * scale
+    return gauss(rat(re, den), rat(im, den))
 
 
 def translate(f: PiecewisePoly, t) -> PiecewisePoly:
@@ -755,7 +987,8 @@ def _piece_increase_witness(p: Poly, lo, hi):
     for sample, anchor, sign in _sign_regions(d, lo, hi):
         if sign > 0:
             # p is strictly increasing on the root-free [sample, anchor]
-            assert p.eval(sample) < p.eval(anchor)
+            if not p.eval(sample) < p.eval(anchor):
+                raise InvariantViolation("an increase witness must increase")
             return (sample, anchor)
     return None
 
@@ -766,7 +999,8 @@ def _upward_jump_witness(f: PiecewisePoly, x, left_val, right_val, region_lo):
     eps = (x - region_lo) / 2
     while not f.eval(x - eps) < midv:
         eps = eps / 2
-    assert f.eval(x - eps) < f.eval(x)
+    if not f.eval(x - eps) < f.eval(x):
+        raise InvariantViolation("an upward-jump witness must increase")
     return (x - eps, x)
 
 

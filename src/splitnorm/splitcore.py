@@ -14,7 +14,6 @@ from typing import Optional
 
 from .errors import InvalidSpec, NegativeShift, NonRealInput
 from .polyalg import (
-    MonotoneVerdict,
     PiecewisePoly,
     convolve,
     is_nondecreasing_on,
@@ -153,11 +152,3 @@ def class_s_sufficient(f: PiecewisePoly, r) -> bool:
         return False
     return bool(is_nonincreasing_on(plus, r))
 
-
-def monotone_verdict_json(v: MonotoneVerdict) -> dict:
-    return {
-        "nonincreasing": v.ok,
-        "witness": None
-        if v.witness is None
-        else [format_rat(v.witness[0]), format_rat(v.witness[1])],
-    }

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +225,22 @@ def test_parse_error_exit_code(capsys):
     assert code == EXIT_PARSE
     code, _ = run_cli(capsys, "profile", "ind:-1,1", "--p", "3")
     assert code == EXIT_PARSE
+
+
+def test_grid_overflow_exit_code_without_traceback():
+    # a split that shifts the multiplier's support off the 64-point grid is a
+    # parameter error: one "error:" line on stderr and exit code 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitnorm", "mult", "estimate", "halfline",
+         "--p", "4", "--n", "64", "--t", "100"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_byte_identical_reruns(capsys):

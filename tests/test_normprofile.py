@@ -1,5 +1,8 @@
 """The exact profile engine and its verdicts, with numeric cross-checks."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +63,30 @@ def test_profile_indicator_p4_matches_reference_form_times_16():
         u = 1 - 2 * t
         reference = rat(1, 24) * (6 + u ** 3 + abs(u) ** 3)
         assert prof.value_at(t) == 16 * reference
+
+
+# SHA-256 of json.dumps(profile.to_json_dict(), sort_keys=True): pins every
+# exact rational of these profiles, real, complex and generalized
+GOLDEN_PROFILES = [
+    ("ind p8", lambda: norm_profile(CHI, 8),
+     "0269ae2b29473acd841c3c7cb18a0a11fdb0ba8be2135b975220928fc0f40531"),
+    ("tent p6", lambda: norm_profile(tent(-1, 0, 1), 6),
+     "c5460fc392efae4ba6ecff65665d6f72ec7a2b05466591c43bef9cdcdb01fbd9"),
+    ("two-bump p6", lambda: norm_profile(TWO_BUMP, 6),
+     "09a0d2f28cfb23802d21259d85d2ad3cc47e01fc324a47bd27ac46ecbb3a2aa3"),
+    ("complex p6", lambda: norm_profile(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 6),
+     "ae0cf9283a1c809f164dc2b83c2c6db142e1eff6519d35c34a7a99faa8575a9e"),
+    ("gen p6", lambda: gen_profile(
+        GenSplitSpec(f1=tent(-1, rat(-1, 3), rat(1, 2)), f2=indicator(rat(-1, 2), 1) * rat(3, 2),
+                     A=1, b=rat(1, 2)), 6),
+     "0f81a3050e136425eb60398a7252486ce67dec384eb3b3bbf2de3141885b8911"),
+]
+
+
+@pytest.mark.parametrize("name,build,digest", GOLDEN_PROFILES, ids=[g[0] for g in GOLDEN_PROFILES])
+def test_profile_golden_hashes(name, build, digest):
+    doc = json.dumps(build().to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_profile_rejects_odd_p():

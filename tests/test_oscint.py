@@ -122,6 +122,18 @@ def test_norm_numeric_budget_exceeded_carries_result():
     assert res.abs_error > 1e-9
 
 
+def test_node_cap_message_reports_the_compared_node_count():
+    # the two-bump function at p = 3, t = 1, 1e-6 needs more tail nodes than
+    # the default cap; the message names the count that is compared with it
+    two_bump = CHI + indicator(10, 11) + indicator(-11, -10)
+    cap = 2 ** 20
+    with pytest.raises(BudgetExceeded) as info:
+        norm_numeric(two_bump, 3.0, 1.0, target_abs_err=1e-6, node_cap=cap)
+    msg = str(info.value)
+    assert "nodes" in msg and f"node cap {cap}" in msg
+    assert float(msg.split()[0]) > cap
+
+
 def test_numeric_norm_json_fields():
     res = norm_numeric(CHI, 3.0, 0.25, target_abs_err=1e-3)
     doc = res.to_json_dict()

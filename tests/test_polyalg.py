@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from splitnorm.polyalg import (
 )
 from splitnorm.scalars import gauss, rat
 
-from .helpers import conv_numeric, grid_increase_search, rnd_pp
+from .helpers import conv_numeric, grid_increase_search, rnd_poly, rnd_pp
 
 RNG_SEED = 20240811
 
@@ -71,6 +75,84 @@ def test_convolve_quadratic_pieces_match_quadrature():
 # ---------------------------------------------------------------------------
 # correlation and inner products
 # ---------------------------------------------------------------------------
+
+
+def _rnd_mixed_pp(rng):
+    """Complex piecewise polynomial on breakpoints with mixed denominators."""
+    while True:
+        pool = {rat(int(rng.integers(-12, 13)), int(rng.choice([1, 2, 3, 5, 6, 7]))) for _ in range(8)}
+        grid = sorted(b for b in pool if abs(b) <= 2)[: int(rng.integers(2, 6))]
+        if len(grid) < 2:
+            continue
+        pieces = [rnd_poly(rng, max_deg=3, complex_ok=True) for _ in grid[1:]]
+        f = PiecewisePoly(grid, pieces)
+        if not f.is_zero():
+            return f
+
+
+def _convolve_oracle(f, g, x):
+    """int f(y) g(x - y) dy, integrated exactly piece by piece in y."""
+    cuts = sorted(set(f.breakpoints) | {x - c for c in g.breakpoints})
+    acc = rat(0)
+    for a, b in zip(cuts, cuts[1:]):
+        # on (a, b) no breakpoint of f or of y -> g(x - y) is crossed
+        g_piece = g.piece_at(x - b).scale_arg(-1).shift(-x)  # y -> q(x - y)
+        acc = acc + (f.piece_at(a) * g_piece).integral(a, b)
+    return acc
+
+
+def _correlate_oracle(f, g, s):
+    """int g(y) conj(f(y - s)) dy, integrated exactly piece by piece in y."""
+    cuts = sorted(set(g.breakpoints) | {s + c for c in f.breakpoints})
+    acc = rat(0)
+    for a, b in zip(cuts, cuts[1:]):
+        f_piece = f.piece_at(a - s).conjugate().shift(-s)  # y -> conj(f(y - s))
+        acc = acc + (g.piece_at(a) * f_piece).integral(a, b)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_convolve_and_correlate_match_piecewise_integration(seed):
+    # mixed-denominator breakpoints (such as -5/6, 1/3, 2/7) exercise the
+    # common integer scale of the kernel; values are compared exactly
+    rng = np.random.default_rng([RNG_SEED, seed])
+    f, g = _rnd_mixed_pp(rng), _rnd_mixed_pp(rng)
+    if seed % 3 == 0:
+        g = PiecewisePoly(g.breakpoints, [Poly([c.real for c in q.coeffs]) for q in g.pieces])
+    conv, corr = convolve(f, g), correlate(f, g)
+    for h, support_pts, oracle in (
+        (conv, [a + b for a in f.breakpoints for b in g.breakpoints], _convolve_oracle),
+        (corr, [b - a for a in f.breakpoints for b in g.breakpoints], _correlate_oracle),
+    ):
+        pts = set(h.breakpoints) | set(support_pts)
+        pts |= {(a + b) / 2 for a, b in zip(h.breakpoints, h.breakpoints[1:])}
+        pts |= {rat(int(rng.integers(-40, 41)), 9) for _ in range(6)}
+        for x in sorted(pts):
+            assert h.eval(x) == oracle(f, g, x), x
+
+
+def test_convolution_cancellation_check_survives_python_O():
+    # the check that the one-sided terms cancel is a raise, not an assert:
+    # with a jump dropped from the kernel it still fires under python -O
+    script = (
+        "import splitnorm.polyalg as P\n"
+        "from splitnorm.errors import InvariantViolation\n"
+        "jumps = P._IntLayout.jumps\n"
+        "P._IntLayout.jumps = lambda self, part: jumps(self, part)[:-1]\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    P.convolve(P.indicator(0, 1), P.tent(0, 1, 2))\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised convolve: one-sided terms failed to cancel" in proc.stdout
 
 
 def test_correlate_indicator_autocorrelation():
