@@ -15,28 +15,20 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
-    GridOverflow,
     InapplicableHypothesis,
-    InvalidOffsets,
-    InvalidSpec,
-    MissingInput,
-    NegativeShift,
     NonRealInput,
     OddOrNonintegerP,
-    POutOfRange,
     ParseError,
     SplitnormError,
-    TailDivergence,
     UnverifiedPositivity,
-    ZeroPolynomial,
 )
 from .multnorm import (
+    DiscreteMultiplier,
     bound_report,
     constants,
     estimate_lower,
@@ -56,7 +48,7 @@ from .normprofile import (
 )
 from .oscint import norm_numeric
 from .polyalg import PiecewisePoly, Poly, indicator, tent
-from .scalars import format_rat, gauss, parse_rat, rat
+from .scalars import GaussRat, format_rat, gauss, parse_rat, rat, rat_from_float
 from .splitcore import class_s_check, class_s_sufficient
 
 __all__ = ["main", "console_main", "parse_function_spec", "canonical_json", "ExperimentConfig"]
@@ -74,7 +66,7 @@ EXIT_BUDGET = 4
 
 def _fmt_float(x: float) -> str:
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     return format(x, ".17g")
@@ -224,8 +216,6 @@ def run_profile(spec: str, p: int) -> dict:
         if mono.witness is None
         else [format_rat(mono.witness[0]), format_rat(mono.witness[1])],
     }
-    from .scalars import GaussRat
-
     is_real_newt = not isinstance(newt, GaussRat)
     doc["newt_constant"] = format_rat(newt) if is_real_newt else None
     doc["newt_matches_tail"] = bool(is_real_newt and newt == prof.tail_value)
@@ -244,8 +234,6 @@ def profile_csv(doc_spec: str, p: int, samples: int) -> str:
 
 
 def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") -> dict:
-    from .scalars import rat_from_float
-
     f = parse_function_spec(spec)
     even = float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
     if engine == "exact":
@@ -320,90 +308,29 @@ def series_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-_MULT_BUILDERS = {
-    "halfline": lambda n, omega: halfline_multiplier(n, omega),
-    "segment": lambda n, omega: segment_multiplier(n, omega),
-    "tent": lambda n, omega: tent_multiplier(n, omega),
-    "tent-plus": lambda n, omega: _tent_plus(n, omega),
-}
-
-
 def _tent_plus(n, omega):
     base = tent_multiplier(n, omega)
     ys = base.grid()
     samples = base.samples.copy()
     samples[ys < 0] = 0.0
     samples[ys == 0] *= 0.5
-    from .multnorm import DiscreteMultiplier
-
     return DiscreteMultiplier(samples, omega, ell=1.0)
 
 
-def run_mult(args) -> tuple[dict, int]:
-    if args.mult_cmd == "constants":
-        return constants(args.p).to_json_dict(), EXIT_OK
-    if args.mult_cmd == "bounds":
-        inputs = {"p": int(args.p) if float(args.p).is_integer() else args.p}
-        for name, key in [
-            ("A", "A"),
-            ("t", "t"),
-            ("ell", "ell"),
-            ("m_norm", "m_norm"),
-            ("m_norm_real", "m_norm_real"),
-            ("m_plus_norm", "m_plus_norm"),
-            ("m_minus_norm", "m_minus_norm"),
-        ]:
-            v = getattr(args, key)
-            if v is not None:
-                inputs[name] = v
-        for flag in ("in_R", "even_real", "real_variant", "symmetric"):
-            if getattr(args, flag):
-                inputs[flag] = True
-        rep = bound_report(args.quantity, inputs)
-        return rep.to_json_dict(), EXIT_OK if rep.applicable else EXIT_INAPPLICABLE
-    if args.mult_cmd == "estimate":
-        builder = _MULT_BUILDERS.get(args.multiplier)
-        if builder is None:
-            raise ParseError(
-                f"unknown multiplier {args.multiplier!r}; choose from {sorted(_MULT_BUILDERS)}"
-            )
-        m = builder(args.n, args.omega)
-        doc = {"multiplier": args.multiplier, "p": args.p, "N": args.n, "omega": args.omega}
-        if args.shift is not None:
-            if args.multiplier != "halfline":
-                raise ParseError("--shift only applies to the halfline multiplier")
-            m = halfline_multiplier(args.n, args.omega, shift=args.shift)
-            doc["shift"] = args.shift
-        if args.t is not None:
-            m, snapped = split_multiplier(m, args.t)
-            doc["t_requested"] = args.t
-            doc["t_snapped"] = snapped
-        result = estimate_lower(
-            m,
-            args.p,
-            iterations=args.iterations,
-            seed=args.seed,
-            real_test_functions=args.real,
-            checkpoint_path=args.checkpoint,
-        )
-        doc.update(result.to_json_dict())
-        doc["seed"] = args.seed
-        return doc, EXIT_OK
-    if args.mult_cmd == "exact-positive":
-        f = parse_function_spec(args.spec)
-        ell = exact_norm_positive_kernel(f, positive_transform_asserted=args.assert_positive)
-        doc = {"m_norm": ell, "ell": ell}
-        if args.p is not None:
-            cs = constants(args.p)
-            doc["p"] = args.p
-            doc["m_plus_norm"] = cs.c_p * ell
-            doc["m_plus_norm_real"] = cs.c_p_real * ell
-        return doc, EXIT_OK
-    raise ParseError(f"unknown mult subcommand {args.mult_cmd!r}")
+_MULT_BUILDERS = {"halfline": halfline_multiplier, "segment": segment_multiplier,
+                  "tent": tent_multiplier, "tent-plus": _tent_plus}
+
+# the inputs of `mult bounds` as (option dest, is a switch); they make both
+# the parser's options and the inputs handed to bound_report
+_BOUND_INPUTS = (
+    ("A", False), ("t", False), ("ell", False), ("m_norm", False), ("m_norm_real", False),
+    ("m_plus_norm", False), ("m_minus_norm", False),
+    ("in_R", True), ("even_real", True), ("real_variant", True), ("symmetric", True),
+)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing
 # ---------------------------------------------------------------------------
 
 
@@ -419,47 +346,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--p", type=int, required=True)
     p_profile.add_argument("--emit", choices=["json", "csv"], default="json")
     p_profile.add_argument("--samples", type=int, default=8, help="CSV samples per piece")
-    p_profile.add_argument("--out", default=None)
 
     p_norm = sub.add_parser("norm", help="numerical (N_t f)^p, any p > 1")
     p_norm.add_argument("spec")
     p_norm.add_argument("--p", type=float, required=True)
     p_norm.add_argument("--t", type=float, required=True)
-    p_norm.add_argument("--err", type=float, default=1e-6)
-    p_norm.add_argument("--out", default=None)
+    p_norm.add_argument("--err", dest="target_abs_err", metavar="ERR", type=float, default=1e-6)
 
     p_cs = sub.add_parser("class-s", help="exact class-S membership")
     p_cs.add_argument("spec")
     p_cs.add_argument("--bump-radius", default=None)
-    p_cs.add_argument("--out", default=None)
 
     p_mult = sub.add_parser("mult", help="multiplier constants/bounds/estimates")
     msub = p_mult.add_subparsers(dest="mult_cmd", required=True)
 
     m_const = msub.add_parser("constants")
     m_const.add_argument("--p", type=float, required=True)
-    m_const.add_argument("--out", default=None)
 
     m_bounds = msub.add_parser("bounds")
     m_bounds.add_argument("quantity")
     m_bounds.add_argument("--p", type=float, required=True)
-    m_bounds.add_argument("--A", type=float, default=None)
-    m_bounds.add_argument("--t", type=float, default=None)
-    m_bounds.add_argument("--ell", type=float, default=None)
-    m_bounds.add_argument("--m-norm", dest="m_norm", type=float, default=None)
-    m_bounds.add_argument("--m-norm-real", dest="m_norm_real", type=float, default=None)
-    m_bounds.add_argument("--m-plus-norm", dest="m_plus_norm", type=float, default=None)
-    m_bounds.add_argument("--m-minus-norm", dest="m_minus_norm", type=float, default=None)
-    m_bounds.add_argument("--in-R", dest="in_R", action="store_true")
-    m_bounds.add_argument("--even-real", dest="even_real", action="store_true")
-    m_bounds.add_argument("--real-variant", dest="real_variant", action="store_true")
-    m_bounds.add_argument("--symmetric", action="store_true")
-    m_bounds.add_argument("--out", default=None)
+    for name, switch in _BOUND_INPUTS:
+        kind = {"action": "store_true"} if switch else {"type": float, "default": None}
+        m_bounds.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
 
     m_est = msub.add_parser("estimate")
     m_est.add_argument("multiplier", help="halfline | segment | tent | tent-plus")
     m_est.add_argument("--p", type=float, required=True)
-    m_est.add_argument("--n", type=int, default=4096)
+    m_est.add_argument("--n", dest="grid_n", metavar="N", type=int, default=4096)
     m_est.add_argument("--omega", type=float, default=8.0)
     m_est.add_argument("--iterations", type=int, default=200)
     m_est.add_argument("--seed", type=int, default=0)
@@ -467,13 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     m_est.add_argument("--t", type=float, default=None, help="apply the split at shift t first")
     m_est.add_argument("--shift", type=float, default=None, help=argparse.SUPPRESS)
     m_est.add_argument("--checkpoint", default=None)
-    m_est.add_argument("--out", default=None)
 
     m_pos = msub.add_parser("exact-positive")
     m_pos.add_argument("spec")
     m_pos.add_argument("--p", type=float, default=None)
     m_pos.add_argument("--assert-positive", action="store_true")
-    m_pos.add_argument("--out", default=None)
 
     p_series = sub.add_parser("series", help="exact trigonometric-series profile")
     p_series.add_argument("coeff_file")
@@ -481,7 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--t-min", type=int, default=0)
     p_series.add_argument("--t-max", type=int, required=True)
     p_series.add_argument("--emit", choices=["json", "csv"], default="json")
-    p_series.add_argument("--out", default=None)
+
+    for cmd in (p_profile, p_norm, p_cs, m_const, m_bounds, m_est, m_pos, p_series):
+        cmd.add_argument("--out", dest="output", metavar="OUT", default=None)
 
     p_batch = sub.add_parser("batch", help="run a JSON config of jobs")
     p_batch.add_argument("config")
@@ -489,67 +403,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _dispatch(args) -> tuple[str, int]:
-    if args.command == "profile":
-        if args.emit == "csv":
-            return profile_csv(args.spec, args.p, args.samples), EXIT_OK
-        return canonical_json(run_profile(args.spec, args.p)), EXIT_OK
-    if args.command == "norm":
-        return canonical_json(run_norm(args.spec, args.p, args.t, args.err)), EXIT_OK
-    if args.command == "class-s":
-        return canonical_json(run_class_s(args.spec, args.bump_radius)), EXIT_OK
-    if args.command == "mult":
-        doc, code = run_mult(args)
-        return canonical_json(doc), code
-    if args.command == "series":
-        try:
-            with open(args.coeff_file) as fh:
-                coeff_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read coefficient file: {exc}") from exc
-        doc = run_series(coeff_doc, args.p, args.t_min, args.t_max)
-        if args.emit == "csv":
-            return series_csv(doc), EXIT_OK
-        return canonical_json(doc), EXIT_OK
-    raise ParseError(f"unknown command {args.command!r}")
+# ---------------------------------------------------------------------------
+# the job record (one per CLI call or batch job), batch and main
+# ---------------------------------------------------------------------------
 
 
 @dataclass
 class ExperimentConfig:
-    """One declarative batch job: command plus its inputs.
+    """One job: a command and its inputs, named by the CLI option dests.
 
-    ``t`` accepts a single shift, a list, or {"start", "stop", "count"};
-    ``engine`` selects exact / numeric / both for the norm command (the
-    exact engine requires even p).  Round-trips through JSON.
+    ``mult X`` is the command ``mult-X``; ``--err``, ``--n`` and ``--out``
+    are ``target_abs_err``, ``grid_n`` and ``output``.  ``t`` also accepts
+    a list or {"start", "stop", "count"} (norm runs each shift), and
+    ``engine`` selects exact / numeric / both for norm (the exact engine
+    requires even p).  Built by argparse (``from_args``) or from a
+    declarative batch job (``from_dict``); round-trips through JSON.
     """
 
     command: str
     spec: Optional[str] = None
     multiplier: Optional[str] = None
+    quantity: Optional[str] = None
     coeff_file: Optional[str] = None
     p: float = 4
     t: object = None
     engine: str = "both"
     emit: str = "json"
+    samples: int = 8
     output: Optional[str] = None
     seed: int = 0
     target_abs_err: float = 1e-6
     iterations: int = 200
     grid_n: int = 4096
     omega: float = 8.0
+    shift: Optional[float] = None
+    real: bool = False
+    checkpoint: Optional[str] = None
+    assert_positive: bool = False
     bump_radius: Optional[str] = None
     t_min: int = 0
     t_max: int = 8
+    A: Optional[float] = None
+    ell: Optional[float] = None
+    m_norm: Optional[float] = None
+    m_norm_real: Optional[float] = None
+    m_plus_norm: Optional[float] = None
+    m_minus_norm: Optional[float] = None
+    in_R: bool = False
+    even_real: bool = False
+    real_variant: bool = False
+    symmetric: bool = False
 
-    _FIELDS = (
-        "command", "spec", "multiplier", "coeff_file", "p", "t", "engine",
-        "emit", "output", "seed", "target_abs_err", "iterations", "grid_n",
-        "omega", "bump_radius", "t_min", "t_max",
-    )
+    @classmethod
+    def from_args(cls, ns: argparse.Namespace) -> "ExperimentConfig":
+        names = {f.name for f in fields(cls)}
+        doc = {k: v for k, v in vars(ns).items() if k in names}
+        if ns.command == "mult":
+            doc["command"] = f"mult-{ns.mult_cmd}"
+        return cls(**doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - set(cls._FIELDS)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ParseError(f"unknown job fields: {sorted(unknown)}")
         if "command" not in doc:
@@ -557,7 +472,8 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self._FIELDS if getattr(self, k) is not None}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in doc.items() if v is not None}
 
     def t_values(self) -> list:
         if self.t is None:
@@ -566,7 +482,7 @@ class ExperimentConfig:
             return [float(self.t)]
         if isinstance(self.t, list):
             return [float(x) for x in self.t]
-        if isinstance(self.t, dict):
+        if isinstance(self.t, dict) and "stop" in self.t:
             start = float(self.t.get("start", 0.0))
             stop = float(self.t["stop"])
             count = int(self.t.get("count", 9))
@@ -576,48 +492,120 @@ class ExperimentConfig:
             return [start + step * k for k in range(count)]
         raise ParseError(f"bad t specification: {self.t!r}")
 
-    def run(self) -> str:
-        p_int = int(self.p) if float(self.p).is_integer() else None
-        if self.command == "profile":
-            if p_int is None:
-                raise OddOrNonintegerP(f"profile needs an even integer p, got {self.p}")
+    def _int_p(self) -> int:
+        if not float(self.p).is_integer():
+            raise OddOrNonintegerP(f"{self.command} needs an even integer p, got {self.p}")
+        return int(self.p)
+
+    def run(self) -> tuple[str, int]:
+        """(output text, exit code); failures raise ``_JOB_ERRORS``, see ``_exit_status``."""
+        cmd, code = self.command, EXIT_OK
+        if cmd == "profile":
             if self.emit == "csv":
-                return profile_csv(self.spec, p_int, 8)
-            return canonical_json(run_profile(self.spec, p_int))
-        if self.command == "norm":
+                return profile_csv(self.spec, self._int_p(), self.samples), EXIT_OK
+            doc = run_profile(self.spec, self._int_p())
+        elif cmd == "norm":
             docs = [
                 run_norm(self.spec, self.p, t, self.target_abs_err, self.engine)
                 for t in self.t_values()
             ]
-            return canonical_json(docs[0] if len(docs) == 1 else {"results": docs})
-        if self.command == "class-s":
-            return canonical_json(run_class_s(self.spec, self.bump_radius))
-        if self.command == "series":
-            if p_int is None:
-                raise OddOrNonintegerP(f"series needs an even integer p, got {self.p}")
-            with open(self.coeff_file) as fh:
-                coeff_doc = json.load(fh)
-            doc = run_series(coeff_doc, p_int, self.t_min, self.t_max)
-            return series_csv(doc) if self.emit == "csv" else canonical_json(doc)
-        if self.command == "mult-constants":
-            return canonical_json(constants(self.p).to_json_dict())
-        if self.command == "mult-estimate":
+            doc = docs[0] if len(docs) == 1 else {"results": docs}
+        elif cmd == "class-s":
+            doc = run_class_s(self.spec, self.bump_radius)
+        elif cmd == "series":
+            p = self._int_p()
+            try:
+                with open(self.coeff_file) as fh:
+                    coeff_doc = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ParseError(f"cannot read coefficient file: {exc}") from exc
+            doc = run_series(coeff_doc, p, self.t_min, self.t_max)
+            if self.emit == "csv":
+                return series_csv(doc), EXIT_OK
+        elif cmd == "mult-constants":
+            doc = constants(self.p).to_json_dict()
+        elif cmd == "mult-bounds":
+            inputs = {"p": int(self.p) if float(self.p).is_integer() else self.p}
+            for name, switch in _BOUND_INPUTS:
+                v = getattr(self, name)
+                if (v if switch else v is not None):  # a switch counts when it is on
+                    inputs[name] = v
+            rep = bound_report(self.quantity, inputs)
+            doc, code = rep.to_json_dict(), EXIT_OK if rep.applicable else EXIT_INAPPLICABLE
+        elif cmd == "mult-estimate":
             builder = _MULT_BUILDERS.get(self.multiplier)
             if builder is None:
-                raise ParseError(f"unknown multiplier {self.multiplier!r}")
+                raise ParseError(
+                    f"unknown multiplier {self.multiplier!r}; choose from {sorted(_MULT_BUILDERS)}"
+                )
             m = builder(self.grid_n, self.omega)
-            doc = {"multiplier": self.multiplier, "p": self.p, "N": self.grid_n}
-            ts = self.t_values()
+            doc = {"multiplier": self.multiplier, "p": self.p, "N": self.grid_n,
+                   "omega": self.omega}
+            if self.shift is not None:
+                if self.multiplier != "halfline":
+                    raise ParseError("--shift only applies to the halfline multiplier")
+                m = halfline_multiplier(self.grid_n, self.omega, shift=self.shift)
+                doc["shift"] = self.shift
             if self.t is not None:
-                m, snapped = split_multiplier(m, ts[0])
+                t = self.t_values()[0]
+                m, snapped = split_multiplier(m, t)
+                doc["t_requested"] = t
                 doc["t_snapped"] = snapped
             result = estimate_lower(
-                m, self.p, iterations=self.iterations, seed=self.seed
+                m, self.p, iterations=self.iterations, seed=self.seed,
+                real_test_functions=self.real, checkpoint_path=self.checkpoint,
             )
             doc.update(result.to_json_dict())
             doc["seed"] = self.seed
-            return canonical_json(doc)
-        raise ParseError(f"unknown job command {self.command!r}")
+        elif cmd == "mult-exact-positive":
+            f = parse_function_spec(self.spec)
+            ell = exact_norm_positive_kernel(f, positive_transform_asserted=self.assert_positive)
+            doc = {"m_norm": ell, "ell": ell}
+            if self.p is not None:
+                cs = constants(self.p)
+                doc["p"] = self.p
+                doc["m_plus_norm"] = cs.c_p * ell
+                doc["m_plus_norm_real"] = cs.c_p_real * ell
+        else:
+            raise ParseError(f"unknown command {cmd!r}")
+        return canonical_json(doc), code
+
+
+# the errors a job reports as an exit code; any other exception is a bug
+_JOB_ERRORS = (SplitnormError, ValueError)
+
+
+def _exit_status(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr prefix for an error a job raised."""
+    if isinstance(exc, BudgetExceeded):
+        return EXIT_BUDGET, "budget exceeded"
+    if isinstance(exc, (InapplicableHypothesis, UnverifiedPositivity)):
+        return EXIT_INAPPLICABLE, "inapplicable"
+    return EXIT_PARSE, "error"
+
+
+def _run_job(job) -> dict:
+    """Run one batch job, raw argv or declarative; return its summary row."""
+    if not isinstance(job, dict):
+        return {"command": None, "status": EXIT_PARSE, "error": "a job must be a JSON object"}
+    label = {"argv": job["argv"]} if "argv" in job else {"command": job.get("command")}
+    try:
+        if "argv" in job:
+            try:
+                args = _build_parser().parse_args(list(job["argv"]))
+            except SystemExit:
+                return {**label, "status": EXIT_PARSE}
+            cfg = ExperimentConfig.from_args(args)
+        else:
+            cfg = ExperimentConfig.from_dict(job)
+        text, code = cfg.run()
+    except _JOB_ERRORS as exc:
+        return {**label, "status": _exit_status(exc)[0], "error": str(exc)}
+    summary = {**label, "status": code}
+    if job.get("output"):
+        _write_output(text, job["output"])
+        summary["output"] = job["output"]
+    return summary
 
 
 def _run_batch(config_path: str) -> int:
@@ -627,85 +615,29 @@ def _run_batch(config_path: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_PARSE
-    jobs = config.get("jobs")
+    jobs = config.get("jobs") if isinstance(config, dict) else None
     if not isinstance(jobs, list):
         sys.stderr.write('config error: need a "jobs" list\n')
         return EXIT_PARSE
-    workers = int(os.environ.get("SPLITNORM_THREADS", "0")) or min(8, len(jobs)) or 1
-
-    def run_argv_job(job):
-        argv = list(job["argv"])
-        parser = _build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit:
-            return {"argv": argv, "status": EXIT_PARSE}, None
-        text, code = _dispatch(args)
-        return {"argv": argv, "status": code}, text
-
-    def run_job(job):
-        out = job.get("output")
-        label = {"argv": job["argv"]} if "argv" in job else {"command": job.get("command")}
-        try:
-            if "argv" in job:
-                summary, text = run_argv_job(job)
-            else:
-                text = ExperimentConfig.from_dict(job).run()
-                summary = {**label, "status": EXIT_OK}
-        except SplitnormError as exc:
-            return {**label, "status": _error_code(exc), "error": str(exc)}
-        if out and text is not None:
-            _write_output(text, out)
-            summary["output"] = out
-        return summary
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_job, jobs))
+    results = [_run_job(job) for job in jobs]
     sys.stdout.write(canonical_json({"jobs": results}) + "\n")
     return max((r["status"] for r in results), default=EXIT_OK)
 
 
-def _error_code(exc: Exception) -> int:
-    if isinstance(exc, BudgetExceeded):
-        return EXIT_BUDGET
-    if isinstance(exc, (InapplicableHypothesis, UnverifiedPositivity)):
-        return EXIT_INAPPLICABLE
-    return EXIT_PARSE
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     if args.command == "batch":
         return _run_batch(args.config)
     try:
-        text, code = _dispatch(args)
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
-    except (InapplicableHypothesis, UnverifiedPositivity) as exc:
-        sys.stderr.write(f"inapplicable: {exc}\n")
-        return EXIT_INAPPLICABLE
-    except (
-        ParseError,
-        NonRealInput,
-        OddOrNonintegerP,
-        InvalidOffsets,
-        InvalidSpec,
-        NegativeShift,
-        MissingInput,
-        POutOfRange,
-        TailDivergence,
-        ZeroPolynomial,
-        GridOverflow,
-        ValueError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    _write_output(text, getattr(args, "out", None))
+        text, code = ExperimentConfig.from_args(args).run()
+    except _JOB_ERRORS as exc:
+        code, prefix = _exit_status(exc)
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
+    _write_output(text, args.output)
     return code
 
 

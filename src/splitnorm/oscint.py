@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import BudgetExceeded, TailDivergence
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly, isolate_real_roots
@@ -292,6 +291,8 @@ def _real_imag_parts(piece):
 
 def _cos_tail(a: float, Y: float) -> float:
     """int_Y^inf cos(a y) / y^2 dy for a > 0 (exact, via Si)."""
+    from scipy.special import sici  # imported here: only the p = 2 tail needs scipy
+
     si, _ = sici(a * Y)
     return math.cos(a * Y) / Y - a * (math.pi / 2.0 - si)
 

@@ -282,11 +282,13 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    return _isolate_square_free(_square_free(Poly(p.real_coeffs())), lo, hi)
+
+
+def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
+    """``isolate_real_roots`` for a polynomial already made square-free."""
     lo, hi = rat(lo), rat(hi)
-    if not lo < hi:
-        return []
-    sf = _square_free(Poly(p.real_coeffs()))
-    if sf.degree <= 0:
+    if not lo < hi or sf.degree <= 0:
         return []
     while sf.degree > 0 and sf.eval(lo) == 0:
         sf = _divide_out_root(sf, lo)
@@ -371,7 +373,7 @@ def _sign_regions(p: Poly, lo, hi):
     sf = _square_free(Poly(p.real_coeffs()))
     regions = []
     prev = lo  # a point <= the next root, with no uncovered root behind it
-    for iv in isolate_real_roots(p, lo, hi):
+    for iv in _isolate_square_free(sf, lo, hi):
         sample = (prev + iv[0]) / 2 if prev < iv[0] else prev
         if p.eval(sample) == 0:
             raise InvariantViolation("a sign-region sample point is a root")

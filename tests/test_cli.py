@@ -19,7 +19,7 @@ from splitnorm.cli import (
     main,
     parse_function_spec,
 )
-from splitnorm.errors import ParseError
+from splitnorm.errors import InvariantViolation, ParseError
 from splitnorm.polyalg import PiecewisePoly, Poly, indicator, tent
 from splitnorm.scalars import gauss, rat
 
@@ -257,6 +257,13 @@ def test_float_formatting_17_digits():
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == 1 / 3
 
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    text = canonical_json({"a": float("nan"), "b": float("inf"), "c": float("-inf")})
+    doc = json.loads(text, parse_constant=reject)
+    assert doc == {"a": "NaN", "b": "Infinity", "c": "-Infinity"}
+
 
 def test_out_file_written_atomically(capsys, tmp_path):
     out_path = os.fspath(tmp_path / "profile.json")
@@ -275,14 +282,14 @@ def test_experiment_config_roundtrip_and_engines():
         {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": [0.0, 0.25], "engine": "both"}
     )
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-    doc = json.loads(cfg.run())
+    doc = json.loads(cfg.run()[0])
     assert len(doc["results"]) == 2
     for row in doc["results"]:
         assert abs(row["value_pth_power"] - row["exact_value"]) <= row["abs_error"]
     exact_only = ExperimentConfig.from_dict(
         {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": 0.25, "engine": "exact"}
     )
-    row = json.loads(exact_only.run())
+    row = json.loads(exact_only.run()[0])
     assert row["abs_error"] == 0 and row["value_pth_power"] == pytest.approx(25 / 6)
     with pytest.raises(ParseError):
         ExperimentConfig.from_dict({"command": "norm", "speling": "x"})
@@ -292,8 +299,7 @@ def test_experiment_config_roundtrip_and_engines():
     assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
-def test_batch_declarative_jobs(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLITNORM_THREADS", "2")
+def test_batch_declarative_jobs(capsys, tmp_path):
     out1 = os.fspath(tmp_path / "p.json")
     out2 = os.fspath(tmp_path / "n.json")
     config = {
@@ -320,8 +326,7 @@ def test_batch_declarative_jobs(capsys, tmp_path, monkeypatch):
     assert len(json.load(open(out2))["results"]) == 2
 
 
-def test_batch_command(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLITNORM_THREADS", "2")
+def test_batch_command(capsys, tmp_path):
     out1 = os.fspath(tmp_path / "a.json")
     out2 = os.fspath(tmp_path / "b.json")
     config = {
@@ -341,3 +346,133 @@ def test_batch_command(capsys, tmp_path, monkeypatch):
     assert code == EXIT_PARSE  # worst job status propagates
     assert json.load(open(out1))["tail_value"] == "4"
     assert json.load(open(out2))["c"] == pytest.approx(1.0)
+
+
+def test_batch_job_errors_do_not_abort_the_batch(tmp_path):
+    # a bad shift and a missing coefficient file are per-job errors: the
+    # batch reports them and still runs the good job
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    config = {
+        "jobs": [
+            {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": -1},
+            {"command": "series", "coeff_file": "missing.json", "p": 4, "t_max": 3},
+            {"command": "mult-constants", "p": 4, "output": "good.json"},
+        ]
+    }
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitnorm", "batch", "jobs.json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE, EXIT_PARSE, EXIT_OK]
+    assert all(j["error"] for j in summary["jobs"][:2])
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert json.loads((tmp_path / "good.json").read_text())["c"] == pytest.approx(2 ** 0.5)
+
+
+def test_batch_declarative_mult_bounds_inapplicable(capsys, tmp_path):
+    out = os.fspath(tmp_path / "b.json")
+    config = {"jobs": [
+        {"command": "mult-bounds", "quantity": "split_lower", "p": 4, "ell": 0, "output": out},
+    ]}
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["batch", os.fspath(cfg)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INAPPLICABLE
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_INAPPLICABLE]
+    assert json.load(open(out))["applicable"] is False
+
+
+def test_batch_malformed_config_and_jobs(capsys, tmp_path):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([{"command": "mult-constants", "p": 4}]))
+    assert main(["batch", os.fspath(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err == 'config error: need a "jobs" list\n'
+    cfg.write_text(json.dumps({"jobs": [
+        "mult-constants",
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"start": 0}},
+        {"argv": ["batch", "other.json"]},
+        {"command": "mult-constants", "p": 4},
+    ]}))
+    code = main(["batch", os.fspath(cfg)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_PARSE
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE] * 3 + [EXIT_OK]
+    assert [bool(j.get("error")) for j in summary["jobs"]] == [True] * 3 + [False]
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    import splitnorm.cli as cli
+
+    def broken(f, p):
+        raise InvariantViolation("an exact identity failed")
+
+    monkeypatch.setattr(cli, "norm_profile", broken)
+    code = main(["profile", "ind:-1,1", "--p", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert captured.err == "error: an exact identity failed\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["profile", "ind:-1,1", "--p", "4"], {"command": "profile", "spec": "ind:-1,1", "p": 4}),
+        (
+            ["profile", "tent:-1,0,1", "--p", "4", "--emit", "csv", "--samples", "3"],
+            {"command": "profile", "spec": "tent:-1,0,1", "p": 4, "emit": "csv", "samples": 3},
+        ),
+        (
+            ["norm", "ind:-1,1", "--p", "3", "--t", "0.25", "--err", "1e-3"],
+            {"command": "norm", "spec": "ind:-1,1", "p": 3, "t": 0.25, "target_abs_err": 1e-3},
+        ),
+        (
+            ["class-s", "ind:-1,1", "--bump-radius", "0"],
+            {"command": "class-s", "spec": "ind:-1,1", "bump_radius": "0"},
+        ),
+        (["mult", "constants", "--p", "4"], {"command": "mult-constants", "p": 4}),
+        (
+            ["mult", "bounds", "two_way", "--p", "4", "--A", "1", "--t", "0.6", "--ell", "1",
+             "--m-norm", "1", "--in-R"],
+            {"command": "mult-bounds", "quantity": "two_way", "p": 4, "A": 1, "t": 0.6,
+             "ell": 1, "m_norm": 1, "in_R": True},
+        ),
+        (
+            ["mult", "bounds", "split_lower", "--p", "4", "--ell", "0"],
+            # 0.0, not 0: the message echoes the value as the job gives it
+            {"command": "mult-bounds", "quantity": "split_lower", "p": 4, "ell": 0.0},
+        ),
+        (
+            ["mult", "estimate", "tent", "--p", "4", "--n", "256", "--iterations", "30",
+             "--t", "0.5"],
+            {"command": "mult-estimate", "multiplier": "tent", "p": 4, "grid_n": 256,
+             "iterations": 30, "t": 0.5},
+        ),
+        (
+            ["mult", "exact-positive", "tent:-1,0,1", "--p", "4"],
+            {"command": "mult-exact-positive", "spec": "tent:-1,0,1", "p": 4},
+        ),
+        (
+            ["series", "{coeffs}", "--p", "4", "--t-max", "5"],
+            {"command": "series", "coeff_file": "{coeffs}", "p": 4, "t_max": 5},
+        ),
+    ],
+    ids=["profile", "profile-csv", "norm", "class-s", "mult-constants", "mult-bounds",
+         "mult-bounds-inapplicable", "mult-estimate", "mult-exact-positive", "series"],
+)
+def test_cli_and_declarative_job_agree(capsys, tmp_path, argv, job):
+    from splitnorm.cli import ExperimentConfig
+
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"A": 1, "coeffs": {"-1": "1/2", "0": ["1", "-1"], "1": "2"}}))
+    argv = [os.fspath(coeffs) if a == "{coeffs}" else a for a in argv]
+    job = {k: os.fspath(coeffs) if v == "{coeffs}" else v for k, v in job.items()}
+    code, out = run_cli(capsys, *argv)
+    text, job_code = ExperimentConfig.from_dict(job).run()
+    assert out == (text if text.endswith("\n") else text + "\n")
+    assert code == job_code

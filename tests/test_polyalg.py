@@ -329,6 +329,27 @@ def test_isolate_zero_polynomial_raises():
         isolate_real_roots(Poly([]), 0, 1)
 
 
+def test_sign_regions_square_free_once(monkeypatch):
+    # _sign_regions hands its square-free part to the isolation, which must
+    # not compute it again; the regions stay those of the sign changes
+    import splitnorm.polyalg as PA
+
+    calls = []
+    real_square_free = PA._square_free
+    monkeypatch.setattr(PA, "_square_free", lambda q: calls.append(q) or real_square_free(q))
+    cases = [
+        (Poly([-6, 11, -6, 1]), 0, 4, [-1, 1, -1, 1]),  # (x-1)(x-2)(x-3)
+        (Poly([2, -3, 0, 1]), -5, 5, [-1, 1, 1]),  # (x-1)^2 (x+2): no change at 1
+        (Poly([1, 0, 1]), -10, 10, [1]),
+    ]
+    for k, (p, lo, hi, signs) in enumerate(cases, start=1):
+        regions = PA._sign_regions(p, rat(lo), rat(hi))
+        assert len(calls) == k
+        assert [sign for _, _, sign in regions] == signs
+        for sample, anchor, sign in regions:
+            assert lo < sample < anchor < hi and sign * p.eval(sample) > 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_isolate_products_of_known_roots(seed):
