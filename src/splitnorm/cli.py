@@ -12,11 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .errors import (
     BudgetExceeded,
@@ -234,6 +235,10 @@ def profile_csv(doc_spec: str, p: int, samples: int) -> str:
 
 
 def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") -> dict:
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    if not err > 0:
+        raise ValueError(f"the error target must be positive, got {err}")
     f = parse_function_spec(spec)
     even = float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
     if engine == "exact":
@@ -425,7 +430,7 @@ class ExperimentConfig:
     multiplier: Optional[str] = None
     quantity: Optional[str] = None
     coeff_file: Optional[str] = None
-    p: float = 4
+    p: Optional[float] = 4  # None only for mult-exact-positive
     t: object = None
     engine: str = "both"
     emit: str = "json"
@@ -469,6 +474,15 @@ class ExperimentConfig:
             raise ParseError(f"unknown job fields: {sorted(unknown)}")
         if "command" not in doc:
             raise ParseError('a declarative job needs a "command"')
+        hints = get_type_hints(cls)
+        for name, value in doc.items():
+            allowed = get_args(hints[name]) or (hints[name],)  # Optional[X] is (X, NoneType)
+            if object in allowed:
+                continue
+            if float in allowed:
+                allowed += (int,)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ParseError(f"job field {name!r} has the wrong type: {value!r}")
         return cls(**doc)
 
     def to_dict(self) -> dict:
@@ -476,21 +490,27 @@ class ExperimentConfig:
         return {k: v for k, v in doc.items() if v is not None}
 
     def t_values(self) -> list:
-        if self.t is None:
-            return [0.0]
-        if isinstance(self.t, (int, float)):
-            return [float(self.t)]
-        if isinstance(self.t, list):
-            return [float(x) for x in self.t]
-        if isinstance(self.t, dict) and "stop" in self.t:
-            start = float(self.t.get("start", 0.0))
-            stop = float(self.t["stop"])
-            count = int(self.t.get("count", 9))
-            if count < 2:
-                return [start]
-            step = (stop - start) / (count - 1)
-            return [start + step * k for k in range(count)]
-        raise ParseError(f"bad t specification: {self.t!r}")
+        """The shifts ``t`` names, as finite floats."""
+        t = self.t
+        try:
+            if t is None:
+                ts = [0.0]
+            elif isinstance(t, (int, float)):
+                ts = [float(t)]
+            elif isinstance(t, list):
+                ts = [float(x) for x in t]
+            elif isinstance(t, dict) and "stop" in t:
+                start, stop = float(t.get("start", 0.0)), float(t["stop"])
+                count = int(t.get("count", 9))
+                step = (stop - start) / (count - 1) if count > 1 else 0.0
+                ts = [start + step * k for k in range(max(count, 1))]
+            else:
+                raise ParseError(f"bad t specification: {t!r}")
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad t specification: {t!r}") from exc
+        if not all(math.isfinite(x) for x in ts):
+            raise ParseError(f"t must be finite, got {t!r}")
+        return ts
 
     def _int_p(self) -> int:
         if not float(self.p).is_integer():
@@ -500,6 +520,8 @@ class ExperimentConfig:
     def run(self) -> tuple[str, int]:
         """(output text, exit code); failures raise ``_JOB_ERRORS``, see ``_exit_status``."""
         cmd, code = self.command, EXIT_OK
+        if self.p is None and cmd != "mult-exact-positive":
+            raise ParseError(f"{cmd} needs p")
         if cmd == "profile":
             if self.emit == "csv":
                 return profile_csv(self.spec, self._int_p(), self.samples), EXIT_OK
@@ -601,6 +623,11 @@ def _run_job(job) -> dict:
         text, code = cfg.run()
     except _JOB_ERRORS as exc:
         return {**label, "status": _exit_status(exc)[0], "error": str(exc)}
+    except Exception as exc:  # a bug: report it in this job and run the next
+        import traceback
+
+        traceback.print_exc()
+        return {**label, "status": EXIT_PARSE, "error": f"internal error: {exc!r}"}
     summary = {**label, "status": code}
     if job.get("output"):
         _write_output(text, job["output"])

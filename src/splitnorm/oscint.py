@@ -379,7 +379,10 @@ def norm_numeric(
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 
     g = apply_split(f, rat(t) if not isinstance(t, float) else rat_from_float(t))
-    evaluator = FTEvaluator(g)
+    try:
+        evaluator = FTEvaluator(g)
+    except OverflowError as exc:
+        raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
     betas, rows = _boundary_expansion(g)
 
     # tail placement

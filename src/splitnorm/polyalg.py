@@ -24,8 +24,13 @@ terms are summed per start point and then in one running sum, and each
 output coefficient is reduced once, by ``rat(num, den)``, so the rational
 type of the results does not change.
 
-Monotonicity and sign decisions are exact, via Descartes/bisection root
-isolation; no floating point is involved anywhere in this module.
+Monotonicity and sign decisions are exact, via root isolation on integers
+(Collins & Akritas 1976): a polynomial's square-free part, certified by a
+gcd with its derivative modulo the prime 2^61 - 1 (the rational Euclid
+runs only when that certificate fails), is mapped once to an integer
+polynomial on [0, 1], and Descartes bisection halves it with integer
+scalings and Taylor shifts.  No floating point is involved anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .errors import InvariantViolation, NonRealInput, ZeroPolynomial
@@ -231,7 +237,80 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
     return a * (RAT_ONE / a.coeffs[-1])
 
 
+# ---------------------------------------------------------------------------
+# real root isolation (square-free part, then Descartes + bisection on
+# integer windows)
+# ---------------------------------------------------------------------------
+#
+# Vincent-Collins-Akritas bisection (Collins & Akritas 1976, "Polynomial real
+# root isolation using Descartes' rule of signs"; Rouillier & Zimmermann
+# 2004, "Efficient isolation of polynomial's real roots") on primitive
+# integer polynomials.  The input is first made square-free (``_square_free``
+# and its modular certificate).  A window of the square-free sf over (a, b)
+# is an integer list w, a positive multiple of sf(a + (b - a) x): its roots
+# in (0, 1) are those of sf in (a, b).  [lo, hi] is mapped to [0, 1] once;
+# after that the children of w are the integer polynomials 2^n w(x/2) (over
+# (a, mid)) and its Taylor shift by 1 (over (mid, b)), and sf(a) = 0 iff
+# w(0) = 0, sf(b) = 0 iff the coefficients of w sum to 0.  Descartes' bound
+# for (0, 1) is the number of sign variations of (x + 1)^n w(1/(x + 1)).  It
+# does not change when a root at 0 or 1 is divided out (that only drops a
+# factor x or -x from the transformed polynomial), so each window's bound
+# equals that of the rational window sf(a + (b - a) x) with its end roots
+# removed, and the intervals are those of rational Descartes bisection.
+
+# the certificate prime, 2^61 - 1 (a Mersenne prime)
+_CERT_PRIME = (1 << 61) - 1
+
+
+def _int_primitive(coeffs) -> list:
+    """Integer coefficients with content 1, a positive multiple of the rational ``coeffs``."""
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    cs = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _gcd_degree_mod(a: list, b: list, m: int) -> int:
+    """Degree of gcd(a, b) over GF(m), m prime (-1 when both vanish mod m)."""
+
+    def trimmed(cs):
+        cs = [c % m for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        inv = pow(b[-1], -1, m)
+        db = len(b) - 1
+        while len(a) > db:
+            k = len(a) - 1 - db
+            c = a[-1] * inv % m
+            a[k:] = [(x - c * y) % m for x, y in zip(a[k:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def _square_free(p: Poly) -> Poly:
+    """A square-free polynomial with the roots of p: p itself when it is
+    square-free, else p / gcd(p, p') over Q.
+
+    Certificate: if the prime P = 2^61 - 1 does not divide lc(p) and
+    gcd(p, p') modulo P is a constant, then p is square-free and is returned
+    without the rational Euclid.  Proof: a nontrivial gcd over Q has a
+    primitive integer associate g, which divides p and p' in Z[x] (Gauss's
+    lemma).  lc(g) divides lc(p), so P does not divide lc(g), and g modulo P
+    is a common divisor of degree deg g >= 1 of the images of p and p'.  So
+    a nontrivial gcd over Q stays nontrivial modulo any prime that does not
+    divide lc(p).  When the certificate fails, the rational Euclid decides.
+    """
+    if p.degree <= 0:
+        return p
+    cs = _int_primitive(p.coeffs)
+    if cs[-1] % _CERT_PRIME and _gcd_degree_mod(cs, [k * c for k, c in enumerate(cs)][1:], _CERT_PRIME) == 0:
+        return p
     g = _poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p
@@ -239,18 +318,6 @@ def _square_free(p: Poly) -> Poly:
     if not r.is_zero():
         raise InvariantViolation("the gcd with the derivative must divide the polynomial")
     return q
-
-
-def _divide_out_root(p: Poly, r) -> Poly:
-    q, rem = _poly_divmod(p, Poly([-r, 1]))
-    if not rem.is_zero():
-        raise InvariantViolation(f"{r} is not a root of the polynomial")
-    return q
-
-
-# ---------------------------------------------------------------------------
-# real root isolation (Descartes + bisection)
-# ---------------------------------------------------------------------------
 
 
 def _sign_variations(coeffs) -> int:
@@ -266,10 +333,37 @@ def _sign_variations(coeffs) -> int:
     return v
 
 
-def _descartes_bound_01(p: Poly) -> int:
-    """Descartes bound for the number of roots of p in (0, 1)."""
-    rev = Poly(list(reversed(p.coeffs)))
-    return _sign_variations(rev.shift(RAT_ONE).coeffs)
+def _variations_01(w: list) -> int:
+    """Descartes' bound for the number of roots of the window w in (0, 1)."""
+    return _sign_variations(_int_taylor_shift(w[::-1], 1))
+
+
+def _left_child(w: list) -> list:
+    """2^n w(x/2): the window over the left half."""
+    n = len(w) - 1
+    return [c << (n - j) for j, c in enumerate(w)]
+
+
+def _divide_root_at_one(w: list) -> list:
+    """w / (x - 1); w(1) must vanish."""
+    sums = list(accumulate(reversed(w)))  # sums[k] = w_n + ... + w_{n-k}
+    if sums[-1]:
+        raise InvariantViolation("1 is not a root of the window polynomial")
+    return sums[-2::-1]
+
+
+def _int_window(sf: Poly, lo, hi) -> list:
+    """The window of sf over (lo, hi), with content 1."""
+    cs = _int_primitive(sf.coeffs)
+    den = math.lcm(int(lo.denominator), int(hi.denominator))
+    n0 = int(lo.numerator) * (den // int(lo.denominator))
+    n1 = int(hi.numerator) * (den // int(hi.denominator)) - n0
+    d = len(cs) - 1
+    # den^d sf(Y / den) in Y = den X, then Y = n0 + n1 x
+    w = _int_taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], n0)
+    w = [c * n1**j for j, c in enumerate(w)]
+    g = math.gcd(*w)
+    return [c // g for c in w]
 
 
 def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
@@ -282,84 +376,74 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return _isolate_square_free(_square_free(Poly(p.real_coeffs())), lo, hi)
+    return [(a, b) for a, b, _ in _isolate_square_free(_square_free(Poly(p.real_coeffs())), lo, hi)]
 
 
 def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
-    """``isolate_real_roots`` for a polynomial already made square-free."""
+    """``isolate_real_roots`` for a square-free sf, each interval ``(a, b)``
+    with its window ``w`` as ``(a, b, w)`` (``w`` is None for ``(r, r)``)."""
     lo, hi = rat(lo), rat(hi)
     if not lo < hi or sf.degree <= 0:
         return []
-    while sf.degree > 0 and sf.eval(lo) == 0:
-        sf = _divide_out_root(sf, lo)
-    while sf.degree > 0 and sf.eval(hi) == 0:
-        sf = _divide_out_root(sf, hi)
-    if sf.degree <= 0:
+    w = _int_window(sf, lo, hi)
+    # roots at lo and hi are outside the open interval: divide them out
+    while len(w) > 1 and not w[0]:
+        w = w[1:]
+    while len(w) > 1 and not sum(w):
+        w = _divide_root_at_one(w)
+    if len(w) <= 1:
         return []
-
-    def window_poly(a, b) -> Poly:
-        # q with: roots of q in (0,1) <-> roots of sf in the open (a, b)
-        q = sf
-        for e in (a, b):
-            while q.degree > 0 and q.eval(e) == 0:
-                q = _divide_out_root(q, e)
-        return q.shift(a).scale_arg(b - a)
 
     out: list[tuple] = []
 
-    def recurse(a, b, depth):
+    def recurse(a, b, w, depth):
         if depth > 128:
             raise InvariantViolation("root isolation failed to terminate")
-        n = _descartes_bound_01(window_poly(a, b))
+        n = _variations_01(w)
         if n == 0:
             return
         if n == 1:
-            out.append((a, b))
+            out.append((a, b, w))
             return
         mid = (a + b) / 2
-        if sf.eval(mid) == 0:
-            out.append((mid, mid))
-        recurse(a, mid, depth + 1)
-        recurse(mid, b, depth + 1)
+        left = _left_child(w)
+        recurse(a, mid, left, depth + 1)
+        if not sum(left):
+            out.append((mid, mid, None))
+        recurse(mid, b, _int_taylor_shift(left, 1), depth + 1)
 
-    recurse(lo, hi, 0)
-    out.sort(key=lambda iv: iv[0])
-    return [_refine_interval(sf, a, b, lo, hi) for a, b in out]
+    recurse(lo, hi, w, 0)  # in order: the intervals come out sorted
+    return [_refine_interval(a, b, w, lo, hi) for a, b, w in out]
 
 
-def _refine_interval(sf: Poly, a, b, lo, hi):
+def _refine_interval(a, b, w, lo, hi):
     """Shrink an isolating window until its endpoints are non-roots inside (lo, hi)."""
     if a == b:
-        return (a, b)
-    while sf.eval(a) == 0 or sf.eval(b) == 0 or not (lo < a and b < hi):
-        a, b = _bisect_toward_root(sf, a, b)
+        return (a, b, w)
+    while not w[0] or not sum(w) or not (lo < a and b < hi):
+        a, b, w = _bisect_toward_root(a, b, w)
         if a == b:
             break
-    return (a, b)
+    return (a, b, w)
 
 
-def _bisect_toward_root(sf: Poly, a, b):
-    """Halve (a, b) keeping its unique interior root of sf."""
+def _bisect_toward_root(a, b, w):
+    """Halve the window (a, b, w) keeping its unique interior root."""
     mid = (a + b) / 2
-    if sf.eval(mid) == 0:
-        return mid, mid
-    # the window holds one root; the left half holds it iff its Descartes
-    # bound is odd (the bound has the parity of the true count)
-    q = sf
-    for e in (a, mid):
-        while q.degree > 0 and q.eval(e) == 0:
-            q = _divide_out_root(q, e)
-    n = _descartes_bound_01(q.shift(a).scale_arg(mid - a))
-    if n % 2 == 1:
-        return a, mid
-    return mid, b
+    left = _left_child(w)
+    if not sum(left):
+        return mid, mid, None
+    # the left half holds the root iff its Descartes bound is odd (the bound
+    # has the parity of the true count)
+    if _variations_01(left) % 2 == 1:
+        return a, mid, left
+    return mid, b, _int_taylor_shift(left, 1)
 
 
-def _shrink_left_edge(sf: Poly, iv, floor):
-    """Refine an isolating interval until its left endpoint exceeds ``floor``."""
-    a, b = iv
+def _shrink_left_edge(a, b, w, floor):
+    """Refine an isolating window until its left endpoint exceeds ``floor``."""
     while a <= floor and a != b:
-        a, b = _bisect_toward_root(sf, a, b)
+        a, b, w = _bisect_toward_root(a, b, w)
     return (a, b)
 
 
@@ -373,11 +457,11 @@ def _sign_regions(p: Poly, lo, hi):
     sf = _square_free(Poly(p.real_coeffs()))
     regions = []
     prev = lo  # a point <= the next root, with no uncovered root behind it
-    for iv in _isolate_square_free(sf, lo, hi):
-        sample = (prev + iv[0]) / 2 if prev < iv[0] else prev
+    for a, b, w in _isolate_square_free(sf, lo, hi):
+        sample = (prev + a) / 2 if prev < a else prev
         if p.eval(sample) == 0:
             raise InvariantViolation("a sign-region sample point is a root")
-        nxt = _shrink_left_edge(sf, iv, sample)
+        nxt = _shrink_left_edge(a, b, w, sample)
         anchor = (sample + nxt[0]) / 2
         if not sample < anchor:
             raise InvariantViolation("a sign-region anchor must lie right of its sample")

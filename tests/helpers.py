@@ -110,3 +110,57 @@ def grid_increase_search(f: PiecewisePoly, a, n=400):
         if vals[j] < vals[min_idx]:
             min_idx = j
     return None
+
+
+def rational_isolation_reference(p: Poly, lo, hi) -> list:
+    """Root isolation by rational Descartes bisection, the algorithm the
+    integer windows of ``polyalg`` replaced: at every node the window
+    polynomial is rebuilt with rational Taylor shifts.  Equal intervals from
+    both are the check that the integer windows change no decision."""
+    from splitnorm.polyalg import _poly_divmod, _poly_gcd
+
+    def divide_out(q, r):
+        while q.degree > 0 and q.eval(r) == 0:
+            q, rem = _poly_divmod(q, Poly([-r, 1]))
+            assert rem.is_zero()
+        return q
+
+    def bound_01(q):  # sign variations of (x + 1)^n q(1 / (x + 1))
+        signs = [c > 0 for c in Poly(list(reversed(q.coeffs))).shift(1).coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def window_bound(a, b):
+        return bound_01(divide_out(divide_out(sf, a), b).shift(a).scale_arg(b - a))
+
+    g = _poly_gcd(p, p.derivative())
+    sf = p if g.degree <= 0 else _poly_divmod(p, g)[0]
+    lo, hi = rat(lo), rat(hi)
+    sf = divide_out(divide_out(sf, lo), hi)
+    if sf.degree <= 0:
+        return []
+    out = []
+
+    def recurse(a, b):
+        n = window_bound(a, b)
+        if n == 1:
+            out.append((a, b))
+        elif n > 1:
+            mid = (a + b) / 2
+            if sf.eval(mid) == 0:
+                out.append((mid, mid))
+            recurse(a, mid)
+            recurse(mid, b)
+
+    recurse(lo, hi)
+    refined = []
+    for a, b in sorted(out, key=lambda iv: iv[0]):
+        while a != b and (sf.eval(a) == 0 or sf.eval(b) == 0 or not (lo < a and b < hi)):
+            mid = (a + b) / 2
+            if sf.eval(mid) == 0:
+                a = b = mid
+            elif bound_01(divide_out(divide_out(sf, a), mid).shift(a).scale_arg(mid - a)) % 2:
+                b = mid
+            else:
+                a = mid
+        refined.append((a, b))
+    return refined

@@ -373,6 +373,101 @@ def test_batch_job_errors_do_not_abort_the_batch(tmp_path):
     assert json.loads((tmp_path / "good.json").read_text())["c"] == pytest.approx(2 ** 0.5)
 
 
+def _run_subprocess(args, cwd):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "splitnorm", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_batch_wrongly_typed_field_is_a_job_error(tmp_path):
+    # a null p used to end the batch in a TypeError traceback, with no summary
+    config = {"jobs": [{"command": "mult-constants", "p": None}, {"command": "mult-constants", "p": 4}]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = _run_subprocess(["batch", "jobs.json"], tmp_path)
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE, EXIT_OK]
+    assert summary["jobs"][0]["error"]
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "profile", "spec": "ind:-1,1", "p": True},
+        {"command": "profile", "spec": 3, "p": 4},
+        {"command": "mult-estimate", "multiplier": "halfline", "p": 4, "iterations": 2.5},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": [1, None]},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"stop": "x"}},
+        {"command": 3},
+    ],
+)
+def test_declarative_job_field_types(job):
+    from splitnorm.cli import _run_job
+
+    row = _run_job(job)
+    assert row["status"] == EXIT_PARSE and row["error"]
+
+
+def test_declarative_exact_positive_without_p(capsys):
+    from splitnorm.cli import ExperimentConfig
+
+    code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1")
+    job = {"command": "mult-exact-positive", "spec": "tent:-1,0,1", "p": None}
+    assert ExperimentConfig.from_dict(job).run() == (out.rstrip("\n"), code)
+
+
+def test_batch_unexpected_exception_stays_in_its_job(capsys, monkeypatch, tmp_path):
+    import splitnorm.cli as cli
+
+    def broken(p):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "constants", broken)
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [
+        {"command": "mult-constants", "p": 4},
+        {"command": "profile", "spec": "ind:-1,1", "p": 4},
+    ]}))
+    code = main(["batch", os.fspath(cfg)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_PARSE
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE, EXIT_OK]
+    assert "a bug" in summary["jobs"][0]["error"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t", "inf"], ["--t", "1e300"], ["--t", "5", "--err", "0"], ["--t", "5", "--err", "-1"]],
+    ids=["t-inf", "t-1e300", "err-0", "err-negative"],
+)
+def test_norm_rejects_nonfinite_t_and_nonpositive_err(tmp_path, flags):
+    proc = _run_subprocess(["norm", "ind:-1,1", "--p", "3", *flags], tmp_path)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_nonfinite_t_and_p_are_job_errors():
+    from splitnorm.cli import _run_job
+
+    inf = float("inf")
+    jobs = [{"command": "norm", "spec": "ind:-1,1", "p": 4, "t": inf, "engine": e}
+            for e in ("exact", "numeric", "both")]
+    jobs += [
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"start": -1e308, "stop": 1e308}},
+        {"command": "mult-estimate", "multiplier": "halfline", "p": 4, "grid_n": 64, "t": inf},
+        {"command": "norm", "spec": "ind:-1,1", "p": inf, "t": 1},
+    ]
+    for job in jobs:
+        row = _run_job(job)
+        assert row["status"] == EXIT_PARSE and "finite" in row["error"], job
+
+
 def test_batch_declarative_mult_bounds_inapplicable(capsys, tmp_path):
     out = os.fspath(tmp_path / "b.json")
     config = {"jobs": [

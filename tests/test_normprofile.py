@@ -21,9 +21,9 @@ from splitnorm.normprofile import (
     series_profile,
 )
 from splitnorm.oscint import norm_numeric
-from splitnorm.polyalg import indicator, is_nonincreasing_on, l2_inner, tent
-from splitnorm.scalars import gauss, rat
-from splitnorm.splitcore import GenSplitSpec
+from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real_roots, l2_inner, tent
+from splitnorm.scalars import format_rat, gauss, rat
+from splitnorm.splitcore import GenSplitSpec, class_s_check
 
 from .helpers import rnd_class_s_member, rnd_even_nonneg, rnd_pp
 
@@ -86,6 +86,89 @@ GOLDEN_PROFILES = [
 @pytest.mark.parametrize("name,build,digest", GOLDEN_PROFILES, ids=[g[0] for g in GOLDEN_PROFILES])
 def test_profile_golden_hashes(name, build, digest):
     doc = json.dumps(build().to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _witness_doc(verdict_ok, witness):
+    return [verdict_ok, None if witness is None else [format_rat(x) for x in witness]]
+
+
+def _seeded_isolation_cases():
+    # random dense polynomials with rational coefficients, and products of
+    # linear factors with repeated roots at window ends and dyadic midpoints
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for _ in range(30):
+        deg = int(rng.integers(1, 9))
+        coeffs = [rat(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(deg + 1)]
+        cases.append((Poly(coeffs), rat(-4), rat(4)))
+    for _ in range(30):
+        p = Poly([1])
+        for _ in range(int(rng.integers(1, 6))):
+            r = rat(int(rng.integers(-8, 9)), int(2 ** rng.integers(0, 3)))
+            p = p * Poly([-r, 1])
+            if rng.random() < 0.3:
+                p = p * Poly([-r, 1])  # a double root
+        if rng.random() < 0.5:
+            p = p * Poly([rat(int(rng.integers(1, 5))), 0, 1])  # a complex pair
+        cases.append((p, rat(-4), rat(4)))
+    return cases
+
+
+def _decision_golden_doc(group):
+    if group in ("monotone ind", "monotone tent", "monotone two-bump", "monotone complex"):
+        build, ps = {
+            "monotone ind": (lambda p: norm_profile(CHI, p), range(4, 13, 2)),
+            "monotone tent": (lambda p: norm_profile(tent(-1, 0, 1), p), range(4, 13, 2)),
+            "monotone two-bump": (lambda p: norm_profile(TWO_BUMP, p), range(4, 9, 2)),
+            "monotone complex": (
+                lambda p: norm_profile(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), p),
+                range(4, 9, 2),
+            ),
+        }[group]
+        docs = []
+        for p in ps:
+            prof = build(p)
+            verdict = check_monotone(prof)
+            # and the isolating intervals of every piece's critical points
+            f = prof.profile
+            roots = [
+                [[format_rat(a), format_rat(b)] for a, b in isolate_real_roots(q.derivative(), u, v)]
+                for u, v, q in zip(f.breakpoints, f.breakpoints[1:], f.pieces)
+                if q.degree > 0
+            ]
+            docs.append([p] + _witness_doc(verdict.ok, verdict.witness) + [roots])
+        return docs
+    if group == "class-s":
+        rng = np.random.default_rng(7)
+        fs = [CHI, tent(-1, 0, 1), TWO_BUMP, indicator(-1, 1) + indicator(2, 3) * 2]
+        fs += [rnd_class_s_member(rng, max_steps=3) for _ in range(6)]
+        fs += [rnd_pp(rng, halfwidth=rat(2), max_pieces=4) for _ in range(10)]
+        return [class_s_check(f).to_json_dict() for f in fs]
+    return [
+        [[format_rat(a), format_rat(b)] for a, b in isolate_real_roots(p, lo, hi)]
+        for p, lo, hi in _seeded_isolation_cases()
+    ]
+
+
+# SHA-256 of json.dumps(_decision_golden_doc(group), sort_keys=True): pins
+# every exact decision (verdicts, witness pairs and isolating intervals),
+# recorded with the rational root isolation.  ind and tent give the same
+# document: all five profiles are nonincreasing, with as many pieces, and
+# no piece has an interior critical point.
+GOLDEN_DECISIONS = [
+    ("monotone ind", "06c255ac22d5fdfe31524ea29c1c1f6ff50b9d7056ca520a6e81ae0420718ae0"),
+    ("monotone tent", "06c255ac22d5fdfe31524ea29c1c1f6ff50b9d7056ca520a6e81ae0420718ae0"),
+    ("monotone two-bump", "c7e08418c34946e3a8ef2e1e6edda48dc9fc020ba6b291ac6ef302be6d5436f9"),
+    ("monotone complex", "61bd0f4f2edb4c1e98de2ebb64455779da6432ef80982d9eb4151a9be49064f1"),
+    ("class-s", "136d5e67ea374c2dc31e7320b9895422164c525252c4124696761967e39bb625"),
+    ("isolate", "8680488e0e1ee822b0f8ef2f483189629944fc5a20c872d6310aa3719903703a"),
+]
+
+
+@pytest.mark.parametrize("group,digest", GOLDEN_DECISIONS, ids=[g[0] for g in GOLDEN_DECISIONS])
+def test_decision_golden_hashes(group, digest):
+    doc = json.dumps(_decision_golden_doc(group), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 

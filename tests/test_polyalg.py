@@ -31,7 +31,7 @@ from splitnorm.polyalg import (
 )
 from splitnorm.scalars import gauss, rat
 
-from .helpers import conv_numeric, grid_increase_search, rnd_poly, rnd_pp
+from .helpers import conv_numeric, grid_increase_search, rational_isolation_reference, rnd_poly, rnd_pp
 
 RNG_SEED = 20240811
 
@@ -367,6 +367,144 @@ def test_isolate_products_of_known_roots(seed):
         assert a <= r <= b
         if a < b:
             assert p.eval(a) != 0 and p.eval(b) != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_isolation_matches_rational_reference(seed):
+    # dense random polynomials and products with repeated rational roots, on
+    # windows whose ends and dyadic midpoints are often roots
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        p = Poly([rat(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(int(rng.integers(2, 10)))])
+    else:
+        p = Poly([int(rng.integers(1, 4))])
+        for _ in range(int(rng.integers(1, 6))):
+            r = rat(int(rng.integers(-8, 9)), int(rng.choice([1, 2, 4, 3])))
+            for _ in range(int(rng.integers(1, 4))):
+                p = p * Poly([-r, 1])
+    if p.degree < 1:
+        return
+    lo = rat(int(rng.integers(-8, 1)), int(rng.choice([1, 2])))
+    hi = lo + int(rng.choice([1, 2, 4, 8]))
+    assert isolate_real_roots(p, lo, hi) == rational_isolation_reference(p, lo, hi)
+
+
+def test_square_free_certificate_skips_the_rational_gcd(monkeypatch):
+    import splitnorm.polyalg as PA
+
+    calls = []
+    real_gcd = PA._poly_gcd
+    monkeypatch.setattr(PA, "_poly_gcd", lambda a, b: calls.append(a) or real_gcd(a, b))
+    p = Poly([rat(-6), rat(11, 2), rat(3), rat(1, 3)])  # square-free, rational coefficients
+    assert PA._square_free(p) is p
+    assert calls == []
+    # (x - 1)^2 (x + 2): the modular gcd is x - 1, so the rational Euclid runs
+    assert PA._square_free(Poly([2, -3, 0, 1])) == Poly([-2, 1, 1])
+    assert len(calls) == 1
+
+
+def test_square_free_fallback_when_the_prime_divides_the_leading_coefficient(monkeypatch):
+    import splitnorm.polyalg as PA
+
+    prime = (1 << 61) - 1
+    calls = []
+    real_gcd = PA._poly_gcd
+    monkeypatch.setattr(PA, "_poly_gcd", lambda a, b: calls.append(a) or real_gcd(a, b))
+    p = Poly([-1, 0, prime])  # square-free, but P | lc(p): no certificate
+    assert PA._square_free(p) is p
+    assert len(calls) == 1
+    q = Poly([2, -3, 0, 1]) * prime  # (x - 1)^2 (x + 2) times P
+    assert PA._square_free(q) == Poly([-2, 1, 1]) * prime
+    assert len(calls) == 2
+    # x^2 + P is square-free over Q, but x^2 mod P is not: an unlucky prime
+    # makes the certificate fail and the exact fallback decide
+    r = Poly([prime, 0, 1])
+    assert PA._square_free(r) is r
+    assert len(calls) == 3
+    assert len(isolate_real_roots(Poly([-1, 0, prime]), 0, 1)) == 1  # the root 1/sqrt(P)
+
+
+def test_isolate_repeated_roots_inside_at_ends_and_at_midpoints():
+    def linear_power(r, k):
+        out = Poly([1])
+        for _ in range(k):
+            out = out * Poly([-rat(r), 1])
+        return out
+
+    # roots -1 (double, at lo), 1 (double, the first midpoint), 2 (the
+    # midpoint of the right half), 3 (triple, at hi) and 1/3 (inside)
+    p = linear_power(-1, 2) * linear_power(1, 2) * linear_power(2, 1) * linear_power(3, 3) * linear_power(rat(1, 3), 1)
+    ivs = isolate_real_roots(p, -1, 3)
+    assert ivs == [(rat(0), rat(1, 2)), (rat(1), rat(1)), (rat(2), rat(2))]
+    assert ivs == rational_isolation_reference(p, -1, 3)
+    # a double root at a dyadic point found deep in the recursion
+    q = linear_power(rat(5, 8), 2) * linear_power(rat(3, 4), 1) * Poly([-2, 0, 1])
+    ivs = isolate_real_roots(q, 0, 2)
+    assert (rat(5, 8), rat(5, 8)) in ivs and (rat(3, 4), rat(3, 4)) in ivs
+    assert ivs == rational_isolation_reference(q, 0, 2)
+
+
+def test_isolate_exact_root_hit_by_bisection():
+    # (0, 1/2) isolates 1/4, but touches lo and the root 1/2: refining it
+    # bisects onto the exact root 1/4
+    p = Poly([-rat(1, 4), 1]) * Poly([-rat(1, 2), 1])
+    assert isolate_real_roots(p, 0, 1) == [(rat(1, 4), rat(1, 4)), (rat(1, 2), rat(1, 2))]
+    # (x - 1/3)(x - 3/4) on (0, 2) isolates (1/4, 1/2) and (1/2, 1); the
+    # second region's sample is 1/2, and shrinking (1/2, 1) past it bisects
+    # onto the exact root 3/4
+    import splitnorm.polyalg as PA
+
+    q = Poly([-rat(1, 3), 1]) * Poly([-rat(3, 4), 1])
+    regions = PA._sign_regions(q, rat(0), rat(2))
+    assert regions[1] == (rat(1, 2), rat(5, 8), -1)
+    assert [sign for _, _, sign in regions] == [1, -1, 1]
+    for sample, anchor, sign in regions:
+        assert 0 < sample < anchor < 2 and sign * q.eval(sample) > 0 and sign * q.eval(anchor) > 0
+
+
+def test_root_isolation_invariants_raise():
+    import splitnorm.polyalg as PA
+    from splitnorm.errors import InvariantViolation
+
+    with pytest.raises(InvariantViolation):
+        PA._divide_root_at_one([1, 1])  # 1 + x does not vanish at 1
+    assert PA._divide_root_at_one([-1, 0, 1]) == [1, 1]
+
+
+def test_root_isolation_depth_guard_raises(monkeypatch):
+    import splitnorm.polyalg as PA
+    from splitnorm.errors import InvariantViolation
+
+    monkeypatch.setattr(PA, "_variations_01", lambda w: 2)  # never settles
+    with pytest.raises(InvariantViolation):
+        isolate_real_roots(Poly([-2, 0, 1]), 0, 2)
+
+
+def test_root_isolation_invariants_survive_python_O():
+    # the checks are raises, not asserts, so `python -O` keeps them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from splitnorm.errors import InvariantViolation\n"
+        "import splitnorm.polyalg as PA\n"
+        "try:\n    PA._divide_root_at_one([1, 1])\nexcept InvariantViolation:\n    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
+
+
+def test_integer_coefficients_use_only_numerator_and_denominator():
+    # the rational backend may be Fraction or gmpy2.mpq: only these two
+    # attributes are read
+    import splitnorm.polyalg as PA
+
+    class Q:
+        def __init__(self, n, d):
+            self.numerator, self.denominator = n, d
+
+    assert PA._int_primitive([Q(1, 2), Q(-3, 4), Q(0, 1)]) == [2, -3, 0]
+    assert PA._int_primitive([Q(6, 1), Q(4, 1)]) == [3, 2]
 
 
 # ---------------------------------------------------------------------------
