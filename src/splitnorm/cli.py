@@ -224,6 +224,8 @@ def run_profile(spec: str, p: int) -> dict:
 
 
 def profile_csv(doc_spec: str, p: int, samples: int) -> str:
+    if samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {samples}")
     f = parse_function_spec(doc_spec)
     prof = norm_profile(f, p)
     buf = io.StringIO()
@@ -430,7 +432,7 @@ class ExperimentConfig:
     multiplier: Optional[str] = None
     quantity: Optional[str] = None
     coeff_file: Optional[str] = None
-    p: Optional[float] = 4  # None only for mult-exact-positive
+    p: Optional[float] = None  # required where the command line requires --p
     t: object = None
     engine: str = "both"
     emit: str = "json"
@@ -520,7 +522,8 @@ class ExperimentConfig:
     def run(self) -> tuple[str, int]:
         """(output text, exit code); failures raise ``_JOB_ERRORS``, see ``_exit_status``."""
         cmd, code = self.command, EXIT_OK
-        if self.p is None and cmd != "mult-exact-positive":
+        if self.p is None and cmd in ("profile", "norm", "series", "mult-constants",
+                                      "mult-bounds", "mult-estimate"):
             raise ParseError(f"{cmd} needs p")
         if cmd == "profile":
             if self.emit == "csv":

@@ -353,7 +353,6 @@ class DiscreteMultiplier:
 
 def from_function(fn, n: int, omega: float) -> DiscreteMultiplier:
     """Sample a callable multiplier on the standard grid."""
-    m = DiscreteMultiplier.__new__(DiscreteMultiplier)
     step = 2.0 * omega / n
     ys = -omega + step * np.arange(n)
     samples = np.asarray([fn(y) for y in ys], dtype=complex)

@@ -68,9 +68,6 @@ class GenSplitSpec:
         if s2 is not None and not (-self.b <= s2[0] and s2[1] <= self.A):
             raise InvalidSpec("f2 must be supported in [-b, A]")
 
-    def total(self) -> PiecewisePoly:
-        return self.f1 + self.f2
-
 
 @dataclass(frozen=True)
 class ClassSVerdict:

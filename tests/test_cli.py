@@ -373,12 +373,12 @@ def test_batch_job_errors_do_not_abort_the_batch(tmp_path):
     assert json.loads((tmp_path / "good.json").read_text())["c"] == pytest.approx(2 ** 0.5)
 
 
-def _run_subprocess(args, cwd):
+def _run_subprocess(args, cwd, timeout=120):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, "-m", "splitnorm", *args],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout,
     )
 
 
@@ -418,6 +418,38 @@ def test_declarative_exact_positive_without_p(capsys):
     code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1")
     job = {"command": "mult-exact-positive", "spec": "tent:-1,0,1", "p": None}
     assert ExperimentConfig.from_dict(job).run() == (out.rstrip("\n"), code)
+
+
+def test_declarative_job_p_is_required_as_on_the_command_line(capsys):
+    from splitnorm.cli import ExperimentConfig, _run_job
+
+    # a job that leaves p out is the command line without --p
+    code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1")
+    job = {"command": "mult-exact-positive", "spec": "tent:-1,0,1"}
+    assert ExperimentConfig.from_dict(job).run() == (out.rstrip("\n"), code)
+    assert "m_plus_norm" not in out
+    row = _run_job({"command": "profile", "spec": "ind:-1,1"})
+    assert row["status"] == EXIT_PARSE and "needs p" in row["error"]
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_profile_csv_rejects_samples_below_one(capsys, samples):
+    from splitnorm.cli import _run_job
+
+    code, out = run_cli(capsys, "profile", "ind:-1,1", "--p", "4", "--emit", "csv", "--samples", str(samples))
+    assert code == EXIT_PARSE and out == ""
+    row = _run_job({"command": "profile", "spec": "ind:-1,1", "p": 4, "emit": "csv", "samples": samples})
+    assert row["status"] == EXIT_PARSE and "samples" in row["error"]
+
+
+def test_norm_huge_p_exits_budget_without_traceback(tmp_path):
+    # |f^|^p overflows: the numeric engine reports inf +- NaN, which is no
+    # result; before this was caught, the even p = 1e300 went on to the
+    # exact engine and did not finish
+    proc = _run_subprocess(["norm", "ind:-1,1", "--p", "1e300", "--t", "1", "--err", "1e-3"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "not finite" in proc.stderr
 
 
 def test_batch_unexpected_exception_stays_in_its_job(capsys, monkeypatch, tmp_path):

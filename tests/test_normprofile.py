@@ -89,6 +89,38 @@ def test_profile_golden_hashes(name, build, digest):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+def _numeric_golden_doc(f, ps, target):
+    doc = []
+    for p in ps:
+        for t in (0.25, 1.0):
+            res = norm_numeric(f, p, t, target_abs_err=target)
+            doc.append([p, t, float.hex(res.value), float.hex(res.abs_error)])
+    return doc
+
+
+# SHA-256 of json.dumps(_numeric_golden_doc(...)): pins the bits of every
+# numeric (value, abs_error) pair, so a change to the transform, the tails or
+# the quadrature that moves any result by one ulp shows here
+GOLDEN_NUMERIC = [
+    ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
+     "38b044b0e3a67acf43eaea4bd0ffa97f755b70ab31771566e1793a797eb5bf79"),
+    ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
+     "9e6707266d974e6373a8eb4f70de6a0c1848b2bbf84465a0a39cb1fd2f496c9f"),
+    ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
+     "8907f54ea927a1c16fc2fd16e72f8062dd8030973cfb46e68b032a92a99939cf"),
+    ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
+     "766d2ef972f2f6ba986ae70a05ce9b3ae5a04a0f8f481c8b2c77775084bd2aa3"),
+    ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
+     "628ff799638ec728426a50de57a2f7a4170ed78fc11290ed8457a71ff986a4b3"),
+]
+
+
+@pytest.mark.parametrize("name,build,digest", GOLDEN_NUMERIC, ids=[g[0] for g in GOLDEN_NUMERIC])
+def test_numeric_golden_hashes(name, build, digest):
+    doc = json.dumps(build())
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
 def _witness_doc(verdict_ok, witness):
     return [verdict_ok, None if witness is None else [format_rat(x) for x in witness]]
 

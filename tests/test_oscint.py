@@ -134,6 +134,14 @@ def test_node_cap_message_reports_the_compared_node_count():
     assert float(msg.split()[0]) > cap
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_numeric_non_finite_result_raises():
+    # |f^|^p overflows near y = 0, so the integral is inf and its error NaN
+    with pytest.raises(BudgetExceeded) as info:
+        norm_numeric(CHI, 1e6, 1.0, target_abs_err=1e-3)
+    assert info.value.result.value == math.inf
+
+
 def test_numeric_norm_json_fields():
     res = norm_numeric(CHI, 3.0, 0.25, target_abs_err=1e-3)
     doc = res.to_json_dict()
@@ -180,6 +188,24 @@ def test_tail_bound_actually_bounds():
 
             observed = 2 * float(_trapezoid(vals, ys))
             assert observed < bound
+
+
+def test_tail_bound_dominates_complex_and_polynomial_tails():
+    # |F[S_t f]|^p is not even for complex f: both half-lines are integrated
+    from splitnorm.cli import parse_function_spec
+    from splitnorm.scalars import gauss, rat_from_float
+    from splitnorm.splitcore import apply_split
+
+    from .helpers import _trapezoid
+
+    for f in (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), parse_function_spec("poly:[-1,1]:1,0,-1")):
+        for t in (0.0, 0.8):
+            ev = FTEvaluator(apply_split(f, rat_from_float(t)))
+            for Y in (4.0, 9.0):
+                ys = np.linspace(Y, Y * 60, 300001)
+                vals = np.abs(ev(ys)) ** 3 + np.abs(ev(-ys)) ** 3
+                observed = float(_trapezoid(vals, ys))
+                assert 0 < observed < tail_bound(f, 3.0, Y)
 
 
 @settings(max_examples=6, deadline=None)
