@@ -49,7 +49,7 @@ from .normprofile import (
 )
 from .oscint import norm_numeric
 from .polyalg import PiecewisePoly, Poly, indicator, tent
-from .scalars import GaussRat, format_rat, gauss, parse_rat, rat, rat_from_float
+from .scalars import format_rat, gauss, parse_rat, rat, rat_from_float
 from .splitcore import class_s_check, class_s_sufficient
 
 __all__ = ["main", "console_main", "parse_function_spec", "canonical_json", "ExperimentConfig"]
@@ -217,7 +217,7 @@ def run_profile(spec: str, p: int) -> dict:
         if mono.witness is None
         else [format_rat(mono.witness[0]), format_rat(mono.witness[1])],
     }
-    is_real_newt = not isinstance(newt, GaussRat)
+    is_real_newt = not isinstance(newt, tuple)
     doc["newt_constant"] = format_rat(newt) if is_real_newt else None
     doc["newt_matches_tail"] = bool(is_real_newt and newt == prof.tail_value)
     return doc

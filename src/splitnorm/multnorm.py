@@ -29,12 +29,13 @@ from .errors import (
     GridOverflow,
     InapplicableHypothesis,
     MissingInput,
+    NonRealInput,
     OddP,
     POutOfRange,
     UnverifiedPositivity,
 )
 from .polyalg import PiecewisePoly, tent as tent_function
-from .scalars import rat, to_float
+from .scalars import rat
 
 __all__ = [
     "MultConstants",
@@ -282,6 +283,8 @@ def exact_norm_positive_kernel(m: PiecewisePoly, *, positive_transform_asserted:
     Combine the returned value with :func:`constants`: the halves then have
     |||m_+||| = c_p * m(0) and |||m_+|||^R = c_p^R * m(0) exactly.
     """
+    if not m.is_real():
+        raise NonRealInput("the positive-kernel norm applies to real multipliers")
     lv, rv = m.left_limit(rat(0)), m.eval(rat(0))
     if lv != rv:
         raise UnverifiedPositivity(
@@ -295,7 +298,7 @@ def exact_norm_positive_kernel(m: PiecewisePoly, *, positive_transform_asserted:
                 "kernel positivity is only known for positive multiples of the "
                 "unit tent; pass positive_transform_asserted=True to override"
             )
-    return float(to_float(ell).real if isinstance(to_float(ell), complex) else to_float(ell))
+    return float(ell)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .polyalg import (
     l2_inner,
     real_correlation_sum,
 )
-from .scalars import RAT_ZERO, abs_sq, as_scalar, format_rat, is_rational, rat
+from .scalars import RAT_ZERO, as_scalar, format_rat, parts, rat
 from .splitcore import GenSplitSpec, split
 
 __all__ = [
@@ -148,9 +148,10 @@ def _assemble_profile(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
 
     tail = RAT_ZERO
     for i, g in enumerate(blocks):
-        tail = tail + rat(weights[i] ** 2) * l2_inner(g, g)
-    if not is_rational(tail):
-        raise InvariantViolation("the diagonal terms of the profile must be real")
+        norm_sq = l2_inner(g, g)
+        if isinstance(norm_sq, tuple):
+            raise InvariantViolation("the diagonal terms of the profile must be real")
+        tail = tail + rat(weights[i] ** 2) * norm_sq
 
     offdiag = real_correlation_sum(
         (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
@@ -241,9 +242,8 @@ def newt_constant(f: PiecewisePoly, p: int):
     for _ in range(m - 1):
         u = convolve(u, pair.plus)
         w = convolve(w, pair.minus)
-    # (u * w)(0) = int u(y) w(-y) dy
-    value = l2_inner(u, w.reflect().conjugate())
-    return rat(math.comb(p, m)) * value
+    # C(p, m) (u * w)(0) = int C(p, m) u(y) w(-y) dy
+    return l2_inner(u * rat(math.comb(p, m)), w.reflect().conjugate())
 
 
 def gen_t0(A, b, p: int):
@@ -277,7 +277,12 @@ def gen_t0_2(A, b1, b2, p: int):
 
 @dataclass(frozen=True)
 class CoeffSeq:
-    """Finite complex-rational coefficient sequence indexed by [-A, A]."""
+    """Finite Gaussian-rational coefficient sequence indexed by [-A, A].
+
+    ``entries`` holds ``(k, re, im)`` for every nonzero c_k, ascending in k:
+    the real and imaginary parts of c_k as two rationals.  ``from_mapping``
+    takes each c_k as a rational or an ``(re, im)`` pair.
+    """
 
     entries: tuple
     bound: int
@@ -286,46 +291,47 @@ class CoeffSeq:
     def from_mapping(cls, mapping: Mapping[int, object], bound: Optional[int] = None) -> "CoeffSeq":
         items = []
         for k, v in mapping.items():
-            v = as_scalar(v)
-            if v:
-                items.append((int(k), v))
-        items.sort(key=lambda kv: kv[0])
-        inferred = max((abs(k) for k, _ in items), default=0)
+            re, im = parts(as_scalar(v))
+            if re or im:
+                items.append((int(k), re, im))
+        items.sort(key=lambda e: e[0])
+        inferred = max((abs(k) for k, _, _ in items), default=0)
         if bound is None:
             bound = inferred
         if inferred > bound:
             raise ValueError(f"coefficient index exceeds the stated bound {bound}")
         return cls(entries=tuple(items), bound=int(bound))
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
+def _split_numerators(c: CoeffSeq, t: int):
+    """The split sequence at shift t as ``(index -> (re, im), D)``: integer
+    numerators over one even denominator D, so that the halved central
+    coefficient stays an integer."""
+    den = 2 * math.lcm(*(int(x.denominator) for _, re, im in c.entries for x in (re, im)))
 
-def _sequence_split(c: CoeffSeq, t: int) -> dict:
+    def numerator(x):
+        return int(x.numerator) * (den // int(x.denominator))
+
     out: dict = {}
-
-    def add(k, v):
-        out[k] = out.get(k, RAT_ZERO) + v
-
-    for k, v in c.entries:
-        if k > 0:
-            add(k + t, v)
-        elif k < 0:
-            add(k - t, v)
-        else:
-            add(t, v / 2)
-            add(-t, v / 2)
-    return {k: v for k, v in out.items() if v}
+    for k, re, im in c.entries:
+        num = (numerator(re), numerator(im))
+        if k:
+            out[k + t if k > 0 else k - t] = num
+        elif t:
+            out[t] = out[-t] = (num[0] // 2, num[1] // 2)
+        else:  # the two halves of c_0 recombine at t = 0
+            out[0] = num
+    return out, den
 
 
 def _sequence_convolve(a: dict, b: dict) -> dict:
+    """Convolution of two sequences of integer ``(re, im)`` pairs."""
     out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            cur = out.get(k)
-            out[k] = v1 * v2 if cur is None else cur + v1 * v2
-    return {k: v for k, v in out.items() if v}
+    for k1, (r1, i1) in a.items():
+        for k2, (r2, i2) in b.items():
+            r, i = out.get(k1 + k2, (0, 0))
+            out[k1 + k2] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
+    return {k: v for k, v in out.items() if v != (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -339,14 +345,12 @@ class SeriesProfile:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise OddOrNonintegerP(f"series shifts must be nonnegative integers, got {t!r}")
         m = self.p // 2
-        b = _sequence_split(self.seq, t)
+        b, den = _split_numerators(self.seq, t)
         d = b
         for _ in range(m - 1):
             d = _sequence_convolve(d, b)
-        acc = RAT_ZERO
-        for v in d.values():
-            acc = acc + abs_sq(v)
-        return acc
+        # Parseval: the sum of |d_k|^2, each d_k over den^m
+        return rat(sum(r * r + i * i for r, i in d.values()), den ** (2 * m))
 
     @property
     def threshold(self) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, TailDivergence
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly
-from .scalars import RAT_ZERO, rat, rat_from_float, to_float
+from .scalars import RAT_ZERO, parts, rat, rat_from_float
 from .splitcore import apply_split, split
 
 __all__ = ["FTEvaluator", "NumericNorm", "ft_eval", "norm_numeric", "tail_bound"]
@@ -106,8 +106,8 @@ class FTEvaluator:
         for a, b, xnp in f._intervals():
             for n in range(_SERIES_TERMS):
                 # moment int_a^b x^n p(x) dx, computed exactly then floated
-                self._moments[n] += to_float(xnp.integral(a, b))
-                xnp = Poly([RAT_ZERO] + list(xnp.coeffs))  # x * xnp
+                self._moments[n] += complex(*map(float, parts(xnp.integral(a, b))))
+                xnp = Poly((RAT_ZERO,) + xnp.coeffs, (RAT_ZERO,) + xnp.im)  # x * xnp
 
     def __call__(self, y):
         scalar = np.isscalar(y)
@@ -192,7 +192,7 @@ def _boundary_expansion(f: PiecewisePoly):
         jumps = []
         ql, qr = prev, cur
         while not (ql.is_zero() and qr.is_zero()):
-            jumps.append(to_float(qr.eval(b) - ql.eval(b)))
+            jumps.append(complex(*map(float, parts((qr - ql).eval(b)))))
             ql = ql.derivative()
             qr = qr.derivative()
         if any(jumps):
@@ -364,27 +364,29 @@ def norm_numeric(
     def integrand(y):
         return np.abs(evaluator(y)) ** p
 
-    edges = np.linspace(-Y, Y, n_panels + 1)
-    vals, errs = _panel_integrate(integrand, edges)
-    nodes_used = n_panels * 15
+    # a huge p overflows |f^|^p: the finiteness check below decides, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(-Y, Y, n_panels + 1)
+        vals, errs = _panel_integrate(integrand, edges)
+        nodes_used = n_panels * 15
 
-    # adaptive bisection of the worst panels
-    quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
-    intervals = list(zip(edges[:-1], edges[1:], vals, errs))
-    while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= node_cap:
-        intervals.sort(key=lambda iv: iv[3])
-        worst = intervals[-max(1, len(intervals) // 64) :]
-        keep = intervals[: -len(worst)]
-        new_edges = []
-        for a, b, _, _ in worst:
-            new_edges.extend([a, 0.5 * (a + b), b])
-        sub_edges = np.array(new_edges)
-        for k in range(0, len(sub_edges), 3):
-            e = sub_edges[k : k + 3]
-            v, er = _panel_integrate(integrand, e)
-            keep.extend([(e[0], e[1], v[0], er[0]), (e[1], e[2], v[1], er[1])])
-            nodes_used += 30
-        intervals = keep
+        # adaptive bisection of the worst panels
+        quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
+        intervals = list(zip(edges[:-1], edges[1:], vals, errs))
+        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= node_cap:
+            intervals.sort(key=lambda iv: iv[3])
+            worst = intervals[-max(1, len(intervals) // 64) :]
+            keep = intervals[: -len(worst)]
+            new_edges = []
+            for a, b, _, _ in worst:
+                new_edges.extend([a, 0.5 * (a + b), b])
+            sub_edges = np.array(new_edges)
+            for k in range(0, len(sub_edges), 3):
+                e = sub_edges[k : k + 3]
+                v, er = _panel_integrate(integrand, e)
+                keep.extend([(e[0], e[1], v[0], er[0]), (e[1], e[2], v[1], er[1])])
+                nodes_used += 30
+            intervals = keep
 
     integral = math.fsum(iv[2] for iv in intervals)
     quad_err = math.fsum(iv[3] for iv in intervals)

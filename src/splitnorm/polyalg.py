@@ -1,7 +1,10 @@
 """Exact algebra of compactly supported piecewise polynomials.
 
 Functions are finitely many polynomial pieces over Gaussian-rational
-coefficients on half-open intervals ``[b_k, b_{k+1})``, zero outside.
+coefficients on half-open intervals ``[b_k, b_{k+1})``, zero outside.  A
+piece keeps the real and imaginary parts of its coefficients as two tuples
+of rationals (``Poly.coeffs`` and ``Poly.im``, empty for real pieces), and
+complex values come back as ``(re, im)`` pairs (see ``scalars``).
 Pointwise values at breakpoints never matter: every operation here is
 integral-based, and the canonical form (merge equal neighbours, drop zero
 end pieces) makes structural equality coincide with a.e. equality.
@@ -17,8 +20,8 @@ denominator, and no gcd per operation.  Both operands are written in
 ``X = L x``, with ``L`` the lcm of their breakpoint denominators, so every
 breakpoint is an integer and every Taylor shift an integer one.  Each
 operand's pieces become integer numerators over one positive denominator,
-real and imaginary parts apart: a real product is one real kernel, a
-complex one three (Karatsuba).  The jump-pair weights are the integers
+read straight from the two coefficient tuples: a real product is one real
+kernel, a complex one three (Karatsuba).  The jump-pair weights are the integers
 ``m! n! M / (m+n+1)!`` with ``M = (deg f + deg g + 1)!``; the one-sided
 terms are summed per start point and then in one running sum, and each
 output coefficient is reduced once, by ``rat(num, den)``, so the rational
@@ -38,26 +41,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat, zip_longest
 from typing import Optional
 
 from .errors import InvariantViolation, NonRealInput, ZeroPolynomial
-from .scalars import (
-    GaussRat,
-    RAT_ONE,
-    RAT_ZERO,
-    as_scalar,
-    conj,
-    format_rat,
-    format_scalar,
-    gauss,
-    im_part,
-    parse_rat,
-    parse_scalar,
-    rat,
-    re_part,
-    to_float,
-)
+from .scalars import RAT_ONE, RAT_ZERO, as_scalar, format_rat, format_scalar, gauss, parse_rat, parse_scalar, parts, rat
 
 __all__ = [
     "Poly",
@@ -87,15 +75,40 @@ __all__ = [
 
 
 class Poly:
-    """Univariate polynomial, coefficients ascending, no trailing zeros."""
+    """Univariate polynomial with exact coefficients, ascending, no trailing zeros.
 
-    __slots__ = ("coeffs",)
+    ``coeffs`` holds the real parts of the coefficients and ``im`` the
+    imaginary parts: ``()`` for a real polynomial, otherwise a tuple as long
+    as ``coeffs``.  Each entry of ``coeffs`` in ``Poly(coeffs)`` is a
+    rational or an ``(re, im)`` pair; ``Poly(re, im)`` takes the two parts as
+    ready rational sequences.  Linear operations act on each part alone;
+    only products with complex factors mix them.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ("coeffs", "im")
+
+    def __init__(self, coeffs=(), im=None):
+        if im is None:
+            re, im = [], []
+            for c in coeffs:
+                c_re, c_im = parts(as_scalar(c))
+                re.append(c_re)
+                im.append(c_im)
+        else:
+            re, im = list(coeffs), list(im)
+        if any(im):
+            n = max(len(re), len(im))
+            re += [RAT_ZERO] * (n - len(re))
+            im += [RAT_ZERO] * (n - len(im))
+            while not (re[-1] or im[-1]):
+                re.pop()
+                im.pop()
+        else:
+            im = []
+            while re and not re[-1]:
+                re.pop()
+        self.coeffs = tuple(re)
+        self.im = tuple(im)
 
     @property
     def degree(self) -> int:
@@ -106,7 +119,7 @@ class Poly:
         return not self.coeffs
 
     def is_real(self) -> bool:
-        return all(not isinstance(c, GaussRat) for c in self.coeffs)
+        return not self.im
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -115,93 +128,104 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.coeffs == other.coeffs and self.im == other.im
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.coeffs, self.im))
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        return f"Poly({_pairs(self) if self.im else list(self.coeffs)!r})"
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(_add(self.coeffs, other.coeffs), _add(self.im, other.im))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Poly(_sub(self.coeffs, other.coeffs), _sub(self.im, other.im))
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly(*([-c for c in cs] for cs in (self.coeffs, self.im)))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return ZERO_POLY
-            out = [RAT_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
-        c = as_scalar(other)
-        return Poly([a * c for a in self.coeffs])
+            # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
+            a, b, c, d = self.coeffs, self.im, other.coeffs, other.im
+            return Poly(_sub(_mul(a, c), _mul(b, d)), _add(_mul(a, d), _mul(b, c)))
+        k = as_scalar(other)
+        if isinstance(k, tuple):
+            return self * Poly([k])
+        return Poly(*([x * k for x in cs] for cs in (self.coeffs, self.im)))
 
     __rmul__ = __mul__
 
     def eval(self, x):
+        """p(x): a rational, or an ``(re, im)`` pair when the value is complex."""
         x = as_scalar(x)
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        re = _horner(self.coeffs, x)
+        return gauss(re, _horner(self.im, x)) if self.im else re
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def antiderivative(self) -> "Poly":
-        return Poly([RAT_ZERO] + [c / rat(k + 1) for k, c in enumerate(self.coeffs)])
+        return Poly(*([k * c for k, c in enumerate(cs)][1:] for cs in (self.coeffs, self.im)))
 
     def integral(self, a, b):
-        """Exact definite integral over [a, b]."""
-        anti = self.antiderivative()
-        return anti.eval(b) - anti.eval(a)
+        """Exact definite integral over [a, b], a rational or an ``(re, im)`` pair."""
+        a, b = as_scalar(a), as_scalar(b)
+        re = _definite(self.coeffs, a, b)
+        return gauss(re, _definite(self.im, a, b)) if self.im else re
 
     def shift(self, h) -> "Poly":
         """P(x + h), synthetic Horner shift."""
         h = as_scalar(h)
         if not h or self.is_zero():
             return self
-        out = list(self.coeffs)
-        n = len(out)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] = out[j] + h * out[j + 1]
-        return Poly(out)
+        return Poly(*(_taylor_shift(cs, h) for cs in (self.coeffs, self.im)))
 
     def scale_arg(self, c) -> "Poly":
         """P(c*x)."""
         c = as_scalar(c)
-        out = []
-        p = RAT_ONE
-        for a in self.coeffs:
-            out.append(a * p)
-            p = p * c
-        return Poly(out)
+        powers = [c**j for j in range(len(self.coeffs))]
+        return Poly(*([a * w for a, w in zip(cs, powers)] for cs in (self.coeffs, self.im)))
 
     def conjugate(self) -> "Poly":
-        return Poly([conj(c) for c in self.coeffs])
+        return Poly(self.coeffs, [-c for c in self.im])
 
-    def real_coeffs(self) -> list:
-        """Coefficients as rationals; raises NonRealInput if any is complex."""
-        if not self.is_real():
-            raise NonRealInput(f"polynomial has complex coefficients: {self!r}")
-        return list(self.coeffs)
+
+def _add(a, b) -> list:
+    """Sum of two ascending coefficient sequences of any lengths."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=RAT_ZERO)]
+
+
+def _sub(a, b) -> list:
+    return [x - y for x, y in zip_longest(a, b, fillvalue=RAT_ZERO)]
+
+
+def _mul(a, b) -> list:
+    """Product of two ascending coefficient sequences (empty if either is)."""
+    if not a or not b:
+        return []
+    out = [RAT_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _pairs(p: Poly) -> list:
+    """``(re, im)`` per coefficient of p, ascending."""
+    return list(zip(p.coeffs, p.im or repeat(RAT_ZERO)))
+
+
+def _horner(cs, x):
+    acc = RAT_ZERO
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _definite(cs, a, b):
+    """int_a^b of the polynomial with ascending coefficients cs."""
+    anti = [RAT_ZERO] + [c / rat(k + 1) for k, c in enumerate(cs)]
+    return _horner(anti, b) - _horner(anti, a)
 
 
 ZERO_POLY = Poly()
@@ -224,7 +248,7 @@ def _poly_divmod(a: Poly, b: Poly):
             rem[k + i] = rem[k + i] - c * bc
         while rem and not rem[-1]:
             rem.pop()
-    return Poly(quo), Poly(rem)
+    return Poly(quo, ()), Poly(rem, ())
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -306,6 +330,8 @@ def _square_free(p: Poly) -> Poly:
     a nontrivial gcd over Q stays nontrivial modulo any prime that does not
     divide lc(p).  When the certificate fails, the rational Euclid decides.
     """
+    if not p.is_real():
+        raise NonRealInput(f"polynomial has complex coefficients: {p!r}")
     if p.degree <= 0:
         return p
     cs = _int_primitive(p.coeffs)
@@ -335,7 +361,7 @@ def _sign_variations(coeffs) -> int:
 
 def _variations_01(w: list) -> int:
     """Descartes' bound for the number of roots of the window w in (0, 1)."""
-    return _sign_variations(_int_taylor_shift(w[::-1], 1))
+    return _sign_variations(_taylor_shift(w[::-1], 1))
 
 
 def _left_child(w: list) -> list:
@@ -360,7 +386,7 @@ def _int_window(sf: Poly, lo, hi) -> list:
     n1 = int(hi.numerator) * (den // int(hi.denominator)) - n0
     d = len(cs) - 1
     # den^d sf(Y / den) in Y = den X, then Y = n0 + n1 x
-    w = _int_taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], n0)
+    w = _taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], n0)
     w = [c * n1**j for j, c in enumerate(w)]
     g = math.gcd(*w)
     return [c // g for c in w]
@@ -376,7 +402,7 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return [(a, b) for a, b, _ in _isolate_square_free(_square_free(Poly(p.real_coeffs())), lo, hi)]
+    return [(a, b) for a, b, _ in _isolate_square_free(_square_free(p), lo, hi)]
 
 
 def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
@@ -410,7 +436,7 @@ def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
         recurse(a, mid, left, depth + 1)
         if not sum(left):
             out.append((mid, mid, None))
-        recurse(mid, b, _int_taylor_shift(left, 1), depth + 1)
+        recurse(mid, b, _taylor_shift(left, 1), depth + 1)
 
     recurse(lo, hi, w, 0)  # in order: the intervals come out sorted
     return [_refine_interval(a, b, w, lo, hi) for a, b, w in out]
@@ -437,7 +463,7 @@ def _bisect_toward_root(a, b, w):
     # has the parity of the true count)
     if _variations_01(left) % 2 == 1:
         return a, mid, left
-    return mid, b, _int_taylor_shift(left, 1)
+    return mid, b, _taylor_shift(left, 1)
 
 
 def _shrink_left_edge(a, b, w, floor):
@@ -454,7 +480,7 @@ def _sign_regions(p: Poly, lo, hi):
     ``sample`` is a non-root interior point, ``anchor`` a second point with
     ``sample < anchor`` and no root of p in ``[sample, anchor]``.
     """
-    sf = _square_free(Poly(p.real_coeffs()))
+    sf = _square_free(p)
     regions = []
     prev = lo  # a point <= the next root, with no uncovered root behind it
     for a, b, w in _isolate_square_free(sf, lo, hi):
@@ -539,7 +565,7 @@ class PiecewisePoly:
 
     def __repr__(self):
         parts = ", ".join(
-            f"[{format_rat(a)},{format_rat(b)}): {list(p.coeffs)}"
+            f"[{format_rat(a)},{format_rat(b)}): {_pairs(p) if p.im else list(p.coeffs)}"
             for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
         )
         return f"PiecewisePoly({parts or '0'})"
@@ -581,8 +607,8 @@ class PiecewisePoly:
             if not mask.any():
                 continue
             acc = np.zeros(int(mask.sum()), dtype=complex)
-            for c in reversed(p.coeffs):
-                acc = acc * arr[mask] + to_float(c)
+            for re, im in reversed(_pairs(p)):
+                acc = acc * arr[mask] + complex(float(re), float(im))
             out[mask] = acc
         return out if out.shape else complex(out)
 
@@ -671,11 +697,9 @@ class PiecewisePoly:
         return PiecewisePoly(bps, pieces)
 
     def integral(self):
-        """Exact integral over the line."""
-        acc = RAT_ZERO
-        for a, b, p in self._intervals():
-            acc = acc + p.integral(a, b)
-        return acc
+        """Exact integral over the line, a rational or an ``(re, im)`` pair."""
+        re = sum((_definite(p.coeffs, a, b) for a, b, p in self._intervals()), RAT_ZERO)
+        return gauss(re, sum((_definite(p.im, a, b) for a, b, p in self._intervals()), RAT_ZERO))
 
     def _intervals(self):
         for k, p in enumerate(self.pieces):
@@ -685,7 +709,7 @@ class PiecewisePoly:
     def to_json_dict(self) -> dict:
         return {
             "breakpoints": [format_rat(b) for b in self.breakpoints],
-            "pieces": [[format_scalar(c) for c in p.coeffs] for p in self.pieces],
+            "pieces": [[format_scalar(c) for c in _pairs(p)] for p in self.pieces],
         }
 
     @classmethod
@@ -745,29 +769,23 @@ class _IntLayout:
         bps = [int(b.numerator) * (scale // int(b.denominator)) for b in f.breakpoints]
         degree = max(len(q.coeffs) for q in f.pieces) - 1
         powers = [scale**j for j in range(degree + 1)]
-        real = f.is_real()
-        parts = (re_part,) if real else (re_part, im_part)
+        re = [q.coeffs for q in f.pieces]
+        im = None if f.is_real() else [q.im for q in f.pieces]
         # a coefficient c of x^j is c / L^j in X
         den = math.lcm(
-            *(
-                int(part(c).denominator) * powers[j]
-                for q in f.pieces
-                for j, c in enumerate(q.coeffs)
-                for part in parts
-            )
+            *(int(c.denominator) * powers[j] for rows in (re, im or ()) for cs in rows for j, c in enumerate(cs))
         )
 
-        def numerators(part):
+        def numerators(rows):
             out = []
-            for q in f.pieces:
+            for cs in rows:
                 row = [0] * (degree + 1)
-                for j, c in enumerate(q.coeffs):
-                    x = part(c)
-                    row[j] = int(x.numerator) * (den // (int(x.denominator) * powers[j]))
+                for j, c in enumerate(cs):
+                    row[j] = int(c.numerator) * (den // (int(c.denominator) * powers[j]))
                 out.append(row)
             return out
 
-        return cls(bps, den, numerators(re_part), None if real else numerators(im_part), degree)
+        return cls(bps, den, numerators(re), None if im is None else numerators(im), degree)
 
     def conj_reflected(self) -> "_IntLayout":
         """The layout of x -> conj(f(-x))."""
@@ -796,13 +814,13 @@ class _IntLayout:
             cur = pieces[k] if k < len(pieces) else zero
             d = [x - y for x, y in zip(cur, prev)]
             if any(d):
-                out.append((b, [w * c for w, c in zip(fact, _int_taylor_shift(d, b))]))
+                out.append((b, [w * c for w, c in zip(fact, _taylor_shift(d, b))]))
             prev = cur
         return out
 
 
-def _int_taylor_shift(cs: list, h: int) -> list:
-    """Ascending coefficients of P(X + h) from those of P (integer h)."""
+def _taylor_shift(cs, h) -> list:
+    """Ascending coefficients of P(X + h) from those of P (integer or rational h)."""
     out = list(cs)
     if h:
         n = len(out)
@@ -868,7 +886,7 @@ def _product_jumps(F: _IntLayout, G: _IntLayout, real_only: bool = False):
 
     def one_sided(acc):
         return {
-            s: _int_taylor_shift([w * c for w, c in zip(weights, [0] + cs)], -s)
+            s: _taylor_shift([w * c for w, c in zip(weights, [0] + cs)], -s)
             for s, cs in acc.items()
         }
 
@@ -900,12 +918,7 @@ def _from_int_pieces(starts: list, re: list, im, scale: int, den: int) -> Piecew
     def coeffs(q):
         return [rat(c * w, den) for c, w in zip(q, powers)]
 
-    pieces = []
-    for k, q in enumerate(re):
-        cs = coeffs(q)
-        if im is not None and any(im[k]):
-            cs = [gauss(a, b) for a, b in zip(cs, coeffs(im[k]))]
-        pieces.append(Poly(cs))
+    pieces = [Poly(coeffs(q), coeffs(im[k]) if im is not None and any(im[k]) else ()) for k, q in enumerate(re)]
     return PiecewisePoly([rat(s, scale) for s in starts], pieces)
 
 

@@ -1,10 +1,13 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalars: rationals, and complex values as two rational parts.
 
 Rationals are ``gmpy2.mpq`` when available (much faster) and
 ``fractions.Fraction`` otherwise; both expose ``numerator``/``denominator``
-and interoperate with ints.  Complex values are :class:`GaussRat` pairs of
-rationals.  Arithmetic auto-demotes to a plain rational whenever the
-imaginary part cancels, so "is this real?" is a type check.
+and interoperate with ints.  A complex value is the pair ``(re, im)`` of
+rationals that :func:`gauss` returns when ``im`` is nonzero; a real value is
+the plain rational.  A pair is data, not a number: nothing adds or
+multiplies pairs (``pair + pair`` would concatenate them).  Containers keep
+the two parts apart -- ``Poly`` as two coefficient tuples, the kernels as
+two rows of integer numerators -- and combine them explicitly.
 """
 
 from __future__ import annotations
@@ -26,167 +29,37 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
-
-
-def is_rational(x) -> bool:
-    return isinstance(x, numbers.Rational)
-
-
-class GaussRat:
-    """A Gaussian rational re + im*i with exact rational parts, im != 0."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = rat(re)
-        self.im = rat(im)
-
-    # -- conversions -------------------------------------------------
-    @property
-    def real(self):
-        return self.re
-
-    @property
-    def imag(self):
-        return self.im
-
-    def conjugate(self):
-        return gauss(self.re, -self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    # -- arithmetic --------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, GaussRat):
-            return gauss(self.re + other.re, self.im + other.im)
-        if is_rational(other):
-            return gauss(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GaussRat):
-            return gauss(self.re - other.re, self.im - other.im)
-        if is_rational(other):
-            return gauss(self.re - other, self.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_rational(other):
-            return gauss(other - self.re, -self.im)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, GaussRat):
-            return gauss(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if is_rational(other):
-            return gauss(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if is_rational(other):
-            return gauss(self.re / other, self.im / other)
-        if isinstance(other, GaussRat):
-            n = other.re * other.re + other.im * other.im
-            return self * GaussRat(other.re / n, -other.im / n)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if is_rational(other):
-            n = self.re * self.re + self.im * self.im
-            return gauss(other * self.re / n, -other * self.im / n)
-        return NotImplemented
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = RAT_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- comparison / hashing ----------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        if is_rational(other):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussRat({self.re!s}, {self.im!s})"
-
-
-def gauss(re, im=0):
-    """Exact complex scalar; returns a plain rational when im == 0."""
-    re = rat(re)
-    im = rat(im)
-    if im == 0:
-        return re
-    g = GaussRat.__new__(GaussRat)
-    g.re = re
-    g.im = im
-    return g
-
-
 _RAT_TYPE = type(RAT_ONE)
 
 
-def as_scalar(x):
-    """Coerce to an exact scalar.  Floats are rejected: exactness is the contract."""
-    if isinstance(x, GaussRat) or type(x) is _RAT_TYPE:
+def gauss(re, im=0):
+    """Exact complex scalar: ``rat(re)`` when im == 0, else the pair ``(rat(re), rat(im))``."""
+    re = rat(re)
+    im = rat(im)
+    return (re, im) if im else re
+
+
+def parts(x) -> tuple:
+    """``(re, im)`` of a rational or a pair: the inverse of :func:`gauss`."""
+    return x if isinstance(x, tuple) else (x, RAT_ZERO)
+
+
+def _as_rat(x):
+    if type(x) is _RAT_TYPE:
         return x
-    if is_rational(x):  # ints, Fractions: normalize to the one rational type
+    if isinstance(x, numbers.Rational):  # ints, Fractions: normalize to the one rational type
         return rat(x.numerator, x.denominator)
     if isinstance(x, (complex, float)):
         raise TypeError(f"floats are not exact scalars: {x!r}")
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def re_part(x):
-    return x.re if isinstance(x, GaussRat) else x
-
-
-def im_part(x):
-    return x.im if isinstance(x, GaussRat) else RAT_ZERO
-
-
-def conj(x):
-    return x.conjugate() if isinstance(x, GaussRat) else x
-
-
-def abs_sq(x):
-    """|x|^2 as an exact rational."""
-    if isinstance(x, GaussRat):
-        return x.re * x.re + x.im * x.im
-    return x * x
-
-
-def to_float(x):
-    """Scalar to float (real) or complex."""
-    if isinstance(x, GaussRat):
-        return complex(float(x.re), float(x.im))
-    return float(x)
+def as_scalar(x):
+    """Coerce to an exact scalar: a rational, or a ``(re, im)`` pair as
+    :func:`gauss` forms it.  Floats are rejected: exactness is the contract."""
+    if isinstance(x, tuple) and len(x) == 2:
+        return gauss(_as_rat(x[0]), _as_rat(x[1]))
+    return _as_rat(x)
 
 
 def rat_from_float(x: float):
@@ -223,8 +96,8 @@ def parse_rat(text: str):
 
 
 def format_scalar(x) -> list[str]:
-    """Coefficient as the ``[re, im]`` pair of rational strings."""
-    return [format_rat(re_part(x)), format_rat(im_part(x))]
+    """A rational or an ``(re, im)`` pair as the ``[re, im]`` pair of rational strings."""
+    return [format_rat(part) for part in parts(x)]
 
 
 def parse_scalar(pair):

@@ -224,14 +224,25 @@ def _edge_term(seq, p):
     their cross terms 2 Re[x conj(y)].
     """
     m = p // 2
-    coeffs = seq.as_dict()
-    h = coeffs.get(0, rat(0)) / 2
-    top, bottom = coeffs.get(seq.bound, rat(0)), coeffs.get(-seq.bound, rat(0))
+    coeffs = {k: (re, im) for k, re, im in seq.entries}  # c_k as (Re, Im)
+    zero = (rat(0), rat(0))
+    h = tuple(part / 2 for part in coeffs.get(0, zero))
+    top, bottom = coeffs.get(seq.bound, zero), coeffs.get(-seq.bound, zero)
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def power(u, n):
+        out = (rat(1), rat(0))
+        for _ in range(n):
+            out = mul(out, u)
+        return out
+
     drop = rat(0)
     for j in range(m):
-        x = math.comb(m, j) * top ** j * h ** (m - j)
-        y = math.comb(m, j + 1) * h ** (j + 1) * bottom ** (m - j - 1)
-        drop = drop + 2 * (x * y.conjugate()).real
+        x = [math.comb(m, j) * part for part in mul(power(top, j), power(h, m - j))]
+        y = [math.comb(m, j + 1) * part for part in mul(power(h, j + 1), power(bottom, m - j - 1))]
+        drop = drop + 2 * (x[0] * y[0] + x[1] * y[1])  # 2 Re[x conj(y)]
     return drop
 
 

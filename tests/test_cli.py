@@ -452,6 +452,27 @@ def test_norm_huge_p_exits_budget_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr and "not finite" in proc.stderr
 
 
+def test_norm_huge_p_stderr_is_one_budget_line(tmp_path):
+    # |f^|^p overflows inside the quadrature; numpy's overflow and invalid
+    # warnings used to reach stderr ahead of the error line
+    proc = _run_subprocess(["norm", "ind:-1,1", "--p", "1e300", "--t", "1", "--err", "1e-3"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--assert-positive"]])
+@pytest.mark.parametrize("spec", ["i*tent:-1,0,1", "1/2*tent:-1,0,1 + i*tent:-1,0,1"])
+def test_exact_positive_rejects_complex_multipliers(tmp_path, spec, flags):
+    # a complex multiplier ended in a TypeError traceback, or with
+    # --assert-positive reported Re m(0) as its norm
+    proc = _run_subprocess(["mult", "exact-positive", spec, *flags], tmp_path)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "real" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_batch_unexpected_exception_stays_in_its_job(capsys, monkeypatch, tmp_path):
     import splitnorm.cli as cli
 
@@ -603,3 +624,69 @@ def test_cli_and_declarative_job_agree(capsys, tmp_path, argv, job):
     text, job_code = ExperimentConfig.from_dict(job).run()
     assert out == (text if text.endswith("\n") else text + "\n")
     assert code == job_code
+
+
+# ---------------------------------------------------------------------------
+# golden output of the README commands and of complex inputs
+# ---------------------------------------------------------------------------
+
+_REAL_COEFFS = {"A": 2, "coeffs": {"-2": "1/2", "-1": "-1", "0": "3/4", "1": "2", "2": "-1/3"}}
+_COMPLEX_COEFFS = {"A": 2, "coeffs": {"-2": ["0", "-1/3"], "-1": ["1/2", "1"], "0": ["-1", "3"], "2": "2/3i"}}
+_BATCH = {
+    "jobs": [
+        {"argv": ["profile", "ind:0,1 + i*ind:-1,0", "--p", "4"], "output": "a.json"},
+        {"command": "series", "coeff_file": "complex.json", "p": 6, "t_max": 4, "output": "b.json"},
+        {"command": "mult-constants", "p": 3, "output": "c.json"},
+    ]
+}
+
+# SHA-256 of json.dumps([exit code, stdout]) for every README command but
+# `mult estimate` (its bits depend on the FFT build), and for complex inputs;
+# the batch digest also covers the files its jobs write
+GOLDEN_COMMANDS = [
+    (["profile", "ind:-1,1", "--p", "4"],
+     "0c4364e9d03f13feeffd1ae211649c04f8c19c8866b0caf241613e5815139872"),
+    (["profile", "ind:-1,1", "--p", "4", "--emit", "csv"],
+     "90aadfe02f79e6dc14e31509a3fa226da4fe1dc0fc8ca0cc92698db93eef23ea"),
+    (["norm", "ind:-1,1", "--p", "3", "--t", "0.25", "--err", "1e-3"],
+     "76c416e69e883dbaf89d49656e2fb4f5d11de69014998e69bcc4fdc9981a9ddc"),
+    (["class-s", "ind:-1,1 + ind:10,11 + ind:-11,-10"],
+     "11e22ae3c22aed7790b4b7d7d6cedde5d7ce743bc9d39d857b1fb0814e8953d5"),
+    (["mult", "constants", "--p", "4"],
+     "eacc82042e683631fe500e4f57a181c91470009239b213165815be00c12e48f2"),
+    (["mult", "bounds", "square", "--p", "4", "--A", "1", "--t", "0.5"],
+     "3201e28174e8369bb5943651b93b51765093892c12dcfa9ce84752cdad7840a7"),
+    (["mult", "bounds", "two_way", "--p", "4", "--A", "1", "--t", "0.6", "--ell", "1", "--m-norm", "1", "--in-R"],
+     "ab13eb08c39efdd6555e2b97c12e4476935974b8cad9e50eaa5072ee83cad892"),
+    (["mult", "exact-positive", "tent:-1,0,1", "--p", "4"],
+     "1d3b6afd4ddb16266eb170682b8a3ea115846505dbbcc5077f5dfdba68f77b05"),
+    (["series", "coeffs.json", "--p", "4", "--t-max", "6"],
+     "0bcf904ff3e0454a43430401c0950f8ae84f82e521fef34643544f55e46f5acd"),
+    (["batch", "jobs.json"],
+     "477d298149a4ca6c9820d4a6157b0b66e43442d9c39f5aec8e7ca029f5ddf61b"),
+    (["profile", "ind:0,1 + i*ind:-1,0", "--p", "6"],
+     "b88564ae02c78c73e4052a8d82983e9241fee33e27213cf12154ba4e1317d7d5"),
+    (["profile", "ind:0,1 + i*ind:-1,0", "--p", "6", "--emit", "csv"],
+     "12af185c7ecf37984f914dac7f9ca58ffc379e523dbd89c8ee18f086f031ffb1"),
+    (["series", "complex.json", "--p", "6", "--t-max", "5"],
+     "63375e1d61f927ddbffa30de109d38dfded3ba260c5a7d651afbb7be9c49b9a9"),
+    (["series", "complex.json", "--p", "6", "--t-max", "5", "--emit", "csv"],
+     "482927f358056419442de207a730b07cbbfab73111c0b69b97c1f356042c724e"),
+    (["class-s", "i*ind:-1,1"],
+     "10c44fa294ce3bc545a6f5ca087c2c5cb4fb67d0519c611da04493a309eec426"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_COMMANDS, ids=[" ".join(a[:2]) for a, _ in GOLDEN_COMMANDS])
+def test_cli_golden_hashes(capsys, monkeypatch, tmp_path, argv, digest):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.json").write_text(json.dumps(_REAL_COEFFS))
+    (tmp_path / "complex.json").write_text(json.dumps(_COMPLEX_COEFFS))
+    (tmp_path / "jobs.json").write_text(json.dumps(_BATCH))
+    code, out = run_cli(capsys, *argv)
+    doc = [code, out]
+    if argv[0] == "batch":
+        doc += [(tmp_path / j["output"]).read_text() for j in _BATCH["jobs"]]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest

@@ -89,6 +89,36 @@ def test_profile_golden_hashes(name, build, digest):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+def _series_golden_doc(bound):
+    # seeded Gaussian-rational sequences on [-A, A], some entries real or zero
+    rng = np.random.default_rng([20261018, bound])
+    doc = []
+    for p in (2, 4, 6, 8):
+        coeffs = {}
+        for k in range(-bound, bound + 1):
+            re = rat(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+            im = rat(int(rng.integers(-5, 6)), int(rng.integers(1, 7))) if rng.random() < 0.7 else 0
+            coeffs[k] = gauss(re, im)
+        prof = series_profile(CoeffSeq.from_mapping(coeffs, bound), p)
+        doc.append([p, [format_rat(prof.value(t)) for t in range(prof.guaranteed_onset + 3)]])
+    return doc
+
+
+# SHA-256 of json.dumps(_series_golden_doc(A)): pins every exact series value
+GOLDEN_SERIES = [
+    (1, "6ded6eb22fdd6ef3398f25e64e2e4fa745a00b38400dd055aef29a9ddf4de1a1"),
+    (2, "856c9b2092c570dd45a4cce366d32cd22f9d88c1c8422f748f41c4cd3156e47d"),
+    (3, "9e081e92ebc6d98043370a37e34704520ae7432c4265d58bc8f0d13ee82145d7"),
+    (4, "f70ad7ab2bdb9e41947c4903deca56258762a74794fdef06ce3f80a3dfd697b0"),
+]
+
+
+@pytest.mark.parametrize("bound,digest", GOLDEN_SERIES, ids=[f"A={a}" for a, _ in GOLDEN_SERIES])
+def test_series_golden_hashes(bound, digest):
+    doc = json.dumps(_series_golden_doc(bound))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
 def _numeric_golden_doc(f, ps, target):
     doc = []
     for p in ps:

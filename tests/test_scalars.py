@@ -1,49 +1,17 @@
-"""Exact scalar layer: Gaussian rationals, demotion, parsing."""
+"""Exact scalar layer: complex values as two rational parts, parsing."""
 
 import pytest
 
 from splitnorm.scalars import (
-    GaussRat,
-    abs_sq,
     as_scalar,
-    conj,
     format_rat,
     format_scalar,
     gauss,
     parse_rat,
     parse_scalar,
     rat,
-    to_float,
 )
 from splitnorm.errors import ParseError
-
-
-def test_gauss_demotes_real_results():
-    z = gauss(1, 2)
-    w = gauss(1, -2)
-    assert isinstance(z * w, type(rat(1)))  # (1+2i)(1-2i) = 5
-    assert z * w == 5
-    assert z + w == 2
-    assert isinstance(gauss(3, 0), type(rat(1)))
-
-
-def test_gauss_arithmetic():
-    i = gauss(0, 1)
-    assert i * i == -1
-    assert (1 + i) * (1 + i) == gauss(0, 2)
-    assert i ** 4 == 1
-    assert conj(gauss(rat(1, 2), rat(-3, 4))) == gauss(rat(1, 2), rat(3, 4))
-    assert abs_sq(gauss(3, 4)) == 25
-    assert gauss(1, 1) / gauss(1, 1) == 1
-    assert 1 / gauss(0, 1) == gauss(0, -1)
-
-
-def test_gauss_mixed_with_rationals():
-    z = gauss(1, 1)
-    assert z + rat(1, 2) == gauss(rat(3, 2), 1)
-    assert rat(2) * z == gauss(2, 2)
-    assert z - 1 == gauss(0, 1)
-    assert 1 - z == gauss(0, -1)
 
 
 def test_as_scalar_rejects_floats():
@@ -64,14 +32,3 @@ def test_formatting_roundtrip():
     assert pair == ["1/3", "-2"]
     assert parse_scalar(pair) == gauss(rat(1, 3), -2)
     assert parse_scalar("3/4") == rat(3, 4)
-
-
-def test_to_float():
-    assert to_float(rat(1, 2)) == 0.5
-    assert to_float(gauss(1, -1)) == 1 - 1j
-
-
-def test_hash_consistency():
-    assert hash(gauss(1, 2)) == hash(GaussRat(1, 2))
-    d = {gauss(1, 2): "a", rat(1, 2): "b"}
-    assert d[GaussRat(1, 2)] == "a"
