@@ -16,8 +16,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional, get_args, get_type_hints
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     BudgetExceeded,
@@ -49,7 +49,7 @@ from .normprofile import (
 )
 from .oscint import norm_numeric
 from .polyalg import PiecewisePoly, Poly, indicator, tent
-from .scalars import format_rat, gauss, parse_rat, rat, rat_from_float
+from .scalars import format_rat, gauss, parse_rat, parse_scalar, rat, rat_from_float
 from .splitcore import class_s_check, class_s_sufficient
 
 __all__ = ["main", "console_main", "parse_function_spec", "canonical_json", "ExperimentConfig"]
@@ -99,16 +99,14 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def _write_output(text: str, out_path):
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     tmp = f"{out_path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
     os.replace(tmp, out_path)
 
 
@@ -264,45 +262,41 @@ def run_class_s(spec: str, bump_radius=None) -> dict:
     verdict = class_s_check(f)
     doc = verdict.to_json_dict()
     if bump_radius is not None:
-        radius = parse_rat(bump_radius) if isinstance(bump_radius, str) else rat(bump_radius)
+        radius = parse_rat(bump_radius)
         doc["bump_radius"] = format_rat(radius)
         doc["bump_sufficient"] = class_s_sufficient(f, radius)
     return doc
 
 
 def run_series(coeff_doc: dict, p: int, t_min: int, t_max: int) -> dict:
-    coeffs = {}
-    raw = coeff_doc.get("coeffs")
+    raw = coeff_doc.get("coeffs") if isinstance(coeff_doc, dict) else None
     if not isinstance(raw, dict):
         raise ParseError('coefficient file needs a "coeffs" mapping')
+    bound = coeff_doc.get("A")
+    if bound is not None and (type(bound) is not int or bound < 0):
+        raise ParseError(f'"A" must be a nonnegative integer, got {bound!r}')
+    coeffs = {}
     for k, v in raw.items():
         try:
             idx = int(k)
         except ValueError as exc:
             raise ParseError(f"bad coefficient index {k!r}") from exc
-        coeffs[idx] = _parse_coef(v) if isinstance(v, str) else gauss(
-            parse_rat(v[0]), parse_rat(v[1])
-        )
-    seq = CoeffSeq.from_mapping(coeffs, coeff_doc.get("A"))
+        coeffs[idx] = _parse_coef(v) if isinstance(v, str) else parse_scalar(v)
+    seq = CoeffSeq.from_mapping(coeffs, bound)
     prof = series_profile(seq, p)
-    values = {}
-    for t in range(t_min, t_max + 1):
-        values[str(t)] = format_rat(prof.value(t))
-    thr = prof.threshold
-    tail = [prof.value(t) for t in range(max(thr, t_min), t_max + 1)]
-    constant = all(v == tail[0] for v in tail) if tail else True
-    safe = prof.guaranteed_onset
-    safe_tail = [prof.value(t) for t in range(max(safe, t_min), t_max + 1)]
+    values = {t: prof.value(t) for t in range(t_min, t_max + 1)}
+
+    def constant_from(start: int) -> bool:
+        return len({v for t, v in values.items() if t >= start}) <= 1
+
     return {
         "p": p,
         "A": seq.bound,
-        "threshold": thr,
-        "values": values,
-        "constant_from_threshold": constant,
-        "guaranteed_onset": safe,
-        "constant_from_guaranteed_onset": all(v == safe_tail[0] for v in safe_tail)
-        if safe_tail
-        else True,
+        "threshold": prof.threshold,
+        "values": {str(t): format_rat(v) for t, v in values.items()},
+        "constant_from_threshold": constant_from(prof.threshold),
+        "guaranteed_onset": prof.guaranteed_onset,
+        "constant_from_guaranteed_onset": constant_from(prof.guaranteed_onset),
     }
 
 
@@ -327,18 +321,128 @@ def _tent_plus(n, omega):
 _MULT_BUILDERS = {"halfline": halfline_multiplier, "segment": segment_multiplier,
                   "tent": tent_multiplier, "tent-plus": _tent_plus}
 
-# the inputs of `mult bounds` as (option dest, is a switch); they make both
-# the parser's options and the inputs handed to bound_report
-_BOUND_INPUTS = (
-    ("A", False), ("t", False), ("ell", False), ("m_norm", False), ("m_norm_real", False),
-    ("m_plus_norm", False), ("m_minus_norm", False),
-    ("in_R", True), ("even_real", True), ("real_variant", True), ("symmetric", True),
-)
-
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the inputs of every command: the parser, job checks and run() read them
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Input:
+    """One input of a command, as the command line and a declarative job take it.
+
+    ``spelling`` is a positional's name or an ``--option``, and ``None``
+    for a field that only a declarative job gives.  The job field (and
+    argparse dest) is ``dest`` if given, else the spelling without dashes
+    and with ``-`` as ``_``.  ``type`` is int, float, str, or bool for a
+    switch; positionals are strings, declared ``required``.  ``json_types``
+    are further JSON types a declarative job may give (the list and range
+    forms of ``t``).
+    """
+
+    spelling: Optional[str]
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+    dest: Optional[str] = None
+    json_types: tuple = ()
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.spelling.lstrip("-").replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.spelling is None:
+            return
+        if not self.spelling.startswith("-"):
+            parser.add_argument(self.spelling, help=self.help)
+        elif self.type is bool:
+            parser.add_argument(self.spelling, dest=self.name, action="store_true",
+                                default=self.default, help=self.help)
+        else:
+            # a renamed dest keeps the option's metavar: --err ERR, not TARGET_ABS_ERR
+            parser.add_argument(
+                self.spelling, dest=self.name,
+                metavar=self.spelling[2:].upper() if self.dest else None,
+                type=self.type, default=self.default, required=self.required,
+                choices=self.choices, help=self.help,
+            )
+
+    def read(self, job: dict):
+        """This input's value in a declarative job, checked; the default if left out."""
+        value = job.get(self.name)
+        if value is None and self.default is None:  # left out, or JSON null
+            return None
+        if self.name not in job:
+            return self.default
+        types = ((int, float) if self.type is float else (self.type,)) + self.json_types
+        if not isinstance(value, types) or isinstance(value, bool) != (self.type is bool):
+            raise ParseError(f"job field {self.name!r} has the wrong type: {value!r}")
+        if self.choices and value not in self.choices:
+            raise ParseError(
+                f"job field {self.name!r} must be one of {list(self.choices)}, got {value!r}"
+            )
+        return value
+
+
+_SPEC = _Input("spec", required=True)
+_P_INT = _Input("--p", int, required=True)
+_P_REAL = _Input("--p", float, required=True)
+_EMIT = _Input("--emit", default="json", choices=("json", "csv"))
+_T_FORMS = (list, dict)  # a list of shifts, or {"start", "stop", "count"}
+_OUT = _Input("--out", dest="output")  # every command takes it, after its own inputs
+
+# command -> (help, inputs in --help order); ``mult X`` is the command ``mult-X``,
+# and its help is None: `splitnorm mult --help` lists the four names alone
+_COMMANDS = {
+    "profile": ("exact (N_t f)^p profile, even p", (
+        _SPEC, _P_INT, _EMIT, _Input("--samples", int, 8, help="CSV samples per piece"),
+    )),
+    "norm": ("numerical (N_t f)^p, any p > 1", (
+        _SPEC,
+        _P_REAL,
+        _Input("--t", float, required=True, json_types=_T_FORMS),
+        _Input("--err", float, 1e-6, dest="target_abs_err"),
+        _Input(None, default="both", choices=("exact", "numeric", "both"), dest="engine"),
+    )),
+    "class-s": ("exact class-S membership", (_SPEC, _Input("--bump-radius"))),
+    "mult-constants": (None, (_P_REAL,)),
+    "mult-bounds": (None, (
+        _Input("quantity", required=True),
+        _P_REAL,
+        *(_Input(f"--{name}", float)
+          for name in ("A", "t", "ell", "m-norm", "m-norm-real", "m-plus-norm", "m-minus-norm")),
+        *(_Input(f"--{name}", bool, False)
+          for name in ("in-R", "even-real", "real-variant", "symmetric")),
+    )),
+    "mult-estimate": (None, (
+        _Input("multiplier", required=True, help="halfline | segment | tent | tent-plus"),
+        _P_REAL,
+        _Input("--n", int, 4096, dest="grid_n"),
+        _Input("--omega", float, 8.0),
+        _Input("--iterations", int, 200),
+        _Input("--seed", int, 0),
+        _Input("--real", bool, False, help="restrict to real test functions"),
+        _Input("--t", float, help="apply the split at shift t first", json_types=_T_FORMS),
+        _Input("--shift", float, help=argparse.SUPPRESS),
+        _Input("--checkpoint"),
+    )),
+    "mult-exact-positive": (None, (
+        _SPEC, _Input("--p", float), _Input("--assert-positive", bool, False),
+    )),
+    "series": ("exact trigonometric-series profile", (
+        _Input("coeff_file", required=True), _P_INT, _Input("--t-min", int, 0),
+        _Input("--t-max", int, required=True), _EMIT,
+    )),
+}
+
+
+def _inputs_of(command) -> tuple:
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ParseError(f"unknown command {command!r}")
+    return _COMMANDS[command][1] + (_OUT,)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,66 +451,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact and numerical L^p Fourier norms of split functions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_profile = sub.add_parser("profile", help="exact (N_t f)^p profile, even p")
-    p_profile.add_argument("spec")
-    p_profile.add_argument("--p", type=int, required=True)
-    p_profile.add_argument("--emit", choices=["json", "csv"], default="json")
-    p_profile.add_argument("--samples", type=int, default=8, help="CSV samples per piece")
-
-    p_norm = sub.add_parser("norm", help="numerical (N_t f)^p, any p > 1")
-    p_norm.add_argument("spec")
-    p_norm.add_argument("--p", type=float, required=True)
-    p_norm.add_argument("--t", type=float, required=True)
-    p_norm.add_argument("--err", dest="target_abs_err", metavar="ERR", type=float, default=1e-6)
-
-    p_cs = sub.add_parser("class-s", help="exact class-S membership")
-    p_cs.add_argument("spec")
-    p_cs.add_argument("--bump-radius", default=None)
-
-    p_mult = sub.add_parser("mult", help="multiplier constants/bounds/estimates")
-    msub = p_mult.add_subparsers(dest="mult_cmd", required=True)
-
-    m_const = msub.add_parser("constants")
-    m_const.add_argument("--p", type=float, required=True)
-
-    m_bounds = msub.add_parser("bounds")
-    m_bounds.add_argument("quantity")
-    m_bounds.add_argument("--p", type=float, required=True)
-    for name, switch in _BOUND_INPUTS:
-        kind = {"action": "store_true"} if switch else {"type": float, "default": None}
-        m_bounds.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
-
-    m_est = msub.add_parser("estimate")
-    m_est.add_argument("multiplier", help="halfline | segment | tent | tent-plus")
-    m_est.add_argument("--p", type=float, required=True)
-    m_est.add_argument("--n", dest="grid_n", metavar="N", type=int, default=4096)
-    m_est.add_argument("--omega", type=float, default=8.0)
-    m_est.add_argument("--iterations", type=int, default=200)
-    m_est.add_argument("--seed", type=int, default=0)
-    m_est.add_argument("--real", action="store_true", help="restrict to real test functions")
-    m_est.add_argument("--t", type=float, default=None, help="apply the split at shift t first")
-    m_est.add_argument("--shift", type=float, default=None, help=argparse.SUPPRESS)
-    m_est.add_argument("--checkpoint", default=None)
-
-    m_pos = msub.add_parser("exact-positive")
-    m_pos.add_argument("spec")
-    m_pos.add_argument("--p", type=float, default=None)
-    m_pos.add_argument("--assert-positive", action="store_true")
-
-    p_series = sub.add_parser("series", help="exact trigonometric-series profile")
-    p_series.add_argument("coeff_file")
-    p_series.add_argument("--p", type=int, required=True)
-    p_series.add_argument("--t-min", type=int, default=0)
-    p_series.add_argument("--t-max", type=int, required=True)
-    p_series.add_argument("--emit", choices=["json", "csv"], default="json")
-
-    for cmd in (p_profile, p_norm, p_cs, m_const, m_bounds, m_est, m_pos, p_series):
-        cmd.add_argument("--out", dest="output", metavar="OUT", default=None)
-
-    p_batch = sub.add_parser("batch", help="run a JSON config of jobs")
-    p_batch.add_argument("config")
-
+    mult = None
+    for command, (help_text, _) in _COMMANDS.items():
+        if command.startswith("mult-"):
+            if mult is None:
+                p_mult = sub.add_parser("mult", help="multiplier constants/bounds/estimates")
+                mult = p_mult.add_subparsers(dest="mult_cmd", required=True)
+            parser = mult.add_parser(command[len("mult-"):])
+        else:
+            parser = sub.add_parser(command, help=help_text)
+        for inp in _inputs_of(command):
+            inp.add_to(parser)
+    sub.add_parser("batch", help="run a JSON config of jobs").add_argument("config")
     return ap
 
 
@@ -419,180 +475,120 @@ def _build_parser() -> argparse.ArgumentParser:
 class ExperimentConfig:
     """One job: a command and its inputs, named by the CLI option dests.
 
-    ``mult X`` is the command ``mult-X``; ``--err``, ``--n`` and ``--out``
-    are ``target_abs_err``, ``grid_n`` and ``output``.  ``t`` also accepts
-    a list or {"start", "stop", "count"} (norm runs each shift), and
-    ``engine`` selects exact / numeric / both for norm (the exact engine
-    requires even p).  Built by argparse (``from_args``) or from a
-    declarative batch job (``from_dict``); round-trips through JSON.
+    ``mult X`` is the command ``mult-X``; ``args`` holds every input of the
+    command in ``_COMMANDS``, defaults filled in.  Built by argparse
+    (``from_args``) or from a declarative batch job (``from_dict``), whose
+    fields are exactly the command's inputs; round-trips through JSON.
     """
 
     command: str
-    spec: Optional[str] = None
-    multiplier: Optional[str] = None
-    quantity: Optional[str] = None
-    coeff_file: Optional[str] = None
-    p: Optional[float] = None  # required where the command line requires --p
-    t: object = None
-    engine: str = "both"
-    emit: str = "json"
-    samples: int = 8
-    output: Optional[str] = None
-    seed: int = 0
-    target_abs_err: float = 1e-6
-    iterations: int = 200
-    grid_n: int = 4096
-    omega: float = 8.0
-    shift: Optional[float] = None
-    real: bool = False
-    checkpoint: Optional[str] = None
-    assert_positive: bool = False
-    bump_radius: Optional[str] = None
-    t_min: int = 0
-    t_max: int = 8
-    A: Optional[float] = None
-    ell: Optional[float] = None
-    m_norm: Optional[float] = None
-    m_norm_real: Optional[float] = None
-    m_plus_norm: Optional[float] = None
-    m_minus_norm: Optional[float] = None
-    in_R: bool = False
-    even_real: bool = False
-    real_variant: bool = False
-    symmetric: bool = False
+    args: argparse.Namespace
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "ExperimentConfig":
-        names = {f.name for f in fields(cls)}
-        doc = {k: v for k, v in vars(ns).items() if k in names}
-        if ns.command == "mult":
-            doc["command"] = f"mult-{ns.mult_cmd}"
-        return cls(**doc)
+        command = f"mult-{ns.mult_cmd}" if ns.command == "mult" else ns.command
+        args = {i.name: getattr(ns, i.name, i.default) for i in _inputs_of(command)}
+        return cls(command, argparse.Namespace(**args))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        command = doc.get("command")
+        inputs = _inputs_of(command)
+        unknown = set(doc) - {i.name for i in inputs} - {"command"}
         if unknown:
-            raise ParseError(f"unknown job fields: {sorted(unknown)}")
-        if "command" not in doc:
-            raise ParseError('a declarative job needs a "command"')
-        hints = get_type_hints(cls)
-        for name, value in doc.items():
-            allowed = get_args(hints[name]) or (hints[name],)  # Optional[X] is (X, NoneType)
-            if object in allowed:
-                continue
-            if float in allowed:
-                allowed += (int,)
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise ParseError(f"job field {name!r} has the wrong type: {value!r}")
-        return cls(**doc)
+            raise ParseError(f"unknown job fields for {command}: {sorted(unknown)}")
+        return cls(command, argparse.Namespace(**{i.name: i.read(doc) for i in inputs}))
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v for k, v in doc.items() if v is not None}
+        given = {k: v for k, v in vars(self.args).items() if v is not None}
+        return {"command": self.command, **given}
 
     def t_values(self) -> list:
         """The shifts ``t`` names, as finite floats."""
-        t = self.t
+        t = self.args.t
         try:
-            if t is None:
-                ts = [0.0]
-            elif isinstance(t, (int, float)):
-                ts = [float(t)]
-            elif isinstance(t, list):
+            if isinstance(t, list):
                 ts = [float(x) for x in t]
-            elif isinstance(t, dict) and "stop" in t:
+            elif isinstance(t, dict):
                 start, stop = float(t.get("start", 0.0)), float(t["stop"])
                 count = int(t.get("count", 9))
                 step = (stop - start) / (count - 1) if count > 1 else 0.0
                 ts = [start + step * k for k in range(max(count, 1))]
-            else:
-                raise ParseError(f"bad t specification: {t!r}")
-        except (TypeError, ValueError) as exc:
+            else:  # a number: the table admits no other type
+                ts = [float(t)]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad t specification: {t!r}") from exc
         if not all(math.isfinite(x) for x in ts):
             raise ParseError(f"t must be finite, got {t!r}")
         return ts
 
-    def _int_p(self) -> int:
-        if not float(self.p).is_integer():
-            raise OddOrNonintegerP(f"{self.command} needs an even integer p, got {self.p}")
-        return int(self.p)
-
     def run(self) -> tuple[str, int]:
         """(output text, exit code); failures raise ``_JOB_ERRORS``, see ``_exit_status``."""
-        cmd, code = self.command, EXIT_OK
-        if self.p is None and cmd in ("profile", "norm", "series", "mult-constants",
-                                      "mult-bounds", "mult-estimate"):
-            raise ParseError(f"{cmd} needs p")
+        cmd, a, code = self.command, self.args, EXIT_OK
+        missing = [i.name for i in _inputs_of(cmd) if i.required and getattr(a, i.name) is None]
+        if missing:
+            raise ParseError(f"{cmd} needs {', '.join(missing)}")
         if cmd == "profile":
-            if self.emit == "csv":
-                return profile_csv(self.spec, self._int_p(), self.samples), EXIT_OK
-            doc = run_profile(self.spec, self._int_p())
+            if a.emit == "csv":
+                return profile_csv(a.spec, a.p, a.samples), EXIT_OK
+            doc = run_profile(a.spec, a.p)
         elif cmd == "norm":
-            docs = [
-                run_norm(self.spec, self.p, t, self.target_abs_err, self.engine)
-                for t in self.t_values()
-            ]
+            docs = [run_norm(a.spec, a.p, t, a.target_abs_err, a.engine) for t in self.t_values()]
             doc = docs[0] if len(docs) == 1 else {"results": docs}
         elif cmd == "class-s":
-            doc = run_class_s(self.spec, self.bump_radius)
+            doc = run_class_s(a.spec, a.bump_radius)
         elif cmd == "series":
-            p = self._int_p()
             try:
-                with open(self.coeff_file) as fh:
+                with open(a.coeff_file) as fh:
                     coeff_doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"cannot read coefficient file: {exc}") from exc
-            doc = run_series(coeff_doc, p, self.t_min, self.t_max)
-            if self.emit == "csv":
+            doc = run_series(coeff_doc, a.p, a.t_min, a.t_max)
+            if a.emit == "csv":
                 return series_csv(doc), EXIT_OK
         elif cmd == "mult-constants":
-            doc = constants(self.p).to_json_dict()
+            doc = constants(a.p).to_json_dict()
         elif cmd == "mult-bounds":
-            inputs = {"p": int(self.p) if float(self.p).is_integer() else self.p}
-            for name, switch in _BOUND_INPUTS:
-                v = getattr(self, name)
-                if (v if switch else v is not None):  # a switch counts when it is on
+            inputs = {"p": int(a.p) if float(a.p).is_integer() else a.p}
+            for name, v in vars(a).items():
+                # the optional inputs given: a value, or a switch that is on
+                if name not in ("quantity", "p", "output") and v is not None and v is not False:
                     inputs[name] = v
-            rep = bound_report(self.quantity, inputs)
+            rep = bound_report(a.quantity, inputs)
             doc, code = rep.to_json_dict(), EXIT_OK if rep.applicable else EXIT_INAPPLICABLE
         elif cmd == "mult-estimate":
-            builder = _MULT_BUILDERS.get(self.multiplier)
+            builder = _MULT_BUILDERS.get(a.multiplier)
             if builder is None:
                 raise ParseError(
-                    f"unknown multiplier {self.multiplier!r}; choose from {sorted(_MULT_BUILDERS)}"
+                    f"unknown multiplier {a.multiplier!r}; choose from {sorted(_MULT_BUILDERS)}"
                 )
-            m = builder(self.grid_n, self.omega)
-            doc = {"multiplier": self.multiplier, "p": self.p, "N": self.grid_n,
-                   "omega": self.omega}
-            if self.shift is not None:
-                if self.multiplier != "halfline":
+            m = builder(a.grid_n, a.omega)
+            doc = {"multiplier": a.multiplier, "p": a.p, "N": a.grid_n, "omega": a.omega}
+            if a.shift is not None:
+                if a.multiplier != "halfline":
                     raise ParseError("--shift only applies to the halfline multiplier")
-                m = halfline_multiplier(self.grid_n, self.omega, shift=self.shift)
-                doc["shift"] = self.shift
-            if self.t is not None:
+                m = halfline_multiplier(a.grid_n, a.omega, shift=a.shift)
+                doc["shift"] = a.shift
+            if a.t is not None:
                 t = self.t_values()[0]
                 m, snapped = split_multiplier(m, t)
                 doc["t_requested"] = t
                 doc["t_snapped"] = snapped
             result = estimate_lower(
-                m, self.p, iterations=self.iterations, seed=self.seed,
-                real_test_functions=self.real, checkpoint_path=self.checkpoint,
+                m, a.p, iterations=a.iterations, seed=a.seed,
+                real_test_functions=a.real, checkpoint_path=a.checkpoint,
             )
             doc.update(result.to_json_dict())
-            doc["seed"] = self.seed
-        elif cmd == "mult-exact-positive":
-            f = parse_function_spec(self.spec)
-            ell = exact_norm_positive_kernel(f, positive_transform_asserted=self.assert_positive)
+            doc["seed"] = a.seed
+        else:  # mult-exact-positive
+            f = parse_function_spec(a.spec)
+            ell = exact_norm_positive_kernel(f, positive_transform_asserted=a.assert_positive)
             doc = {"m_norm": ell, "ell": ell}
-            if self.p is not None:
-                cs = constants(self.p)
-                doc["p"] = self.p
+            if a.p is not None:
+                cs = constants(a.p)
+                doc["p"] = a.p
                 doc["m_plus_norm"] = cs.c_p * ell
                 doc["m_plus_norm_real"] = cs.c_p_real * ell
-        else:
-            raise ParseError(f"unknown command {cmd!r}")
         return canonical_json(doc), code
 
 

@@ -82,6 +82,8 @@ def parse_rat(text: str):
     """Parse ``num`` or ``num/den`` with optional sign; integers only."""
     from .errors import ParseError
 
+    if not isinstance(text, str):
+        raise ParseError(f"not a rational: {text!r}")
     s = text.strip()
     try:
         if "/" in s:

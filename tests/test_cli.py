@@ -1,9 +1,11 @@
 """The command-line surface: parsing, determinism, exit codes, batch."""
 
+import argparse
 import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -626,6 +628,110 @@ def test_cli_and_declarative_job_agree(capsys, tmp_path, argv, job):
     assert code == job_code
 
 
+def _subcommands():
+    """(command, argparse subparser) for every job command, ``mult X`` as ``mult-X``."""
+    from splitnorm.cli import _build_parser
+
+    def children(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices.items()
+
+    for name, parser in children(_build_parser()):
+        if name == "mult":
+            yield from ((f"mult-{leaf}", sub) for leaf, sub in children(parser))
+        elif name != "batch":
+            yield name, parser
+
+
+_SUBCOMMANDS = list(_subcommands())
+
+
+@pytest.mark.parametrize("command, parser", _SUBCOMMANDS, ids=[c for c, _ in _SUBCOMMANDS])
+def test_parser_and_declarative_job_take_the_same_inputs(command, parser):
+    # the dests, defaults, required set, types and choices of each subparser
+    # are the fields of a declarative job; only norm's engine is job-only, and
+    # only the t of norm and mult-estimate takes the list and range forms
+    from splitnorm.cli import ExperimentConfig
+
+    actions = [a for a in parser._actions if a.dest != "help"]
+    fields = vars(ExperimentConfig.from_dict({"command": command}).args)
+    assert set(fields) - ({"engine"} if command == "norm" else set()) == {a.dest for a in actions}
+    assert {a.dest: a.default for a in actions} == {a.dest: fields[a.dest] for a in actions}
+    with pytest.raises(ParseError, match=f"^{command} needs ") as exc:
+        ExperimentConfig.from_dict({"command": command}).run()
+    needs = str(exc.value).split(" needs ", 1)[1].split(", ")
+    assert sorted(needs) == sorted(a.dest for a in actions if a.required)
+
+    def accepts(dest, value):
+        try:
+            ExperimentConfig.from_dict({"command": command, dest: value})
+        except ParseError:
+            return False
+        return True
+
+    for a in actions:
+        if isinstance(a, argparse._StoreTrueAction):
+            good, bad = [True], ["yes", 1]
+        elif a.type is int:
+            good, bad = [2], [2.5, "2", True]
+        elif a.type is float:
+            good, bad = [2, 2.5], ["2", True]
+        else:
+            good, bad = [a.choices[0] if a.choices else "x"], [1, True]
+        bad += ["not-a-choice"] if a.choices else []
+        shifts = a.dest == "t" and command in ("norm", "mult-estimate")
+        assert accepts(a.dest, [1.0]) == shifts, a.dest
+        assert all(accepts(a.dest, v) for v in good), a.dest
+        assert not any(accepts(a.dest, v) for v in bad), a.dest
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "profile", "spec": "ind:-1,1", "p": 4, "emit": "xml"},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": 1, "engine": "exact-ish"},
+        {"command": "series", "coeff_file": "c.json", "p": 4},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4},
+        {"command": "mult-constants", "p": 4, "samples": 3},
+        {"command": "class-s", "spec": "ind:-1,1", "t_max": 3},
+        {"command": "series", "p": 4, "t_max": 3},
+    ],
+    ids=["emit-xml", "engine-exact-ish", "series-without-t_max", "norm-without-t",
+         "field-of-another-command", "field-of-series", "series-without-coeff_file"],
+)
+def test_declarative_job_inputs_are_those_of_its_command(capsys, monkeypatch, tmp_path, job):
+    # each of these jobs used to run (with a default, or ignoring the field)
+    # or to end in an internal error
+    from splitnorm.cli import _run_job
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"A": 1, "coeffs": {"0": "1"}}))
+    row = _run_job(job)
+    assert row["status"] == EXIT_PARSE and row["error"]
+    assert "internal error" not in row["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"A": 1, "coeffs": {"0": ["1"]}},
+        {"A": 1, "coeffs": {"0": 5}},
+        {"A": 1, "coeffs": {"0": [1, 2]}},
+        [{"A": 1, "coeffs": {"0": "1"}}],
+        {"A": [1], "coeffs": {"0": "1"}},
+    ],
+    ids=["one-part-entry", "number-entry", "number-parts", "top-level-list", "list-A"],
+)
+def test_malformed_coefficient_file_is_one_error_line(tmp_path, doc):
+    # each of these files ended in a traceback with exit 1
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    proc = _run_subprocess(["series", "c.json", "--p", "4", "--t-max", "3"], tmp_path)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # golden output of the README commands and of complex inputs
 # ---------------------------------------------------------------------------
@@ -690,3 +796,17 @@ def test_cli_golden_hashes(capsys, monkeypatch, tmp_path, argv, digest):
     if argv[0] == "batch":
         doc += [(tmp_path / j["output"]).read_text() for j in _BATCH["jobs"]]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+def test_readme_commands_are_pinned():
+    # every command the README's command-line block shows has a golden digest;
+    # `mult estimate` is left out for the reason given above GOLDEN_COMMANDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    shown = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("splitnorm ")]
+    pinned = [argv for argv, _ in GOLDEN_COMMANDS]
+    assert len(shown) > 1
+    assert [argv for argv in shown if argv not in pinned] == [
+        argv for argv in shown if argv[:2] == ["mult", "estimate"]
+    ]
