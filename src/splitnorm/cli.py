@@ -9,6 +9,7 @@ codes: 0 success, 2 parse/config error, 3 hypothesis inapplicable,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -49,7 +50,7 @@ from .normprofile import (
 )
 from .oscint import norm_numeric
 from .polyalg import PiecewisePoly, Poly, indicator, tent
-from .scalars import format_rat, gauss, parse_rat, parse_scalar, rat, rat_from_float
+from .scalars import format_rat, gauss, parse_rat, parse_scalar, rat
 from .splitcore import class_s_check, class_s_sufficient
 
 __all__ = ["main", "console_main", "parse_function_spec", "canonical_json", "ExperimentConfig"]
@@ -99,15 +100,21 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def _write_output(text: str, out_path):
+    """Write to stdout, or atomically to ``out_path``; a failed write is a ParseError."""
     if not text.endswith("\n"):
         text += "\n"
     if out_path is None:
         sys.stdout.write(text)
         return
     tmp = f"{out_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ParseError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +251,12 @@ def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") ->
     if engine == "exact":
         if not even:
             raise OddOrNonintegerP(f"the exact engine needs an even integer p, got {p}")
-        exact = norm_profile(f, int(p)).value_at(rat_from_float(float(t)))
+        exact = norm_profile(f, int(p)).value_at(rat(float(t)))
         return {"p": p, "t": t, "value_pth_power": float(exact), "abs_error": 0.0}
     result = norm_numeric(f, p, t, target_abs_err=err)
     doc = result.to_json_dict()
     if engine == "both" and even:
-        exact = norm_profile(f, int(p)).value_at(rat_from_float(float(t)))
+        exact = norm_profile(f, int(p)).value_at(rat(float(t)))
         doc["exact_value"] = float(exact)
         doc["discrepancy"] = abs(result.value - float(exact))
     return doc
@@ -617,9 +624,13 @@ def _run_job(job) -> dict:
             except SystemExit:
                 return {**label, "status": EXIT_PARSE}
             cfg = ExperimentConfig.from_args(args)
+            output = _OUT.read(job)  # the job's field, not an --out in its argv
         else:
             cfg = ExperimentConfig.from_dict(job)
+            output = cfg.args.output
         text, code = cfg.run()
+        if output:
+            _write_output(text, output)
     except _JOB_ERRORS as exc:
         return {**label, "status": _exit_status(exc)[0], "error": str(exc)}
     except Exception as exc:  # a bug: report it in this job and run the next
@@ -628,9 +639,8 @@ def _run_job(job) -> dict:
         traceback.print_exc()
         return {**label, "status": EXIT_PARSE, "error": f"internal error: {exc!r}"}
     summary = {**label, "status": code}
-    if job.get("output"):
-        _write_output(text, job["output"])
-        summary["output"] = job["output"]
+    if output:
+        summary["output"] = output
     return summary
 
 
@@ -659,11 +669,10 @@ def main(argv=None) -> int:
         return _run_batch(args.config)
     try:
         text, code = ExperimentConfig.from_args(args).run()
+        _write_output(text, args.output)
     except _JOB_ERRORS as exc:
         code, prefix = _exit_status(exc)
         sys.stderr.write(f"{prefix}: {exc}\n")
-        return code
-    _write_output(text, args.output)
     return code
 
 

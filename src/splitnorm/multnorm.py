@@ -472,6 +472,10 @@ def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
     return scale * phase
 
 
+# seeded random starts of estimate_lower, sharing its iteration budget
+_RANDOM_STARTS = 3
+
+
 def estimate_lower(
     m: DiscreteMultiplier,
     p: float,
@@ -479,7 +483,6 @@ def estimate_lower(
     iterations: int = 200,
     seed: int = 0,
     real_test_functions: bool = False,
-    restarts: int = 3,
     initial: Optional[np.ndarray] = None,
     checkpoint_path: Optional[str] = None,
 ) -> EstimateResult:
@@ -491,9 +494,9 @@ def estimate_lower(
         f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
 
     a damped half-step on oscillation, and best-so-far tracking.
-    ``iterations`` is the total budget, shared across ``restarts`` seeded
-    random starts (plus the optional ``initial`` warm start, e.g. a test
-    function recovered from a checkpoint).  Any quotient reached is a valid
+    ``iterations`` is the total budget, shared across three seeded random
+    starts (after the optional ``initial`` warm start, e.g. a test function
+    recovered from a checkpoint).  Any quotient reached is a valid
     lower bound for the discrete norm (and an approximate lower bound for
     the continuum one).  Deterministic for a fixed seed.
     """
@@ -522,7 +525,7 @@ def estimate_lower(
         if f0.shape != (m.n,):
             raise ValueError(f"initial test function must have shape ({m.n},)")
         starts.append(f0)
-    for _ in range(max(1, restarts)):
+    for _ in range(_RANDOM_STARTS):
         f0 = rng.standard_normal(m.n).astype(complex)
         if not real_test_functions:
             f0 = f0 + 1j * rng.standard_normal(m.n)

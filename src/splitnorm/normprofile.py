@@ -27,6 +27,7 @@ from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
+    conv_power,
     convolve,
     is_nonincreasing_on,
     l2_inner,
@@ -237,13 +238,10 @@ def newt_constant(f: PiecewisePoly, p: int):
     pair = split(f)
     if pair.plus.is_zero() or pair.minus.is_zero():
         return RAT_ZERO
-    u = pair.plus
-    w = pair.minus
-    for _ in range(m - 1):
-        u = convolve(u, pair.plus)
-        w = convolve(w, pair.minus)
+    u = conv_power(pair.plus, m)
+    w = conv_power(pair.minus, m)
     # C(p, m) (u * w)(0) = int C(p, m) u(y) w(-y) dy
-    return l2_inner(u * rat(math.comb(p, m)), w.reflect().conjugate())
+    return l2_inner(u * rat(math.comb(p, m)), w.conj_reflect())
 
 
 def gen_t0(A, b, p: int):
@@ -307,10 +305,10 @@ def _split_numerators(c: CoeffSeq, t: int):
     """The split sequence at shift t as ``(index -> (re, im), D)``: integer
     numerators over one even denominator D, so that the halved central
     coefficient stays an integer."""
-    den = 2 * math.lcm(*(int(x.denominator) for _, re, im in c.entries for x in (re, im)))
+    den = 2 * math.lcm(*(x.denominator for _, re, im in c.entries for x in (re, im)))
 
     def numerator(x):
-        return int(x.numerator) * (den // int(x.denominator))
+        return x.numerator * (den // x.denominator)
 
     out: dict = {}
     for k, re, im in c.entries:
@@ -362,7 +360,7 @@ class SeriesProfile:
         integer this onset can fail by exactly one step -- see
         ``guaranteed_onset``.
         """
-        return max(1, int(math.ceil(rat(self.p - 2) * self.seq.bound / 4)))
+        return max(1, math.ceil(rat(self.p - 2) * self.seq.bound / 4))
 
     @property
     def guaranteed_onset(self) -> int:
@@ -374,7 +372,7 @@ class SeriesProfile:
         the continuum case, where convolutions vanish continuously at the
         endpoints of their support).  Hence strict inequality: t > (p-2)A/4.
         """
-        return max(1, int(math.floor(rat(self.p - 2) * self.seq.bound / 4)) + 1)
+        return max(1, math.floor(rat(self.p - 2) * self.seq.bound / 4) + 1)
 
 
 def series_profile(c: CoeffSeq, p: int) -> SeriesProfile:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, TailDivergence
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly
-from .scalars import RAT_ZERO, parts, rat, rat_from_float
+from .scalars import RAT_ZERO, parts, rat
 from .splitcore import apply_split, split
 
 __all__ = ["FTEvaluator", "NumericNorm", "ft_eval", "norm_numeric", "tail_bound"]
@@ -276,13 +276,18 @@ def _sharp_tail_p2(betas, rows, Y: float):
 # the norm computation
 # ---------------------------------------------------------------------------
 
+# the most integrand evaluations norm_numeric makes (15 per panel)
+_NODE_CAP = 2 ** 20
+# panels per vectorized Gauss-Kronrod batch
+_PANEL_CHUNK = 2048
 
-def _panel_integrate(fn, edges: np.ndarray, chunk: int = 2048):
+
+def _panel_integrate(fn, edges: np.ndarray):
     """Gauss-Kronrod over the given panel edges; returns (values, errors)."""
     vals = np.empty(len(edges) - 1)
     errs = np.empty(len(edges) - 1)
-    for lo in range(0, len(edges) - 1, chunk):
-        hi = min(lo + chunk, len(edges) - 1)
+    for lo in range(0, len(edges) - 1, _PANEL_CHUNK):
+        hi = min(lo + _PANEL_CHUNK, len(edges) - 1)
         a = edges[lo:hi]
         b = edges[lo + 1 : hi + 1]
         mid = 0.5 * (a + b)
@@ -301,9 +306,6 @@ def norm_numeric(
     p: float,
     t: float,
     target_abs_err: float = 1e-6,
-    *,
-    node_cap: int = 2 ** 20,
-    strict: bool = True,
 ) -> NumericNorm:
     """(N_t f)^p = int |F[S_t f](y)|^p dy by certified numerical integration.
 
@@ -313,9 +315,10 @@ def norm_numeric(
     The reported ``abs_error`` adds the quadrature estimate, the tail
     remainder, and a floating-point allowance.
 
-    Raises :class:`BudgetExceeded` (carrying the best result) when
-    ``strict`` and the target cannot be met within ``node_cap`` evaluations,
-    or the result is not finite (|f^|^p overflows for a huge p).
+    Raises :class:`BudgetExceeded` when the panel grid alone would need
+    more than ``_NODE_CAP`` = 2^20 integrand evaluations, and (carrying the
+    result) when the error misses the target or the result is not finite
+    (|f^|^p overflows for a huge p).
     """
     p = float(p)
     if p <= 1:
@@ -325,7 +328,7 @@ def norm_numeric(
     if f.is_zero():
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 
-    g = apply_split(f, rat(t) if not isinstance(t, float) else rat_from_float(t))
+    g = apply_split(f, rat(t))
     try:
         evaluator = FTEvaluator(g)
     except OverflowError as exc:
@@ -349,13 +352,11 @@ def norm_numeric(
 
     width = 1.0 / (4.0 * max(1.0, radius))
     nodes = 2.0 * Y / width * 15.0
-    if nodes > node_cap:
-        if strict:
-            raise BudgetExceeded(
-                f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {node_cap}"
-            )
-        Y = node_cap * width / 30.0
-    if p != 2.0 or nodes > node_cap:
+    if nodes > _NODE_CAP:
+        raise BudgetExceeded(
+            f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {_NODE_CAP}"
+        )
+    if p != 2.0:
         # the tail lies in [0, bound]: report the midpoint
         bound = _envelope_tail(rows, p, Y)
         tail_value, tail_err = 0.5 * bound, 0.5 * bound + 1e-300
@@ -373,7 +374,7 @@ def norm_numeric(
         # adaptive bisection of the worst panels
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
         intervals = list(zip(edges[:-1], edges[1:], vals, errs))
-        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= node_cap:
+        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= _NODE_CAP:
             intervals.sort(key=lambda iv: iv[3])
             worst = intervals[-max(1, len(intervals) // 64) :]
             keep = intervals[: -len(worst)]
@@ -394,9 +395,9 @@ def norm_numeric(
     value = integral + tail_value
     abs_error = quad_err + tail_err + fp_err
     result = NumericNorm(value=value, abs_error=abs_error, p=p, t=float(t))
-    if strict and not math.isfinite(value):
+    if not math.isfinite(value):
         raise BudgetExceeded(f"the result {value:.3g} +- {abs_error:.3g} is not finite", result=result)
-    if strict and not abs_error <= target_abs_err:  # a NaN error fails too
+    if not abs_error <= target_abs_err:  # a NaN error fails too
         raise BudgetExceeded(
             f"achieved error {abs_error:.3g} exceeds the target {target_abs_err:.3g}",
             result=result,

@@ -15,7 +15,7 @@ polynomial jump at breakpoint ``b_k``); each jump pair contributes through
 ``(u^m H) * (u^n H)(v) = v^{m+n+1} m! n! / (m+n+1)!``.
 
 Convolution, correlation and inner products run on Python ints, in the
-layout of FLINT's ``fmpq_poly``: integer numerators over one common
+layout of FLINT's rational polynomials: integer numerators over one common
 denominator, and no gcd per operation.  Both operands are written in
 ``X = L x``, with ``L`` the lcm of their breakpoint denominators, so every
 breakpoint is an integer and every Taylor shift an integer one.  Each
@@ -24,8 +24,8 @@ read straight from the two coefficient tuples: a real product is one real
 kernel, a complex one three (Karatsuba).  The jump-pair weights are the integers
 ``m! n! M / (m+n+1)!`` with ``M = (deg f + deg g + 1)!``; the one-sided
 terms are summed per start point and then in one running sum, and each
-output coefficient is reduced once, by ``rat(num, den)``, so the rational
-type of the results does not change.
+output coefficient is reduced once, by ``rat(num, den)``, to a Fraction in
+lowest terms.
 
 Monotonicity and sign decisions are exact, via root isolation on integers
 (Collins & Akritas 1976): a polynomial's square-free part, certified by a
@@ -288,8 +288,8 @@ _CERT_PRIME = (1 << 61) - 1
 
 def _int_primitive(coeffs) -> list:
     """Integer coefficients with content 1, a positive multiple of the rational ``coeffs``."""
-    den = math.lcm(*(int(c.denominator) for c in coeffs))
-    cs = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in coeffs]
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
 
@@ -381,9 +381,9 @@ def _divide_root_at_one(w: list) -> list:
 def _int_window(sf: Poly, lo, hi) -> list:
     """The window of sf over (lo, hi), with content 1."""
     cs = _int_primitive(sf.coeffs)
-    den = math.lcm(int(lo.denominator), int(hi.denominator))
-    n0 = int(lo.numerator) * (den // int(lo.denominator))
-    n1 = int(hi.numerator) * (den // int(hi.denominator)) - n0
+    den = math.lcm(lo.denominator, hi.denominator)
+    n0 = lo.numerator * (den // lo.denominator)
+    n1 = hi.numerator * (den // hi.denominator) - n0
     d = len(cs) - 1
     # den^d sf(Y / den) in Y = den X, then Y = n0 + n1 x
     w = _taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], n0)
@@ -746,7 +746,7 @@ def tent(a, b, c) -> PiecewisePoly:
 
 def _breakpoint_scale(*fs) -> int:
     """The lcm L of all breakpoint denominators: in X = L x every breakpoint is an integer."""
-    return math.lcm(*(int(b.denominator) for f in fs for b in f.breakpoints))
+    return math.lcm(*(b.denominator for f in fs for b in f.breakpoints))
 
 
 @dataclass(frozen=True)
@@ -766,14 +766,14 @@ class _IntLayout:
 
     @classmethod
     def of(cls, f: PiecewisePoly, scale: int) -> "_IntLayout":
-        bps = [int(b.numerator) * (scale // int(b.denominator)) for b in f.breakpoints]
+        bps = [b.numerator * (scale // b.denominator) for b in f.breakpoints]
         degree = max(len(q.coeffs) for q in f.pieces) - 1
         powers = [scale**j for j in range(degree + 1)]
         re = [q.coeffs for q in f.pieces]
         im = None if f.is_real() else [q.im for q in f.pieces]
         # a coefficient c of x^j is c / L^j in X
         den = math.lcm(
-            *(int(c.denominator) * powers[j] for rows in (re, im or ()) for cs in rows for j, c in enumerate(cs))
+            *(c.denominator * powers[j] for rows in (re, im or ()) for cs in rows for j, c in enumerate(cs))
         )
 
         def numerators(rows):
@@ -781,7 +781,7 @@ class _IntLayout:
             for cs in rows:
                 row = [0] * (degree + 1)
                 for j, c in enumerate(cs):
-                    row[j] = int(c.numerator) * (den // (int(c.denominator) * powers[j]))
+                    row[j] = c.numerator * (den // (c.denominator * powers[j]))
                 out.append(row)
             return out
 

@@ -1,35 +1,22 @@
 """Exact scalars: rationals, and complex values as two rational parts.
 
-Rationals are ``gmpy2.mpq`` when available (much faster) and
-``fractions.Fraction`` otherwise; both expose ``numerator``/``denominator``
-and interoperate with ints.  A complex value is the pair ``(re, im)`` of
-rationals that :func:`gauss` returns when ``im`` is nonzero; a real value is
-the plain rational.  A pair is data, not a number: nothing adds or
-multiplies pairs (``pair + pair`` would concatenate them).  Containers keep
-the two parts apart -- ``Poly`` as two coefficient tuples, the kernels as
-two rows of integer numerators -- and combine them explicitly.
+Rationals are ``fractions.Fraction``, the one rational type, named ``rat``
+here; ``rat(x)`` of a binary float is that float's exact value.  A complex
+value is the pair ``(re, im)`` of rationals that :func:`gauss` returns when
+``im`` is nonzero; a real value is the plain rational.  A pair is data, not
+a number: nothing adds or multiplies pairs (``pair + pair`` would
+concatenate them).  Containers keep the two parts apart -- ``Poly`` as two
+coefficient tuples, the kernels as two rows of integer numerators -- and
+combine them explicitly.
 """
 
 from __future__ import annotations
 
 import numbers
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(a=0, b=1):
-        return _mpq(a, b)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _frac
-
-    def rat(a=0, b=1):
-        return _frac(a, b)
-
+from fractions import Fraction as rat
 
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
-_RAT_TYPE = type(RAT_ONE)
 
 
 def gauss(re, im=0):
@@ -45,9 +32,9 @@ def parts(x) -> tuple:
 
 
 def _as_rat(x):
-    if type(x) is _RAT_TYPE:
+    if type(x) is rat:
         return x
-    if isinstance(x, numbers.Rational):  # ints, Fractions: normalize to the one rational type
+    if isinstance(x, numbers.Rational):  # ints, Fraction subclasses: normalize to Fraction
         return rat(x.numerator, x.denominator)
     if isinstance(x, (complex, float)):
         raise TypeError(f"floats are not exact scalars: {x!r}")
@@ -62,20 +49,13 @@ def as_scalar(x):
     return _as_rat(x)
 
 
-def rat_from_float(x: float):
-    """Exact rational value of a binary float."""
-    from fractions import Fraction
-
-    return rat(Fraction(x))
-
-
 # -- string forms (JSON / CLI) ----------------------------------------
 
 
 def format_rat(x) -> str:
     """``num/den`` with the ``/den`` omitted for integers."""
     n, d = x.numerator, x.denominator
-    return str(int(n)) if d == 1 else f"{int(n)}/{int(d)}"
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_rat(text: str):

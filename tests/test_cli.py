@@ -396,6 +396,36 @@ def test_batch_wrongly_typed_field_is_a_job_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unwritable_output_is_one_error_line(tmp_path):
+    # a failed write is exit 2 with one error line; in batch it is that
+    # job's status 2, later jobs run, and no temp file is left behind
+    missing = str(tmp_path / "missing" / "b.json")
+    proc = _run_subprocess(["mult", "constants", "--p", "4", "--out", missing], tmp_path)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    argv = ["mult", "constants", "--p", "4"]
+    (tmp_path / "taken").mkdir()  # the temp file is written, the rename fails
+    config = {
+        "jobs": [
+            {"argv": argv, "output": missing},
+            {"command": "mult-constants", "p": 4, "output": missing},
+            {"argv": argv, "output": 5},
+            {"argv": argv, "output": "taken"},
+            {"argv": argv, "output": "good.json"},
+        ]
+    }
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = _run_subprocess(["batch", "jobs.json"], tmp_path)
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE] * 4 + [EXIT_OK]
+    assert all(j["error"] for j in summary["jobs"][:4])
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["good.json", "jobs.json", "taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
 @pytest.mark.parametrize(
     "job",
     [

@@ -497,8 +497,8 @@ def test_root_isolation_invariants_survive_python_O():
 
 
 def test_integer_coefficients_use_only_numerator_and_denominator():
-    # the rational backend may be Fraction or gmpy2.mpq: only these two
-    # attributes are read
+    # the integer kernels read a rational through these two attributes
+    # alone, never its arithmetic
     import splitnorm.polyalg as PA
 
     class Q:

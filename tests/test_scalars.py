@@ -1,5 +1,10 @@
 """Exact scalar layer: complex values as two rational parts, parsing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from splitnorm.scalars import (
@@ -32,3 +37,19 @@ def test_formatting_roundtrip():
     assert pair == ["1/3", "-2"]
     assert parse_scalar(pair) == gauss(rat(1, 3), -2)
     assert parse_scalar("3/4") == rat(3, 4)
+
+
+def test_rationals_are_fractions_even_when_gmpy2_imports(tmp_path):
+    # a stub gmpy2 whose mpq is a Fraction subclass: the rational type stays
+    # fractions.Fraction whatever else is installed
+    stub = tmp_path / "gmpy2"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("from fractions import Fraction\n\nclass mpq(Fraction):\n    pass\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+    code = (
+        "import fractions, gmpy2, splitnorm.scalars as S\n"
+        "print(type(S.RAT_ONE) is fractions.Fraction, type(S.rat(1, 3)) is fractions.Fraction)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["True", "True"], proc.stderr
