@@ -624,7 +624,10 @@ def _run_job(job) -> dict:
             except SystemExit:
                 return {**label, "status": EXIT_PARSE}
             cfg = ExperimentConfig.from_args(args)
-            output = _OUT.read(job)  # the job's field, not an --out in its argv
+            if cfg.args.output:
+                raise ParseError('an argv job names its output file in the job\'s "output" '
+                                 "field, not with --out")
+            output = _OUT.read(job)
         else:
             cfg = ExperimentConfig.from_dict(job)
             output = cfg.args.output

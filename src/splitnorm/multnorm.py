@@ -12,9 +12,9 @@ be ``pi/(2p)`` -- the value c_2^R = 1/sqrt(2) pins the reading, since
 sec(pi/4)/2 = csc(pi/4)/2 = 1/sqrt(2).  Both readings are recorded here;
 the implementation uses pi/(2p).
 
-Numerics only ever certify *lower* bounds (any discrete test function
-exhibits a quotient); upper bounds come exclusively from the analytic
-ledger.
+Numerics only ever exhibit *lower* estimates (the floating-point quotient
+of an explicit discrete test function, not a proved bound); upper bounds
+come exclusively from the analytic ledger.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     GridOverflow,
-    InapplicableHypothesis,
     MissingInput,
     NonRealInput,
     OddP,
@@ -107,11 +106,6 @@ class BoundReport:
     upper: Optional[float]
     applicable: bool
     reason: str = ""
-
-    def require_applicable(self) -> "BoundReport":
-        if not self.applicable:
-            raise InapplicableHypothesis(f"{self.quantity}: {self.reason}")
-        return self
 
     def to_json_dict(self) -> dict:
         doc = {"quantity": self.quantity}
@@ -342,25 +336,6 @@ class DiscreteMultiplier:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
-    def is_even_real(self) -> bool:
-        """True when m is real and even on the grid, so T_m preserves real
-        data (the zero-frequency bin sits at index N/2)."""
-        s = self.samples
-        if np.abs(s.imag).max() > 0:
-            return False
-        flipped = np.empty_like(s)
-        flipped[1:] = s[1:][::-1]
-        flipped[0] = s[0]
-        return bool(np.allclose(s, flipped, rtol=0, atol=0))
-
-
-def from_function(fn, n: int, omega: float) -> DiscreteMultiplier:
-    """Sample a callable multiplier on the standard grid."""
-    step = 2.0 * omega / n
-    ys = -omega + step * np.arange(n)
-    samples = np.asarray([fn(y) for y in ys], dtype=complex)
-    return DiscreteMultiplier(samples=samples, omega=omega)
-
 
 def halfline_multiplier(n: int, omega: float, shift: float = 0.0) -> DiscreteMultiplier:
     """chi_{(shift, oo)} sampled on the grid; the boundary bin takes 1/2."""
@@ -441,9 +416,11 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
 class EstimateResult:
     """Outcome of the p-norm power iteration.
 
-    ``estimate`` is a certified lower bound for the discrete operator norm
-    (the quotient of an explicit test function); ``history`` is the
-    nondecreasing best-so-far quotient per iteration.
+    ``estimate`` is ||T_m f||_p / ||f||_p for the explicit test function
+    ``test_function``, evaluated in floating point: a lower estimate of the
+    discrete operator norm, not a proved bound, and the continuum norm is
+    only approximated by the grid.  ``history`` is the nondecreasing
+    best-so-far quotient per iteration.
     """
 
     estimate: float
@@ -467,8 +444,9 @@ def _pnorm(v: np.ndarray, p: float) -> float:
 def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
     """|v|^{q-1} sgn(v), the duality map used by the ascent."""
     av = np.abs(v)
-    scale = np.where(av > 0, av ** (q - 1.0), 0.0)
-    phase = np.where(av > 0, v / np.where(av > 0, av, 1.0), 0.0)
+    nonzero = av > 0
+    scale = np.power(av, q - 1.0, out=np.zeros_like(av), where=nonzero)
+    phase = np.divide(v, av, out=np.zeros_like(v), where=nonzero)
     return scale * phase
 
 
@@ -493,12 +471,16 @@ def estimate_lower(
 
         f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
 
-    a damped half-step on oscillation, and best-so-far tracking.
-    ``iterations`` is the total budget, shared across three seeded random
-    starts (after the optional ``initial`` warm start, e.g. a test function
-    recovered from a checkpoint).  Any quotient reached is a valid
-    lower bound for the discrete norm (and an approximate lower bound for
-    the continuum one).  Deterministic for a fixed seed.
+    a damped half-step on oscillation, and best-so-far tracking.  The image
+    T_m f of an accepted step is the one computed to test it and is
+    carried into the next step, so a step costs two FFT pairs (T_m^* and
+    the candidate's image).  ``iterations`` is the total budget, shared
+    across three seeded random starts (after the optional ``initial`` warm
+    start, e.g. a test function recovered from a checkpoint).  The estimate
+    is the floating-point quotient of an explicit test function: up to
+    rounding a lower bound for the discrete norm, not a proved one, and
+    only an approximation to the continuum norm.  Deterministic for a
+    fixed seed.
     """
     if p <= 1:
         raise POutOfRange(f"estimation needs p > 1, got {p}")
@@ -543,10 +525,12 @@ def estimate_lower(
         budget = max(1, (iterations - total_iters) // (len(starts) - idx))
         if total_iters >= iterations:
             break
+        # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
+        # the image it was tested with, so no image is computed twice
+        g = apply(f)
+        q = _pnorm(g, p)
         for _ in range(budget):
             total_iters += 1
-            g = apply(f)
-            q = _pnorm(g, p)
             if q > best_q:
                 best_q = q
                 best_f = f.copy()
@@ -567,17 +551,20 @@ def estimate_lower(
             if nc == 0:
                 break
             cand = cand / nc
-            q_cand = _pnorm(apply(cand), p)
+            g_cand = apply(cand)
+            q_cand = _pnorm(g_cand, p)
             if q_cand >= q * (1.0 - 1e-13):
-                f = cand
+                f, g, q = cand, g_cand, q_cand
             else:
                 damped = f + 0.5 * (cand - f)
                 nd = _pnorm(damped, p)
                 if nd == 0:
                     break
                 damped = damped / nd
-                if _pnorm(apply(damped), p) >= q * (1.0 - 1e-13):
-                    f = damped
+                g_damped = apply(damped)
+                q_damped = _pnorm(g_damped, p)
+                if q_damped >= q * (1.0 - 1e-13):
+                    f, g, q = damped, g_damped, q_damped
                 else:
                     converged = True
                     break

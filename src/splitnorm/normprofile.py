@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import InvalidOffsets, InvariantViolation, NegativeNorm, OddOrNonintegerP
+from .errors import (
+    BudgetExceeded,
+    InvalidOffsets,
+    InvariantViolation,
+    NegativeNorm,
+    OddOrNonintegerP,
+)
 from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
@@ -57,6 +63,28 @@ def _half_exponent(p) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
         raise OddOrNonintegerP(f"the exact engine needs an even integer p >= 2, got {p!r}")
     return p // 2
+
+
+# the largest predicted work m^6 n^2 (d+1)^2 the exact engine takes on: n
+# pieces of degree at most d in the two halves, m = p/2.  The largest
+# tier-1 and benchmark job, the two-bump function at p = 12, predicts
+# 1.7e6; predictions near 1e8 (tent at p = 30, two-bump at p = 22) ran
+# for 4-5 s on one core of a Xeon under Python 3.11
+_EXACT_CAP = 10 ** 9
+
+
+def _check_size(plus: PiecewisePoly, minus: PiecewisePoly, m: int) -> None:
+    """Raise BudgetExceeded before any convolution when the work predicted
+    for the m-fold convolution powers of the halves passes ``_EXACT_CAP``."""
+    pieces = plus.pieces + minus.pieces
+    degree = max((q.degree for q in pieces), default=0)
+    work = m ** 6 * len(pieces) ** 2 * (degree + 1) ** 2
+    if work > _EXACT_CAP:
+        raise BudgetExceeded(
+            f"the exact engine's predicted work m^6 n^2 (d+1)^2 at m = p/2, with "
+            f"n = {len(pieces)} pieces of degree at most d = {degree}, is "
+            f"10^{math.log10(work):.1f}, over its cap of 10^{math.log10(_EXACT_CAP):.0f}"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +172,7 @@ def _assemble_profile(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
     together they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal
     pairs go into one real accumulation.
     """
+    _check_size(plus, minus, m)
     blocks = _convolution_blocks(plus, minus, m)
     weights = [math.comb(m, i) for i in range(m + 1)]
 
@@ -238,6 +267,7 @@ def newt_constant(f: PiecewisePoly, p: int):
     pair = split(f)
     if pair.plus.is_zero() or pair.minus.is_zero():
         return RAT_ZERO
+    _check_size(pair.plus, pair.minus, m)
     u = conv_power(pair.plus, m)
     w = conv_power(pair.minus, m)
     # C(p, m) (u * w)(0) = int C(p, m) u(y) w(-y) dy

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
+from splitnorm.errors import InapplicableHypothesis
+from splitnorm.multnorm import DiscreteMultiplier
 from splitnorm.polyalg import PiecewisePoly, Poly, indicator, tent
 from splitnorm.scalars import gauss, rat
 
@@ -164,3 +168,134 @@ def rational_isolation_reference(p: Poly, lo, hi) -> list:
                 a = mid
         refined.append((a, b))
     return refined
+
+
+def require_applicable(report):
+    """The report itself, or InapplicableHypothesis when a gate failed."""
+    if not report.applicable:
+        raise InapplicableHypothesis(f"{report.quantity}: {report.reason}")
+    return report
+
+
+def is_even_real(m: DiscreteMultiplier) -> bool:
+    """True when m is real and even on the grid, so T_m preserves real
+    data (the zero-frequency bin sits at index N/2)."""
+    s = m.samples
+    if np.abs(s.imag).max() > 0:
+        return False
+    flipped = np.empty_like(s)
+    flipped[1:] = s[1:][::-1]
+    flipped[0] = s[0]
+    return bool(np.allclose(s, flipped, rtol=0, atol=0))
+
+
+def from_function(fn, n: int, omega: float) -> DiscreteMultiplier:
+    """Sample a callable multiplier on the standard grid."""
+    step = 2.0 * omega / n
+    ys = -omega + step * np.arange(n)
+    return DiscreteMultiplier(np.asarray([fn(y) for y in ys], dtype=complex), omega)
+
+
+def _reference_pnorm(v, p):
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def _reference_dual_power(v, q):
+    av = np.abs(v)
+    scale = np.where(av > 0, av ** (q - 1.0), 0.0)
+    phase = np.where(av > 0, v / np.where(av > 0, av, 1.0), 0.0)
+    return scale * phase
+
+
+def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_functions=False,
+                             initial=None, paths=None):
+    """Test oracle: the estimator loop before the accepted image was carried
+    over, which recomputes ``apply(f)`` at the top of every step.
+
+    Returns ``(estimate, test_function, converged, iterations, history)``.
+    ``paths``, a ``collections.Counter`` if given, counts the entries into
+    the damped branch ("damped") and the exits on a stalled quotient
+    ("stall").
+    """
+    rng = np.random.default_rng(seed)
+    mhat = np.fft.ifftshift(m.samples)
+    conj_mhat = np.conj(mhat)
+
+    def apply(v):
+        return np.fft.ifft(mhat * np.fft.fft(v))
+
+    def apply_adj(v):
+        return np.fft.ifft(conj_mhat * np.fft.fft(v))
+
+    q_dual = p / (p - 1.0)
+    best_q = 0.0
+    best_f = None
+    history = []
+    total_iters = 0
+    converged = False
+    paths = paths if paths is not None else Counter()
+
+    starts = []
+    if initial is not None:
+        starts.append(np.asarray(initial, dtype=complex).copy())
+    for _ in range(3):
+        f0 = rng.standard_normal(m.n).astype(complex)
+        if not real_test_functions:
+            f0 = f0 + 1j * rng.standard_normal(m.n)
+        starts.append(f0)
+
+    for idx, f in enumerate(starts):
+        if real_test_functions:
+            f = f.real.astype(complex)
+        nf = _reference_pnorm(f, p)
+        if nf == 0:
+            continue
+        f = f / nf
+        q_here = 0.0
+        stall = 0
+        budget = max(1, (iterations - total_iters) // (len(starts) - idx))
+        if total_iters >= iterations:
+            break
+        for _ in range(budget):
+            total_iters += 1
+            g = apply(f)
+            q = _reference_pnorm(g, p)
+            if q > best_q:
+                best_q = q
+                best_f = f.copy()
+            history.append(best_q)
+            if q <= q_here * (1.0 + 1e-13):
+                stall += 1
+            else:
+                stall = 0
+            q_here = max(q_here, q)
+            if stall >= 4:
+                converged = True
+                paths["stall"] += 1
+                break
+            u = apply_adj(_reference_dual_power(g, p))
+            if real_test_functions:
+                u = u.real
+            cand = _reference_dual_power(u, q_dual)
+            nc = _reference_pnorm(cand, p)
+            if nc == 0:
+                break
+            cand = cand / nc
+            q_cand = _reference_pnorm(apply(cand), p)
+            if q_cand >= q * (1.0 - 1e-13):
+                f = cand
+            else:
+                paths["damped"] += 1
+                damped = f + 0.5 * (cand - f)
+                nd = _reference_pnorm(damped, p)
+                if nd == 0:
+                    break
+                damped = damped / nd
+                if _reference_pnorm(apply(damped), p) >= q * (1.0 - 1e-13):
+                    f = damped
+                else:
+                    converged = True
+                    break
+
+    test_function = best_f if best_f is not None else np.zeros(m.n, dtype=complex)
+    return best_q, test_function, converged, total_iters, history

@@ -493,6 +493,38 @@ def test_norm_huge_p_stderr_is_one_budget_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
 
 
+def test_exact_engine_huge_p_is_a_budget_error(tmp_path):
+    # the exact engine ran p = 1e300 and did not finish; it now refuses
+    # before any convolution, and the next job still runs
+    config = {"jobs": [
+        {"command": "norm", "spec": "ind:-1,1", "p": 1e300, "t": 1, "engine": "exact"},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": 1, "engine": "exact"},
+    ]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = _run_subprocess(["batch", "jobs.json"], tmp_path, timeout=30)
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_BUDGET, EXIT_OK]
+    assert "exact engine" in summary["jobs"][0]["error"]
+    assert proc.returncode == EXIT_BUDGET
+    proc = _run_subprocess(["profile", "ind:-1,1", "--p", "1000"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
+
+
+def test_batch_argv_job_out_option_is_a_job_error(tmp_path):
+    # an --out inside an argv job was dropped: status 0, no file, and the
+    # result printed nowhere
+    argv = ["mult", "constants", "--p", "4"]
+    config = {"jobs": [{"argv": [*argv, "--out", "inner.json"]}, {"argv": argv, "output": "good.json"}]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = _run_subprocess(["batch", "jobs.json"], tmp_path)
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_PARSE, EXIT_OK]
+    assert '"output"' in summary["jobs"][0]["error"]
+    assert proc.returncode == EXIT_PARSE
+    assert sorted(os.listdir(tmp_path)) == ["good.json", "jobs.json"]
+
+
 @pytest.mark.parametrize("flags", [[], ["--assert-positive"]])
 @pytest.mark.parametrize("spec", ["i*tent:-1,0,1", "1/2*tent:-1,0,1 + i*tent:-1,0,1"])
 def test_exact_positive_rejects_complex_multipliers(tmp_path, spec, flags):

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from splitnorm.errors import (
     UnverifiedPositivity,
 )
 from splitnorm.multnorm import (
+    _RANDOM_STARTS,
     DiscreteMultiplier,
     bound_report,
     constants,
@@ -28,6 +30,8 @@ from splitnorm.multnorm import (
 )
 from splitnorm.polyalg import indicator, tent
 from splitnorm.scalars import rat
+
+from .helpers import from_function, is_even_real, reference_estimate_lower, require_applicable
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,7 +112,7 @@ def test_split_lower_requires_positive_ell():
     rep = bound_report("split_lower", {"p": 4, "ell": 0.0})
     assert not rep.applicable
     with pytest.raises(InapplicableHypothesis):
-        rep.require_applicable()
+        require_applicable(rep)
     rep2 = bound_report("split_lower", {"p": 3.0, "ell": 2.0, "t": 0.7})
     assert rep2.applicable
     assert abs(rep2.lower - 2.0 * constants(3.0).c_p) < 1e-12
@@ -223,7 +227,7 @@ def test_split_multiplier_identity_at_zero():
 def test_split_multiplier_even_real_and_sup_preserved():
     m = tent_multiplier(512, 4.0)
     out, snapped = split_multiplier(m, 1.0)
-    assert out.is_even_real()
+    assert is_even_real(out)
     assert out.sup_norm() == m.sup_norm()  # the 0-sample is duplicated
     # zero fill between the moving halves
     ys = out.grid()
@@ -322,10 +326,10 @@ def test_estimator_split_tent_two_way_advisory():
 
 
 def test_is_even_real_detection():
-    assert tent_multiplier(128, 2.0).is_even_real()
-    assert not halfline_multiplier(128, 2.0).is_even_real()
+    assert is_even_real(tent_multiplier(128, 2.0))
+    assert not is_even_real(halfline_multiplier(128, 2.0))
     m = DiscreteMultiplier(1j * np.ones(64), 2.0)
-    assert not m.is_even_real()
+    assert not is_even_real(m)
 
 
 def test_estimator_grid_doubling_probe():
@@ -337,8 +341,62 @@ def test_estimator_grid_doubling_probe():
 
 
 def test_from_function_sampling():
-    from splitnorm.multnorm import from_function
-
     m = from_function(lambda y: max(0.0, 1.0 - abs(y)), 128, 2.0)
     assert np.allclose(m.samples, tent_multiplier(128, 2.0).samples)
     assert m.grid()[64] == 0.0
+
+
+def _same_as_reference(m, p, paths, **kwargs):
+    got = estimate_lower(m, p, **kwargs)
+    want = reference_estimate_lower(m, p, paths=paths, **kwargs)
+    assert got.estimate == want[0]
+    assert np.array_equal(got.test_function, want[1])
+    assert (got.converged, got.iterations) == (want[2], want[3])
+    assert got.history == want[4]
+    return got
+
+
+def test_estimator_matches_the_reference_loop_bit_for_bit():
+    # carrying the accepted image over must not move a bit of any output
+    from splitnorm.cli import _MULT_BUILDERS
+
+    paths = Counter()
+    for name in ("halfline", "segment", "tent", "tent-plus"):
+        m = _MULT_BUILDERS[name](2 ** 10, 8.0)
+        for p in (4.0, 4.0 / 3.0, 3.0):
+            for real in (False, True):
+                r = _same_as_reference(m, p, paths, seed=1, real_test_functions=real)
+    # a warm start from the last test function (tent-plus, p = 3, real)
+    _same_as_reference(m, 3.0, paths, iterations=40, seed=2, real_test_functions=True,
+                       initial=r.test_function)
+    # no input found makes the ascent step down, as it cannot in exact
+    # arithmetic; at p = 1.001 the dual power |u|^1000 overflows, the
+    # candidate is NaN, and the damped branch runs and ends the start
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_as_reference(halfline_multiplier(2 ** 10, 8.0), 1.001, paths, seed=1)
+    assert paths["damped"] >= 1 and paths["stall"] >= 1, paths
+
+
+def test_estimator_step_costs_two_fft_pairs(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", counting("fft"))
+    monkeypatch.setattr(np.fft, "ifft", counting("ifft"))
+    m = segment_multiplier(2 ** 10, 8.0)
+    paths = Counter()
+    r = estimate_lower(m, 4.0, iterations=60, seed=1)
+    new_calls = sum(calls.values())
+    calls.clear()
+    reference_estimate_lower(m, 4.0, iterations=60, seed=1, paths=paths)
+    assert not paths["damped"] and r.iterations == 60
+    assert new_calls <= 4 * r.iterations + 2 * _RANDOM_STARTS
+    assert sum(calls.values()) == 6 * r.iterations  # the loop that recomputed f's image

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitnorm.errors import InvalidOffsets, NegativeNorm, OddOrNonintegerP
+from splitnorm.errors import BudgetExceeded, InvalidOffsets, NegativeNorm, OddOrNonintegerP
 from splitnorm.normprofile import (
     CoeffSeq,
     check_constancy,
@@ -239,6 +239,18 @@ def test_profile_rejects_odd_p():
         norm_profile(CHI, 3)
     with pytest.raises(OddOrNonintegerP):
         norm_profile(CHI, 0)
+
+
+def test_exact_engine_refuses_predicted_work_over_its_cap():
+    # the check runs before any convolution, so a huge p returns at once
+    for p in (1000, 10 ** 300):
+        with pytest.raises(BudgetExceeded):
+            norm_profile(CHI, p)
+        with pytest.raises(BudgetExceeded):
+            newt_constant(CHI, p)
+        with pytest.raises(BudgetExceeded):
+            gen_profile(GenSplitSpec(indicator(-1, 0), indicator(0, 1), 1, 0), p)
+    assert newt_constant(indicator(0, 1), 10 ** 300) == 0  # one half is zero: no work
 
 
 def test_profile_zero_function():
