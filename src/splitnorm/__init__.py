@@ -3,9 +3,10 @@
 The exact engine computes (N_t f)^p -- the p-th power of the L^p norm of
 the Fourier transform of the split function S_t f -- as a piecewise
 polynomial in the shift t, for even p, over Gaussian-rational data.  A
-numerical engine handles arbitrary p > 1 with certified error budgets, and
-a multiplier module covers the split Fourier-multiplier constants, bounds,
-and lower-bound estimation.
+numerical engine handles arbitrary p > 1 with an error budget whose tail
+part is proved and whose quadrature part is the embedded Gauss-Kronrod
+estimate, and a multiplier module covers the split Fourier-multiplier
+constants, bounds, and lower-bound estimation.
 """
 
 from .errors import (

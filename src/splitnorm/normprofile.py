@@ -69,7 +69,8 @@ def _half_exponent(p) -> int:
 # pieces of degree at most d in the two halves, m = p/2.  The largest
 # tier-1 and benchmark job, the two-bump function at p = 12, predicts
 # 1.7e6; predictions near 1e8 (tent at p = 30, two-bump at p = 22) ran
-# for 4-5 s on one core of a Xeon under Python 3.11
+# for 4-5 s on one core of a Xeon under Python 3.11.  The series engine
+# takes on the same cap (see _check_series_size)
 _EXACT_CAP = 10 ** 9
 
 
@@ -352,6 +353,29 @@ def _split_numerators(c: CoeffSeq, t: int):
     return out, den
 
 
+def _check_series_size(b: dict, m: int) -> None:
+    """Raise BudgetExceeded before any convolution when the work predicted
+    for the m-fold power of the split sequence ``b`` passes ``_EXACT_CAP``.
+
+    The j-th of the m - 1 convolutions multiplies at most j (L - 1) + 1
+    entries, L the index range of ``b``, by its n entries, and their
+    integers grow by a bounded number of bits per step: about m^3 L n in
+    all.  A prediction of 1e8 ran for 0.3-0.9 s on one core of a Xeon under
+    Python 3.11.  The largest tier-1 series job predicts 1.7e4 and the
+    largest benchmark one 4.1e3.
+    """
+    if not b:
+        return
+    span = max(b) - min(b) + 1
+    work = m ** 3 * span * len(b)
+    if work > _EXACT_CAP:
+        raise BudgetExceeded(
+            f"the series engine's predicted work m^3 L n at m = p/2, with the split "
+            f"sequence's n = {len(b)} entries over L = {span} indices, is "
+            f"10^{math.log10(work):.1f}, over its cap of 10^{math.log10(_EXACT_CAP):.0f}"
+        )
+
+
 def _sequence_convolve(a: dict, b: dict) -> dict:
     """Convolution of two sequences of integer ``(re, im)`` pairs."""
     out: dict = {}
@@ -374,6 +398,7 @@ class SeriesProfile:
             raise OddOrNonintegerP(f"series shifts must be nonnegative integers, got {t!r}")
         m = self.p // 2
         b, den = _split_numerators(self.seq, t)
+        _check_series_size(b, m)
         d = b
         for _ in range(m - 1):
             d = _sequence_convolve(d, b)

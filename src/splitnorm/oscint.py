@@ -133,14 +133,20 @@ class FTEvaluator:
     def _eval_boundary(self, ys):
         w = 2.0 * np.pi * ys
         s = 1.0 / (1j * w)
+        powers = [s]  # s, s^2, ...: the longest row's worth, shared by all rows
+        for _ in range(1, max(map(len, self.rows), default=0)):
+            powers.append(powers[-1] * s)
+        # one exp per |b|: the phase at -|b| is the conjugate of the one at |b|
+        phases = {}
         acc = np.zeros(ys.shape, dtype=complex)
         for b, row in zip(self.betas, self.rows):
             g = np.zeros(ys.shape, dtype=complex)
-            pw = s
-            for d in row:
+            for d, pw in zip(row, powers):
                 g += d * pw
-                pw = pw * s
-            acc += np.exp(-1j * w * b) * g
+            e = phases.pop(abs(b), None)  # breakpoints are distinct: |b| recurs at most once
+            if e is None:
+                e = phases[abs(b)] = np.exp(-1j * w * abs(b))
+            acc += (np.conj(e) if b < 0 else e) * g
         return acc
 
 
@@ -278,27 +284,25 @@ def _sharp_tail_p2(betas, rows, Y: float):
 
 # the most integrand evaluations norm_numeric makes (15 per panel)
 _NODE_CAP = 2 ** 20
-# panels per vectorized Gauss-Kronrod batch
+# panels per vectorized Gauss-Kronrod batch of the initial grid
 _PANEL_CHUNK = 2048
 
 
-def _panel_integrate(fn, edges: np.ndarray):
-    """Gauss-Kronrod over the given panel edges; returns (values, errors)."""
-    vals = np.empty(len(edges) - 1)
-    errs = np.empty(len(edges) - 1)
-    for lo in range(0, len(edges) - 1, _PANEL_CHUNK):
-        hi = min(lo + _PANEL_CHUNK, len(edges) - 1)
-        a = edges[lo:hi]
-        b = edges[lo + 1 : hi + 1]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-        fx = fn(x.ravel()).reshape(x.shape)
-        k15 = (fx @ _GK_WK) * half
-        g7 = (fx @ _GK_WG) * half
-        vals[lo:hi] = k15
-        errs[lo:hi] = np.abs(k15 - g7)
-    return vals, errs
+def _panel_integrate(fn, lo: np.ndarray, hi: np.ndarray, rows: int):
+    """Gauss-Kronrod on the panels [lo, hi]: (K15 values, |K15 - G7| errors).
+
+    One integrand call covers every node.  The weight sums are taken on
+    blocks of ``rows`` consecutive panels (``rows`` divides the panel
+    count): BLAS sums a block in an order that depends on its row count,
+    so a caller that keeps its block sizes keeps every bit.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+    fx = fn(x.ravel()).reshape(-1, rows, len(_GK_NODES))
+    k15 = (fx @ _GK_WK).ravel() * half
+    g7 = (fx @ _GK_WG).ravel() * half
+    return k15, np.abs(k15 - g7)
 
 
 def norm_numeric(
@@ -307,13 +311,19 @@ def norm_numeric(
     t: float,
     target_abs_err: float = 1e-6,
 ) -> NumericNorm:
-    """(N_t f)^p = int |F[S_t f](y)|^p dy by certified numerical integration.
+    """(N_t f)^p = int |F[S_t f](y)|^p dy by adaptive numerical integration.
 
     Phase-aligned Gauss-Kronrod panels on [-Y, Y] (panel width a quarter of
-    the fastest oscillation, adaptively bisected), plus a tail: computed
-    semi-analytically for p = 2, bounded by the proved envelope otherwise.
-    The reported ``abs_error`` adds the quadrature estimate, the tail
-    remainder, and a floating-point allowance.
+    the fastest oscillation), plus a tail: computed semi-analytically for
+    p = 2, bounded by the proved envelope otherwise.  Each bisection round
+    halves the worst 1/64 of the panels (at least one) by their error
+    estimate and evaluates all the halves' nodes in one batch, until the
+    summed estimates fall below half the quadrature target.
+
+    The reported ``abs_error`` adds the quadrature part, the tail
+    remainder, and a floating-point allowance.  The tail part is proved;
+    the quadrature part is the embedded |K15 - G7| estimate, not yet a
+    proved bound.
 
     Raises :class:`BudgetExceeded` when the panel grid alone would need
     more than ``_NODE_CAP`` = 2^20 integrand evaluations, and (carrying the
@@ -368,29 +378,35 @@ def norm_numeric(
     # a huge p overflows |f^|^p: the finiteness check below decides, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
         edges = np.linspace(-Y, Y, n_panels + 1)
-        vals, errs = _panel_integrate(integrand, edges)
+        lo, hi = edges[:-1], edges[1:]
+        vals, errs = np.empty(n_panels), np.empty(n_panels)
+        for k in range(0, n_panels, _PANEL_CHUNK):
+            chunk = slice(k, min(k + _PANEL_CHUNK, n_panels))
+            vals[chunk], errs[chunk] = _panel_integrate(integrand, lo[chunk], hi[chunk], chunk.stop - k)
         nodes_used = n_panels * 15
 
-        # adaptive bisection of the worst panels
+        # adaptive bisection of the worst panels, rows (lo, hi, value, error).
+        # The rows stay in the order of a list sorted stably by error each
+        # round, with the halves appended, and the stopping sum runs left to
+        # right (cumsum, not the pairwise np.sum): the rounds and every bit
+        # of the result are those of bisecting one panel at a time.
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
-        intervals = list(zip(edges[:-1], edges[1:], vals, errs))
-        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= _NODE_CAP:
-            intervals.sort(key=lambda iv: iv[3])
-            worst = intervals[-max(1, len(intervals) // 64) :]
-            keep = intervals[: -len(worst)]
-            new_edges = []
-            for a, b, _, _ in worst:
-                new_edges.extend([a, 0.5 * (a + b), b])
-            sub_edges = np.array(new_edges)
-            for k in range(0, len(sub_edges), 3):
-                e = sub_edges[k : k + 3]
-                v, er = _panel_integrate(integrand, e)
-                keep.extend([(e[0], e[1], v[0], er[0]), (e[1], e[2], v[1], er[1])])
-                nodes_used += 30
-            intervals = keep
+        panels = np.column_stack((lo, hi, vals, errs))
+        while np.cumsum(panels[:, 3])[-1] > 0.5 * quad_target and nodes_used + 30 <= _NODE_CAP:
+            panels = panels[np.argsort(panels[:, 3], kind="stable")]
+            keep = len(panels) - max(1, len(panels) // 64)
+            a, b = panels[keep:, 0], panels[keep:, 1]
+            mid = 0.5 * (a + b)
+            # each panel's halves [a, mid] and [mid, b] side by side, with the
+            # weight sums taken per pair, as when each panel was bisected alone
+            sub_lo = np.column_stack((a, mid)).ravel()
+            sub_hi = np.column_stack((mid, b)).ravel()
+            sub_vals, sub_errs = _panel_integrate(integrand, sub_lo, sub_hi, 2)
+            panels = np.concatenate((panels[:keep], np.column_stack((sub_lo, sub_hi, sub_vals, sub_errs))))
+            nodes_used += 15 * len(sub_lo)
 
-    integral = math.fsum(iv[2] for iv in intervals)
-    quad_err = math.fsum(iv[3] for iv in intervals)
+    integral = math.fsum(panels[:, 2])
+    quad_err = math.fsum(panels[:, 3])
     fp_err = 1e-13 * (1.0 + abs(integral))
     value = integral + tail_value
     abs_error = quad_err + tail_err + fp_err

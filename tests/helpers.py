@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from splitnorm.errors import InapplicableHypothesis
+from splitnorm import oscint
+from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, TailDivergence
 from splitnorm.multnorm import DiscreteMultiplier
+from splitnorm.oscint import FTEvaluator, NumericNorm
 from splitnorm.polyalg import PiecewisePoly, Poly, indicator, tent
 from splitnorm.scalars import gauss, rat
+from splitnorm.splitcore import apply_split
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -299,3 +303,126 @@ def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_function
 
     test_function = best_f if best_f is not None else np.zeros(m.n, dtype=complex)
     return best_q, test_function, converged, total_iters, history
+
+
+class ReferenceEvaluator(FTEvaluator):
+    """Test oracle: the evaluator with the boundary sum as it was before the
+    powers of s and the phases e^{-i w |b|} were shared, one complex exp
+    per breakpoint."""
+
+    def _eval_boundary(self, ys):
+        w = 2.0 * np.pi * ys
+        s = 1.0 / (1j * w)
+        acc = np.zeros(ys.shape, dtype=complex)
+        for b, row in zip(self.betas, self.rows):
+            g = np.zeros(ys.shape, dtype=complex)
+            pw = s
+            for d in row:
+                g += d * pw
+                pw = pw * s
+            acc += np.exp(-1j * w * b) * g
+        return acc
+
+
+def _reference_panel_integrate(fn, edges):
+    vals = np.empty(len(edges) - 1)
+    errs = np.empty(len(edges) - 1)
+    for lo in range(0, len(edges) - 1, oscint._PANEL_CHUNK):
+        hi = min(lo + oscint._PANEL_CHUNK, len(edges) - 1)
+        a = edges[lo:hi]
+        b = edges[lo + 1 : hi + 1]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * oscint._GK_NODES[None, :]
+        fx = fn(x.ravel()).reshape(x.shape)
+        k15 = (fx @ oscint._GK_WK) * half
+        g7 = (fx @ oscint._GK_WG) * half
+        vals[lo:hi] = k15
+        errs[lo:hi] = np.abs(k15 - g7)
+    return vals, errs
+
+
+def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
+    """Test oracle: ``norm_numeric`` as it was before the bisection rounds
+    were batched, with a list of panel tuples, one ``_panel_integrate``
+    call per bisected panel and ``ReferenceEvaluator``.
+
+    ``stats``, a ``collections.Counter`` if given, counts the bisection
+    rounds ("rounds") and the panels they bisect ("bisected").
+    """
+    stats = stats if stats is not None else Counter()
+    p = float(p)
+    if p <= 1:
+        raise TailDivergence(f"(N_t f)^p requires p > 1, got {p}")
+    if f.is_zero():
+        return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
+
+    g = apply_split(f, rat(t))
+    evaluator = ReferenceEvaluator(g)
+    betas, rows = evaluator.betas, evaluator.rows
+
+    half = 0.45 * target_abs_err
+    radius = float(g.support_radius())
+    if p == 2.0:
+        Y = max(8.0, radius * 2.0)
+        main, rem = oscint._sharp_tail_p2(betas, rows, Y)
+        while rem > half and Y < 1e9:
+            Y *= 2.0
+            main, rem = oscint._sharp_tail_p2(betas, rows, Y)
+        tail_value, tail_err = main, rem
+    else:
+        log_y = math.log(max(oscint._envelope_tail(rows, p, 1.0) / half, 1e-300)) / (p - 1.0)
+        Y = max(8.0, radius * 2.0, math.exp(min(log_y, 700.0)))
+
+    width = 1.0 / (4.0 * max(1.0, radius))
+    nodes = 2.0 * Y / width * 15.0
+    if nodes > oscint._NODE_CAP:
+        raise BudgetExceeded(
+            f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {oscint._NODE_CAP}"
+        )
+    if p != 2.0:
+        bound = oscint._envelope_tail(rows, p, Y)
+        tail_value, tail_err = 0.5 * bound, 0.5 * bound + 1e-300
+    n_panels = 2 * int(math.ceil(Y / width))
+
+    def integrand(y):
+        return np.abs(evaluator(y)) ** p
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(-Y, Y, n_panels + 1)
+        vals, errs = _reference_panel_integrate(integrand, edges)
+        nodes_used = n_panels * 15
+
+        quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
+        intervals = list(zip(edges[:-1], edges[1:], vals, errs))
+        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= oscint._NODE_CAP:
+            intervals.sort(key=lambda iv: iv[3])
+            worst = intervals[-max(1, len(intervals) // 64) :]
+            keep = intervals[: -len(worst)]
+            stats["rounds"] += 1
+            stats["bisected"] += len(worst)
+            new_edges = []
+            for a, b, _, _ in worst:
+                new_edges.extend([a, 0.5 * (a + b), b])
+            sub_edges = np.array(new_edges)
+            for k in range(0, len(sub_edges), 3):
+                e = sub_edges[k : k + 3]
+                v, er = _reference_panel_integrate(integrand, e)
+                keep.extend([(e[0], e[1], v[0], er[0]), (e[1], e[2], v[1], er[1])])
+                nodes_used += 30
+            intervals = keep
+
+    integral = math.fsum(iv[2] for iv in intervals)
+    quad_err = math.fsum(iv[3] for iv in intervals)
+    fp_err = 1e-13 * (1.0 + abs(integral))
+    value = integral + tail_value
+    abs_error = quad_err + tail_err + fp_err
+    result = NumericNorm(value=value, abs_error=abs_error, p=p, t=float(t))
+    if not math.isfinite(value):
+        raise BudgetExceeded(f"the result {value:.3g} +- {abs_error:.3g} is not finite", result=result)
+    if not abs_error <= target_abs_err:
+        raise BudgetExceeded(
+            f"achieved error {abs_error:.3g} exceeds the target {target_abs_err:.3g}",
+            result=result,
+        )
+    return result

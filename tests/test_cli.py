@@ -511,6 +511,17 @@ def test_exact_engine_huge_p_is_a_budget_error(tmp_path):
     assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
 
 
+def test_series_huge_p_is_a_budget_error(tmp_path):
+    # p/2 - 1 = 5e7 sequence convolutions ran until killed; the series
+    # engine now refuses before the first one
+    coeffs = {"A": 1, "coeffs": {"-1": "1/2", "0": "1", "1": "2"}}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    proc = _run_subprocess(["series", "c.json", "--p", "100000000", "--t-max", "1"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
+    assert "series engine" in proc.stderr
+
+
 def test_batch_argv_job_out_option_is_a_job_error(tmp_path):
     # an --out inside an argv job was dropped: status 0, no file, and the
     # result printed nowhere

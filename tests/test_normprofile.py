@@ -452,6 +452,14 @@ def test_series_rejects_odd_p():
         series_profile(CoeffSeq.from_mapping({0: 1}), 3)
 
 
+def test_series_refuses_predicted_work_over_its_cap():
+    seq = CoeffSeq.from_mapping({-1: rat(1, 2), 0: 1, 1: 2})
+    assert series_profile(seq, 200).value(1) > 0  # m^3 L n = 2e7 runs
+    for p in (2 * 10 ** 4, 10 ** 8):
+        with pytest.raises(BudgetExceeded, match="series engine"):
+            series_profile(seq, p).value(1)
+
+
 # ---------------------------------------------------------------------------
 # separable products
 # ---------------------------------------------------------------------------

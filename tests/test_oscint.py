@@ -1,6 +1,7 @@
 """Closed-form transforms, certified quadrature, and tail bounds."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from splitnorm.normprofile import norm_profile
 from splitnorm.polyalg import indicator, l2_inner, tent
 from splitnorm.scalars import rat
 
-from .helpers import rnd_pp
+from .helpers import ReferenceEvaluator, reference_norm_numeric, rnd_pp
 
 CHI = indicator(-1, 1)
+TWO_BUMP = CHI + indicator(10, 11) + indicator(-11, -10)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +131,9 @@ def test_node_cap_message_reports_the_compared_node_count():
     # the cap; the message names the count that is compared with it
     from splitnorm import oscint
 
-    two_bump = CHI + indicator(10, 11) + indicator(-11, -10)
     cap = oscint._NODE_CAP
     with pytest.raises(BudgetExceeded) as info:
-        norm_numeric(two_bump, 3.0, 1.0, target_abs_err=1e-6)
+        norm_numeric(TWO_BUMP, 3.0, 1.0, target_abs_err=1e-6)
     msg = str(info.value)
     assert "nodes" in msg and f"node cap {cap}" in msg
     assert float(msg.split()[0]) > cap
@@ -151,6 +152,84 @@ def test_numeric_norm_json_fields():
     doc = res.to_json_dict()
     assert set(doc) == {"p", "t", "value_pth_power", "abs_error"}
     assert doc["value_pth_power"] == res.value
+
+
+def _bisecting_cases():
+    from splitnorm.cli import parse_function_spec
+
+    return [
+        ("tent", tent(-1, 0, 1), 2.5, 0.25),
+        ("ind", CHI, 3.0, 1.0),
+        ("ind", CHI, 3.0, 5.0),
+        ("complex", parse_function_spec("ind:0,1 + i*ind:-1,0"), 3.0, 1.0),
+        ("two-bump", TWO_BUMP, 6.0, 5.0),
+    ]
+
+
+def test_norm_numeric_matches_the_reference_loop_bit_for_bit():
+    # the batched rounds and the shared phases keep every bit of the
+    # one-panel-at-a-time loop, on cases that do bisect
+    for name, f, p, t in _bisecting_cases():
+        stats = Counter()
+        want = reference_norm_numeric(f, p, t, 1e-6, stats=stats)
+        got = norm_numeric(f, p, t, target_abs_err=1e-6)
+        assert stats["rounds"] > 0, name
+        assert got.value.hex() == want.value.hex(), (name, p, t)
+        assert got.abs_error.hex() == want.abs_error.hex(), (name, p, t)
+
+    # the carried result of a run that ends at the node cap
+    with pytest.raises(BudgetExceeded) as want:
+        reference_norm_numeric(CHI, 6.0, 0.5, 1e-13)
+    with pytest.raises(BudgetExceeded) as got:
+        norm_numeric(CHI, 6.0, 0.5, target_abs_err=1e-13)
+    assert str(got.value) == str(want.value)
+    assert got.value.result.value.hex() == want.value.result.value.hex()
+    assert got.value.result.abs_error.hex() == want.value.result.abs_error.hex()
+
+
+def test_boundary_sum_matches_one_exp_per_breakpoint():
+    from splitnorm.cli import parse_function_spec
+    from splitnorm.splitcore import apply_split
+
+    ys = np.concatenate([np.linspace(-9.0, 9.0, 1000), [-0.3, 0.3, 40.25, -40.25]])
+    specs = [
+        "ind:-1,1",                      # one +-b pair
+        "tent:-1,0,1",                   # rows of length 2, and b = 0
+        "poly:[-1,1]:1,0,-1",            # a quadratic piece: rows of length 3
+        "ind:0,1 + ind:3,5",             # no +-b pair
+        "ind:0,1 + i*ind:-1,0",          # complex jumps
+        "ind:-1,1 + ind:10,11 + ind:-11,-10",
+    ]
+    longest_row = 0
+    for spec in specs:
+        f = parse_function_spec(spec)
+        for t in (0, rat(1, 4), rat(5, 3)):
+            g = apply_split(f, t)
+            ev = FTEvaluator(g)
+            want = ReferenceEvaluator(g)._eval_boundary(ys)
+            assert np.array_equal(ev._eval_boundary(ys), want), (spec, t)
+            longest_row = max(longest_row, *map(len, ev.rows))
+    assert longest_row == 3
+
+
+def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
+    # one call for the initial grid (210 panels, one batch) and one per
+    # round, where the one-panel-at-a-time loop made one per bisected panel
+    stats = Counter()
+    want = reference_norm_numeric(CHI, 8.0, 0.25, 1e-11, stats=stats)
+    assert stats["bisected"] > stats["rounds"] > 1
+
+    calls = Counter()
+    inner = FTEvaluator.__call__
+
+    def counting_call(self, y):
+        calls["n"] += 1
+        return inner(self, y)
+
+    monkeypatch.setattr(FTEvaluator, "__call__", counting_call)
+    got = norm_numeric(CHI, 8.0, 0.25, target_abs_err=1e-11)
+    assert calls["n"] == 1 + stats["rounds"]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
