@@ -9,25 +9,7 @@ estimate, and a multiplier module covers the split Fourier-multiplier
 constants, bounds, and lower-bound estimation.
 """
 
-from .errors import (
-    BudgetExceeded,
-    GridOverflow,
-    InapplicableHypothesis,
-    InvalidOffsets,
-    InvalidSpec,
-    MissingInput,
-    NegativeNorm,
-    NegativeShift,
-    NonRealInput,
-    OddOrNonintegerP,
-    OddP,
-    POutOfRange,
-    ParseError,
-    SplitnormError,
-    TailDivergence,
-    UnverifiedPositivity,
-    ZeroPolynomial,
-)
+from .errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
 from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,

@@ -20,15 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    BudgetExceeded,
-    InapplicableHypothesis,
-    NonRealInput,
-    OddOrNonintegerP,
-    ParseError,
-    SplitnormError,
-    UnverifiedPositivity,
-)
+from .errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
 from .multnorm import (
     DiscreteMultiplier,
     bound_report,
@@ -100,7 +92,7 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def _write_output(text: str, out_path):
-    """Write to stdout, or atomically to ``out_path``; a failed write is a ParseError."""
+    """Write to stdout, or atomically to ``out_path``; a failed write is a SplitnormError."""
     if not text.endswith("\n"):
         text += "\n"
     if out_path is None:
@@ -114,7 +106,7 @@ def _write_output(text: str, out_path):
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise ParseError(f"cannot write {out_path}: {exc.strerror}") from exc
+        raise SplitnormError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def _parse_coef(text: str):
     s = text.strip().replace(" ", "")
     m = _COEF_RE.match(s)
     if not m or (m.group(1) is None and m.group(2) is None):
-        raise ParseError(f"bad coefficient {text!r}")
+        raise SplitnormError(f"bad coefficient {text!r}")
     ratpart, ipart = m.group(1), m.group(2)
     if ipart is None:
         return parse_rat(ratpart)
@@ -142,41 +134,41 @@ def _parse_atom(text: str) -> PiecewisePoly:
     if s.startswith("ind:"):
         parts = s[4:].split(",")
         if len(parts) != 2:
-            raise ParseError(f"ind needs two endpoints: {text!r}")
+            raise SplitnormError(f"ind needs two endpoints: {text!r}")
         a, b = (parse_rat(x) for x in parts)
         if not a < b:
-            raise ParseError(f"ind needs a < b: {text!r}")
+            raise SplitnormError(f"ind needs a < b: {text!r}")
         return indicator(a, b)
     if s.startswith("tent:"):
         parts = s[5:].split(",")
         if len(parts) != 3:
-            raise ParseError(f"tent needs three knots: {text!r}")
+            raise SplitnormError(f"tent needs three knots: {text!r}")
         a, b, c = (parse_rat(x) for x in parts)
         if not a < b < c:
-            raise ParseError(f"tent needs a < b < c: {text!r}")
+            raise SplitnormError(f"tent needs a < b < c: {text!r}")
         return tent(a, b, c)
     if s.startswith("poly:"):
         m = re.match(r"^poly:\[([^,\]]+),([^,\]]+)\]:(.+)$", s)
         if not m:
-            raise ParseError(f"bad poly atom {text!r}")
+            raise SplitnormError(f"bad poly atom {text!r}")
         a, b = parse_rat(m.group(1)), parse_rat(m.group(2))
         if not a < b:
-            raise ParseError(f"poly needs a < b: {text!r}")
+            raise SplitnormError(f"poly needs a < b: {text!r}")
         coeffs = [_parse_coef(c) for c in m.group(3).split(",")]
         return PiecewisePoly([a, b], [Poly(coeffs)])
-    raise ParseError(f"unknown atom {text!r} (want ind:, tent:, or poly:)")
+    raise SplitnormError(f"unknown atom {text!r} (want ind:, tent:, or poly:)")
 
 
 def parse_function_spec(text: str) -> PiecewisePoly:
     """Parse the mini-language: atoms ind/tent/poly, sums with +, scalar
     multiples with k*, imaginary unit i."""
     if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty function spec")
+        raise SplitnormError("empty function spec")
     total = PiecewisePoly([], [])
     for term in text.split("+"):
         term = term.strip()
         if not term:
-            raise ParseError(f"empty term in {text!r}")
+            raise SplitnormError(f"empty term in {text!r}")
         factors = term.split("*")
         atom = _parse_atom(factors[-1])
         for coef_text in factors[:-1]:
@@ -230,7 +222,7 @@ def run_profile(spec: str, p: int) -> dict:
 
 def profile_csv(doc_spec: str, p: int, samples: int) -> str:
     if samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {samples}")
+        raise SplitnormError(f"--samples must be at least 1, got {samples}")
     f = parse_function_spec(doc_spec)
     prof = norm_profile(f, p)
     buf = io.StringIO()
@@ -250,7 +242,7 @@ def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") ->
     even = float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
     if engine == "exact":
         if not even:
-            raise OddOrNonintegerP(f"the exact engine needs an even integer p, got {p}")
+            raise SplitnormError(f"the exact engine needs an even integer p, got {p}")
         exact = norm_profile(f, int(p)).value_at(rat(float(t)))
         return {"p": p, "t": t, "value_pth_power": float(exact), "abs_error": 0.0}
     result = norm_numeric(f, p, t, target_abs_err=err)
@@ -264,8 +256,6 @@ def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") ->
 
 def run_class_s(spec: str, bump_radius=None) -> dict:
     f = parse_function_spec(spec)
-    if not f.is_real():
-        raise NonRealInput("class-S membership applies to real functions")
     verdict = class_s_check(f)
     doc = verdict.to_json_dict()
     if bump_radius is not None:
@@ -278,16 +268,16 @@ def run_class_s(spec: str, bump_radius=None) -> dict:
 def run_series(coeff_doc: dict, p: int, t_min: int, t_max: int) -> dict:
     raw = coeff_doc.get("coeffs") if isinstance(coeff_doc, dict) else None
     if not isinstance(raw, dict):
-        raise ParseError('coefficient file needs a "coeffs" mapping')
+        raise SplitnormError('coefficient file needs a "coeffs" mapping')
     bound = coeff_doc.get("A")
     if bound is not None and (type(bound) is not int or bound < 0):
-        raise ParseError(f'"A" must be a nonnegative integer, got {bound!r}')
+        raise SplitnormError(f'"A" must be a nonnegative integer, got {bound!r}')
     coeffs = {}
     for k, v in raw.items():
         try:
             idx = int(k)
         except ValueError as exc:
-            raise ParseError(f"bad coefficient index {k!r}") from exc
+            raise SplitnormError(f"bad coefficient index {k!r}") from exc
         coeffs[idx] = _parse_coef(v) if isinstance(v, str) else parse_scalar(v)
     seq = CoeffSeq.from_mapping(coeffs, bound)
     prof = series_profile(seq, p)
@@ -386,9 +376,9 @@ class _Input:
             return self.default
         types = ((int, float) if self.type is float else (self.type,)) + self.json_types
         if not isinstance(value, types) or isinstance(value, bool) != (self.type is bool):
-            raise ParseError(f"job field {self.name!r} has the wrong type: {value!r}")
+            raise SplitnormError(f"job field {self.name!r} has the wrong type: {value!r}")
         if self.choices and value not in self.choices:
-            raise ParseError(
+            raise SplitnormError(
                 f"job field {self.name!r} must be one of {list(self.choices)}, got {value!r}"
             )
         return value
@@ -448,7 +438,7 @@ _COMMANDS = {
 
 def _inputs_of(command) -> tuple:
     if not isinstance(command, str) or command not in _COMMANDS:
-        raise ParseError(f"unknown command {command!r}")
+        raise SplitnormError(f"unknown command {command!r}")
     return _COMMANDS[command][1] + (_OUT,)
 
 
@@ -485,7 +475,7 @@ class ExperimentConfig:
     ``mult X`` is the command ``mult-X``; ``args`` holds every input of the
     command in ``_COMMANDS``, defaults filled in.  Built by argparse
     (``from_args``) or from a declarative batch job (``from_dict``), whose
-    fields are exactly the command's inputs; round-trips through JSON.
+    fields are exactly the command's inputs.
     """
 
     command: str
@@ -503,12 +493,8 @@ class ExperimentConfig:
         inputs = _inputs_of(command)
         unknown = set(doc) - {i.name for i in inputs} - {"command"}
         if unknown:
-            raise ParseError(f"unknown job fields for {command}: {sorted(unknown)}")
+            raise SplitnormError(f"unknown job fields for {command}: {sorted(unknown)}")
         return cls(command, argparse.Namespace(**{i.name: i.read(doc) for i in inputs}))
-
-    def to_dict(self) -> dict:
-        given = {k: v for k, v in vars(self.args).items() if v is not None}
-        return {"command": self.command, **given}
 
     def t_values(self) -> list:
         """The shifts ``t`` names, as finite floats."""
@@ -524,9 +510,9 @@ class ExperimentConfig:
             else:  # a number: the table admits no other type
                 ts = [float(t)]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad t specification: {t!r}") from exc
+            raise SplitnormError(f"bad t specification: {t!r}") from exc
         if not all(math.isfinite(x) for x in ts):
-            raise ParseError(f"t must be finite, got {t!r}")
+            raise SplitnormError(f"t must be finite, got {t!r}")
         return ts
 
     def run(self) -> tuple[str, int]:
@@ -534,7 +520,7 @@ class ExperimentConfig:
         cmd, a, code = self.command, self.args, EXIT_OK
         missing = [i.name for i in _inputs_of(cmd) if i.required and getattr(a, i.name) is None]
         if missing:
-            raise ParseError(f"{cmd} needs {', '.join(missing)}")
+            raise SplitnormError(f"{cmd} needs {', '.join(missing)}")
         if cmd == "profile":
             if a.emit == "csv":
                 return profile_csv(a.spec, a.p, a.samples), EXIT_OK
@@ -549,7 +535,7 @@ class ExperimentConfig:
                 with open(a.coeff_file) as fh:
                     coeff_doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
-                raise ParseError(f"cannot read coefficient file: {exc}") from exc
+                raise SplitnormError(f"cannot read coefficient file: {exc}") from exc
             doc = run_series(coeff_doc, a.p, a.t_min, a.t_max)
             if a.emit == "csv":
                 return series_csv(doc), EXIT_OK
@@ -566,14 +552,14 @@ class ExperimentConfig:
         elif cmd == "mult-estimate":
             builder = _MULT_BUILDERS.get(a.multiplier)
             if builder is None:
-                raise ParseError(
+                raise SplitnormError(
                     f"unknown multiplier {a.multiplier!r}; choose from {sorted(_MULT_BUILDERS)}"
                 )
             m = builder(a.grid_n, a.omega)
             doc = {"multiplier": a.multiplier, "p": a.p, "N": a.grid_n, "omega": a.omega}
             if a.shift is not None:
                 if a.multiplier != "halfline":
-                    raise ParseError("--shift only applies to the halfline multiplier")
+                    raise SplitnormError("--shift only applies to the halfline multiplier")
                 m = halfline_multiplier(a.grid_n, a.omega, shift=a.shift)
                 doc["shift"] = a.shift
             if a.t is not None:
@@ -607,7 +593,7 @@ def _exit_status(exc: Exception) -> tuple[int, str]:
     """Exit code and stderr prefix for an error a job raised."""
     if isinstance(exc, BudgetExceeded):
         return EXIT_BUDGET, "budget exceeded"
-    if isinstance(exc, (InapplicableHypothesis, UnverifiedPositivity)):
+    if isinstance(exc, InapplicableHypothesis):
         return EXIT_INAPPLICABLE, "inapplicable"
     return EXIT_PARSE, "error"
 
@@ -625,7 +611,7 @@ def _run_job(job) -> dict:
                 return {**label, "status": EXIT_PARSE}
             cfg = ExperimentConfig.from_args(args)
             if cfg.args.output:
-                raise ParseError('an argv job names its output file in the job\'s "output" '
+                raise SplitnormError('an argv job names its output file in the job\'s "output" '
                                  "field, not with --out")
             output = _OUT.read(job)
         else:

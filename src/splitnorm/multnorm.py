@@ -25,14 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    GridOverflow,
-    MissingInput,
-    NonRealInput,
-    OddP,
-    POutOfRange,
-    UnverifiedPositivity,
-)
+from .errors import InapplicableHypothesis, SplitnormError
 from .polyalg import PiecewisePoly, tent as tent_function
 from .scalars import rat
 
@@ -70,7 +63,7 @@ def constants(p: float) -> MultConstants:
     """Exact multiplier constants evaluated in floating point."""
     p = float(p)
     if not (1.0 < p < math.inf):
-        raise POutOfRange(f"constants are defined for 1 < p < oo, got {p}")
+        raise SplitnormError(f"constants are defined for 1 < p < oo, got {p}")
     half = math.pi / (2.0 * p)
     n_p = max(math.tan(half), 1.0 / math.tan(half))
     c_p = 1.0 / math.sin(math.pi / p)
@@ -81,7 +74,7 @@ def constants(p: float) -> MultConstants:
 def t0(A: float, p: int) -> float:
     """(p-2)A/4, the split threshold for compact support of halfwidth A."""
     if not isinstance(p, int) or p < 2 or p % 2:
-        raise OddP(f"the threshold applies to even integer p, got {p!r}")
+        raise SplitnormError(f"the threshold applies to even integer p, got {p!r}")
     if A < 0:
         raise ValueError("A must be nonnegative")
     return (p - 2) * float(A) / 4.0
@@ -136,7 +129,7 @@ _QUANTITIES = {
 def _need(inputs: dict, *names):
     missing = [n for n in names if inputs.get(n) is None]
     if missing:
-        raise MissingInput(f"missing inputs: {', '.join(missing)}")
+        raise SplitnormError(f"missing inputs: {', '.join(missing)}")
     return [inputs[n] for n in names]
 
 
@@ -150,7 +143,7 @@ def _gate_even_p(inputs):
 def _gate_t_at_least_t0(inputs):
     p, A, t = inputs.get("p"), inputs.get("A"), inputs.get("t")
     if A is None or t is None:
-        raise MissingInput("missing inputs: A, t")
+        raise SplitnormError("missing inputs: A, t")
     thr = (p - 2) * float(A) / 4.0
     if float(t) < thr:
         return f"requires t >= t0 = {thr} (got t = {t})"
@@ -161,14 +154,14 @@ def bound_report(quantity: str, inputs: dict) -> BoundReport:
     """Evaluate one inequality of the ledger on the given named inputs.
 
     Hypothesis failures produce ``applicable=False`` reports; structurally
-    missing numbers raise :class:`MissingInput`.
+    missing numbers raise :class:`SplitnormError`.
     """
     if quantity not in _QUANTITIES:
-        raise MissingInput(f"unknown quantity {quantity!r}; choose from {sorted(_QUANTITIES)}")
+        raise SplitnormError(f"unknown quantity {quantity!r}; choose from {sorted(_QUANTITIES)}")
     inputs = dict(inputs)
     p = inputs.get("p")
     if p is None:
-        raise MissingInput("missing inputs: p")
+        raise SplitnormError("missing inputs: p")
 
     def report(lower=None, upper=None, gate=None):
         if gate:
@@ -278,17 +271,17 @@ def exact_norm_positive_kernel(m: PiecewisePoly, *, positive_transform_asserted:
     |||m_+||| = c_p * m(0) and |||m_+|||^R = c_p^R * m(0) exactly.
     """
     if not m.is_real():
-        raise NonRealInput("the positive-kernel norm applies to real multipliers")
+        raise SplitnormError("the positive-kernel norm applies to real multipliers")
     lv, rv = m.left_limit(rat(0)), m.eval(rat(0))
     if lv != rv:
-        raise UnverifiedPositivity(
+        raise InapplicableHypothesis(
             "a multiplier with integrable nonnegative kernel is continuous, "
             "but the one-sided limits at 0 differ"
         )
     ell = rv
     if not positive_transform_asserted:
         if not (ell > 0 and m == tent_function(-1, 0, 1) * ell):
-            raise UnverifiedPositivity(
+            raise InapplicableHypothesis(
                 "kernel positivity is only known for positive multiples of the "
                 "unit tent; pass positive_transform_asserted=True to override"
             )
@@ -332,9 +325,6 @@ class DiscreteMultiplier:
 
     def grid(self) -> np.ndarray:
         return -self.omega + self.step * np.arange(self.n)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples)))
 
 
 def halfline_multiplier(n: int, omega: float, shift: float = 0.0) -> DiscreteMultiplier:
@@ -395,9 +385,9 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
     neg = np.arange(0, zero_idx)
     if k:
         if (pos + k >= n).any() and np.abs(m.samples[pos[pos + k >= n]]).max(initial=0.0) > 0:
-            raise GridOverflow("positive support would shift beyond the grid")
+            raise SplitnormError("positive support would shift beyond the grid")
         if (neg - k < 0).any() and np.abs(m.samples[neg[neg - k < 0]]).max(initial=0.0) > 0:
-            raise GridOverflow("negative support would shift beyond the grid")
+            raise SplitnormError("negative support would shift beyond the grid")
     keep_pos = pos[pos + k < n]
     keep_neg = neg[neg - k >= 0]
     out[keep_pos + k] = m.samples[keep_pos]
@@ -405,7 +395,7 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
     v0 = m.samples[zero_idx]
     if v0 != 0:
         if zero_idx + k >= n or zero_idx - k < 0:
-            raise GridOverflow("the origin sample would shift beyond the grid")
+            raise SplitnormError("the origin sample would shift beyond the grid")
         out[zero_idx + k] += v0
         if k:
             out[zero_idx - k] += v0
@@ -471,10 +461,12 @@ def estimate_lower(
 
         f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
 
-    a damped half-step on oscillation, and best-so-far tracking.  The image
-    T_m f of an accepted step is the one computed to test it and is
-    carried into the next step, so a step costs two FFT pairs (T_m^* and
-    the candidate's image).  ``iterations`` is the total budget, shared
+    and best-so-far tracking.  A start ends when its quotient stalls
+    (``converged``) or when a step would lower it; a step whose dual power
+    overflows gives NaN, which ends the start too.  The image T_m f of an
+    accepted step is the one computed to test it and is carried into the
+    next step, so a step costs two FFT pairs (T_m^* and the candidate's
+    image).  ``iterations`` is the total budget, shared
     across three seeded random starts (after the optional ``initial`` warm
     start, e.g. a test function recovered from a checkpoint).  The estimate
     is the floating-point quotient of an explicit test function: up to
@@ -483,7 +475,7 @@ def estimate_lower(
     fixed seed.
     """
     if p <= 1:
-        raise POutOfRange(f"estimation needs p > 1, got {p}")
+        raise SplitnormError(f"estimation needs p > 1, got {p}")
     rng = np.random.default_rng(seed)
     mhat = np.fft.ifftshift(m.samples)
     conj_mhat = np.conj(mhat)
@@ -513,61 +505,50 @@ def estimate_lower(
             f0 = f0 + 1j * rng.standard_normal(m.n)
         starts.append(f0)
 
-    for idx, f in enumerate(starts):
-        if real_test_functions:
-            f = f.real.astype(complex)
-        nf = _pnorm(f, p)
-        if nf == 0:
-            continue
-        f = f / nf
-        q_here = 0.0
-        stall = 0
-        budget = max(1, (iterations - total_iters) // (len(starts) - idx))
-        if total_iters >= iterations:
-            break
-        # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
-        # the image it was tested with, so no image is computed twice
-        g = apply(f)
-        q = _pnorm(g, p)
-        for _ in range(budget):
-            total_iters += 1
-            if q > best_q:
-                best_q = q
-                best_f = f.copy()
-            history.append(best_q)
-            if q <= q_here * (1.0 + 1e-13):
-                stall += 1
-            else:
-                stall = 0
-            q_here = max(q_here, q)
-            if stall >= 4:
-                converged = True
-                break
-            u = apply_adj(_dual_power(g, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, f in enumerate(starts):
             if real_test_functions:
-                u = u.real
-            cand = _dual_power(u, q_dual)
-            nc = _pnorm(cand, p)
-            if nc == 0:
+                f = f.real.astype(complex)
+            nf = _pnorm(f, p)
+            if nf == 0:
+                continue
+            f = f / nf
+            q_here = 0.0
+            stall = 0
+            budget = max(1, (iterations - total_iters) // (len(starts) - idx))
+            if total_iters >= iterations:
                 break
-            cand = cand / nc
-            g_cand = apply(cand)
-            q_cand = _pnorm(g_cand, p)
-            if q_cand >= q * (1.0 - 1e-13):
-                f, g, q = cand, g_cand, q_cand
-            else:
-                damped = f + 0.5 * (cand - f)
-                nd = _pnorm(damped, p)
-                if nd == 0:
-                    break
-                damped = damped / nd
-                g_damped = apply(damped)
-                q_damped = _pnorm(g_damped, p)
-                if q_damped >= q * (1.0 - 1e-13):
-                    f, g, q = damped, g_damped, q_damped
+            # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
+            # the image it was tested with, so no image is computed twice
+            g = apply(f)
+            q = _pnorm(g, p)
+            for _ in range(budget):
+                total_iters += 1
+                if q > best_q:
+                    best_q = q
+                    best_f = f.copy()
+                history.append(best_q)
+                if q <= q_here * (1.0 + 1e-13):
+                    stall += 1
                 else:
+                    stall = 0
+                q_here = max(q_here, q)
+                if stall >= 4:
                     converged = True
                     break
+                u = apply_adj(_dual_power(g, p))
+                if real_test_functions:
+                    u = u.real
+                cand = _dual_power(u, q_dual)
+                nc = _pnorm(cand, p)
+                if nc == 0:
+                    break
+                cand = cand / nc
+                g_cand = apply(cand)
+                q_cand = _pnorm(g_cand, p)
+                if not q_cand >= q * (1.0 - 1e-13):
+                    break
+                f, g, q = cand, g_cand, q_cand
 
     result = EstimateResult(
         estimate=best_q,

@@ -22,13 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import (
-    BudgetExceeded,
-    InvalidOffsets,
-    InvariantViolation,
-    NegativeNorm,
-    OddOrNonintegerP,
-)
+from .errors import BudgetExceeded, InvariantViolation, SplitnormError
 from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
@@ -61,7 +55,7 @@ __all__ = [
 
 def _half_exponent(p) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
-        raise OddOrNonintegerP(f"the exact engine needs an even integer p >= 2, got {p!r}")
+        raise SplitnormError(f"the exact engine needs an even integer p >= 2, got {p!r}")
     return p // 2
 
 
@@ -280,7 +274,7 @@ def gen_t0(A, b, p: int):
     _half_exponent(p)
     A, b = rat(A), rat(b)
     if abs(b) > A:
-        raise InvalidOffsets(f"need |b| <= A, got b={b}, A={A}")
+        raise SplitnormError(f"need |b| <= A, got b={b}, A={A}")
     return rat(p - 2) * (A + b) / 4 + b
 
 
@@ -295,7 +289,7 @@ def gen_t0_2(A, b1, b2, p: int):
     _half_exponent(p)
     A, b1, b2 = rat(A), rat(b1), rat(b2)
     if abs(b1) > A or abs(b2) > A:
-        raise InvalidOffsets(f"need |b1|, |b2| <= A, got {b1}, {b2}, A={A}")
+        raise SplitnormError(f"need |b1|, |b2| <= A, got {b1}, {b2}, A={A}")
     return rat(p - 2) / 4 * (A + abs(b1 + b2) / 2) + rat(p - 2) / 8 * (b1 - b2)
 
 
@@ -395,7 +389,7 @@ class SeriesProfile:
 
     def value(self, t):
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise OddOrNonintegerP(f"series shifts must be nonnegative integers, got {t!r}")
+            raise SplitnormError(f"series shifts must be nonnegative integers, got {t!r}")
         m = self.p // 2
         b, den = _split_numerators(self.seq, t)
         _check_series_size(b, m)
@@ -448,6 +442,6 @@ def separable_profile(gnorm, h: PiecewisePoly, p: int) -> NormProfile:
     """
     gnorm = rat(gnorm)
     if gnorm < 0:
-        raise NegativeNorm(f"a norm factor cannot be negative: {gnorm}")
+        raise SplitnormError(f"a norm factor cannot be negative: {gnorm}")
     base = norm_profile(h, p)
     return base.scaled(gnorm ** p)

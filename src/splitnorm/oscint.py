@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, TailDivergence
+from .errors import BudgetExceeded, SplitnormError
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly
 from .scalars import RAT_ZERO, parts, rat
 from .splitcore import apply_split, split
@@ -232,7 +232,7 @@ def tail_bound(f: PiecewisePoly, p: float, Y: float) -> float:
     with K = K_+(Y) + K_-(Y) bounds the integral.
     """
     if p <= 1:
-        raise TailDivergence(f"the tail of |f^|^p diverges for p <= 1 (p={p})")
+        raise SplitnormError(f"the tail of |f^|^p diverges for p <= 1 (p={p})")
     if Y <= 0:
         raise ValueError("Y must be positive")
     pair = split(f)
@@ -332,7 +332,7 @@ def norm_numeric(
     """
     p = float(p)
     if p <= 1:
-        raise TailDivergence(f"(N_t f)^p requires p > 1, got {p}")
+        raise SplitnormError(f"(N_t f)^p requires p > 1, got {p}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if f.is_zero():

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat, zip_longest
 from typing import Optional
 
-from .errors import InvariantViolation, NonRealInput, ZeroPolynomial
-from .scalars import RAT_ONE, RAT_ZERO, as_scalar, format_rat, format_scalar, gauss, parse_rat, parse_scalar, parts, rat
+from .errors import InvariantViolation, SplitnormError
+from .scalars import RAT_ONE, RAT_ZERO, as_scalar, format_rat, format_scalar, gauss, parts, rat
 
 __all__ = [
     "Poly",
@@ -120,9 +120,6 @@ class Poly:
 
     def is_real(self) -> bool:
         return not self.im
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -331,7 +328,7 @@ def _square_free(p: Poly) -> Poly:
     divide lc(p).  When the certificate fails, the rational Euclid decides.
     """
     if not p.is_real():
-        raise NonRealInput(f"polynomial has complex coefficients: {p!r}")
+        raise SplitnormError(f"polynomial has complex coefficients: {p!r}")
     if p.degree <= 0:
         return p
     cs = _int_primitive(p.coeffs)
@@ -401,7 +398,7 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
     intervals cover every root in (lo, hi).
     """
     if p.is_zero():
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+        raise SplitnormError("cannot isolate roots of the zero polynomial")
     return [(a, b) for a, b, _ in _isolate_square_free(_square_free(p), lo, hi)]
 
 
@@ -596,22 +593,6 @@ class PiecewisePoly:
             return self.pieces[k].eval(x)
         return RAT_ZERO
 
-    def evaluate_float(self, xs):
-        """Float evaluation at a scalar or numpy array of points."""
-        import numpy as np
-
-        arr = np.asarray(xs, dtype=float)
-        out = np.zeros(arr.shape, dtype=complex)
-        for k, p in enumerate(self.pieces):
-            mask = (arr >= float(self.breakpoints[k])) & (arr < float(self.breakpoints[k + 1]))
-            if not mask.any():
-                continue
-            acc = np.zeros(int(mask.sum()), dtype=complex)
-            for re, im in reversed(_pairs(p)):
-                acc = acc * arr[mask] + complex(float(re), float(im))
-            out[mask] = acc
-        return out if out.shape else complex(out)
-
     # -- linear structure -------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
@@ -711,12 +692,6 @@ class PiecewisePoly:
             "breakpoints": [format_rat(b) for b in self.breakpoints],
             "pieces": [[format_scalar(c) for c in _pairs(p)] for p in self.pieces],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PiecewisePoly":
-        bps = [parse_rat(b) for b in doc["breakpoints"]]
-        pieces = [Poly([parse_scalar(c) for c in piece]) for piece in doc["pieces"]]
-        return cls(bps, pieces)
 
 
 ZERO_PP = PiecewisePoly([], [])
@@ -1110,7 +1085,7 @@ def is_nonincreasing_on(f: PiecewisePoly, a, b=None) -> MonotoneVerdict:
     (x1, x2) with x1 < x2 and f(x1) < f(x2).
     """
     if not f.is_real():
-        raise NonRealInput("monotonicity is decided for real-valued functions only")
+        raise SplitnormError("monotonicity is decided for real-valued functions only")
     a = rat(a)
     if b is not None:
         b = rat(b)
@@ -1156,7 +1131,7 @@ def is_nondecreasing_on(f: PiecewisePoly, a, b) -> MonotoneVerdict:
 def is_nonnegative(f: PiecewisePoly) -> SignVerdict:
     """Exact decision: f >= 0 a.e.; the witness is a point with f < 0."""
     if not f.is_real():
-        raise NonRealInput("sign is decided for real-valued functions only")
+        raise SplitnormError("sign is decided for real-valued functions only")
     for u, v, p in f._intervals():
         if p.is_zero():
             continue

@@ -60,10 +60,10 @@ def format_rat(x) -> str:
 
 def parse_rat(text: str):
     """Parse ``num`` or ``num/den`` with optional sign; integers only."""
-    from .errors import ParseError
+    from .errors import SplitnormError
 
     if not isinstance(text, str):
-        raise ParseError(f"not a rational: {text!r}")
+        raise SplitnormError(f"not a rational: {text!r}")
     s = text.strip()
     try:
         if "/" in s:
@@ -74,7 +74,7 @@ def parse_rat(text: str):
             return rat(num, den)
         return rat(int(s))
     except ValueError as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+        raise SplitnormError(f"not a rational: {text!r}") from exc
 
 
 def format_scalar(x) -> list[str]:
@@ -83,10 +83,10 @@ def format_scalar(x) -> list[str]:
 
 
 def parse_scalar(pair):
-    from .errors import ParseError
+    from .errors import SplitnormError
 
     if isinstance(pair, str):
         return parse_rat(pair)
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         return gauss(parse_rat(pair[0]), parse_rat(pair[1]))
-    raise ParseError(f"not a coefficient: {pair!r}")
+    raise SplitnormError(f"not a coefficient: {pair!r}")

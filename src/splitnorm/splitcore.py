@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpec, NegativeShift, NonRealInput
+from .errors import SplitnormError
 from .polyalg import (
     PiecewisePoly,
     convolve,
@@ -43,9 +43,6 @@ class SplitPair:
     plus: PiecewisePoly
     minus: PiecewisePoly
 
-    def reconstruct(self) -> PiecewisePoly:
-        return self.plus + self.minus
-
 
 @dataclass(frozen=True)
 class GenSplitSpec:
@@ -60,13 +57,13 @@ class GenSplitSpec:
         object.__setattr__(self, "A", rat(self.A))
         object.__setattr__(self, "b", rat(self.b))
         if abs(self.b) > self.A:
-            raise InvalidSpec(f"need |b| <= A, got b={self.b}, A={self.A}")
+            raise SplitnormError(f"need |b| <= A, got b={self.b}, A={self.A}")
         s1 = self.f1.support()
         if s1 is not None and not (-self.A <= s1[0] and s1[1] <= self.b):
-            raise InvalidSpec("f1 must be supported in [-A, b]")
+            raise SplitnormError("f1 must be supported in [-A, b]")
         s2 = self.f2.support()
         if s2 is not None and not (-self.b <= s2[0] and s2[1] <= self.A):
-            raise InvalidSpec("f2 must be supported in [-b, A]")
+            raise SplitnormError("f2 must be supported in [-b, A]")
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ def apply_split(f: PiecewisePoly, t) -> PiecewisePoly:
     """
     t = rat(t)
     if t < 0:
-        raise NegativeShift(f"split shift must be nonnegative, got {t}")
+        raise SplitnormError(f"split shift must be nonnegative, got {t}")
     pair = split(f)
     return pair.plus.translate(t) + pair.minus.translate(-t)
 
@@ -121,7 +118,7 @@ def even_odd(f: PiecewisePoly) -> tuple[PiecewisePoly, PiecewisePoly]:
 def class_s_check(f: PiecewisePoly) -> ClassSVerdict:
     """Decide exactly whether f_+ * f_- is nonincreasing on [0, oo)."""
     if not f.is_real():
-        raise NonRealInput("class-S membership is defined for real functions")
+        raise SplitnormError("class-S membership applies to real functions")
     pair = split(f)
     conv = convolve(pair.plus, pair.minus) if not (pair.plus.is_zero() or pair.minus.is_zero()) else zero_function()
     verdict = is_nonincreasing_on(conv, RAT_ZERO)
@@ -139,7 +136,7 @@ def class_s_sufficient(f: PiecewisePoly, r) -> bool:
     if r < 0:
         raise ValueError("bump radius must be nonnegative")
     if not f.is_real():
-        raise NonRealInput("the bump criterion applies to real functions")
+        raise SplitnormError("the bump criterion applies to real functions")
     if f.reflect() != f:
         return False
     if not is_nonnegative(f):

@@ -3,19 +3,66 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from splitnorm import oscint
-from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, TailDivergence
+from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
 from splitnorm.multnorm import DiscreteMultiplier
 from splitnorm.oscint import FTEvaluator, NumericNorm
-from splitnorm.polyalg import PiecewisePoly, Poly, indicator, tent
-from splitnorm.scalars import gauss, rat
+from splitnorm.polyalg import PiecewisePoly, Poly, _pairs, indicator, tent
+from splitnorm.scalars import gauss, parse_rat, parse_scalar, rat
 from splitnorm.splitcore import apply_split
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises(match=...)`` pattern for exactly this message."""
+    return f"^{re.escape(message)}$"
+
+
+def is_constant(p: Poly) -> bool:
+    return len(p.coeffs) <= 1
+
+
+def evaluate_float(f: PiecewisePoly, xs):
+    """Float evaluation of f at a scalar or numpy array of points."""
+    arr = np.asarray(xs, dtype=float)
+    out = np.zeros(arr.shape, dtype=complex)
+    for k, p in enumerate(f.pieces):
+        mask = (arr >= float(f.breakpoints[k])) & (arr < float(f.breakpoints[k + 1]))
+        if not mask.any():
+            continue
+        acc = np.zeros(int(mask.sum()), dtype=complex)
+        for real, imag in reversed(_pairs(p)):
+            acc = acc * arr[mask] + complex(float(real), float(imag))
+        out[mask] = acc
+    return out if out.shape else complex(out)
+
+
+def from_json_dict(doc: dict) -> PiecewisePoly:
+    """The inverse of ``PiecewisePoly.to_json_dict``."""
+    bps = [parse_rat(b) for b in doc["breakpoints"]]
+    pieces = [Poly([parse_scalar(c) for c in piece]) for piece in doc["pieces"]]
+    return PiecewisePoly(bps, pieces)
+
+
+def reconstruct(pair) -> PiecewisePoly:
+    """f = f_+ + f_- from a ``SplitPair``."""
+    return pair.plus + pair.minus
+
+
+def sup_norm(m: DiscreteMultiplier) -> float:
+    return float(np.max(np.abs(m.samples)))
+
+
+def to_dict(cfg) -> dict:
+    """An ``ExperimentConfig`` as a declarative job: its given inputs."""
+    given = {k: v for k, v in vars(cfg.args).items() if v is not None}
+    return {"command": cfg.command, **given}
 
 
 def rnd_rat(rng, span=3, dens=3):
@@ -94,7 +141,7 @@ def conv_numeric(f: PiecewisePoly, g: PiecewisePoly, x: float, n: int = 20000) -
     assert sup is not None
     lo, hi = float(sup[0]), float(sup[1])
     ys = np.linspace(lo - 1e-9, hi + 1e-9, n)
-    vals = np.asarray(f.evaluate_float(ys)) * np.asarray(g.evaluate_float(x - ys))
+    vals = np.asarray(evaluate_float(f, ys)) * np.asarray(evaluate_float(g, x - ys))
     return complex(_trapezoid(vals, ys))
 
 
@@ -353,7 +400,7 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
     stats = stats if stats is not None else Counter()
     p = float(p)
     if p <= 1:
-        raise TailDivergence(f"(N_t f)^p requires p > 1, got {p}")
+        raise SplitnormError(f"(N_t f)^p requires p > 1, got {p}")
     if f.is_zero():
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 

@@ -21,9 +21,11 @@ from splitnorm.cli import (
     main,
     parse_function_spec,
 )
-from splitnorm.errors import InvariantViolation, ParseError
+from splitnorm.errors import InvariantViolation, SplitnormError
 from splitnorm.polyalg import PiecewisePoly, Poly, indicator, tent
 from splitnorm.scalars import gauss, rat
+
+from .helpers import exactly, from_json_dict, to_dict
 
 
 def run_cli(capsys, *argv):
@@ -63,15 +65,22 @@ def test_parse_poly_atom():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "ind:1,0", "blob:1,2", "ind:0.5,1", "poly:[1,0]:1", "2**ind:0,1"]:
-        with pytest.raises(ParseError):
+    for bad, message in [
+        ("", "empty function spec"),
+        ("ind:1,0", "ind needs a < b: 'ind:1,0'"),
+        ("blob:1,2", "unknown atom 'blob:1,2' (want ind:, tent:, or poly:)"),
+        ("ind:0.5,1", "not a rational: '0.5'"),
+        ("poly:[1,0]:1", "poly needs a < b: 'poly:[1,0]:1'"),
+        ("2**ind:0,1", "bad coefficient ''"),
+    ]:
+        with pytest.raises(SplitnormError, match=exactly(message)):
             parse_function_spec(bad)
 
 
 def test_spec_to_json_roundtrip_identity():
     f = parse_function_spec("1/2*tent:-2,0,2 + i*ind:-1,1 + poly:[0,1]:0,1")
     doc = json.loads(json.dumps(f.to_json_dict()))
-    assert PiecewisePoly.from_json_dict(doc) == f
+    assert from_json_dict(doc) == f
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +292,7 @@ def test_experiment_config_roundtrip_and_engines():
     cfg = ExperimentConfig.from_dict(
         {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": [0.0, 0.25], "engine": "both"}
     )
-    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
     doc = json.loads(cfg.run()[0])
     assert len(doc["results"]) == 2
     for row in doc["results"]:
@@ -293,7 +302,7 @@ def test_experiment_config_roundtrip_and_engines():
     )
     row = json.loads(exact_only.run()[0])
     assert row["abs_error"] == 0 and row["value_pth_power"] == pytest.approx(25 / 6)
-    with pytest.raises(ParseError):
+    with pytest.raises(SplitnormError, match=exactly("unknown job fields for norm: ['speling']")):
         ExperimentConfig.from_dict({"command": "norm", "speling": "x"})
     ts = ExperimentConfig.from_dict(
         {"command": "norm", "spec": "ind:0,1", "t": {"start": 0, "stop": 2, "count": 5}}
@@ -642,6 +651,27 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_one_error_class_per_exit():
+    import splitnorm.errors as errors
+    from splitnorm.cli import _exit_status
+
+    defined = {n for n, v in vars(errors).items() if isinstance(v, type) and v.__module__ == errors.__name__}
+    assert defined == {"SplitnormError", "BudgetExceeded", "InapplicableHypothesis", "InvariantViolation"}
+    assert _exit_status(errors.SplitnormError("x")) == (EXIT_PARSE, "error")
+    assert _exit_status(errors.InvariantViolation("x")) == (EXIT_PARSE, "error")
+    assert _exit_status(errors.InapplicableHypothesis("x")) == (EXIT_INAPPLICABLE, "inapplicable")
+    assert _exit_status(errors.BudgetExceeded("x")) == (EXIT_BUDGET, "budget exceeded")
+
+
+def test_estimate_near_p_one_is_quiet_and_not_converged(tmp_path):
+    # at p = 1.001 the dual power |u|^1000 overflows; this printed three
+    # numpy RuntimeWarnings and reported the NaN step as convergence
+    proc = _run_subprocess(["mult", "estimate", "halfline", "--p", "1.001", "--n", "1024"], tmp_path)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["converged"] is False
+
+
 @pytest.mark.parametrize(
     "argv, job",
     [
@@ -730,7 +760,7 @@ def test_parser_and_declarative_job_take_the_same_inputs(command, parser):
     fields = vars(ExperimentConfig.from_dict({"command": command}).args)
     assert set(fields) - ({"engine"} if command == "norm" else set()) == {a.dest for a in actions}
     assert {a.dest: a.default for a in actions} == {a.dest: fields[a.dest] for a in actions}
-    with pytest.raises(ParseError, match=f"^{command} needs ") as exc:
+    with pytest.raises(SplitnormError, match=f"^{command} needs ") as exc:
         ExperimentConfig.from_dict({"command": command}).run()
     needs = str(exc.value).split(" needs ", 1)[1].split(", ")
     assert sorted(needs) == sorted(a.dest for a in actions if a.required)
@@ -738,7 +768,7 @@ def test_parser_and_declarative_job_take_the_same_inputs(command, parser):
     def accepts(dest, value):
         try:
             ExperimentConfig.from_dict({"command": command, dest: value})
-        except ParseError:
+        except SplitnormError:
             return False
         return True
 

@@ -7,14 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from splitnorm.errors import (
-    GridOverflow,
-    InapplicableHypothesis,
-    MissingInput,
-    OddP,
-    POutOfRange,
-    UnverifiedPositivity,
-)
+from splitnorm.errors import InapplicableHypothesis, SplitnormError
 from splitnorm.multnorm import (
     _RANDOM_STARTS,
     DiscreteMultiplier,
@@ -31,7 +24,14 @@ from splitnorm.multnorm import (
 from splitnorm.polyalg import indicator, tent
 from splitnorm.scalars import rat
 
-from .helpers import from_function, is_even_real, reference_estimate_lower, require_applicable
+from .helpers import (
+    exactly,
+    from_function,
+    is_even_real,
+    reference_estimate_lower,
+    require_applicable,
+    sup_norm,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,9 +71,9 @@ def test_constants_real_below_complex():
 def test_constants_blow_up_toward_endpoints():
     assert constants(1.001).c_p > 100
     assert constants(1000.0).c_p > 100
-    with pytest.raises(POutOfRange):
+    with pytest.raises(SplitnormError, match=exactly("constants are defined for 1 < p < oo, got 1.0")):
         constants(1.0)
-    with pytest.raises(POutOfRange):
+    with pytest.raises(SplitnormError, match=exactly("constants are defined for 1 < p < oo, got 0.5")):
         constants(0.5)
 
 
@@ -81,7 +81,7 @@ def test_t0_values():
     assert t0(1.0, 2) == 0.0
     assert t0(1.0, 4) == 0.5
     assert t0(2.0, 6) == 2.0
-    with pytest.raises(OddP):
+    with pytest.raises(SplitnormError, match=exactly("the threshold applies to even integer p, got 3")):
         t0(1.0, 3)
 
 
@@ -129,11 +129,15 @@ def test_split_upper_gates():
 
 
 def test_missing_inputs_raise():
-    with pytest.raises(MissingInput):
+    with pytest.raises(SplitnormError, match=exactly("missing inputs: m_plus_norm, m_minus_norm")):
         bound_report("split_upper", {"p": 4, "A": 1.0, "t": 1.0, "in_R": True})
-    with pytest.raises(MissingInput):
+    with pytest.raises(SplitnormError, match=exactly("missing inputs: m_norm")):
         bound_report("m_plus_upper", {"p": 4})
-    with pytest.raises(MissingInput):
+    with pytest.raises(SplitnormError, match=exactly(
+        "unknown quantity 'nonsense'; choose from ['dual', 'm_plus_two_way', 'm_plus_upper', "
+        "'m_plus_upper_real', 'poly_two_way', 'split_lower', 'split_upper', 'split_upper_real', "
+        "'square', 'two_way']"
+    )):
         bound_report("nonsense", {"p": 4})
 
 
@@ -190,7 +194,10 @@ def test_tent_kernel_scales():
 
 def test_unverified_kernel_raises_and_can_be_asserted():
     box = indicator(-1, 1)
-    with pytest.raises(UnverifiedPositivity):
+    with pytest.raises(InapplicableHypothesis, match=exactly(
+        "kernel positivity is only known for positive multiples of the unit tent; "
+        "pass positive_transform_asserted=True to override"
+    )):
         exact_norm_positive_kernel(box)  # discontinuous at 0? no: not a tent
     # a genuinely positive-kernel example, asserted by the caller:
     # the square of the tent transform corresponds to tent self-convolution
@@ -203,7 +210,10 @@ def test_unverified_kernel_raises_and_can_be_asserted():
 
 def test_discontinuous_multiplier_rejected():
     step = indicator(0, 1)
-    with pytest.raises(UnverifiedPositivity):
+    with pytest.raises(InapplicableHypothesis, match=exactly(
+        "a multiplier with integrable nonnegative kernel is continuous, "
+        "but the one-sided limits at 0 differ"
+    )):
         exact_norm_positive_kernel(step, positive_transform_asserted=True)
 
 
@@ -228,7 +238,7 @@ def test_split_multiplier_even_real_and_sup_preserved():
     m = tent_multiplier(512, 4.0)
     out, snapped = split_multiplier(m, 1.0)
     assert is_even_real(out)
-    assert out.sup_norm() == m.sup_norm()  # the 0-sample is duplicated
+    assert sup_norm(out) == sup_norm(m)  # the 0-sample is duplicated
     # zero fill between the moving halves
     ys = out.grid()
     inside = (np.abs(ys) < snapped - out.step / 2)
@@ -244,7 +254,7 @@ def test_split_multiplier_snaps_to_grid():
 
 def test_split_multiplier_overflow():
     m = segment_multiplier(256, 2.0, -1.0, 1.0)
-    with pytest.raises(GridOverflow):
+    with pytest.raises(SplitnormError, match=exactly("positive support would shift beyond the grid")):
         split_multiplier(m, 1.5)
 
 
@@ -267,8 +277,8 @@ def test_estimator_p2_never_exceeds_sup():
         samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         m = DiscreteMultiplier(samples, 4.0)
         r = estimate_lower(m, 2.0, iterations=60, seed=1)
-        assert r.estimate <= m.sup_norm() * (1 + 1e-9)
-        assert r.estimate >= 0.99 * m.sup_norm()
+        assert r.estimate <= sup_norm(m) * (1 + 1e-9)
+        assert r.estimate >= 0.99 * sup_norm(m)
 
 
 def test_estimator_halfline_benchmark_small():
@@ -370,10 +380,17 @@ def test_estimator_matches_the_reference_loop_bit_for_bit():
     _same_as_reference(m, 3.0, paths, iterations=40, seed=2, real_test_functions=True,
                        initial=r.test_function)
     # no input found makes the ascent step down, as it cannot in exact
-    # arithmetic; at p = 1.001 the dual power |u|^1000 overflows, the
-    # candidate is NaN, and the damped branch runs and ends the start
+    # arithmetic; at p = 1.001 the dual power |u|^1000 overflows and the
+    # candidate is NaN.  Both loops end the start there, but the reference
+    # reads its failed damped half-step as convergence
+    m = halfline_multiplier(2 ** 10, 8.0)
+    got = estimate_lower(m, 1.001, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        _same_as_reference(halfline_multiplier(2 ** 10, 8.0), 1.001, paths, seed=1)
+        want = reference_estimate_lower(m, 1.001, paths=paths, seed=1)
+    assert got.estimate == want[0]
+    assert np.array_equal(got.test_function, want[1])
+    assert got.iterations == want[3] and got.history == want[4]
+    assert got.converged is False and want[2] is True
     assert paths["damped"] >= 1 and paths["stall"] >= 1, paths
 
 

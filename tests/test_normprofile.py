@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitnorm.errors import BudgetExceeded, InvalidOffsets, NegativeNorm, OddOrNonintegerP
+from splitnorm.errors import BudgetExceeded, SplitnormError
 from splitnorm.normprofile import (
     CoeffSeq,
     check_constancy,
@@ -25,7 +25,7 @@ from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real
 from splitnorm.scalars import format_rat, gauss, rat
 from splitnorm.splitcore import GenSplitSpec, class_s_check
 
-from .helpers import rnd_class_s_member, rnd_even_nonneg, rnd_pp
+from .helpers import exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
 
 CHI = indicator(-1, 1)
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
@@ -235,9 +235,9 @@ def test_decision_golden_hashes(group, digest):
 
 
 def test_profile_rejects_odd_p():
-    with pytest.raises(OddOrNonintegerP):
+    with pytest.raises(SplitnormError, match=exactly("the exact engine needs an even integer p >= 2, got 3")):
         norm_profile(CHI, 3)
-    with pytest.raises(OddOrNonintegerP):
+    with pytest.raises(SplitnormError, match=exactly("the exact engine needs an even integer p >= 2, got 0")):
         norm_profile(CHI, 0)
 
 
@@ -354,9 +354,9 @@ def test_gen_t0_formulas():
     assert gen_t0(rat(5), 0, 4) == rat(5, 2)  # reduces to (p-2)A/4
     assert gen_t0(1, rat(1, 2), 4) == rat(5, 4)
     assert gen_t0_2(rat(2), rat(1, 2), rat(-1, 2), 6) == rat(2) + rat(1, 2)
-    with pytest.raises(InvalidOffsets):
+    with pytest.raises(SplitnormError, match=exactly("need |b| <= A, got b=2, A=1")):
         gen_t0(1, 2, 4)
-    with pytest.raises(InvalidOffsets):
+    with pytest.raises(SplitnormError, match=exactly("need |b1|, |b2| <= A, got 0, 3, A=1")):
         gen_t0_2(1, 0, 3, 4)
 
 
@@ -441,14 +441,14 @@ def test_series_constancy_threshold():
 
 def test_series_rejects_bad_shifts():
     prof = series_profile(CoeffSeq.from_mapping({0: 1}), 4)
-    with pytest.raises(OddOrNonintegerP):
+    with pytest.raises(SplitnormError, match=exactly("series shifts must be nonnegative integers, got -1")):
         prof.value(-1)
-    with pytest.raises(OddOrNonintegerP):
+    with pytest.raises(SplitnormError, match=exactly("series shifts must be nonnegative integers, got 1.5")):
         prof.value(1.5)
 
 
 def test_series_rejects_odd_p():
-    with pytest.raises(OddOrNonintegerP):
+    with pytest.raises(SplitnormError, match=exactly("the exact engine needs an even integer p >= 2, got 3")):
         series_profile(CoeffSeq.from_mapping({0: 1}), 3)
 
 
@@ -482,7 +482,7 @@ def test_separable_scaling():
 
 
 def test_separable_rejects_negative():
-    with pytest.raises(NegativeNorm):
+    with pytest.raises(SplitnormError, match=exactly("a norm factor cannot be negative: -1")):
         separable_profile(-1, CHI, 4)
 
 

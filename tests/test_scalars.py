@@ -16,7 +16,9 @@ from splitnorm.scalars import (
     parse_scalar,
     rat,
 )
-from splitnorm.errors import ParseError
+from splitnorm.errors import SplitnormError
+
+from .helpers import exactly
 
 
 def test_as_scalar_rejects_floats():
@@ -31,7 +33,7 @@ def test_formatting_roundtrip():
     assert format_rat(rat(4)) == "4"
     assert parse_rat("-7/2") == rat(-7, 2)
     assert parse_rat(" 5 ") == 5
-    with pytest.raises(ParseError):
+    with pytest.raises(SplitnormError, match=exactly("not a rational: '0.5'")):
         parse_rat("0.5")
     pair = format_scalar(gauss(rat(1, 3), -2))
     assert pair == ["1/3", "-2"]
