@@ -24,13 +24,9 @@ from .polyalg import (
     is_nonnegative,
     isolate_real_roots,
     l2_inner,
-    reflect,
     tent,
-    translate,
-    zero_function,
 )
 from .splitcore import (
-    ClassSVerdict,
     GenSplitSpec,
     SplitPair,
     apply_gen_split,

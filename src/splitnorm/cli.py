@@ -194,6 +194,12 @@ def _profile_samples(profile, per_piece: int):
     return rows
 
 
+def _witness_json(verdict) -> Optional[list]:
+    """A monotone verdict's witness pair as two rational strings, or None."""
+    w = verdict.witness
+    return None if w is None else [format_rat(w[0]), format_rat(w[1])]
+
+
 def run_profile(spec: str, p: int) -> dict:
     f = parse_function_spec(spec)
     prof = norm_profile(f, p)
@@ -208,12 +214,7 @@ def run_profile(spec: str, p: int) -> dict:
         "threshold": format_rat(cons.threshold),
         "theorem_holds": cons.theorem_holds,
     }
-    doc["monotone"] = {
-        "nonincreasing": mono.ok,
-        "witness": None
-        if mono.witness is None
-        else [format_rat(mono.witness[0]), format_rat(mono.witness[1])],
-    }
+    doc["monotone"] = {"nonincreasing": mono.ok, "witness": _witness_json(mono)}
     is_real_newt = not isinstance(newt, tuple)
     doc["newt_constant"] = format_rat(newt) if is_real_newt else None
     doc["newt_matches_tail"] = bool(is_real_newt and newt == prof.tail_value)
@@ -257,7 +258,7 @@ def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") ->
 def run_class_s(spec: str, bump_radius=None) -> dict:
     f = parse_function_spec(spec)
     verdict = class_s_check(f)
-    doc = verdict.to_json_dict()
+    doc = {"member": verdict.ok, "witness": _witness_json(verdict)}
     if bump_radius is not None:
         radius = parse_rat(bump_radius)
         doc["bump_radius"] = format_rat(radius)

@@ -144,7 +144,7 @@ def _gate_t_at_least_t0(inputs):
     p, A, t = inputs.get("p"), inputs.get("A"), inputs.get("t")
     if A is None or t is None:
         raise SplitnormError("missing inputs: A, t")
-    thr = (p - 2) * float(A) / 4.0
+    thr = t0(A, p)
     if float(t) < thr:
         return f"requires t >= t0 = {thr} (got t = {t})"
     return None
@@ -237,8 +237,6 @@ def bound_report(quantity: str, inputs: dict) -> BoundReport:
         gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
         if not gate and not inputs.get("symmetric", False):
             gate = "requires the polygon indicator to be even in both variables"
-        if not gate and not inputs.get("segment_intersection", True):
-            gate = "requires the polygon to meet the split line in a segment"
         if gate:
             return report(gate=gate)
         (mp,) = _need(inputs, "m_plus_norm")

@@ -165,10 +165,6 @@ class NumericNorm:
     p: float
     t: float
 
-    @property
-    def norm(self) -> float:
-        return self.value ** (1.0 / self.p)
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -219,7 +215,9 @@ def _envelope_tail(rows, p: float, Y: float) -> float:
     for row in rows:
         K += sum(abs(c) * s ** r for r, c in enumerate(row))
     K *= 1.0 + 1e-12
-    return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
+    # a huge p overflows to inf, which the node cap then rejects: numpy stays quiet
+    with np.errstate(over="ignore"):
+        return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
 
 
 def tail_bound(f: PiecewisePoly, p: float, Y: float) -> float:

@@ -56,8 +56,6 @@ __all__ = [
     "correlate",
     "real_correlation_sum",
     "l2_inner",
-    "translate",
-    "reflect",
     "conv_power",
     "is_nonincreasing_on",
     "is_nondecreasing_on",
@@ -65,7 +63,6 @@ __all__ = [
     "isolate_real_roots",
     "indicator",
     "tent",
-    "zero_function",
 ]
 
 
@@ -639,16 +636,6 @@ class PiecewisePoly:
         """x -> conj(f(-x)), the correlation kernel."""
         return self.reflect().conjugate()
 
-    def scale_arg(self, c) -> "PiecewisePoly":
-        """x -> f(c*x), c a nonzero rational."""
-        c = rat(c)
-        if c == 0:
-            raise ValueError("scale factor must be nonzero")
-        if c < 0:
-            return self.reflect().scale_arg(-c)
-        bps = [b / c for b in self.breakpoints]
-        return PiecewisePoly(bps, [p.scale_arg(c) for p in self.pieces])
-
     def restrict(self, lo=None, hi=None) -> "PiecewisePoly":
         """Zero the function outside [lo, hi)."""
         if self.is_zero():
@@ -677,11 +664,6 @@ class PiecewisePoly:
                     pieces = pieces[: k + 1]
         return PiecewisePoly(bps, pieces)
 
-    def integral(self):
-        """Exact integral over the line, a rational or an ``(re, im)`` pair."""
-        re = sum((_definite(p.coeffs, a, b) for a, b, p in self._intervals()), RAT_ZERO)
-        return gauss(re, sum((_definite(p.im, a, b) for a, b, p in self._intervals()), RAT_ZERO))
-
     def _intervals(self):
         for k, p in enumerate(self.pieces):
             yield self.breakpoints[k], self.breakpoints[k + 1], p
@@ -695,10 +677,6 @@ class PiecewisePoly:
 
 
 ZERO_PP = PiecewisePoly([], [])
-
-
-def zero_function() -> PiecewisePoly:
-    return ZERO_PP
 
 
 def indicator(a, b) -> PiecewisePoly:
@@ -1001,14 +979,6 @@ def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
     # int f conj(g) dx = int F conj(G) dX / L
     den = F.den * G.den * big * scale
     return gauss(rat(re, den), rat(im, den))
-
-
-def translate(f: PiecewisePoly, t) -> PiecewisePoly:
-    return f.translate(t)
-
-
-def reflect(f: PiecewisePoly) -> PiecewisePoly:
-    return f.reflect()
 
 
 def conv_power(f: PiecewisePoly, k: int) -> PiecewisePoly:

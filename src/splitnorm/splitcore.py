@@ -10,23 +10,21 @@ since indicator bumps (the canonical members) are only weakly decreasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import SplitnormError
 from .polyalg import (
+    MonotoneVerdict,
     PiecewisePoly,
     convolve,
     is_nondecreasing_on,
     is_nonincreasing_on,
     is_nonnegative,
-    zero_function,
 )
-from .scalars import RAT_ZERO, format_rat, rat
+from .scalars import RAT_ZERO, rat
 
 __all__ = [
     "SplitPair",
     "GenSplitSpec",
-    "ClassSVerdict",
     "split",
     "apply_split",
     "apply_gen_split",
@@ -66,25 +64,6 @@ class GenSplitSpec:
             raise SplitnormError("f2 must be supported in [-b, A]")
 
 
-@dataclass(frozen=True)
-class ClassSVerdict:
-    """Membership verdict; the witness is a pair where f_+ * f_- increases."""
-
-    member: bool
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.member
-
-    def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "witness": None
-            if self.witness is None
-            else [format_rat(self.witness[0]), format_rat(self.witness[1])],
-        }
-
-
 def split(f: PiecewisePoly) -> SplitPair:
     """Restrictions to x > 0 and x < 0; plus + minus = f almost everywhere."""
     return SplitPair(plus=f.restrict(lo=RAT_ZERO), minus=f.restrict(hi=RAT_ZERO))
@@ -115,14 +94,16 @@ def even_odd(f: PiecewisePoly) -> tuple[PiecewisePoly, PiecewisePoly]:
     return even, f - even
 
 
-def class_s_check(f: PiecewisePoly) -> ClassSVerdict:
-    """Decide exactly whether f_+ * f_- is nonincreasing on [0, oo)."""
+def class_s_check(f: PiecewisePoly) -> MonotoneVerdict:
+    """Decide exactly whether f_+ * f_- is nonincreasing on [0, oo).
+
+    The verdict is that monotone decision itself: ``ok`` is membership, and
+    a nonmember's ``witness`` is a pair where f_+ * f_- increases.
+    """
     if not f.is_real():
         raise SplitnormError("class-S membership applies to real functions")
     pair = split(f)
-    conv = convolve(pair.plus, pair.minus) if not (pair.plus.is_zero() or pair.minus.is_zero()) else zero_function()
-    verdict = is_nonincreasing_on(conv, RAT_ZERO)
-    return ClassSVerdict(member=verdict.ok, witness=verdict.witness)
+    return is_nonincreasing_on(convolve(pair.plus, pair.minus), RAT_ZERO)
 
 
 def class_s_sufficient(f: PiecewisePoly, r) -> bool:
@@ -130,7 +111,7 @@ def class_s_sufficient(f: PiecewisePoly, r) -> bool:
 
     True iff f is even, nonnegative, and f_+ is nondecreasing on (0, r] and
     nonincreasing on [r, oo) -- all decided exactly.  True implies
-    membership (``class_s_check(f).member``).
+    membership (``class_s_check(f).ok``).
     """
     r = rat(r)
     if r < 0:

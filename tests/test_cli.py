@@ -502,6 +502,27 @@ def test_norm_huge_p_stderr_is_one_budget_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
 
 
+def test_norm_huge_p_envelope_tail_is_quiet(tmp_path):
+    # the envelope tail's K^p overflows before the quadrature starts; numpy's
+    # overflow warning used to reach stderr ahead of the error line
+    proc = _run_subprocess(["norm", "5*ind:-1,1", "--p", "1e300", "--t", "1", "--err", "1e-3"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mult", "bounds", "square", "--p", "4", "--A", "-1", "--t", "0.5"],
+    ["mult", "bounds", "two_way", "--p", "4", "--A", "-5", "--t", "-1", "--ell", "1", "--m-norm", "1", "--in-R"],
+])
+def test_bounds_reject_negative_halfwidth(capsys, argv):
+    # the t >= t0 gate spelled (p-2)A/4 out again and reported a negative A
+    # as applicable; it now goes through t0, which refuses it
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: A must be nonnegative\n"
+
+
 def test_exact_engine_huge_p_is_a_budget_error(tmp_path):
     # the exact engine ran p = 1e300 and did not finish; it now refuses
     # before any convolution, and the next job still runs

@@ -206,7 +206,8 @@ def _decision_golden_doc(group):
         fs = [CHI, tent(-1, 0, 1), TWO_BUMP, indicator(-1, 1) + indicator(2, 3) * 2]
         fs += [rnd_class_s_member(rng, max_steps=3) for _ in range(6)]
         fs += [rnd_pp(rng, halfwidth=rat(2), max_pieces=4) for _ in range(10)]
-        return [class_s_check(f).to_json_dict() for f in fs]
+        verdicts = [class_s_check(f) for f in fs]
+        return [{"member": v.ok, "witness": _witness_doc(v.ok, v.witness)[1]} for v in verdicts]
     return [
         [[format_rat(a), format_rat(b)] for a, b in isolate_real_roots(p, lo, hi)]
         for p, lo, hi in _seeded_isolation_cases()

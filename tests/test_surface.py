@@ -1,4 +1,4 @@
-"""The package surface: every name defined in ``src/`` has a caller."""
+"""The package surface: every name defined in ``src/`` has a caller, and every method is reached."""
 
 import ast
 import io
@@ -9,6 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitnorm"
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+# where a name of src/ may be reached from: tests do not count
+CALLERS = [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _named(path):
@@ -33,8 +35,7 @@ def _exported(tree):
 
 def test_every_src_name_has_a_caller():
     # a def or class that only tests call belongs in tests/helpers.py
-    files = [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    named = {p: _named(p) for p in files}
+    named = {p: _named(p) for p in CALLERS}
     uncalled = []
     for module in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(module.read_text())
@@ -50,3 +51,30 @@ def test_every_src_name_has_a_caller():
                        for path, words in named.items() for word, line in words):
                 uncalled.append(f"{module.name}:{node.lineno} {name}")
     assert not uncalled, uncalled
+
+
+def _accessed(path):
+    """(attribute name, line) for every ``.name`` access in a file."""
+    return [(node.attr, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)]
+
+
+def test_every_src_method_is_accessed():
+    # a method is reached as ``.name``; one that nothing reaches is dead
+    accessed = {p: _accessed(p) for p in CALLERS}
+    unreached = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                if not any(attr == name and not (path == module and line in own)
+                           for path, attrs in accessed.items() for attr, line in attrs):
+                    unreached.append(f"{module.name} {cls.name}.{name}")
+    assert not unreached, unreached
