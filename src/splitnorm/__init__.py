@@ -14,7 +14,6 @@ from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
-    SignVerdict,
     conv_power,
     convolve,
     correlate,
@@ -27,7 +26,6 @@ from .polyalg import (
     tent,
 )
 from .splitcore import (
-    GenSplitSpec,
     SplitPair,
     apply_gen_split,
     apply_split,
@@ -51,7 +49,7 @@ from .normprofile import (
     separable_profile,
     series_profile,
 )
-from .oscint import FTEvaluator, NumericNorm, ft_eval, norm_numeric, tail_bound
+from .oscint import FTEvaluator, NumericNorm, norm_numeric, tail_bound
 from .multnorm import (
     BoundReport,
     DiscreteMultiplier,

@@ -77,6 +77,8 @@ def t0(A: float, p: int) -> float:
         raise SplitnormError(f"the threshold applies to even integer p, got {p!r}")
     if A < 0:
         raise ValueError("A must be nonnegative")
+    # float arithmetic, not normprofile.gen_t0: a huge A gives inf, which the
+    # gate reports, where float() of the exact value would overflow
     return (p - 2) * float(A) / 4.0
 
 
@@ -327,11 +329,7 @@ class DiscreteMultiplier:
 
 def halfline_multiplier(n: int, omega: float, shift: float = 0.0) -> DiscreteMultiplier:
     """chi_{(shift, oo)} sampled on the grid; the boundary bin takes 1/2."""
-    dm = DiscreteMultiplier(np.zeros(n), omega)
-    ys = dm.grid()
-    samples = np.where(ys > shift, 1.0, 0.0).astype(complex)
-    samples[np.isclose(ys, shift, rtol=0, atol=dm.step * 1e-9)] = 0.5
-    return DiscreteMultiplier(samples, omega, ell=1.0)
+    return segment_multiplier(n, omega, shift, math.inf)
 
 
 def segment_multiplier(n: int, omega: float, a: float = -1.0, b: float = 1.0) -> DiscreteMultiplier:

@@ -34,7 +34,7 @@ from .polyalg import (
     real_correlation_sum,
 )
 from .scalars import RAT_ZERO, as_scalar, format_rat, parts, rat
-from .splitcore import GenSplitSpec, split
+from .splitcore import SplitPair, split
 
 __all__ = [
     "NormProfile",
@@ -138,9 +138,6 @@ class ConstancyVerdict:
     threshold: object
     theorem_holds: bool
 
-    def __bool__(self):
-        return self.theorem_holds
-
 
 def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
     """G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, reusing partial powers."""
@@ -158,36 +155,6 @@ def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
         else:
             blocks.append(convolve(pow_plus[i], pow_minus[m - i]))
     return blocks
-
-
-def _assemble_profile(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
-    """Window, tail value, constancy onset, and t_max of the profile.
-
-    For i < j the (i, j) and (j, i) terms are complex conjugates, and
-    together they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal
-    pairs go into one real accumulation.
-    """
-    _check_size(plus, minus, m)
-    blocks = _convolution_blocks(plus, minus, m)
-    weights = [math.comb(m, i) for i in range(m + 1)]
-
-    tail = RAT_ZERO
-    for i, g in enumerate(blocks):
-        norm_sq = l2_inner(g, g)
-        if isinstance(norm_sq, tuple):
-            raise InvariantViolation("the diagonal terms of the profile must be real")
-        tail = tail + rat(weights[i] ** 2) * norm_sq
-
-    offdiag = real_correlation_sum(
-        (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
-        for i in range(m + 1)
-        for j in range(i + 1, m + 1)
-    )
-    sup = offdiag.support()
-    t_max = (sup[1] if sup is not None else RAT_ZERO) + 1
-    window = offdiag + PiecewisePoly([RAT_ZERO, t_max], [Poly([tail])])
-    onset = _constancy_onset(window, tail)
-    return window, tail, onset, t_max
 
 
 def _constancy_onset(window: PiecewisePoly, tail):
@@ -210,38 +177,49 @@ def norm_profile(f: PiecewisePoly, p: int) -> NormProfile:
     Equals int |F[S_t f](y)|^p dy for every t >= 0; the engine never touches
     the frequency side.
     """
+    return gen_profile(split(f), p)
+
+
+def gen_profile(pair: SplitPair, p: int) -> NormProfile:
+    """Profile of the generalized split: plus moves right, minus moves left.
+
+    For i < j the (i, j) and (j, i) terms are complex conjugates, and
+    together they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal
+    pairs go into one real accumulation.
+    """
     m = _half_exponent(p)
-    pair = split(f)
-    window, tail, onset, t_max = _assemble_profile(pair.plus, pair.minus, m)
-    a = f.support_radius()
-    return NormProfile(
-        p=p,
-        profile=window,
-        t0=rat(p - 2) * a / 4,
-        tail_value=tail,
-        constancy_onset=onset,
-        t_max=t_max,
+    _check_size(pair.plus, pair.minus, m)
+    blocks = _convolution_blocks(pair.plus, pair.minus, m)
+    weights = [math.comb(m, i) for i in range(m + 1)]
+
+    tail = RAT_ZERO
+    for i, g in enumerate(blocks):
+        norm_sq = l2_inner(g, g)
+        if isinstance(norm_sq, tuple):
+            raise InvariantViolation("the diagonal terms of the profile must be real")
+        tail = tail + rat(weights[i] ** 2) * norm_sq
+
+    offdiag = real_correlation_sum(
+        (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
+        for i in range(m + 1)
+        for j in range(i + 1, m + 1)
     )
-
-
-def gen_profile(spec: GenSplitSpec, p: int) -> NormProfile:
-    """Profile of the generalized split: f2 moves right, f1 moves left."""
-    m = _half_exponent(p)
-    window, tail, onset, t_max = _assemble_profile(spec.f2, spec.f1, m)
-    threshold = gen_t0(spec.A, spec.b, p)
+    sup = offdiag.support()
+    t_max = (sup[1] if sup is not None else RAT_ZERO) + 1
+    window = offdiag + PiecewisePoly([RAT_ZERO, t_max], [Poly([tail])])
     return NormProfile(
         p=p,
         profile=window,
-        t0=max(threshold, RAT_ZERO),
+        t0=max(gen_t0(pair.A, pair.b, p), RAT_ZERO),
         tail_value=tail,
-        constancy_onset=onset,
+        constancy_onset=_constancy_onset(window, tail),
         t_max=t_max,
     )
 
 
 def check_constancy(profile: NormProfile, A) -> ConstancyVerdict:
     """Compare the observed constancy onset with the threshold (p-2)A/4."""
-    threshold = rat(profile.p - 2) * rat(A) / 4
+    threshold = gen_t0(A, 0, profile.p)
     return ConstancyVerdict(
         constant_from=profile.constancy_onset,
         threshold=threshold,
@@ -409,7 +387,7 @@ class SeriesProfile:
         integer this onset can fail by exactly one step -- see
         ``guaranteed_onset``.
         """
-        return max(1, math.ceil(rat(self.p - 2) * self.seq.bound / 4))
+        return max(1, math.ceil(gen_t0(self.seq.bound, 0, self.p)))
 
     @property
     def guaranteed_onset(self) -> int:
@@ -421,7 +399,7 @@ class SeriesProfile:
         the continuum case, where convolutions vanish continuously at the
         endpoints of their support).  Hence strict inequality: t > (p-2)A/4.
         """
-        return max(1, math.floor(rat(self.p - 2) * self.seq.bound / 4) + 1)
+        return max(1, math.floor(gen_t0(self.seq.bound, 0, self.p)) + 1)
 
 
 def series_profile(c: CoeffSeq, p: int) -> SeriesProfile:

@@ -34,7 +34,7 @@ from .polyalg import ZERO_POLY, PiecewisePoly, Poly
 from .scalars import RAT_ZERO, parts, rat
 from .splitcore import apply_split, split
 
-__all__ = ["FTEvaluator", "NumericNorm", "ft_eval", "norm_numeric", "tail_bound"]
+__all__ = ["FTEvaluator", "NumericNorm", "norm_numeric", "tail_bound"]
 
 
 # 7/15 Gauss-Kronrod pair on [-1, 1] (QUADPACK values)
@@ -148,12 +148,6 @@ class FTEvaluator:
                 e = phases[abs(b)] = np.exp(-1j * w * abs(b))
             acc += (np.conj(e) if b < 0 else e) * g
         return acc
-
-
-def ft_eval(f: PiecewisePoly, y):
-    """f^(y), scalar or vectorized; relative error ~1e-12 away from the
-    series/boundary branch point."""
-    return FTEvaluator(f)(y)
 
 
 @dataclass(frozen=True)

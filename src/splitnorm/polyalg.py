@@ -51,7 +51,6 @@ __all__ = [
     "Poly",
     "PiecewisePoly",
     "MonotoneVerdict",
-    "SignVerdict",
     "convolve",
     "correlate",
     "real_correlation_sum",
@@ -1010,18 +1009,6 @@ class MonotoneVerdict:
     ok: bool
     witness: Optional[tuple] = None
 
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
-class SignVerdict:
-    ok: bool
-    witness: Optional[object] = None
-
-    def __bool__(self):
-        return self.ok
-
 
 def _piece_increase_witness(p: Poly, lo, hi):
     """A pair (x1, x2) in (lo, hi) with p(x1) < p(x2), or None."""
@@ -1069,8 +1056,6 @@ def is_nonincreasing_on(f: PiecewisePoly, a, b=None) -> MonotoneVerdict:
     # within-piece monotonicity on every maximal polynomial interval
     grid = [a] + cuts + ([b] if b is not None else [])
     for u, v in zip(grid, grid[1:]):
-        if not u < v:
-            continue
         w = _piece_increase_witness(f.piece_at(u), u, v)
         if w is not None:
             return MonotoneVerdict(False, w)
@@ -1098,8 +1083,12 @@ def is_nondecreasing_on(f: PiecewisePoly, a, b) -> MonotoneVerdict:
     return MonotoneVerdict(False, (-x2, -x1))
 
 
-def is_nonnegative(f: PiecewisePoly) -> SignVerdict:
-    """Exact decision: f >= 0 a.e.; the witness is a point with f < 0."""
+def is_nonnegative(f: PiecewisePoly) -> MonotoneVerdict:
+    """Exact decision: f >= 0 a.e.
+
+    The verdict has the fields of a monotone one, but a negative verdict's
+    witness is one point where f < 0, not a pair.
+    """
     if not f.is_real():
         raise SplitnormError("sign is decided for real-valued functions only")
     for u, v, p in f._intervals():
@@ -1107,5 +1096,5 @@ def is_nonnegative(f: PiecewisePoly) -> SignVerdict:
             continue
         for sample, _, sign in _sign_regions(p, u, v):
             if sign < 0:
-                return SignVerdict(False, sample)
-    return SignVerdict(True)
+                return MonotoneVerdict(False, sample)
+    return MonotoneVerdict(True)

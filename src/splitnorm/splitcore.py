@@ -24,7 +24,6 @@ from .scalars import RAT_ZERO, rat
 
 __all__ = [
     "SplitPair",
-    "GenSplitSpec",
     "split",
     "apply_split",
     "apply_gen_split",
@@ -36,18 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitPair:
-    """The two halves of a function: plus on [0, oo), minus on (-oo, 0]."""
+    """The two moving halves of a split and the interval data they live in.
+
+    ``plus`` is supported in [-b, A] and moves right; ``minus`` is supported
+    in [-A, b] and moves left; |b| <= A.  The standard split is b = 0.
+    """
 
     plus: PiecewisePoly
     minus: PiecewisePoly
-
-
-@dataclass(frozen=True)
-class GenSplitSpec:
-    """Generalized split data: f1 supported in [-A, b], f2 in [-b, A], |b| <= A."""
-
-    f1: PiecewisePoly
-    f2: PiecewisePoly
     A: object
     b: object
 
@@ -56,17 +51,18 @@ class GenSplitSpec:
         object.__setattr__(self, "b", rat(self.b))
         if abs(self.b) > self.A:
             raise SplitnormError(f"need |b| <= A, got b={self.b}, A={self.A}")
-        s1 = self.f1.support()
-        if s1 is not None and not (-self.A <= s1[0] and s1[1] <= self.b):
-            raise SplitnormError("f1 must be supported in [-A, b]")
-        s2 = self.f2.support()
-        if s2 is not None and not (-self.b <= s2[0] and s2[1] <= self.A):
-            raise SplitnormError("f2 must be supported in [-b, A]")
+        s = self.plus.support()
+        if s is not None and not (-self.b <= s[0] and s[1] <= self.A):
+            raise SplitnormError("plus must be supported in [-b, A]")
+        s = self.minus.support()
+        if s is not None and not (-self.A <= s[0] and s[1] <= self.b):
+            raise SplitnormError("minus must be supported in [-A, b]")
 
 
 def split(f: PiecewisePoly) -> SplitPair:
-    """Restrictions to x > 0 and x < 0; plus + minus = f almost everywhere."""
-    return SplitPair(plus=f.restrict(lo=RAT_ZERO), minus=f.restrict(hi=RAT_ZERO))
+    """Restrictions to x > 0 and x < 0, with A the support radius and b = 0;
+    plus + minus = f almost everywhere."""
+    return SplitPair(f.restrict(lo=RAT_ZERO), f.restrict(hi=RAT_ZERO), f.support_radius(), RAT_ZERO)
 
 
 def apply_split(f: PiecewisePoly, t) -> PiecewisePoly:
@@ -78,14 +74,13 @@ def apply_split(f: PiecewisePoly, t) -> PiecewisePoly:
     t = rat(t)
     if t < 0:
         raise SplitnormError(f"split shift must be nonnegative, got {t}")
-    pair = split(f)
-    return pair.plus.translate(t) + pair.minus.translate(-t)
+    return apply_gen_split(split(f), t)
 
 
-def apply_gen_split(spec: GenSplitSpec, t) -> PiecewisePoly:
-    """f2(x - t) + f1(x + t) for any rational t."""
+def apply_gen_split(pair: SplitPair, t) -> PiecewisePoly:
+    """plus(x - t) + minus(x + t) for any rational t."""
     t = rat(t)
-    return spec.f2.translate(t) + spec.f1.translate(-t)
+    return pair.plus.translate(t) + pair.minus.translate(-t)
 
 
 def even_odd(f: PiecewisePoly) -> tuple[PiecewisePoly, PiecewisePoly]:
@@ -120,10 +115,10 @@ def class_s_sufficient(f: PiecewisePoly, r) -> bool:
         raise SplitnormError("the bump criterion applies to real functions")
     if f.reflect() != f:
         return False
-    if not is_nonnegative(f):
+    if not is_nonnegative(f).ok:
         return False
     plus = split(f).plus
-    if r > 0 and not is_nondecreasing_on(plus, RAT_ZERO, r):
+    if r > 0 and not is_nondecreasing_on(plus, RAT_ZERO, r).ok:
         return False
-    return bool(is_nonincreasing_on(plus, r))
+    return is_nonincreasing_on(plus, r).ok
 

@@ -72,6 +72,11 @@ def test_parse_rejects_garbage():
         ("ind:0.5,1", "not a rational: '0.5'"),
         ("poly:[1,0]:1", "poly needs a < b: 'poly:[1,0]:1'"),
         ("2**ind:0,1", "bad coefficient ''"),
+        ("ind:1", "ind needs two endpoints: 'ind:1'"),
+        ("tent:0,1", "tent needs three knots: 'tent:0,1'"),
+        ("tent:0,2,1", "tent needs a < b < c: 'tent:0,2,1'"),
+        ("poly:1,2", "bad poly atom 'poly:1,2'"),
+        ("ind:0,1 + ", "empty term in 'ind:0,1 + '"),
     ]:
         with pytest.raises(SplitnormError, match=exactly(message)):
             parse_function_spec(bad)

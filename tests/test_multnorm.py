@@ -175,6 +175,51 @@ def test_dual_report_matches_primal():
     assert abs(dual.inputs["p_dual"] - 4 / 3) < 1e-15
 
 
+C4_REAL = 1 / (2 * math.sin(math.pi / 8))  # c_4^R = max(sec, csc)(pi/8) / 2
+TWO_WAY = {"p": 4, "A": 1.0, "t": 0.6, "m_norm": 1.0}
+POLY = {"p": 4, "A": 1.0, "t": 0.5, "m_plus_norm": 1.0}
+
+
+@pytest.mark.parametrize("quantity, inputs, want", [
+    ("split_upper_real", {"p": 4, "A": 1.0, "t": 1.0, "m_plus_norm": 1.0},
+     (False, None, None, "requires m real and even in the split variable (declare even_real)")),
+    ("m_plus_upper_real", {"p": 4, "m_norm_real": 2.0, "in_R": True},
+     (True, None, 2 * C4_REAL, "")),
+    ("m_plus_upper_real", {"p": 4, "m_norm_real": 2.0},
+     (False, None, None, "requires T_m to preserve real data (declare in_R)")),
+    ("split_lower", {"p": 4, "ell": 1.0, "t": 0.0},
+     (False, None, None, "requires t > 0")),
+    ("two_way", {**TWO_WAY, "ell": 1.0},
+     (False, None, None, "requires the split multiplier to map real data to real data (declare in_R)")),
+    ("two_way", {**TWO_WAY, "ell": 0.0, "in_R": True},
+     (False, None, None, "requires ell > 0 (got 0.0)")),
+    ("m_plus_two_way", {"p": 4, "ell": 0.0, "m_norm": 1.0},
+     (False, None, None, "requires ell = m(0) != 0")),
+    ("m_plus_two_way", {"p": 4, "ell": 1.0, "m_norm": 1.0, "real_variant": True},
+     (False, None, None, "the real variant requires m real-valued and even")),
+    ("poly_two_way", {**POLY, "symmetric": True},
+     (True, (1 + SQRT2) * SQRT2, 6 ** 0.25, "")),
+    ("poly_two_way", POLY,
+     (False, None, None, "requires the polygon indicator to be even in both variables")),
+    ("square", {"p": 3, "A": 1.0, "t": 1.0},
+     (False, None, None, "requires an even integer p (got 3)")),
+    ("square", {"p": 4, "A": 1.0, "t": 0.25},
+     (False, None, None, "requires t >= t0 = 0.5 (got t = 0.25)")),
+    ("square", {"p": 4, "A": 1.0}, "missing inputs: A, t"),
+    ("square", {"A": 1.0, "t": 1.0}, "missing inputs: p"),
+])
+def test_bound_report_gates(quantity, inputs, want):
+    if isinstance(want, str):
+        with pytest.raises(SplitnormError, match=exactly(want)):
+            bound_report(quantity, inputs)
+        return
+    applicable, lower, upper, reason = want
+    rep = bound_report(quantity, inputs)
+    assert (rep.applicable, rep.reason) == (applicable, reason)
+    assert rep.lower == (None if lower is None else pytest.approx(lower, rel=1e-12))
+    assert rep.upper == (None if upper is None else pytest.approx(upper, rel=1e-12))
+
+
 # ---------------------------------------------------------------------------
 # positive-kernel exact norms
 # ---------------------------------------------------------------------------

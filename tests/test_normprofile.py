@@ -23,7 +23,7 @@ from splitnorm.normprofile import (
 from splitnorm.oscint import norm_numeric
 from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real_roots, l2_inner, tent
 from splitnorm.scalars import format_rat, gauss, rat
-from splitnorm.splitcore import GenSplitSpec, class_s_check
+from splitnorm.splitcore import SplitPair, class_s_check
 
 from .helpers import exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
 
@@ -77,8 +77,8 @@ GOLDEN_PROFILES = [
     ("complex p6", lambda: norm_profile(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 6),
      "ae0cf9283a1c809f164dc2b83c2c6db142e1eff6519d35c34a7a99faa8575a9e"),
     ("gen p6", lambda: gen_profile(
-        GenSplitSpec(f1=tent(-1, rat(-1, 3), rat(1, 2)), f2=indicator(rat(-1, 2), 1) * rat(3, 2),
-                     A=1, b=rat(1, 2)), 6),
+        SplitPair(plus=indicator(rat(-1, 2), 1) * rat(3, 2), minus=tent(-1, rat(-1, 3), rat(1, 2)),
+                  A=1, b=rat(1, 2)), 6),
      "0f81a3050e136425eb60398a7252486ce67dec384eb3b3bbf2de3141885b8911"),
 ]
 
@@ -250,7 +250,7 @@ def test_exact_engine_refuses_predicted_work_over_its_cap():
         with pytest.raises(BudgetExceeded):
             newt_constant(CHI, p)
         with pytest.raises(BudgetExceeded):
-            gen_profile(GenSplitSpec(indicator(-1, 0), indicator(0, 1), 1, 0), p)
+            gen_profile(SplitPair(indicator(0, 1), indicator(-1, 0), 1, 0), p)
     assert newt_constant(indicator(0, 1), 10 ** 300) == 0  # one half is zero: no work
 
 
@@ -367,7 +367,7 @@ def test_gen_profile_b0_equals_standard():
 
     pair = split(f)
     a = f.support_radius()
-    spec = GenSplitSpec(f1=pair.minus, f2=pair.plus, A=a, b=0)
+    spec = SplitPair(plus=pair.plus, minus=pair.minus, A=a, b=0)
     got = gen_profile(spec, 4)
     want = norm_profile(f, 4)
     assert got.profile == want.profile
@@ -379,8 +379,8 @@ def test_gen_profile_two_offset_formula_is_not_an_onset_bound():
     # the printed two-offset threshold (3/4 here) undershoots the true onset;
     # the single-offset threshold (5/4) is exactly attained.  Values at
     # 3/4, 1, 9/8 were confirmed by independent quadrature to 3e-9.
-    spec = GenSplitSpec(
-        f1=indicator(-1, rat(1, 2)), f2=indicator(rat(-1, 2), 1), A=1, b=rat(1, 2)
+    spec = SplitPair(
+        plus=indicator(rat(-1, 2), 1), minus=indicator(-1, rat(1, 2)), A=1, b=rat(1, 2)
     )
     prof = gen_profile(spec, 4)
     assert gen_t0_2(1, rat(1, 2), rat(-1, 2), 4) == rat(3, 4)
@@ -392,8 +392,8 @@ def test_gen_profile_two_offset_formula_is_not_an_onset_bound():
 
 
 def test_gen_profile_overlapping_indicators():
-    spec = GenSplitSpec(
-        f1=indicator(-1, rat(1, 2)), f2=indicator(rat(-1, 2), 1), A=1, b=rat(1, 2)
+    spec = SplitPair(
+        plus=indicator(rat(-1, 2), 1), minus=indicator(-1, rat(1, 2)), A=1, b=rat(1, 2)
     )
     prof = gen_profile(spec, 4)
     assert prof.constancy_onset <= gen_t0(1, rat(1, 2), 4) == rat(5, 4)

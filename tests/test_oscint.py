@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitnorm.errors import BudgetExceeded, SplitnormError
-from splitnorm.oscint import FTEvaluator, NumericNorm, ft_eval, norm_numeric, tail_bound
+from splitnorm.oscint import FTEvaluator, NumericNorm, norm_numeric, tail_bound
 from splitnorm.normprofile import norm_profile
 from splitnorm.polyalg import indicator, l2_inner, tent
 from splitnorm.scalars import rat
@@ -27,7 +27,7 @@ TWO_BUMP = CHI + indicator(10, 11) + indicator(-11, -10)
 def test_ft_indicator_closed_form():
     for y in [0.15, 0.7, 1.9, -2.3, 17.0]:
         ref = math.sin(2 * math.pi * y) / (math.pi * y)
-        assert abs(ft_eval(CHI, y) - ref) < 1e-12 * max(1, abs(ref))
+        assert abs(FTEvaluator(CHI)(y) - ref) < 1e-12 * max(1, abs(ref))
 
 
 def test_ft_at_zero_is_exact_integral():
@@ -38,14 +38,14 @@ def test_ft_at_zero_is_exact_integral():
         f = rnd_pp(rng, max_pieces=3, max_deg=3, complex_ok=True)
         pieces = [parts(q.integral(a, b)) for a, b, q in zip(f.breakpoints, f.breakpoints[1:], f.pieces)]
         want = complex(float(sum(re for re, _ in pieces)), float(sum(im for _, im in pieces)))
-        assert abs(ft_eval(f, 0.0) - want) < 1e-12 * (1 + abs(want))
+        assert abs(FTEvaluator(f)(0.0) - want) < 1e-12 * (1 + abs(want))
 
 
 def test_ft_tent_closed_form():
     tentf = tent(-1, 0, 1)
     for y in [0.25, 0.8, 1.3, -3.7]:
         ref = (math.sin(math.pi * y) / (math.pi * y)) ** 2
-        assert abs(ft_eval(tentf, y) - ref) < 1e-12
+        assert abs(FTEvaluator(tentf)(y) - ref) < 1e-12
 
 
 def test_ft_series_and_boundary_branches_agree():

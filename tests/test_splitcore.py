@@ -17,7 +17,7 @@ from splitnorm.polyalg import (
 )
 from splitnorm.scalars import gauss, rat
 from splitnorm.splitcore import (
-    GenSplitSpec,
+    SplitPair,
     apply_gen_split,
     apply_split,
     class_s_check,
@@ -96,7 +96,7 @@ def test_apply_split_is_isometry(seed):
 def _std_spec(f):
     pair = split(f)
     a = f.support_radius()
-    return GenSplitSpec(f1=pair.minus, f2=pair.plus, A=a if a > 0 else rat(1), b=0)
+    return SplitPair(plus=pair.plus, minus=pair.minus, A=a if a > 0 else rat(1), b=0)
 
 
 def test_gen_split_reduces_to_split_at_b0():
@@ -109,7 +109,7 @@ def test_gen_split_reduces_to_split_at_b0():
 def test_gen_split_at_zero_is_sum():
     f1 = indicator(-1, rat(1, 2))
     f2 = indicator(rat(-1, 2), 1)
-    spec = GenSplitSpec(f1=f1, f2=f2, A=1, b=rat(1, 2))
+    spec = SplitPair(plus=f2, minus=f1, A=1, b=rat(1, 2))
     assert apply_gen_split(spec, 0) == f1 + f2
 
 
@@ -119,17 +119,19 @@ def test_gen_split_shift_by_b_reduction():
     f1 = indicator(-1, rat(1, 2)) * rat(2, 3)
     f2 = tent(rat(-1, 2), 0, 1)
     b = rat(1, 2)
-    spec = GenSplitSpec(f1=f1, f2=f2, A=1, b=b)
+    spec = SplitPair(plus=f2, minus=f1, A=1, b=b)
     g = apply_gen_split(spec, b)
     for t in [b, rat(3, 4), rat(2)]:
         assert apply_gen_split(spec, t) == apply_split(g, t - b)
 
 
 def test_gen_split_spec_validation():
-    with pytest.raises(SplitnormError, match=exactly("f1 must be supported in [-A, b]")):
-        GenSplitSpec(f1=indicator(-3, 0), f2=indicator(0, 1), A=1, b=0)
+    with pytest.raises(SplitnormError, match=exactly("minus must be supported in [-A, b]")):
+        SplitPair(plus=indicator(0, 1), minus=indicator(-3, 0), A=1, b=0)
+    with pytest.raises(SplitnormError, match=exactly("plus must be supported in [-b, A]")):
+        SplitPair(plus=indicator(0, 2), minus=indicator(-1, 0), A=1, b=0)
     with pytest.raises(SplitnormError, match=exactly("need |b| <= A, got b=2, A=1")):
-        GenSplitSpec(f1=indicator(-1, 0), f2=indicator(0, 1), A=1, b=2)
+        SplitPair(plus=indicator(0, 1), minus=indicator(-1, 0), A=1, b=2)
 
 
 # ---------------------------------------------------------------------------
