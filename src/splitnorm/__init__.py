@@ -31,7 +31,6 @@ from .splitcore import (
     apply_split,
     class_s_check,
     class_s_sufficient,
-    even_odd,
     split,
 )
 from .normprofile import (
@@ -43,13 +42,11 @@ from .normprofile import (
     check_monotone,
     gen_profile,
     gen_t0,
-    gen_t0_2,
     newt_constant,
     norm_profile,
-    separable_profile,
     series_profile,
 )
-from .oscint import FTEvaluator, NumericNorm, norm_numeric, tail_bound
+from .oscint import FTEvaluator, NumericNorm, norm_numeric
 from .multnorm import (
     BoundReport,
     DiscreteMultiplier,

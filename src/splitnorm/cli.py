@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -221,11 +222,23 @@ def run_profile(spec: str, p: int) -> dict:
     return doc
 
 
+# the most rows ``profile --emit csv`` writes: pieces times --samples.  The
+# largest tier-1, demo and benchmark CSV writes a few hundred rows; 10^6 rows
+# of the indicator at p = 4 took 34 s on one core of a Xeon under Python 3.11
+_CSV_ROW_CAP = 10 ** 6
+
+
 def profile_csv(doc_spec: str, p: int, samples: int) -> str:
     if samples < 1:
         raise SplitnormError(f"--samples must be at least 1, got {samples}")
     f = parse_function_spec(doc_spec)
     prof = norm_profile(f, p)
+    pieces = max(len(prof.profile.pieces), 1)
+    if pieces * samples > _CSV_ROW_CAP:
+        raise BudgetExceeded(
+            f"{pieces} pieces times {samples} samples is {pieces * samples} CSV rows, "
+            f"over the cap of 10^{math.log10(_CSV_ROW_CAP):.0f}"
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "value"])
@@ -234,25 +247,34 @@ def profile_csv(doc_spec: str, p: int, samples: int) -> str:
     return buf.getvalue()
 
 
-def run_norm(spec: str, p: float, t: float, err: float, engine: str = "both") -> dict:
+def run_norm(spec: str, p: float, ts: list, err: float, engine: str = "both") -> list:
+    """One document per shift of ``ts``.  The spec is parsed once, and the
+    exact profile is built once, at the first shift that reads it."""
+    if not ts:
+        return []
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
     if not err > 0:
         raise ValueError(f"the error target must be positive, got {err}")
     f = parse_function_spec(spec)
     even = float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
-    if engine == "exact":
-        if not even:
-            raise SplitnormError(f"the exact engine needs an even integer p, got {p}")
-        exact = norm_profile(f, int(p)).value_at(rat(float(t)))
-        return {"p": p, "t": t, "value_pth_power": float(exact), "abs_error": 0.0}
-    result = norm_numeric(f, p, t, target_abs_err=err)
-    doc = result.to_json_dict()
-    if engine == "both" and even:
-        exact = norm_profile(f, int(p)).value_at(rat(float(t)))
-        doc["exact_value"] = float(exact)
-        doc["discrepancy"] = abs(result.value - float(exact))
-    return doc
+    if engine == "exact" and not even:
+        raise SplitnormError(f"the exact engine needs an even integer p, got {p}")
+    exact_profile = functools.cache(lambda: norm_profile(f, int(p)))
+    docs = []
+    for t in ts:
+        if engine == "exact":
+            exact = exact_profile().value_at(rat(float(t)))
+            docs.append({"p": p, "t": t, "value_pth_power": float(exact), "abs_error": 0.0})
+            continue
+        result = norm_numeric(f, p, t, target_abs_err=err)
+        doc = result.to_json_dict()
+        if engine == "both" and even:
+            exact = exact_profile().value_at(rat(float(t)))
+            doc["exact_value"] = float(exact)
+            doc["discrepancy"] = abs(result.value - float(exact))
+        docs.append(doc)
+    return docs
 
 
 def run_class_s(spec: str, bump_radius=None) -> dict:
@@ -282,7 +304,7 @@ def run_series(coeff_doc: dict, p: int, t_min: int, t_max: int) -> dict:
         coeffs[idx] = _parse_coef(v) if isinstance(v, str) else parse_scalar(v)
     seq = CoeffSeq.from_mapping(coeffs, bound)
     prof = series_profile(seq, p)
-    values = {t: prof.value(t) for t in range(t_min, t_max + 1)}
+    values = prof.values(t_min, t_max)
 
     def constant_from(start: int) -> bool:
         return len({v for t, v in values.items() if t >= start}) <= 1
@@ -390,6 +412,8 @@ _P_INT = _Input("--p", int, required=True)
 _P_REAL = _Input("--p", float, required=True)
 _EMIT = _Input("--emit", default="json", choices=("json", "csv"))
 _T_FORMS = (list, dict)  # a list of shifts, or {"start", "stop", "count"}
+# the largest count the range form takes; tier-1, demo and benchmark jobs take at most 9
+_SHIFT_CAP = 10 ** 4
 _OUT = _Input("--out", dest="output")  # every command takes it, after its own inputs
 
 # command -> (help, inputs in --help order); ``mult X`` is the command ``mult-X``,
@@ -424,7 +448,6 @@ _COMMANDS = {
         _Input("--seed", int, 0),
         _Input("--real", bool, False, help="restrict to real test functions"),
         _Input("--t", float, help="apply the split at shift t first", json_types=_T_FORMS),
-        _Input("--shift", float, help=argparse.SUPPRESS),
         _Input("--checkpoint"),
     )),
     "mult-exact-positive": (None, (
@@ -498,7 +521,8 @@ class ExperimentConfig:
         return cls(command, argparse.Namespace(**{i.name: i.read(doc) for i in inputs}))
 
     def t_values(self) -> list:
-        """The shifts ``t`` names, as finite floats."""
+        """The shifts ``t`` names, as finite floats; a range form's ``count``
+        is checked against ``_SHIFT_CAP`` before its list is built."""
         t = self.args.t
         try:
             if isinstance(t, list):
@@ -506,11 +530,16 @@ class ExperimentConfig:
             elif isinstance(t, dict):
                 start, stop = float(t.get("start", 0.0)), float(t["stop"])
                 count = int(t.get("count", 9))
+                if count > _SHIFT_CAP:
+                    raise BudgetExceeded(
+                        f"a range of t with count = {count} passes the cap of "
+                        f"10^{math.log10(_SHIFT_CAP):.0f} shifts"
+                    )
                 step = (stop - start) / (count - 1) if count > 1 else 0.0
                 ts = [start + step * k for k in range(max(count, 1))]
             else:  # a number: the table admits no other type
                 ts = [float(t)]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SplitnormError(f"bad t specification: {t!r}") from exc
         if not all(math.isfinite(x) for x in ts):
             raise SplitnormError(f"t must be finite, got {t!r}")
@@ -527,7 +556,7 @@ class ExperimentConfig:
                 return profile_csv(a.spec, a.p, a.samples), EXIT_OK
             doc = run_profile(a.spec, a.p)
         elif cmd == "norm":
-            docs = [run_norm(a.spec, a.p, t, a.target_abs_err, a.engine) for t in self.t_values()]
+            docs = run_norm(a.spec, a.p, self.t_values(), a.target_abs_err, a.engine)
             doc = docs[0] if len(docs) == 1 else {"results": docs}
         elif cmd == "class-s":
             doc = run_class_s(a.spec, a.bump_radius)
@@ -558,11 +587,6 @@ class ExperimentConfig:
                 )
             m = builder(a.grid_n, a.omega)
             doc = {"multiplier": a.multiplier, "p": a.p, "N": a.grid_n, "omega": a.omega}
-            if a.shift is not None:
-                if a.multiplier != "halfline":
-                    raise SplitnormError("--shift only applies to the halfline multiplier")
-                m = halfline_multiplier(a.grid_n, a.omega, shift=a.shift)
-                doc["shift"] = a.shift
             if a.t is not None:
                 t = self.t_values()[0]
                 m, snapped = split_multiplier(m, t)

@@ -47,9 +47,7 @@ __all__ = [
     "check_monotone",
     "newt_constant",
     "gen_t0",
-    "gen_t0_2",
     "series_profile",
-    "separable_profile",
 ]
 
 
@@ -106,19 +104,6 @@ class NormProfile:
         if t >= self.constancy_onset:
             return self.tail_value
         return self.profile.eval(t)
-
-    def scaled(self, factor) -> "NormProfile":
-        factor = as_scalar(factor)
-        if factor == 0:
-            return NormProfile(self.p, PiecewisePoly([], []), self.t0, RAT_ZERO, RAT_ZERO, self.t_max)
-        return NormProfile(
-            self.p,
-            self.profile * factor,
-            self.t0,
-            self.tail_value * factor,
-            self.constancy_onset,
-            self.t_max,
-        )
 
     def to_json_dict(self) -> dict:
         doc = self.profile.to_json_dict()
@@ -256,21 +241,6 @@ def gen_t0(A, b, p: int):
     return rat(p - 2) * (A + b) / 4 + b
 
 
-def gen_t0_2(A, b1, b2, p: int):
-    """Two-offset threshold (p-2)/4 (A + |b1+b2|/2) + (p-2)/8 (b1-b2).
-
-    Included as the printed formula only.  The exact engine refutes it as a
-    constancy onset: for indicator halves with b1 = -b2 = 1/2, A = 1, p = 4
-    the true onset is 5/4 (the single-offset threshold of :func:`gen_t0`),
-    strictly above this formula's 3/4.  Do not rely on it as a bound.
-    """
-    _half_exponent(p)
-    A, b1, b2 = rat(A), rat(b1), rat(b2)
-    if abs(b1) > A or abs(b2) > A:
-        raise SplitnormError(f"need |b1|, |b2| <= A, got {b1}, {b2}, A={A}")
-    return rat(p - 2) / 4 * (A + abs(b1 + b2) / 2) + rat(p - 2) / 8 * (b1 - b2)
-
-
 # ---------------------------------------------------------------------------
 # trigonometric-series analog
 # ---------------------------------------------------------------------------
@@ -336,15 +306,42 @@ def _check_series_size(b: dict, m: int) -> None:
     Python 3.11.  The largest tier-1 series job predicts 1.7e4 and the
     largest benchmark one 4.1e3.
     """
-    if not b:
-        return
-    span = max(b) - min(b) + 1
-    work = m ** 3 * span * len(b)
+    work = _series_work(b, m)
     if work > _EXACT_CAP:
         raise BudgetExceeded(
             f"the series engine's predicted work m^3 L n at m = p/2, with the split "
-            f"sequence's n = {len(b)} entries over L = {span} indices, is "
+            f"sequence's n = {len(b)} entries over L = {max(b) - min(b) + 1} indices, is "
             f"10^{math.log10(work):.1f}, over its cap of 10^{math.log10(_EXACT_CAP):.0f}"
+        )
+
+
+def _series_work(b: dict, m: int) -> int:
+    """m^3 L n for the split sequence ``b``, n entries over L indices."""
+    return m ** 3 * (max(b) - min(b) + 1) * len(b) if b else 0
+
+
+def _check_series_walk(c: CoeffSeq, m: int, t_min: int, t_max: int) -> None:
+    """Raise BudgetExceeded before the first shift when the work that
+    ``_check_series_size`` predicts, summed over the shifts t_min..t_max
+    (0 <= t_min <= t_max), passes ``_EXACT_CAP``.
+
+    From t = 1 on the split sequence keeps its n entries, and its index
+    range L grows linearly in t: the sum over t >= 1 is that of an
+    arithmetic progression, taken from its two ends.
+    """
+
+    def work(t: int) -> int:
+        return _series_work(_split_numerators(c, t)[0], m)
+
+    total = work(0) if t_min == 0 else 0
+    lo = max(t_min, 1)
+    if lo <= t_max:
+        total += (t_max - lo + 1) * (work(lo) + work(t_max)) // 2
+    if total > _EXACT_CAP:
+        raise BudgetExceeded(
+            f"the series engine's predicted work m^3 L n at m = p/2, summed over the "
+            f"shifts {t_min}..{t_max}, is 10^{math.log10(total):.1f}, over its cap of "
+            f"10^{math.log10(_EXACT_CAP):.0f}"
         )
 
 
@@ -376,6 +373,13 @@ class SeriesProfile:
             d = _sequence_convolve(d, b)
         # Parseval: the sum of |d_k|^2, each d_k over den^m
         return rat(sum(r * r + i * i for r, i in d.values()), den ** (2 * m))
+
+    def values(self, t_min: int, t_max: int) -> dict:
+        """``{t: value(t)}`` for the shifts t_min..t_max, the work of the
+        whole walk checked first (a negative t_min fails at its own shift)."""
+        if 0 <= t_min <= t_max:
+            _check_series_walk(self.seq, self.p // 2, t_min, t_max)
+        return {t: self.value(t) for t in range(t_min, t_max + 1)}
 
     @property
     def threshold(self) -> int:
@@ -410,16 +414,3 @@ def series_profile(c: CoeffSeq, p: int) -> SeriesProfile:
     """
     _half_exponent(p)
     return SeriesProfile(seq=c, p=p)
-
-
-def separable_profile(gnorm, h: PiecewisePoly, p: int) -> NormProfile:
-    """Profile of a separable product g (x) h: gnorm^p times the h-profile.
-
-    ``gnorm`` is the L^p norm of the transform of the other factor,
-    supplied exactly by the caller.
-    """
-    gnorm = rat(gnorm)
-    if gnorm < 0:
-        raise SplitnormError(f"a norm factor cannot be negative: {gnorm}")
-    base = norm_profile(h, p)
-    return base.scaled(gnorm ** p)

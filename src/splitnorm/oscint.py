@@ -9,8 +9,7 @@ the exact finite sum, for every y != 0,
 where J[k][r] is the jump of f^(r) at b_k (right limit minus left limit).
 ``_boundary_expansion`` computes these jump rows exactly and floats them
 once; the evaluator (with a moment series near the origin to dodge
-cancellation), the p = 2 tail, the envelope tail and ``tail_bound`` all
-read them.  |F[S_t f]|^p is integrated over a phase-aligned panel grid
+cancellation), the p = 2 tail and the envelope tail all read them.  |F[S_t f]|^p is integrated over a phase-aligned panel grid
 with an embedded Gauss/Kronrod error estimate and closed with a tail.
 
 Bounding term by term gives the envelope |f^(y)| <= K(Y) / (2 pi |y|) for
@@ -32,9 +31,9 @@ import numpy as np
 from .errors import BudgetExceeded, SplitnormError
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly
 from .scalars import RAT_ZERO, parts, rat
-from .splitcore import apply_split, split
+from .splitcore import apply_split
 
-__all__ = ["FTEvaluator", "NumericNorm", "norm_numeric", "tail_bound"]
+__all__ = ["FTEvaluator", "NumericNorm", "norm_numeric"]
 
 
 # 7/15 Gauss-Kronrod pair on [-1, 1] (QUADPACK values)
@@ -212,24 +211,6 @@ def _envelope_tail(rows, p: float, Y: float) -> float:
     # a huge p overflows to inf, which the node cap then rejects: numpy stays quiet
     with np.errstate(over="ignore"):
         return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
-
-
-def tail_bound(f: PiecewisePoly, p: float, Y: float) -> float:
-    """Proved upper bound for int_{|y|>Y} |F[S_t f]|^p dy, uniform in t >= 0.
-
-    F[S_t f](y) = e^{-2 pi i t y} F[f_+](y) + e^{2 pi i t y} F[f_-](y), so
-    |F[S_t f]| <= |F[f_+]| + |F[f_-]| for every t: translating a half moves
-    its breakpoints but not its jumps.  Each half's jump rows give
-    |F[f_pm](y)| <= K_pm(Y) / (2 pi |y|) for |y| >= Y, and the envelope tail
-    with K = K_+(Y) + K_-(Y) bounds the integral.
-    """
-    if p <= 1:
-        raise SplitnormError(f"the tail of |f^|^p diverges for p <= 1 (p={p})")
-    if Y <= 0:
-        raise ValueError("Y must be positive")
-    pair = split(f)
-    rows = _boundary_expansion(pair.plus)[1] + _boundary_expansion(pair.minus)[1]
-    return _envelope_tail(rows, p, Y)
 
 
 def _cos_tail(a: float, Y: float) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "split",
     "apply_split",
     "apply_gen_split",
-    "even_odd",
     "class_s_check",
     "class_s_sufficient",
 ]
@@ -81,12 +80,6 @@ def apply_gen_split(pair: SplitPair, t) -> PiecewisePoly:
     """plus(x - t) + minus(x + t) for any rational t."""
     t = rat(t)
     return pair.plus.translate(t) + pair.minus.translate(-t)
-
-
-def even_odd(f: PiecewisePoly) -> tuple[PiecewisePoly, PiecewisePoly]:
-    """Exact even/odd decomposition (f_e, f_o) with f_e + f_o = f."""
-    even = (f + f.reflect()) * rat(1, 2)
-    return even, f - even
 
 
 def class_s_check(f: PiecewisePoly) -> MonotoneVerdict:

@@ -197,17 +197,9 @@ def test_mult_estimate_split_and_shift_options(capsys):
     assert code == EXIT_OK
     assert doc["t_requested"] == 1.3
     assert abs(doc["t_snapped"] - 1.3) <= 16 / 512  # snapped to the grid step
-    code, out = run_cli(
-        capsys,
-        "mult", "estimate", "halfline", "--p", "2", "--n", "512",
-        "--iterations", "60", "--shift", "-1.0", "--real",
-    )
-    doc = json.loads(out)
-    assert code == EXIT_OK
-    assert doc["shift"] == -1.0
-    assert doc["estimate"] >= 0.99
-    code, _ = run_cli(capsys, "mult", "estimate", "tent", "--p", "4", "--shift", "1.0")
-    assert code == EXIT_PARSE  # --shift only applies to the halfline
+    # a shifted half line is a library call (halfline_multiplier's shift), not an option
+    code, _ = run_cli(capsys, "mult", "estimate", "halfline", "--p", "2", "--shift", "-1.0")
+    assert code == EXIT_PARSE
 
 
 def test_mult_exact_positive_command(capsys):
@@ -557,6 +549,58 @@ def test_series_huge_p_is_a_budget_error(tmp_path):
     assert "series engine" in proc.stderr
 
 
+def test_series_walk_past_its_cap_is_a_budget_error(tmp_path):
+    # 1e8 shifts ran until killed; the walk's summed work is checked first
+    coeffs = {"A": 1, "coeffs": {"-1": "1/2", "0": "1", "1": "2"}}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    proc = _run_subprocess(["series", "c.json", "--p", "4", "--t-max", "100000000"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
+    assert "summed over the shifts 0..100000000" in proc.stderr and "cap of 10^9" in proc.stderr
+
+
+def test_profile_csv_rows_past_their_cap_are_a_budget_error(tmp_path):
+    proc = _run_subprocess(["profile", "ind:-1,1", "--p", "4", "--emit", "csv", "--samples", "100000000"],
+                           tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert proc.stderr == "budget exceeded: 2 pieces times 100000000 samples is 200000000 CSV rows, " \
+                          "over the cap of 10^6\n"
+
+
+def test_norm_job_shift_count_past_its_cap_is_a_budget_error(tmp_path):
+    config = {"jobs": [
+        {"command": "norm", "spec": "ind:-1,1", "p": 3, "t": {"start": 0, "stop": 1, "count": 100000000}},
+        {"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"start": 0, "stop": 1, "count": 3},
+         "engine": "exact"},
+    ]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    proc = _run_subprocess(["batch", "jobs.json"], tmp_path, timeout=30)
+    summary = json.loads(proc.stdout)
+    assert [j["status"] for j in summary["jobs"]] == [EXIT_BUDGET, EXIT_OK]
+    assert summary["jobs"][0]["error"] == "a range of t with count = 100000000 passes the cap of 10^4 shifts"
+    assert proc.returncode == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("engine", ["exact", "both"])
+def test_norm_job_builds_one_profile_for_all_its_shifts(monkeypatch, engine):
+    import splitnorm.cli as cli
+    from splitnorm.normprofile import norm_profile
+
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return norm_profile(f, p)
+
+    monkeypatch.setattr(cli, "norm_profile", counted)
+    job = {"command": "norm", "spec": "ind:-1,1 + ind:10,11 + ind:-11,-10", "p": 4,
+           "t": [0.25, 4.5, 12.0], "target_abs_err": 1e-3, "engine": engine}
+    text, code = cli.ExperimentConfig.from_dict(job).run()
+    assert code == EXIT_OK and calls == [4]
+    singles = [json.loads(cli.ExperimentConfig.from_dict({**job, "t": t}).run()[0]) for t in job["t"]]
+    assert text == canonical_json({"results": singles})
+
+
 def test_batch_argv_job_out_option_is_a_job_error(tmp_path):
     # an --out inside an argv job was dropped: status 0, no file, and the
     # result printed nowhere
@@ -629,6 +673,8 @@ def test_nonfinite_t_and_p_are_job_errors():
     for job in jobs:
         row = _run_job(job)
         assert row["status"] == EXIT_PARSE and "finite" in row["error"], job
+    row = _run_job({"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"stop": 1, "count": inf}})
+    assert row == {"command": "norm", "status": EXIT_PARSE, "error": "bad t specification: {'stop': 1, 'count': inf}"}
 
 
 def test_batch_declarative_mult_bounds_inapplicable(capsys, tmp_path):

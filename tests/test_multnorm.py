@@ -332,6 +332,13 @@ def test_estimator_halfline_benchmark_small():
     assert r.estimate >= 0.93 * SQRT2  # full-size benchmark lives in acceptance
 
 
+def test_estimator_shifted_halfline_reaches_its_sup_at_p2():
+    # at p = 2 the norm of a multiplier is the sup of its symbol, here 1
+    m = halfline_multiplier(512, 8.0, shift=-1.0)
+    r = estimate_lower(m, 2.0, iterations=60, seed=0, real_test_functions=True)
+    assert r.estimate >= 0.99
+
+
 def test_estimator_quotient_is_certified(tmp_path):
     # the returned test function really achieves the reported quotient
     m = segment_multiplier(512, 4.0)

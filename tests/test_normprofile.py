@@ -14,10 +14,8 @@ from splitnorm.normprofile import (
     check_monotone,
     gen_profile,
     gen_t0,
-    gen_t0_2,
     newt_constant,
     norm_profile,
-    separable_profile,
     series_profile,
 )
 from splitnorm.oscint import norm_numeric
@@ -354,11 +352,8 @@ def test_newt_differs_from_tail_for_complex_data():
 def test_gen_t0_formulas():
     assert gen_t0(rat(5), 0, 4) == rat(5, 2)  # reduces to (p-2)A/4
     assert gen_t0(1, rat(1, 2), 4) == rat(5, 4)
-    assert gen_t0_2(rat(2), rat(1, 2), rat(-1, 2), 6) == rat(2) + rat(1, 2)
     with pytest.raises(SplitnormError, match=exactly("need |b| <= A, got b=2, A=1")):
         gen_t0(1, 2, 4)
-    with pytest.raises(SplitnormError, match=exactly("need |b1|, |b2| <= A, got 0, 3, A=1")):
-        gen_t0_2(1, 0, 3, 4)
 
 
 def test_gen_profile_b0_equals_standard():
@@ -376,14 +371,17 @@ def test_gen_profile_b0_equals_standard():
 
 
 def test_gen_profile_two_offset_formula_is_not_an_onset_bound():
-    # the printed two-offset threshold (3/4 here) undershoots the true onset;
-    # the single-offset threshold (5/4) is exactly attained.  Values at
-    # 3/4, 1, 9/8 were confirmed by independent quadrature to 3e-9.
+    # the printed two-offset threshold (p-2)/4 (A + |b1+b2|/2) + (p-2)/8 (b1-b2),
+    # 3/4 here, undershoots the true onset; the single-offset threshold (5/4)
+    # is exactly attained.  Values at 3/4, 1, 9/8 were confirmed by
+    # independent quadrature to 3e-9.
     spec = SplitPair(
         plus=indicator(rat(-1, 2), 1), minus=indicator(-1, rat(1, 2)), A=1, b=rat(1, 2)
     )
     prof = gen_profile(spec, 4)
-    assert gen_t0_2(1, rat(1, 2), rat(-1, 2), 4) == rat(3, 4)
+    p, A, b1, b2 = 4, rat(1), rat(1, 2), rat(-1, 2)
+    printed = rat(p - 2) / 4 * (A + abs(b1 + b2) / 2) + rat(p - 2) / 8 * (b1 - b2)
+    assert printed == rat(3, 4) < prof.constancy_onset
     assert prof.constancy_onset == rat(5, 4) == gen_t0(1, rat(1, 2), 4)
     assert prof.value_at(rat(3, 4)) == rat(89, 6)
     assert prof.value_at(rat(1)) == rat(41, 3)
@@ -461,30 +459,27 @@ def test_series_refuses_predicted_work_over_its_cap():
             series_profile(seq, p).value(1)
 
 
-# ---------------------------------------------------------------------------
-# separable products
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("mapping", [
+    {-1: rat(1, 2), 0: 1, 1: 2},
+    {0: gauss(-1, 3), -2: gauss(0, rat(-1, 3))},
+    {2: 1, 5: rat(-3, 7)},
+    {-3: 1, -1: gauss(1, 1)},
+    {0: 1},
+])
+def test_series_walk_predicts_the_sum_of_its_shifts(monkeypatch, mapping):
+    # the walk's closed form must be the per-shift predictions summed one by
+    # one: the cap at that sum passes, one below it refuses
+    import splitnorm.normprofile as NP
 
-
-def test_separable_identity_factor():
-    base = norm_profile(CHI, 4)
-    scaled = separable_profile(1, CHI, 4)
-    assert scaled.profile == base.profile and scaled.tail_value == base.tail_value
-
-
-def test_separable_scaling():
-    prof = separable_profile(2, CHI, 4)
-    assert prof.tail_value == 64  # 16 * 4
-    assert prof.value_at(0) == rat(16, 3) * 16
-    lam = rat(3, 2)
-    a = separable_profile(lam, CHI, 4)
-    for t in [rat(0), rat(1, 4), rat(3)]:
-        assert a.value_at(t) == lam ** 4 * norm_profile(CHI, 4).value_at(t)
-
-
-def test_separable_rejects_negative():
-    with pytest.raises(SplitnormError, match=exactly("a norm factor cannot be negative: -1")):
-        separable_profile(-1, CHI, 4)
+    seq = CoeffSeq.from_mapping(mapping)
+    prof = series_profile(seq, 6)
+    for t_min, t_max in ((0, 0), (0, 5), (1, 7), (3, 3), (2, 9)):
+        total = sum(NP._series_work(NP._split_numerators(seq, t)[0], 3) for t in range(t_min, t_max + 1))
+        monkeypatch.setattr(NP, "_EXACT_CAP", total)
+        assert list(prof.values(t_min, t_max)) == list(range(t_min, t_max + 1))
+        monkeypatch.setattr(NP, "_EXACT_CAP", total - 1)
+        with pytest.raises(BudgetExceeded, match=f"summed over the shifts {t_min}..{t_max}"):
+            prof.values(t_min, t_max)
 
 
 # ---------------------------------------------------------------------------

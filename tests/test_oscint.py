@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitnorm.errors import BudgetExceeded, SplitnormError
-from splitnorm.oscint import FTEvaluator, NumericNorm, norm_numeric, tail_bound
+from splitnorm.oscint import FTEvaluator, NumericNorm, _boundary_expansion, _envelope_tail, norm_numeric
 from splitnorm.normprofile import norm_profile
 from splitnorm.polyalg import indicator, l2_inner, tent
 from splitnorm.scalars import rat
+from splitnorm.splitcore import apply_split
 
 from .helpers import ReferenceEvaluator, exactly, reference_norm_numeric, rnd_pp
 
@@ -112,8 +113,6 @@ def test_norm_numeric_p3_table():
 def test_norm_numeric_rejects_p_at_most_one():
     with pytest.raises(SplitnormError, match=exactly("(N_t f)^p requires p > 1, got 1.0")):
         norm_numeric(CHI, 1.0, 0.0)
-    with pytest.raises(SplitnormError, match=exactly("the tail of |f^|^p diverges for p <= 1 (p=0.8)")):
-        tail_bound(CHI, 0.8, 10.0)
 
 
 def test_norm_numeric_budget_exceeded_carries_result():
@@ -189,7 +188,6 @@ def test_norm_numeric_matches_the_reference_loop_bit_for_bit():
 
 def test_boundary_sum_matches_one_exp_per_breakpoint():
     from splitnorm.cli import parse_function_spec
-    from splitnorm.splitcore import apply_split
 
     ys = np.concatenate([np.linspace(-9.0, 9.0, 1000), [-0.3, 0.3, 40.25, -40.25]])
     specs = [
@@ -237,37 +235,41 @@ def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def tail_bound(f, t, p, Y):
+    """The proved bound on int_{|y|>Y} |F[S_t f]|^p that norm_numeric closes its
+    panels with: the envelope tail of the jump rows of S_t f."""
+    return _envelope_tail(_boundary_expansion(apply_split(f, rat(t)))[1], p, Y)
+
+
 def test_tail_bound_indicator_formula():
-    # TV of the split halves is 4, envelope 2/pi, uniformly in t
+    # for t > 0 the split indicator has four unit jumps: K = 4, envelope 2/pi
     for p in (2.0, 3.0, 4.0):
         for Y in (5.0, 40.0):
             want = 2 * (2 / math.pi) ** p * Y ** (1 - p) / (p - 1)
-            got = tail_bound(CHI, p, Y)
+            got = tail_bound(CHI, 0.5, p, Y)
             assert math.isclose(got, want, rel_tol=1e-9)
 
 
 def test_tail_bound_vanishes_at_infinity():
-    assert tail_bound(CHI, 3.0, 1e9) < 1e-15
+    assert tail_bound(CHI, 0.5, 3.0, 1e9) < 1e-15
 
 
 def test_tail_bound_monotone_in_p_past_crossing():
     # once the envelope constant / (2 pi Y) < 1, larger p gives smaller bounds
-    assert tail_bound(CHI, 5.0, 10.0) < tail_bound(CHI, 3.0, 10.0)
+    assert tail_bound(CHI, 0.5, 5.0, 10.0) < tail_bound(CHI, 0.5, 3.0, 10.0)
 
 
 def test_tail_bound_actually_bounds():
     # the bound must dominate the directly computed tail of |F[S_t f]|^p
+    from .helpers import _trapezoid
+
     f = tent(-1, 0, 1) + indicator(rat(-1, 2), rat(1, 2))
     for t in (0.0, 0.8):
         for Y in (4.0, 9.0):
-            bound = tail_bound(f, 3.0, Y)
-            from splitnorm.splitcore import apply_split
-
+            bound = tail_bound(f, t, 3.0, Y)
             ev = FTEvaluator(apply_split(f, rat(t)))
             ys = np.linspace(Y, Y * 60, 300001)
             vals = np.abs(ev(ys)) ** 3
-            from .helpers import _trapezoid
-
             observed = 2 * float(_trapezoid(vals, ys))
             assert observed < bound
 
@@ -276,7 +278,6 @@ def test_tail_bound_dominates_complex_and_polynomial_tails():
     # |F[S_t f]|^p is not even for complex f: both half-lines are integrated
     from splitnorm.cli import parse_function_spec
     from splitnorm.scalars import gauss
-    from splitnorm.splitcore import apply_split
 
     from .helpers import _trapezoid
 
@@ -287,7 +288,7 @@ def test_tail_bound_dominates_complex_and_polynomial_tails():
                 ys = np.linspace(Y, Y * 60, 300001)
                 vals = np.abs(ev(ys)) ** 3 + np.abs(ev(-ys)) ** 3
                 observed = float(_trapezoid(vals, ys))
-                assert 0 < observed < tail_bound(f, 3.0, Y)
+                assert 0 < observed < tail_bound(f, t, 3.0, Y)
 
 
 @settings(max_examples=6, deadline=None)

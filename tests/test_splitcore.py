@@ -1,4 +1,4 @@
-"""Split operators, even/odd decomposition, and class-S decisions."""
+"""Split operators and class-S decisions."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from splitnorm.splitcore import (
     apply_split,
     class_s_check,
     class_s_sufficient,
-    even_odd,
     split,
 )
 
@@ -132,33 +131,6 @@ def test_gen_split_spec_validation():
         SplitPair(plus=indicator(0, 2), minus=indicator(-1, 0), A=1, b=0)
     with pytest.raises(SplitnormError, match=exactly("need |b| <= A, got b=2, A=1")):
         SplitPair(plus=indicator(0, 1), minus=indicator(-1, 0), A=1, b=2)
-
-
-# ---------------------------------------------------------------------------
-# even / odd
-# ---------------------------------------------------------------------------
-
-
-def test_even_odd_indicator():
-    ev, od = even_odd(indicator(0, 1))
-    assert ev == indicator(-1, 1) * rat(1, 2)
-    assert od == (indicator(0, 1) - indicator(-1, 0)) * rat(1, 2)
-
-
-def test_even_odd_even_function():
-    tri = convolve(indicator(-1, 1), indicator(-1, 1))
-    ev, od = even_odd(tri)
-    assert ev == tri and od.is_zero()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_even_odd_decomposes_exactly(seed):
-    f = rnd_pp(np.random.default_rng(seed), max_pieces=3, max_deg=2, complex_ok=True)
-    ev, od = even_odd(f)
-    assert ev + od == f
-    assert ev.reflect() == ev
-    assert od.reflect() == -od
 
 
 # ---------------------------------------------------------------------------
