@@ -15,19 +15,23 @@ the implementation uses pi/(2p).
 Numerics only ever exhibit *lower* estimates (the floating-point quotient
 of an explicit discrete test function, not a proved bound); upper bounds
 come exclusively from the analytic ledger.
+
+numpy is imported inside each function that uses it: the constants and the
+ledger are plain floats, and importing the package loads no numpy for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InapplicableHypothesis, SplitnormError
 from .polyalg import PiecewisePoly, tent as tent_function
 from .scalars import rat
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
 
 __all__ = [
     "MultConstants",
@@ -307,6 +311,8 @@ class DiscreteMultiplier:
     ell: Optional[float] = None
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.asarray(self.samples, dtype=complex)
         n = arr.shape[0]
         if n == 0 or (n & (n - 1)) != 0:
@@ -324,6 +330,8 @@ class DiscreteMultiplier:
         return 2.0 * self.omega / self.n
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         return -self.omega + self.step * np.arange(self.n)
 
 
@@ -345,6 +353,8 @@ def segment_multiplier(n: int, omega: float, a: float = -1.0, b: float = 1.0) ->
     l^p, so that grid's operator is the half-band (Riesz) projection,
     whose continuum constant is c_p rather than the segment constant n_p.
     """
+    import numpy as np
+
     dm = DiscreteMultiplier(np.zeros(n), omega)
     ys = dm.grid()
     samples = ((ys > a) & (ys < b)).astype(complex)
@@ -356,6 +366,8 @@ def segment_multiplier(n: int, omega: float, a: float = -1.0, b: float = 1.0) ->
 
 
 def tent_multiplier(n: int, omega: float) -> DiscreteMultiplier:
+    import numpy as np
+
     dm = DiscreteMultiplier(np.zeros(n), omega)
     ys = dm.grid()
     samples = np.clip(1.0 - np.abs(ys), 0.0, None).astype(complex)
@@ -370,6 +382,8 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
     preserves the sup norm exactly (matching the continuum a.e. picture,
     where neither half owns the origin).
     """
+    import numpy as np
+
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = int(round(float(t) / m.step))
@@ -424,12 +438,23 @@ class EstimateResult:
 
 
 def _pnorm(v: np.ndarray, p: float) -> float:
+    import numpy as np
+
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
 
 def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
-    """|v|^{q-1} sgn(v), the duality map used by the ascent."""
+    """|v|^{q-1} sgn(v), the duality map used by the ascent, up to a
+    positive factor: where the power would overflow (q near 1 makes q - 1
+    large), v is first divided by max|v|.  The ascent normalises the
+    result, so only the overflow changes."""
+    import numpy as np
+
     av = np.abs(v)
+    top = av.max(initial=0.0)
+    if top > 0 and (q - 1.0) * math.log(top) > 700.0:
+        v = v / top
+        av = np.abs(v)
     nonzero = av > 0
     scale = np.power(av, q - 1.0, out=np.zeros_like(av), where=nonzero)
     phase = np.divide(v, av, out=np.zeros_like(v), where=nonzero)
@@ -470,6 +495,8 @@ def estimate_lower(
     only an approximation to the continuum norm.  Deterministic for a
     fixed seed.
     """
+    import numpy as np
+
     if p <= 1:
         raise SplitnormError(f"estimation needs p > 1, got {p}")
     rng = np.random.default_rng(seed)

@@ -19,14 +19,15 @@ computed, not merely bounded: the r = 0 part integrates against
 sine/cosine integrals in closed form, and the rest carries a rigorous
 O(1/Y^2) bound.  That is what makes 1e-6 error budgets reachable at p = 2,
 where the envelope bound would need Y ~ 1e6.
+
+numpy is imported inside each function that uses it (scipy only inside
+``_cos_tail``), so importing the package loads neither for exact work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetExceeded, SplitnormError
 from .polyalg import ZERO_POLY, PiecewisePoly, Poly
@@ -36,55 +37,59 @@ from .splitcore import apply_split
 __all__ = ["FTEvaluator", "NumericNorm", "norm_numeric"]
 
 
-# 7/15 Gauss-Kronrod pair on [-1, 1] (QUADPACK values)
-_GK_NODES = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
+# 7/15 Gauss-Kronrod pair on [-1, 1] (QUADPACK values); _panel_integrate
+# turns these into arrays, G7's weights in the odd slots with zeros between
+_GK_NODES = (
+    -0.991455371120813,
+    -0.949107912342759,
+    -0.864864423359769,
+    -0.741531185599394,
+    -0.586087235467691,
+    -0.405845151377397,
+    -0.207784955007898,
+    0.0,
+    0.207784955007898,
+    0.405845151377397,
+    0.586087235467691,
+    0.741531185599394,
+    0.864864423359769,
+    0.949107912342759,
+    0.991455371120813,
 )
-_GK_WK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
+_GK_WK = (
+    0.022935322010529,
+    0.063092092629979,
+    0.104790010322250,
+    0.140653259715525,
+    0.169004726639267,
+    0.190350578064785,
+    0.204432940075298,
+    0.209482141084728,
+    0.204432940075298,
+    0.190350578064785,
+    0.169004726639267,
+    0.140653259715525,
+    0.104790010322250,
+    0.063092092629979,
+    0.022935322010529,
 )
-_GK_WG = np.zeros(15)
-_GK_WG[1::2] = [
+_GK_WG = (
+    0.0,
     0.129484966168870,
+    0.0,
     0.279705391489277,
+    0.0,
     0.381830050505119,
+    0.0,
     0.417959183673469,
+    0.0,
     0.381830050505119,
+    0.0,
     0.279705391489277,
+    0.0,
     0.129484966168870,
-]
+    0.0,
+)
 
 _SERIES_TERMS = 12
 
@@ -99,6 +104,8 @@ class FTEvaluator:
     """
 
     def __init__(self, f: PiecewisePoly):
+        import numpy as np
+
         self.radius = max(1e-300, float(f.support_radius()))
         self.betas, self.rows = _boundary_expansion(f)
         self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
@@ -109,6 +116,8 @@ class FTEvaluator:
                 xnp = Poly((RAT_ZERO,) + xnp.coeffs, (RAT_ZERO,) + xnp.im)  # x * xnp
 
     def __call__(self, y):
+        import numpy as np
+
         scalar = np.isscalar(y)
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.zeros(ys.shape, dtype=complex)
@@ -121,6 +130,8 @@ class FTEvaluator:
         return complex(out[0]) if scalar else out
 
     def _eval_series(self, ys):
+        import numpy as np
+
         z = -2j * np.pi * ys
         acc = np.zeros(ys.shape, dtype=complex)
         term = np.ones(ys.shape, dtype=complex)
@@ -130,6 +141,8 @@ class FTEvaluator:
         return acc
 
     def _eval_boundary(self, ys):
+        import numpy as np
+
         w = 2.0 * np.pi * ys
         s = 1.0 / (1j * w)
         powers = [s]  # s, s^2, ...: the longest row's worth, shared by all rows
@@ -179,6 +192,8 @@ def _boundary_expansion(f: PiecewisePoly):
     computed exactly and floated once; breakpoints where no derivative
     jumps are left out.
     """
+    import numpy as np
+
     rows = []
     betas = []
     prev = ZERO_POLY
@@ -203,6 +218,8 @@ def _envelope_tail(rows, p: float, Y: float) -> float:
     K = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, so that |f^(y)| <= K / (2 pi |y|)
     for |y| >= Y, term by term from the jump rows.
     """
+    import numpy as np
+
     s = 1.0 / (2.0 * math.pi * Y)
     K = 0.0
     for row in rows:
@@ -227,6 +244,8 @@ def _sharp_tail_p2(betas, rows, Y: float):
     The r = 0 jumps integrate in closed form; the rows' r >= 1 entries
     only enter the remainder bound.
     """
+    import numpy as np
+
     c0 = np.array([row[0] for row in rows], dtype=complex)
     inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
     main = float(np.sum(np.abs(c0) ** 2)) * 2.0 / Y * inv4pi2
@@ -261,7 +280,7 @@ _NODE_CAP = 2 ** 20
 _PANEL_CHUNK = 2048
 
 
-def _panel_integrate(fn, lo: np.ndarray, hi: np.ndarray, rows: int):
+def _panel_integrate(fn, lo, hi, rows: int):
     """Gauss-Kronrod on the panels [lo, hi]: (K15 values, |K15 - G7| errors).
 
     One integrand call covers every node.  The weight sums are taken on
@@ -269,12 +288,14 @@ def _panel_integrate(fn, lo: np.ndarray, hi: np.ndarray, rows: int):
     count): BLAS sums a block in an order that depends on its row count,
     so a caller that keeps its block sizes keeps every bit.
     """
+    import numpy as np
+
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+    x = mid[:, None] + half[:, None] * np.asarray(_GK_NODES)[None, :]
     fx = fn(x.ravel()).reshape(-1, rows, len(_GK_NODES))
-    k15 = (fx @ _GK_WK).ravel() * half
-    g7 = (fx @ _GK_WG).ravel() * half
+    k15 = (fx @ np.asarray(_GK_WK)).ravel() * half
+    g7 = (fx @ np.asarray(_GK_WG)).ravel() * half
     return k15, np.abs(k15 - g7)
 
 
@@ -303,6 +324,8 @@ def norm_numeric(
     result) when the error misses the target or the result is not finite
     (|f^|^p overflows for a huge p).
     """
+    import numpy as np
+
     p = float(p)
     if p <= 1:
         raise SplitnormError(f"(N_t f)^p requires p > 1, got {p}")

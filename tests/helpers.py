@@ -380,10 +380,10 @@ def _reference_panel_integrate(fn, edges):
         b = edges[lo + 1 : hi + 1]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * oscint._GK_NODES[None, :]
+        x = mid[:, None] + half[:, None] * np.asarray(oscint._GK_NODES)[None, :]
         fx = fn(x.ravel()).reshape(x.shape)
-        k15 = (fx @ oscint._GK_WK) * half
-        g7 = (fx @ oscint._GK_WG) * half
+        k15 = (fx @ np.asarray(oscint._GK_WK)) * half
+        g7 = (fx @ np.asarray(oscint._GK_WG)) * half
         vals[lo:hi] = k15
         errs[lo:hi] = np.abs(k15 - g7)
     return vals, errs

@@ -432,17 +432,16 @@ def test_estimator_matches_the_reference_loop_bit_for_bit():
     _same_as_reference(m, 3.0, paths, iterations=40, seed=2, real_test_functions=True,
                        initial=r.test_function)
     # no input found makes the ascent step down, as it cannot in exact
-    # arithmetic; at p = 1.001 the dual power |u|^1000 overflows and the
-    # candidate is NaN.  Both loops end the start there, but the reference
-    # reads its failed damped half-step as convergence
+    # arithmetic.  At p = 1.001 the dual power |u|^1000 overflows in the
+    # reference, whose candidate is NaN after 6 iterations; the estimator
+    # divides u by max|u| there first, so its ascent runs on and converges
     m = halfline_multiplier(2 ** 10, 8.0)
     got = estimate_lower(m, 1.001, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         want = reference_estimate_lower(m, 1.001, paths=paths, seed=1)
-    assert got.estimate == want[0]
-    assert np.array_equal(got.test_function, want[1])
-    assert got.iterations == want[3] and got.history == want[4]
-    assert got.converged is False and want[2] is True
+    assert want[3] == 6
+    assert got.iterations > 6 and got.converged is True
+    assert want[0] == 3.059488059848977 and got.estimate >= want[0]
     assert paths["damped"] >= 1 and paths["stall"] >= 1, paths
 
 
