@@ -445,14 +445,14 @@ def _pnorm(v: np.ndarray, p: float) -> float:
 
 def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
     """|v|^{q-1} sgn(v), the duality map used by the ascent, up to a
-    positive factor: where the power would overflow (q near 1 makes q - 1
-    large), v is first divided by max|v|.  The ascent normalises the
-    result, so only the overflow changes."""
+    positive factor: where the power would overflow or underflow (q near 1
+    makes q - 1 large), v is first divided by max|v|.  The ascent
+    normalises the result, so only the overflow or underflow changes."""
     import numpy as np
 
     av = np.abs(v)
     top = av.max(initial=0.0)
-    if top > 0 and (q - 1.0) * math.log(top) > 700.0:
+    if top > 0 and abs((q - 1.0) * math.log(top)) > 700.0:
         v = v / top
         av = np.abs(v)
     nonzero = av > 0

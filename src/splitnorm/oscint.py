@@ -9,16 +9,24 @@ the exact finite sum, for every y != 0,
 where J[k][r] is the jump of f^(r) at b_k (right limit minus left limit).
 ``_boundary_expansion`` computes these jump rows exactly and floats them
 once; the evaluator (with a moment series near the origin to dodge
-cancellation), the p = 2 tail and the envelope tail all read them.  |F[S_t f]|^p is integrated over a phase-aligned panel grid
-with an embedded Gauss/Kronrod error estimate and closed with a tail.
+cancellation) and all three tails read them.  |F[S_t f]|^p is integrated
+over a phase-aligned panel grid on [-Y, Y] with an embedded
+Gauss/Kronrod error estimate and closed with a tail beyond Y:
 
-Bounding term by term gives the envelope |f^(y)| <= K(Y) / (2 pi |y|) for
-|y| >= Y, with K(Y) = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, hence
-int_{|y|>Y} |f^|^p <= 2 (K/2pi)^p Y^{1-p} / (p-1).  For p = 2 the tail is
-computed, not merely bounded: the r = 0 part integrates against
-sine/cosine integrals in closed form, and the rest carries a rigorous
-O(1/Y^2) bound.  That is what makes 1e-6 error budgets reachable at p = 2,
-where the envelope bound would need Y ~ 1e6.
+- p = 2: computed, not merely bounded.  The r = 0 part integrates against
+  sine/cosine integrals in closed form, and the rest carries a proved
+  O(1/Y^2) bound.
+- any other p, the periodic-mean tail: the r = 0 part
+  P(y) = sum_k J[k][0] e^{-2 pi i b_k y} is periodic, because the b_k are
+  exact rationals, so the tail is the mean of |P|^p over a period times
+  (2 pi)^{-p} Y^{1-p}/(p-1) on each side, with a proved O(Y^{-p})
+  remainder (``_periodic_tail``).  Y then grows like err^{-1/p}.
+- any other p, the envelope: |f^(y)| <= K(Y) / (2 pi |y|) for |y| >= Y,
+  with K(Y) = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, bounds the tail by
+  2 (K/2pi)^p Y^{1-p} / (p-1), so Y grows like err^{-1/(p-1)}.  It runs
+  where it needs no larger a Y: where both stop at the floor max(8, 2R),
+  as a large p at a modest budget does, and for a float t, whose exact
+  value gives P a period near 2^55.
 
 numpy is imported inside each function that uses it (scipy only inside
 ``_cos_tail``), so importing the package loads neither for exact work.
@@ -30,8 +38,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SplitnormError
-from .polyalg import ZERO_POLY, PiecewisePoly, Poly
-from .scalars import RAT_ZERO, parts, rat
+from .polyalg import ZERO_POLY, PiecewisePoly
+from .scalars import RAT_ONE, parts, rat
 from .splitcore import apply_split
 
 __all__ = ["FTEvaluator", "NumericNorm", "norm_numeric"]
@@ -107,13 +115,20 @@ class FTEvaluator:
         import numpy as np
 
         self.radius = max(1e-300, float(f.support_radius()))
-        self.betas, self.rows = _boundary_expansion(f)
+        self.breaks, self.rows = _boundary_expansion(f)
+        self.betas = [float(b) for b in self.breaks]
         self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
-        for a, b, xnp in f._intervals():
+        for a, b, piece in f._intervals():
+            # moment int_a^b x^n p(x) dx = sum_j c_j (b^{n+j+1} - a^{n+j+1}) / (n+j+1),
+            # computed exactly then floated
+            pa = pb = RAT_ONE
+            antis = []
+            for k in range(1, len(piece.coeffs) + _SERIES_TERMS):
+                pa, pb = pa * a, pb * b
+                antis.append((pb - pa) / k)
             for n in range(_SERIES_TERMS):
-                # moment int_a^b x^n p(x) dx, computed exactly then floated
-                self._moments[n] += complex(*map(float, parts(xnp.integral(a, b))))
-                xnp = Poly((RAT_ZERO,) + xnp.coeffs, (RAT_ZERO,) + xnp.im)  # x * xnp
+                re, im = (sum(c * d for c, d in zip(cs, antis[n:])) for cs in (piece.coeffs, piece.im))
+                self._moments[n] += complex(float(re), float(im))
 
     def __call__(self, y):
         import numpy as np
@@ -186,7 +201,7 @@ class NumericNorm:
 
 
 def _boundary_expansion(f: PiecewisePoly):
-    """Breakpoints b_k (floats) and jump rows J[k][r] (complex arrays).
+    """Breakpoints b_k (exact) and jump rows J[k][r] (complex arrays).
 
     J[k][r] is the jump of f^(r) at b_k, right limit minus left limit,
     computed exactly and floated once; breakpoints where no derivative
@@ -195,7 +210,7 @@ def _boundary_expansion(f: PiecewisePoly):
     import numpy as np
 
     rows = []
-    betas = []
+    breaks = []
     prev = ZERO_POLY
     for k, b in enumerate(f.breakpoints):
         cur = f.pieces[k] if k < len(f.pieces) else ZERO_POLY
@@ -206,10 +221,10 @@ def _boundary_expansion(f: PiecewisePoly):
             ql = ql.derivative()
             qr = qr.derivative()
         if any(jumps):
-            betas.append(float(b))
+            breaks.append(b)
             rows.append(np.array(jumps, dtype=complex))
         prev = cur
-    return betas, rows
+    return breaks, rows
 
 
 def _envelope_tail(rows, p: float, Y: float) -> float:
@@ -225,8 +240,9 @@ def _envelope_tail(rows, p: float, Y: float) -> float:
     for row in rows:
         K += sum(abs(c) * s ** r for r, c in enumerate(row))
     K *= 1.0 + 1e-12
-    # a huge p overflows to inf, which the node cap then rejects: numpy stays quiet
-    with np.errstate(over="ignore"):
+    # a huge p overflows to inf (or inf * 0 = nan), which the node cap then
+    # rejects: numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
 
 
@@ -270,6 +286,170 @@ def _sharp_tail_p2(betas, rows, Y: float):
     return main, rem
 
 
+# unit roundoff of a float
+_U = 2.0 ** -53
+# midpoint samples of |P|^p that the periodic mean takes at least, and at
+# most (its table of 2n roots of unity is then 2 MB)
+_MEAN_SAMPLES = (256, 2 ** 16)
+# the share of the target the periodic-mean tail's error may take.  The
+# bisection stops below half of what the tail leaves, so tail and quadrature
+# take at most 0.55 of the target and leave 0.45 to the floating-point
+# allowance 1e-13 (1 + |I|); at 0.45, `ind` at p = 8, t = 1/4, 1e-11 (where
+# that allowance is 0.45 of the target) missed its target
+_PERIODIC_SHARE = 0.1
+
+
+def _pow(x: float, e: float) -> float:
+    """x ** e for x >= 0, inf where that overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _periodic_tail(breaks, rows, p: float, budget: float, lo: float, hi: float):
+    """(Y, tail value, tail error) with lo <= Y < hi and error <= budget, or None.
+
+    For |y| >= Y the jump rows give F(y) = P(y) / (2 pi i y) + R(y), with
+    P(y) = sum_k J[k][0] e^{-2 pi i b_k y} and |R| <= M2 / (2 pi y)^2,
+    M2 = sum_k sum_{r>=1} |J[k][r]| (2 pi Y)^{1-r}.  The b_k are exact
+    rationals, so |P|^p has the period T = 1 / gcd(b_k - b_0).  With mu its
+    mean over a period (the same for P(-y)) and C1 = sum_k |J[k][0]|, each
+    half-line contributes
+      - mu (2 pi)^{-p} Y^{1-p} / (p-1): the reported value;
+      - at most T mu (2 pi Y)^{-p}: integrate by parts against the periodic
+        antiderivative Phi of |P|^p - mu, which oscillates by at most T mu;
+      - at most (C1 + M2/(2 pi Y))^{p-1} M2 (2 pi)^{-(p+1)} Y^{-p}, from
+        ||a+b|^p - |a|^p| <= p (|a|+|b|)^{p-1} |b|.
+    mu is the mean of n midpoint samples on [0, T], within L T / (4n) for L =
+    p C1^{p-1} 2 pi sum_k |J[k][0]| |b_k - c| (c the middle of the b_k), the
+    Lipschitz constant of |P|^p, plus a floating-point allowance.  All of it
+    is carried in units of C1^p, so that a huge p stays finite where it can.
+
+    None where no Y below hi meets the budget, or where the samples needed
+    pass the cap: a float t, whose exact value has a period near 2^55, does.
+    """
+    import numpy as np
+
+    tau = 2.0 * math.pi
+    pad = 1.0 + 1e-12
+    # Python floats from here on: they overflow to inf quietly, or raise for _pow
+    lead = [(b, complex(row[0])) for b, row in zip(breaks, rows) if row[0] != 0]
+    # higher[r-1] = sum_k |J[k][r]|, r >= 1
+    higher = [0.0] * (max(map(len, rows)) - 1)
+    for row in rows:
+        for r in range(1, len(row)):
+            higher[r - 1] += abs(complex(row[r]))
+    C1 = pad * sum(abs(c) for _, c in lead)
+    period = lip = 0.0
+    if lead:
+        b0 = min(b for b, _ in lead)
+        den = math.lcm(*((b - b0).denominator for b, _ in lead))
+        nums = [(b - b0).numerator * (den // (b - b0).denominator) for b, _ in lead]
+        g = math.gcd(*nums)  # 0 for one breakpoint: |P| is then constant
+        steps = [k // g if g else 0 for k in nums]  # (b_k - b_0) / gcd
+        try:
+            period = den / g if g else 0.0
+        except OverflowError:  # beyond any sample cap
+            return None
+        middle = (b0 + max(b for b, _ in lead)) / 2
+        lip = pad * p * tau * sum(abs(c) * float(abs(b - middle)) for b, c in lead) / C1
+
+    def bound(Y, mu, eps):
+        """(value, error) at Y for a mean mu within eps, both in units of C1^p."""
+        s = 1.0 / (tau * Y)
+        m2 = pad * sum(a * s ** r for r, a in enumerate(higher))
+        q = _pow(C1 * s, p)
+        main = 2.0 * mu * q * Y / (p - 1.0)
+        err = 2.0 * (
+            eps * q * Y / (p - 1.0)
+            + period * (mu + eps) * q
+            + _pow((C1 + m2 * s) * s, p - 1.0) * m2 * s * s * Y
+        )
+        return main, err + 4.0 * (p + 8.0) * _U * main
+
+    def smallest_y(mu, eps):
+        """The smallest Y in [lo, hi), within 0.1%, whose error fits the budget."""
+        if bound(lo, mu, eps)[1] <= budget:
+            return lo
+        if not bound(hi, mu, eps)[1] <= budget:
+            return None
+        a, b = lo, hi
+        while b > a * 1.001:
+            mid = a * math.sqrt(b / a)
+            if bound(mid, mu, eps)[1] <= budget:
+                b = mid
+            else:
+                a = mid
+        return b if b < hi else None
+
+    # samples enough that the mean's error takes at most a quarter of the
+    # budget at the Y that mu <= C1^p certainly allows
+    y_ref = smallest_y(1.0, 0.0) or hi
+    q_ref = _pow(C1 / (tau * y_ref), p)
+    n_goal = 2.0 * lip * period * q_ref * y_ref / (budget * (p - 1.0))
+    if not n_goal <= _MEAN_SAMPLES[1]:
+        return None
+    n = max(_MEAN_SAMPLES[0], math.ceil(n_goal))
+    mu = eps = 0.0
+    if lead:
+        # P at y_j = (j + 1/2) T / n, up to a unit factor, is
+        # sum_k J[k][0] w^{steps_k (2j + 1)} with w = e^{-i pi / n}
+        roots = np.exp(-1j * math.pi / n * np.arange(2 * n))
+        total = 0.0
+        for j in range(0, n, _PANEL_CHUNK * 15):
+            odd = 2 * np.arange(j, min(j + _PANEL_CHUNK * 15, n)) + 1
+            P = np.zeros(len(odd), dtype=complex)
+            for k, (_, c) in zip(steps, lead):
+                P += c * roots[(k % (2 * n)) * odd % (2 * n)]
+            total += float(np.sum((np.abs(P) / C1) ** p))
+        mu = total / n
+        # each sample of P is within delta C1 (the roots carry about 15 ulp,
+        # each product and sum one more); the power, the quotient and the
+        # pairwise sum add theirs
+        delta = (len(lead) + 32) * _U
+        fp = p * _pow(1.0 + delta, p - 1.0) * (delta + _U) + (math.log2(n) + 2.0) * _U
+        eps = lip * period / (4.0 * n) + fp
+    Y = smallest_y(mu, eps)
+    if Y is None:
+        return None
+    main, err = bound(Y, mu, eps)
+    return Y, main, err
+
+
+def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
+    """(Y, tail value, tail error): where the panel grid ends, and what lies beyond it.
+
+    Y is at least max(8, 2R), R the support radius.  p = 2 takes the
+    sine/cosine-integral tail and doubles Y until its remainder is within
+    0.45 of the target.  Any other p takes whichever of two tails needs the
+    smaller Y, the envelope on a tie: the envelope bound, solved to be 0.45
+    of the target and reported as its midpoint (Y ~ err^{-1/(p-1)}), or the
+    periodic-mean tail, placed where its error is ``_PERIODIC_SHARE`` of the
+    target (Y ~ err^{-1/p}).  Every tail error here is proved.
+    """
+    half = 0.45 * target_abs_err
+    floor = max(8.0, evaluator.radius * 2.0)
+    if p == 2.0:
+        Y = floor
+        main, rem = _sharp_tail_p2(evaluator.betas, evaluator.rows, Y)
+        while rem > half and Y < 1e9:
+            Y *= 2.0
+            main, rem = _sharp_tail_p2(evaluator.betas, evaluator.rows, Y)
+        return Y, main, rem
+    rows = evaluator.rows
+    # the envelope tail falls like Y^{1-p}: solve for the Y where it is `half`
+    log_y = math.log(max(_envelope_tail(rows, p, 1.0) / half, 1e-300)) / (p - 1.0)
+    Y = max(floor, math.exp(min(log_y, 700.0)))
+    if Y > floor:
+        periodic = _periodic_tail(evaluator.breaks, rows, p, _PERIODIC_SHARE * target_abs_err, floor, Y)
+        if periodic is not None:
+            return periodic
+    # the tail lies in [0, bound]: report the midpoint
+    bound = _envelope_tail(rows, p, Y)
+    return Y, 0.5 * bound, 0.5 * bound + 1e-300
+
+
 # ---------------------------------------------------------------------------
 # the norm computation
 # ---------------------------------------------------------------------------
@@ -308,9 +488,11 @@ def norm_numeric(
     """(N_t f)^p = int |F[S_t f](y)|^p dy by adaptive numerical integration.
 
     Phase-aligned Gauss-Kronrod panels on [-Y, Y] (panel width a quarter of
-    the fastest oscillation), plus a tail: computed semi-analytically for
-    p = 2, bounded by the proved envelope otherwise.  Each bisection round
-    halves the worst 1/64 of the panels (at least one) by their error
+    the fastest oscillation), plus a tail beyond Y: computed
+    semi-analytically for p = 2; for any other p, the periodic mean of the
+    transform's leading term with a proved remainder, or the proved envelope
+    bound where that needs the smaller Y (``_place_tail``).  Each bisection
+    round halves the worst 1/64 of the panels (at least one) by their error
     estimate and evaluates all the halves' nodes in one batch, until the
     summed estimates fall below half the quadrature target.
 
@@ -339,33 +521,14 @@ def norm_numeric(
         evaluator = FTEvaluator(g)
     except OverflowError as exc:
         raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
-    betas, rows = evaluator.betas, evaluator.rows
-
-    # tail placement
-    half = 0.45 * target_abs_err
     radius = float(g.support_radius())
-    if p == 2.0:
-        Y = max(8.0, radius * 2.0)
-        main, rem = _sharp_tail_p2(betas, rows, Y)
-        while rem > half and Y < 1e9:
-            Y *= 2.0
-            main, rem = _sharp_tail_p2(betas, rows, Y)
-        tail_value, tail_err = main, rem
-    else:
-        # the envelope tail falls like Y^{1-p}: solve for the Y where it is `half`
-        log_y = math.log(max(_envelope_tail(rows, p, 1.0) / half, 1e-300)) / (p - 1.0)
-        Y = max(8.0, radius * 2.0, math.exp(min(log_y, 700.0)))
-
+    Y, tail_value, tail_err = _place_tail(evaluator, p, target_abs_err)
     width = 1.0 / (4.0 * max(1.0, radius))
     nodes = 2.0 * Y / width * 15.0
     if nodes > _NODE_CAP:
         raise BudgetExceeded(
             f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {_NODE_CAP}"
         )
-    if p != 2.0:
-        # the tail lies in [0, bound]: report the midpoint
-        bound = _envelope_tail(rows, p, Y)
-        tail_value, tail_err = 0.5 * bound, 0.5 * bound + 1e-300
     n_panels = 2 * int(math.ceil(Y / width))
 
     def integrand(y):

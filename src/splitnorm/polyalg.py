@@ -159,12 +159,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(*([k * c for k, c in enumerate(cs)][1:] for cs in (self.coeffs, self.im)))
 
-    def integral(self, a, b):
-        """Exact definite integral over [a, b], a rational or an ``(re, im)`` pair."""
-        a, b = as_scalar(a), as_scalar(b)
-        re = _definite(self.coeffs, a, b)
-        return gauss(re, _definite(self.im, a, b)) if self.im else re
-
     def shift(self, h) -> "Poly":
         """P(x + h), synthetic Horner shift."""
         h = as_scalar(h)
@@ -213,12 +207,6 @@ def _horner(cs, x):
     for c in reversed(cs):
         acc = acc * x + c
     return acc
-
-
-def _definite(cs, a, b):
-    """int_a^b of the polynomial with ascending coefficients cs."""
-    anti = [RAT_ZERO] + [c / rat(k + 1) for k, c in enumerate(cs)]
-    return _horner(anti, b) - _horner(anti, a)
 
 
 ZERO_POLY = Poly()

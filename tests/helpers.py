@@ -13,7 +13,7 @@ from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormEr
 from splitnorm.multnorm import DiscreteMultiplier
 from splitnorm.oscint import FTEvaluator, NumericNorm
 from splitnorm.polyalg import PiecewisePoly, Poly, _pairs, indicator, tent
-from splitnorm.scalars import gauss, parse_rat, parse_scalar, rat
+from splitnorm.scalars import gauss, parse_rat, parse_scalar, parts, rat
 from splitnorm.splitcore import apply_split
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -352,6 +352,33 @@ def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_function
     return best_q, test_function, converged, total_iters, history
 
 
+def poly_integral(q, a, b):
+    """Test oracle: the exact int_a^b q(x) dx of a ``Poly``, a rational or an
+    ``(re, im)`` pair, from the antiderivative's coefficients by Horner."""
+
+    def definite(cs):
+        at_a = at_b = rat(0)
+        for k in range(len(cs), 0, -1):  # antiderivative coefficient c_{k-1} / k of x^k
+            at_a = (at_a + cs[k - 1] / rat(k)) * a
+            at_b = (at_b + cs[k - 1] / rat(k)) * b
+        return at_b - at_a
+
+    return gauss(definite(q.coeffs), definite(q.im))
+
+
+def reference_moments(f):
+    """Test oracle: the evaluator's moments int x^n f(x) dx, n < 12, as they
+    were computed before the endpoint powers: one ``Poly`` x^n p(x) per
+    moment, integrated exactly, then floated."""
+    moments = np.zeros(oscint._SERIES_TERMS, dtype=complex)
+    for a, b, xnp in f._intervals():
+        for n in range(oscint._SERIES_TERMS):
+            re, im = parts(poly_integral(xnp, a, b))
+            moments[n] += complex(float(re), float(im))
+            xnp = Poly((rat(0),) + xnp.coeffs, (rat(0),) + xnp.im)  # x * xnp
+    return moments
+
+
 class ReferenceEvaluator(FTEvaluator):
     """Test oracle: the evaluator with the boundary sum as it was before the
     powers of s and the phases e^{-i w |b|} were shared, one complex exp
@@ -392,7 +419,8 @@ def _reference_panel_integrate(fn, edges):
 def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
     """Test oracle: ``norm_numeric`` as it was before the bisection rounds
     were batched, with a list of panel tuples, one ``_panel_integrate``
-    call per bisected panel and ``ReferenceEvaluator``.
+    call per bisected panel and ``ReferenceEvaluator``.  The tail comes
+    from the same ``_place_tail``.
 
     ``stats``, a ``collections.Counter`` if given, counts the bisection
     rounds ("rounds") and the panels they bisect ("bisected").
@@ -406,30 +434,14 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
 
     g = apply_split(f, rat(t))
     evaluator = ReferenceEvaluator(g)
-    betas, rows = evaluator.betas, evaluator.rows
-
-    half = 0.45 * target_abs_err
+    Y, tail_value, tail_err = oscint._place_tail(evaluator, p, target_abs_err)
     radius = float(g.support_radius())
-    if p == 2.0:
-        Y = max(8.0, radius * 2.0)
-        main, rem = oscint._sharp_tail_p2(betas, rows, Y)
-        while rem > half and Y < 1e9:
-            Y *= 2.0
-            main, rem = oscint._sharp_tail_p2(betas, rows, Y)
-        tail_value, tail_err = main, rem
-    else:
-        log_y = math.log(max(oscint._envelope_tail(rows, p, 1.0) / half, 1e-300)) / (p - 1.0)
-        Y = max(8.0, radius * 2.0, math.exp(min(log_y, 700.0)))
-
     width = 1.0 / (4.0 * max(1.0, radius))
     nodes = 2.0 * Y / width * 15.0
     if nodes > oscint._NODE_CAP:
         raise BudgetExceeded(
             f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {oscint._NODE_CAP}"
         )
-    if p != 2.0:
-        bound = oscint._envelope_tail(rows, p, Y)
-        tail_value, tail_err = 0.5 * bound, 0.5 * bound + 1e-300
     n_panels = 2 * int(math.ceil(Y / width))
 
     def integrand(y):

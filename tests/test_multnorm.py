@@ -445,6 +445,17 @@ def test_estimator_matches_the_reference_loop_bit_for_bit():
     assert paths["damped"] >= 1 and paths["stall"] >= 1, paths
 
 
+def test_estimator_near_p1_on_a_small_multiplier_is_homogeneous():
+    # |u|^1000 of a small dual image underflowed to zero, so the candidate's
+    # norm was 0 and the start ended after 3 iterations at 7.2e-4; dividing u
+    # by max|u| there too keeps the norm homogeneous in the multiplier
+    m = halfline_multiplier(2 ** 10, 8.0)
+    small = estimate_lower(DiscreteMultiplier(1e-3 * m.samples, 8.0), 1.001, seed=1)
+    full = estimate_lower(m, 1.001, seed=1)
+    assert small.iterations > 3
+    assert abs(small.estimate - 1e-3 * full.estimate) <= 1e-9 * full.estimate
+
+
 def test_estimator_step_costs_two_fft_pairs(monkeypatch):
     calls = Counter()
 

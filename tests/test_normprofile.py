@@ -131,15 +131,15 @@ def _numeric_golden_doc(f, ps, target):
 # the quadrature that moves any result by one ulp shows here
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "38b044b0e3a67acf43eaea4bd0ffa97f755b70ab31771566e1793a797eb5bf79"),
+     "78f34d3659cbd86fe80ecc762b38333a238ba2764da55773caef84cde2242686"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "9e6707266d974e6373a8eb4f70de6a0c1848b2bbf84465a0a39cb1fd2f496c9f"),
+     "9a46ef4e90cd4c5b5c2272a8fe87ea2b8cce1cad537501d483b126af23f942b6"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "8907f54ea927a1c16fc2fd16e72f8062dd8030973cfb46e68b032a92a99939cf"),
+     "6eac34480762a54350bc52fde691a5319ae6d3a182ff71e65da71faac9310699"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "766d2ef972f2f6ba986ae70a05ce9b3ae5a04a0f8f481c8b2c77775084bd2aa3"),
+     "8df96b1fb42d7cfd209bc957d8f76396739de2b7e11cc4970f190ea304263ecf"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "628ff799638ec728426a50de57a2f7a4170ed78fc11290ed8457a71ff986a4b3"),
+     "a701bbab0ec8df9ec853b74b050a58720cc8f2e51be6cbbc5d075e91343d55f4"),
 ]
 
 

@@ -14,7 +14,7 @@ from splitnorm.polyalg import indicator, l2_inner, tent
 from splitnorm.scalars import rat
 from splitnorm.splitcore import apply_split
 
-from .helpers import ReferenceEvaluator, exactly, reference_norm_numeric, rnd_pp
+from .helpers import ReferenceEvaluator, exactly, poly_integral, reference_moments, reference_norm_numeric, rnd_pp
 
 CHI = indicator(-1, 1)
 TWO_BUMP = CHI + indicator(10, 11) + indicator(-11, -10)
@@ -37,9 +37,22 @@ def test_ft_at_zero_is_exact_integral():
     rng = np.random.default_rng(5)
     for _ in range(5):
         f = rnd_pp(rng, max_pieces=3, max_deg=3, complex_ok=True)
-        pieces = [parts(q.integral(a, b)) for a, b, q in zip(f.breakpoints, f.breakpoints[1:], f.pieces)]
+        pieces = [parts(poly_integral(q, a, b)) for a, b, q in zip(f.breakpoints, f.breakpoints[1:], f.pieces)]
         want = complex(float(sum(re for re, _ in pieces)), float(sum(im for _, im in pieces)))
         assert abs(FTEvaluator(f)(0.0) - want) < 1e-12 * (1 + abs(want))
+
+
+def test_moments_match_the_per_moment_polynomial_loop_bit_for_bit():
+    # the moments come from the endpoints' powers; the exact rationals are
+    # those of integrating x^n p(x) one moment at a time, so are the floats
+    from splitnorm.cli import parse_function_spec
+
+    fns = [parse_function_spec(s) for s in ("ind:-1,1", "tent:-1,0,1", "poly:[-1,1]:1,0,-1", "ind:0,1 + i*ind:-1,0")]
+    fns += [rnd_pp(np.random.default_rng(seed), max_pieces=3, max_deg=3, complex_ok=True) for seed in range(8)]
+    for f in fns:
+        for t in (0, rat(1, 4), rat(5, 3), rat(0.1)):
+            g = apply_split(f, t)
+            assert np.array_equal(FTEvaluator(g)._moments, reference_moments(g)), (f, t)
 
 
 def test_ft_tent_closed_form():
@@ -126,16 +139,52 @@ def test_norm_numeric_budget_exceeded_carries_result():
 
 
 def test_node_cap_message_reports_the_compared_node_count():
-    # the two-bump function at p = 3, t = 1, 1e-6 needs more tail nodes than
-    # the cap; the message names the count that is compared with it
+    # the two-bump function at p = 3, t = 0.1, 1e-6 needs more nodes than the
+    # cap: the float 0.1 is exactly a dyadic rational whose denominator gives
+    # the transform's leading term a period near 2^55, so the envelope tail
+    # places Y.  The message names the count that is
+    # compared with the cap
     from splitnorm import oscint
 
     cap = oscint._NODE_CAP
     with pytest.raises(BudgetExceeded) as info:
-        norm_numeric(TWO_BUMP, 3.0, 1.0, target_abs_err=1e-6)
+        norm_numeric(TWO_BUMP, 3.0, 0.1, target_abs_err=1e-6)
     msg = str(info.value)
     assert "nodes" in msg and f"node cap {cap}" in msg
     assert float(msg.split()[0]) > cap
+
+
+def test_node_cap_jobs_finish_under_the_periodic_mean_tail():
+    # these exited 4 before integrating, with the envelope tail's Y near
+    # err^{-1/(p-1)}; the periodic-mean tail ends the grid near err^{-1/p}.
+    # I(p) = int |F|^p is log-convex in p (Lyapunov), I(2) = ||f||_2^2 and
+    # I(4) comes from the exact engine
+    def run(f, p, t, target):
+        res = norm_numeric(f, p, t, target_abs_err=target)
+        assert res.abs_error <= target
+        return res
+
+    i3 = run(CHI, 3.0, 1.0, 1e-6)
+    i4 = float(norm_profile(CHI, 4).value_at(rat(1)))
+    # ind, p = 1.5, t = 1, 1e-3: I(2) <= I(1.5)^{2/3} I(3)^{1/3}
+    i15 = run(CHI, 1.5, 1.0, 1e-3)
+    assert i15.value + i15.abs_error >= (2.0 ** 3 / (i3.value + i3.abs_error)) ** 0.5
+    # ind, p = 2.5, t = 1, 1e-6: between I(3)^{3/2} / I(4)^{1/2} and (I(2) I(3))^{1/2}
+    i25 = run(CHI, 2.5, 1.0, 1e-6)
+    assert i25.value - i25.abs_error <= (2.0 * (i3.value + i3.abs_error)) ** 0.5
+    assert i25.value + i25.abs_error >= (i3.value - i3.abs_error) ** 1.5 / i4 ** 0.5
+    # ind, p = 3, t = 12, 1e-6: the paper's table
+    assert abs(run(CHI, 3.0, 12.0, 1e-6).value - 2.6121) <= 0.01
+    # ind, p = 3, t = 1, 1e-9: the 1e-6 result and the table
+    i3_fine = run(CHI, 3.0, 1.0, 1e-9)
+    assert abs(i3_fine.value - i3.value) <= i3_fine.abs_error + i3.abs_error
+    assert abs(i3_fine.value - 2.6124) <= 0.01
+    # two-bump, p = 3, t = 1, 1e-6: the 1e-3 result, and I(3) <= (I(2) I(4))^{1/2}
+    tb = run(TWO_BUMP, 3.0, 1.0, 1e-6)
+    tb_coarse = norm_numeric(TWO_BUMP, 3.0, 1.0, target_abs_err=1e-3)
+    assert abs(tb.value - tb_coarse.value) <= tb.abs_error + tb_coarse.abs_error
+    tb4 = float(norm_profile(TWO_BUMP, 4).value_at(rat(1)))
+    assert tb.value - tb.abs_error <= (float(l2_inner(TWO_BUMP, TWO_BUMP)) * tb4) ** 0.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -236,8 +285,9 @@ def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
 
 
 def tail_bound(f, t, p, Y):
-    """The proved bound on int_{|y|>Y} |F[S_t f]|^p that norm_numeric closes its
-    panels with: the envelope tail of the jump rows of S_t f."""
+    """The envelope tail of the jump rows of S_t f: a proved bound on
+    int_{|y|>Y} |F[S_t f]|^p, one of the tails norm_numeric closes its
+    panels with."""
     return _envelope_tail(_boundary_expansion(apply_split(f, rat(t)))[1], p, Y)
 
 
@@ -289,6 +339,29 @@ def test_tail_bound_dominates_complex_and_polynomial_tails():
                 vals = np.abs(ev(ys)) ** 3 + np.abs(ev(-ys)) ** 3
                 observed = float(_trapezoid(vals, ys))
                 assert 0 < observed < tail_bound(f, t, 3.0, Y)
+
+
+def test_periodic_tail_encloses_the_integrated_tail():
+    # value +- error must hold the tail of |F[S_t f]|^p on both half-lines:
+    # at least the trapezoid sum on [Y, 60 Y], at most that plus the
+    # envelope bound beyond 60 Y
+    from splitnorm.cli import parse_function_spec
+    from splitnorm.oscint import _periodic_tail
+    from splitnorm.scalars import gauss
+
+    from .helpers import _trapezoid
+
+    fns = (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), parse_function_spec("poly:[-1,1]:1,0,-1"), TWO_BUMP)
+    for f in fns:
+        ev = FTEvaluator(apply_split(f, rat(1)))
+        for p in (1.5, 2.5, 3.0, 4.0, 6.0):
+            budget = {1.5: 1e-3, 2.5: 1e-4}.get(p, 1e-7)
+            Y, value, err = _periodic_tail(ev.breaks, ev.rows, p, budget, 8.0, 1e6)
+            assert err <= budget
+            ys = np.linspace(Y, 60 * Y, 300001)
+            observed = float(_trapezoid(np.abs(ev(ys)) ** p + np.abs(ev(-ys)) ** p, ys))
+            beyond = _envelope_tail(ev.rows, p, 60 * Y)
+            assert value - err <= observed + beyond and observed <= value + err, (f, p)
 
 
 @settings(max_examples=6, deadline=None)

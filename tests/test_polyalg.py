@@ -35,6 +35,7 @@ from .helpers import (
     exactly,
     from_json_dict,
     grid_increase_search,
+    poly_integral,
     rational_isolation_reference,
     rnd_poly,
     rnd_pp,
@@ -105,7 +106,7 @@ def _convolve_oracle(f, g, x):
         # on (a, b) no breakpoint of f or of y -> g(x - y) is crossed
         g_piece = g.piece_at(x - b).scale_arg(-1).shift(-x)  # y -> q(x - y)
         q = f.piece_at(a) * g_piece
-        re, im = re + Poly(q.coeffs).integral(a, b), im + Poly(q.im).integral(a, b)
+        re, im = re + poly_integral(Poly(q.coeffs), a, b), im + poly_integral(Poly(q.im), a, b)
     return gauss(re, im)
 
 
@@ -116,7 +117,7 @@ def _correlate_oracle(f, g, s):
     for a, b in zip(cuts, cuts[1:]):
         f_piece = f.piece_at(a - s).conjugate().shift(-s)  # y -> conj(f(y - s))
         q = g.piece_at(a) * f_piece
-        re, im = re + Poly(q.coeffs).integral(a, b), im + Poly(q.im).integral(a, b)
+        re, im = re + poly_integral(Poly(q.coeffs), a, b), im + poly_integral(Poly(q.im), a, b)
     return gauss(re, im)
 
 
