@@ -1,9 +1,11 @@
 """The p = 3 experiments: constancy and monotonicity both fail for odd p.
 
 For the unit indicator, even p gives a profile that is constant past
-(p-2)A/4 and nonincreasing.  At p = 3 neither survives: certified
-numerical integration shows the profile keeps oscillating (tiny, decaying
-wiggles) and genuinely rises between t = 3/4 and t = 1.
+(p-2)A/4 and nonincreasing.  At p = 3 neither survives: numerical
+integration shows the profile keeps oscillating (tiny, decaying wiggles)
+and rises between t = 3/4 and t = 1.  The rise rests on error budgets whose
+tail part is proved and whose quadrature part is the |K15 - G7| estimate,
+so it is not a proof.
 """
 
 from splitnorm import indicator, norm_numeric
@@ -16,7 +18,7 @@ for t in (0.25, 1.0, 5.0, 12.0):
     print(f"t = {t:5}: {res.value:.5f} +- {res.abs_error:.1e}")
 
 print()
-print("== a certified rise: non-monotonicity beyond error budgets ==")
+print("== a rise beyond the error budgets (proved tail, estimated quadrature) ==")
 lo = norm_numeric(chi, 3.0, 0.75, target_abs_err=2e-5)
 hi = norm_numeric(chi, 3.0, 1.0, target_abs_err=2e-5)
 print(f"t = 3/4: {lo.value:.6f} +- {lo.abs_error:.1e}")

@@ -3,8 +3,10 @@
 The exactly known operator norms are the half-line constant
 c_p = csc(pi/p), its real-data variant c_p^R, and the segment constant
 n_p = max(tan, cot)(pi/(2p)).  Around them sits a two-sided ledger for
-split multipliers, an equality case for positive kernels, and a certified
-lower-bound estimator (any test function's quotient is a lower bound).
+split multipliers, an equality case for positive kernels, and a lower
+estimator: any test function's quotient bounds the grid operator's norm
+from below, but the estimator computes it in floating point, so its values
+are floating-point lower estimates, not proved bounds.
 """
 
 import math
@@ -43,7 +45,7 @@ rep2 = bound_report("two_way", {"p": 4, "A": 1.0, "t": 0.6, "ell": 1.0,
 print(f"split tent two-way: [{rep2.lower:.6f}, {rep2.upper:.6f}]")
 
 print()
-print("== certified lower bounds from the estimator (N = 4096) ==")
+print("== floating-point lower estimates from the estimator (N = 4096) ==")
 n = 2 ** 12
 half = halfline_multiplier(n, 8.0)
 r = estimate_lower(half, 4.0, iterations=200, seed=1)
@@ -73,5 +75,5 @@ print(f"split tent at t = {snapped}: estimate {r4.estimate:.5f}, "
       f"{r4.estimate / rep2.lower:.3f} of the lower edge of "
       f"[{rep2.lower:.5f}, {rep2.upper:.5f}]")
 print("                   it lies below the interval: the estimate is a lower")
-print("                   bound for the grid operator, and the interval bounds")
-print("                   the continuum one")
+print("                   estimate for the grid operator, and the interval")
+print("                   bounds the continuum one")

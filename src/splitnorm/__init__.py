@@ -18,7 +18,6 @@ from .polyalg import (
     convolve,
     correlate,
     indicator,
-    is_nondecreasing_on,
     is_nonincreasing_on,
     is_nonnegative,
     isolate_real_roots,
@@ -59,7 +58,6 @@ from .multnorm import (
     halfline_multiplier,
     segment_multiplier,
     split_multiplier,
-    t0,
     tent_multiplier,
 )
 

@@ -39,7 +39,6 @@ __all__ = [
     "DiscreteMultiplier",
     "EstimateResult",
     "constants",
-    "t0",
     "bound_report",
     "exact_norm_positive_kernel",
     "split_multiplier",
@@ -73,17 +72,6 @@ def constants(p: float) -> MultConstants:
     c_p = 1.0 / math.sin(math.pi / p)
     c_p_real = 0.5 * max(1.0 / math.cos(half), 1.0 / math.sin(half))
     return MultConstants(p=p, n_p=n_p, c_p=c_p, c_p_real=c_p_real)
-
-
-def t0(A: float, p: int) -> float:
-    """(p-2)A/4, the split threshold for compact support of halfwidth A."""
-    if not isinstance(p, int) or p < 2 or p % 2:
-        raise SplitnormError(f"the threshold applies to even integer p, got {p!r}")
-    if A < 0:
-        raise ValueError("A must be nonnegative")
-    # float arithmetic, not normprofile.gen_t0: a huge A gives inf, which the
-    # gate reports, where float() of the exact value would overflow
-    return (p - 2) * float(A) / 4.0
 
 
 def _binom_factor(p: int) -> float:
@@ -150,7 +138,11 @@ def _gate_t_at_least_t0(inputs):
     p, A, t = inputs.get("p"), inputs.get("A"), inputs.get("t")
     if A is None or t is None:
         raise SplitnormError("missing inputs: A, t")
-    thr = t0(A, p)
+    if A < 0:
+        raise ValueError("A must be nonnegative")
+    # float arithmetic, not normprofile.gen_t0: a huge A gives inf, which the
+    # gate reports, where float() of the exact value would overflow
+    thr = (p - 2) * float(A) / 4.0
     if float(t) < thr:
         return f"requires t >= t0 = {thr} (got t = {t})"
     return None

@@ -143,17 +143,14 @@ def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
 
 
 def _constancy_onset(window: PiecewisePoly, tail):
-    """Least breakpoint after which the window is literally the constant tail."""
+    """Least breakpoint after which the window is literally the constant tail.
+
+    Equal neighbours are merged and the window runs past the off-diagonal
+    support, so the constant tail is at most the one last piece.
+    """
     if window.is_zero():
         return RAT_ZERO
-    const = Poly([tail])
-    onset = window.breakpoints[-1]
-    for k in range(len(window.pieces) - 1, -1, -1):
-        if window.pieces[k] == const:
-            onset = window.breakpoints[k]
-        else:
-            break
-    return onset
+    return window.breakpoints[-2 if window.pieces[-1] == Poly([tail]) else -1]
 
 
 def norm_profile(f: PiecewisePoly, p: int) -> NormProfile:

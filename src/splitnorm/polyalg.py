@@ -57,7 +57,6 @@ __all__ = [
     "l2_inner",
     "conv_power",
     "is_nonincreasing_on",
-    "is_nondecreasing_on",
     "is_nonnegative",
     "isolate_real_roots",
     "indicator",
@@ -420,17 +419,15 @@ def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
         recurse(mid, b, _taylor_shift(left, 1), depth + 1)
 
     recurse(lo, hi, w, 0)  # in order: the intervals come out sorted
-    return [_refine_interval(a, b, w, lo, hi) for a, b, w in out]
+    # endpoints that are non-roots inside (lo, hi)
+    return [_refine(a, b, w, lambda a, b, w: w[0] and sum(w) and lo < a and b < hi) for a, b, w in out]
 
 
-def _refine_interval(a, b, w, lo, hi):
-    """Shrink an isolating window until its endpoints are non-roots inside (lo, hi)."""
-    if a == b:
-        return (a, b, w)
-    while not w[0] or not sum(w) or not (lo < a and b < hi):
+def _refine(a, b, w, done):
+    """Halve the isolating window (a, b, w) toward its root until
+    ``done(a, b, w)`` holds or the root is met exactly (a == b)."""
+    while a != b and not done(a, b, w):
         a, b, w = _bisect_toward_root(a, b, w)
-        if a == b:
-            break
     return (a, b, w)
 
 
@@ -447,13 +444,6 @@ def _bisect_toward_root(a, b, w):
     return mid, b, _taylor_shift(left, 1)
 
 
-def _shrink_left_edge(a, b, w, floor):
-    """Refine an isolating window until its left endpoint exceeds ``floor``."""
-    while a <= floor and a != b:
-        a, b, w = _bisect_toward_root(a, b, w)
-    return (a, b)
-
-
 def _sign_regions(p: Poly, lo, hi):
     """Constant-sign regions of a nonzero real p on (lo, hi).
 
@@ -468,7 +458,7 @@ def _sign_regions(p: Poly, lo, hi):
         sample = (prev + a) / 2 if prev < a else prev
         if p.eval(sample) == 0:
             raise InvariantViolation("a sign-region sample point is a root")
-        nxt = _shrink_left_edge(a, b, w, sample)
+        nxt = _refine(a, b, w, lambda a, b, w: a > sample)
         anchor = (sample + nxt[0]) / 2
         if not sample < anchor:
             raise InvariantViolation("a sign-region anchor must lie right of its sample")
@@ -991,7 +981,8 @@ class MonotoneVerdict:
     """Outcome of an exact monotonicity decision.
 
     ``witness`` is a pair (x1, x2) with x1 < x2 and f(x1) < f(x2) whenever a
-    nonincreasing verdict is negative (mirrored for the nondecreasing one).
+    nonincreasing verdict is negative.  "Nondecreasing" is not decided
+    separately: f is nondecreasing exactly where -f is nonincreasing.
     """
 
     ok: bool
@@ -1057,18 +1048,6 @@ def is_nonincreasing_on(f: PiecewisePoly, a, b=None) -> MonotoneVerdict:
             region_lo = max([a] + below[-1:])
             return MonotoneVerdict(False, _upward_jump_witness(f, x, lv, rv, region_lo))
     return MonotoneVerdict(True)
-
-
-def is_nondecreasing_on(f: PiecewisePoly, a, b) -> MonotoneVerdict:
-    """Exact decision on a bounded interval, via reflection.
-
-    Witness pairs (x1, x2) have x1 < x2 and f(x1) > f(x2).
-    """
-    v = is_nonincreasing_on(f.reflect(), -rat(b), -rat(a))
-    if v.ok:
-        return v
-    x1, x2 = v.witness
-    return MonotoneVerdict(False, (-x2, -x1))
 
 
 def is_nonnegative(f: PiecewisePoly) -> MonotoneVerdict:

@@ -16,7 +16,6 @@ from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     convolve,
-    is_nondecreasing_on,
     is_nonincreasing_on,
     is_nonnegative,
 )
@@ -111,7 +110,8 @@ def class_s_sufficient(f: PiecewisePoly, r) -> bool:
     if not is_nonnegative(f).ok:
         return False
     plus = split(f).plus
-    if r > 0 and not is_nondecreasing_on(plus, RAT_ZERO, r).ok:
+    # nondecreasing on (0, r] is nonincreasing of -f_+ there
+    if r > 0 and not is_nonincreasing_on(-plus, RAT_ZERO, r).ok:
         return False
     return is_nonincreasing_on(plus, r).ok
 

@@ -12,7 +12,15 @@ from splitnorm import oscint
 from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
 from splitnorm.multnorm import DiscreteMultiplier
 from splitnorm.oscint import FTEvaluator, NumericNorm
-from splitnorm.polyalg import PiecewisePoly, Poly, _pairs, indicator, tent
+from splitnorm.polyalg import (
+    MonotoneVerdict,
+    PiecewisePoly,
+    Poly,
+    _pairs,
+    indicator,
+    is_nonincreasing_on,
+    tent,
+)
 from splitnorm.scalars import gauss, parse_rat, parse_scalar, parts, rat
 from splitnorm.splitcore import apply_split
 
@@ -165,6 +173,18 @@ def grid_increase_search(f: PiecewisePoly, a, n=400):
         if vals[j] < vals[min_idx]:
             min_idx = j
     return None
+
+
+def reference_is_nondecreasing_on(f: PiecewisePoly, a, b) -> MonotoneVerdict:
+    """Test oracle: the nondecreasing decision as the library once made it,
+    by reflection.  f is nondecreasing on [a, b] iff its reflection is
+    nonincreasing on [-b, -a]; a witness there is mirrored back to a pair
+    (x1, x2) with x1 < x2 and f(x1) > f(x2)."""
+    v = is_nonincreasing_on(f.reflect(), -rat(b), -rat(a))
+    if v.ok:
+        return v
+    x1, x2 = v.witness
+    return MonotoneVerdict(False, (-x2, -x1))
 
 
 def rational_isolation_reference(p: Poly, lo, hi) -> list:

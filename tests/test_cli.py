@@ -513,8 +513,8 @@ def test_norm_huge_p_envelope_tail_is_quiet(tmp_path):
     ["mult", "bounds", "two_way", "--p", "4", "--A", "-5", "--t", "-1", "--ell", "1", "--m-norm", "1", "--in-R"],
 ])
 def test_bounds_reject_negative_halfwidth(capsys, argv):
-    # the t >= t0 gate spelled (p-2)A/4 out again and reported a negative A
-    # as applicable; it now goes through t0, which refuses it
+    # the t >= t0 gate once reported a negative A as applicable; it now
+    # refuses it before computing (p-2)A/4
     assert main(argv) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: A must be nonnegative\n"

@@ -53,12 +53,12 @@ def _run(mode, commands, cwd):
     return json.loads(proc.stdout)
 
 
-def _traced_modules():
-    """The modules named in perfbench/tracer.py's SPANS table."""
+def _spans():
+    """The (module, attr, span) rows of perfbench/tracer.py's SPANS table."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
-            return {mod for mod, _, _ in ast.literal_eval(node.value)}
+            return ast.literal_eval(node.value)
     raise AssertionError("perfbench/tracer.py defines no SPANS")
 
 
@@ -77,4 +77,24 @@ def test_cli_import_loads_every_traced_module(tmp_path):
     # the traced benchmark imports splitnorm.cli, then looks each SPANS module
     # up in sys.modules: a submodule loaded lazily would not be there
     loaded = _run("normal", [], tmp_path)["modules"]
-    assert {f"splitnorm.{mod}" for mod in _traced_modules()} <= set(loaded)
+    assert {f"splitnorm.{mod}" for mod, _, _ in _spans()} <= set(loaded)
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps each SPANS name after importing splitnorm.cli: a
+    # function by getattr, "Class.method" through the class __dict__, so a
+    # deleted or renamed name would break the traced benchmark run
+    import splitnorm.cli  # noqa: F401
+
+    missing = []
+    for mod, attr, _ in _spans():
+        owner = sys.modules[f"splitnorm.{mod}"]
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            cls = getattr(owner, cls_name, None)
+            found = isinstance(cls, type) and meth in vars(cls)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{mod}.{attr}")
+    assert not missing

@@ -18,7 +18,6 @@ from splitnorm.multnorm import (
     halfline_multiplier,
     segment_multiplier,
     split_multiplier,
-    t0,
     tent_multiplier,
 )
 from splitnorm.polyalg import indicator, tent
@@ -75,14 +74,6 @@ def test_constants_blow_up_toward_endpoints():
         constants(1.0)
     with pytest.raises(SplitnormError, match=exactly("constants are defined for 1 < p < oo, got 0.5")):
         constants(0.5)
-
-
-def test_t0_values():
-    assert t0(1.0, 2) == 0.0
-    assert t0(1.0, 4) == 0.5
-    assert t0(2.0, 6) == 2.0
-    with pytest.raises(SplitnormError, match=exactly("the threshold applies to even integer p, got 3")):
-        t0(1.0, 3)
 
 
 # ---------------------------------------------------------------------------

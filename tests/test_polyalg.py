@@ -19,7 +19,6 @@ from splitnorm.polyalg import (
     convolve,
     correlate,
     indicator,
-    is_nondecreasing_on,
     is_nonincreasing_on,
     is_nonnegative,
     isolate_real_roots,
@@ -37,6 +36,7 @@ from .helpers import (
     grid_increase_search,
     poly_integral,
     rational_isolation_reference,
+    reference_is_nondecreasing_on,
     rnd_poly,
     rnd_pp,
 )
@@ -285,9 +285,30 @@ def test_nonincreasing_requires_real():
 
 
 def test_nondecreasing_on_interval():
+    # f is nondecreasing exactly where -f is nonincreasing
     f = PiecewisePoly([0, 1], [Poly([0, 1])])
-    assert is_nondecreasing_on(f, 0, 1).ok
-    assert not is_nondecreasing_on(f.reflect(), -1, 0).ok
+    assert is_nonincreasing_on(-f, 0, 1).ok
+    verdict = is_nonincreasing_on(-f.reflect(), -1, 0)
+    assert not verdict.ok
+    x1, x2 = verdict.witness
+    assert x1 < x2 and f.reflect().eval(x1) > f.reflect().eval(x2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_nondecreasing_is_nonincreasing_of_the_negation(seed):
+    # the negation rule agrees with the reflect-and-mirror decision it
+    # replaced, and its witnesses are decreasing pairs of f inside [a, b].
+    # (The mirrored witnesses are not: at a downward jump of f the mirror
+    # lands on the jump's right value, so f(x1) = f(x2) there.)
+    rng = np.random.default_rng(seed)
+    f = rnd_pp(rng, halfwidth=2, max_pieces=4, max_deg=3)
+    a, b = sorted(rat(int(k), 4) for k in rng.choice(np.arange(-10, 11), size=2, replace=False))
+    verdict = is_nonincreasing_on(-f, a, b)
+    assert verdict.ok == reference_is_nondecreasing_on(f, a, b).ok
+    if not verdict.ok:
+        x1, x2 = verdict.witness
+        assert a <= x1 < x2 <= b and f.eval(x1) > f.eval(x2)
 
 
 def test_is_nonnegative():
