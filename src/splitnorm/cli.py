@@ -407,7 +407,7 @@ class _Input:
         return value
 
 
-_SPEC = _Input("spec", required=True)
+_SPEC = _Input("spec", required=True, help="function spec (after -- if it starts with -)")
 _P_INT = _Input("--p", int, required=True)
 _P_REAL = _Input("--p", float, required=True)
 _EMIT = _Input("--emit", default="json", choices=("json", "csv"))

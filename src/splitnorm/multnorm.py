@@ -382,19 +382,17 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
     t_snapped = k * m.step
     n = m.n
     zero_idx = n // 2
-    out = np.zeros(n, dtype=complex)
-    pos = np.arange(zero_idx + 1, n)
-    neg = np.arange(0, zero_idx)
+    s = m.samples
+    # the clamps keep every slice bound in [0, n], so none wraps around
     if k:
-        if (pos + k >= n).any() and np.abs(m.samples[pos[pos + k >= n]]).max(initial=0.0) > 0:
+        if np.abs(s[max(zero_idx + 1, n - k):]).max(initial=0.0) > 0:
             raise SplitnormError("positive support would shift beyond the grid")
-        if (neg - k < 0).any() and np.abs(m.samples[neg[neg - k < 0]]).max(initial=0.0) > 0:
+        if np.abs(s[:min(k, zero_idx)]).max(initial=0.0) > 0:
             raise SplitnormError("negative support would shift beyond the grid")
-    keep_pos = pos[pos + k < n]
-    keep_neg = neg[neg - k >= 0]
-    out[keep_pos + k] = m.samples[keep_pos]
-    out[keep_neg - k] = m.samples[keep_neg]
-    v0 = m.samples[zero_idx]
+    out = np.zeros(n, dtype=complex)
+    out[zero_idx + 1 + k:] = s[zero_idx + 1:max(n - k, zero_idx + 1)]
+    out[:max(zero_idx - k, 0)] = s[min(k, zero_idx):zero_idx]
+    v0 = s[zero_idx]
     if v0 != 0:
         if zero_idx + k >= n or zero_idx - k < 0:
             raise SplitnormError("the origin sample would shift beyond the grid")

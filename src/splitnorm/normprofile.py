@@ -62,7 +62,7 @@ def _half_exponent(p) -> int:
 # tier-1 and benchmark job, the two-bump function at p = 12, predicts
 # 1.7e6; predictions near 1e8 (tent at p = 30, two-bump at p = 22) ran
 # for 4-5 s on one core of a Xeon under Python 3.11.  The series engine
-# takes on the same cap (see _check_series_size)
+# takes on the same cap (see _check_series_walk)
 _EXACT_CAP = 10 ** 9
 
 
@@ -292,35 +292,18 @@ def _split_numerators(c: CoeffSeq, t: int):
     return out, den
 
 
-def _check_series_size(b: dict, m: int) -> None:
-    """Raise BudgetExceeded before any convolution when the work predicted
-    for the m-fold power of the split sequence ``b`` passes ``_EXACT_CAP``.
-
-    The j-th of the m - 1 convolutions multiplies at most j (L - 1) + 1
-    entries, L the index range of ``b``, by its n entries, and their
-    integers grow by a bounded number of bits per step: about m^3 L n in
-    all.  A prediction of 1e8 ran for 0.3-0.9 s on one core of a Xeon under
-    Python 3.11.  The largest tier-1 series job predicts 1.7e4 and the
-    largest benchmark one 4.1e3.
-    """
-    work = _series_work(b, m)
-    if work > _EXACT_CAP:
-        raise BudgetExceeded(
-            f"the series engine's predicted work m^3 L n at m = p/2, with the split "
-            f"sequence's n = {len(b)} entries over L = {max(b) - min(b) + 1} indices, is "
-            f"10^{math.log10(work):.1f}, over its cap of 10^{math.log10(_EXACT_CAP):.0f}"
-        )
-
-
 def _series_work(b: dict, m: int) -> int:
-    """m^3 L n for the split sequence ``b``, n entries over L indices."""
+    """m^3 L n for the split sequence ``b``, n entries over L indices: the
+    j-th of the m - 1 convolutions multiplies at most j (L - 1) + 1 entries
+    by n, their integers growing by a bounded number of bits per step.  A
+    prediction of 1e8 ran for 0.3-0.9 s on one core of a Xeon, Python 3.11."""
     return m ** 3 * (max(b) - min(b) + 1) * len(b) if b else 0
 
 
 def _check_series_walk(c: CoeffSeq, m: int, t_min: int, t_max: int) -> None:
     """Raise BudgetExceeded before the first shift when the work that
-    ``_check_series_size`` predicts, summed over the shifts t_min..t_max
-    (0 <= t_min <= t_max), passes ``_EXACT_CAP``.
+    ``_series_work`` predicts, summed over the shifts t_min..t_max
+    (0 <= t_min <= t_max; one shift is t..t), passes ``_EXACT_CAP``.
 
     From t = 1 on the split sequence keeps its n entries, and its index
     range L grows linearly in t: the sum over t >= 1 is that of an
@@ -363,8 +346,8 @@ class SeriesProfile:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise SplitnormError(f"series shifts must be nonnegative integers, got {t!r}")
         m = self.p // 2
+        _check_series_walk(self.seq, m, t, t)
         b, den = _split_numerators(self.seq, t)
-        _check_series_size(b, m)
         d = b
         for _ in range(m - 1):
             d = _sequence_convolve(d, b)

@@ -521,9 +521,8 @@ def norm_numeric(
         evaluator = FTEvaluator(g)
     except OverflowError as exc:
         raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
-    radius = float(g.support_radius())
     Y, tail_value, tail_err = _place_tail(evaluator, p, target_abs_err)
-    width = 1.0 / (4.0 * max(1.0, radius))
+    width = 1.0 / (4.0 * max(1.0, evaluator.radius))
     nodes = 2.0 * Y / width * 15.0
     if nodes > _NODE_CAP:
         raise BudgetExceeded(

@@ -613,34 +613,6 @@ class PiecewisePoly:
         """x -> conj(f(-x)), the correlation kernel."""
         return self.reflect().conjugate()
 
-    def restrict(self, lo=None, hi=None) -> "PiecewisePoly":
-        """Zero the function outside [lo, hi)."""
-        if self.is_zero():
-            return self
-        bps = list(self.breakpoints)
-        pieces = list(self.pieces)
-        if lo is not None:
-            lo = rat(lo)
-            if lo >= bps[-1]:
-                return ZERO_PP
-            if lo > bps[0]:
-                k = bisect_right(bps, lo) - 1
-                bps = [lo] + bps[k + 1 :]
-                pieces = pieces[k:]
-        if hi is not None:
-            hi = rat(hi)
-            if hi <= bps[0]:
-                return ZERO_PP
-            if hi < bps[-1]:
-                k = bisect_right(bps, hi) - 1
-                if bps[k] == hi:
-                    bps = bps[: k + 1]
-                    pieces = pieces[:k]
-                else:
-                    bps = bps[: k + 1] + [hi]
-                    pieces = pieces[: k + 1]
-        return PiecewisePoly(bps, pieces)
-
     def _intervals(self):
         for k, p in enumerate(self.pieces):
             yield self.breakpoints[k], self.breakpoints[k + 1], p

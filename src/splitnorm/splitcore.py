@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SplitnormError
 from .polyalg import (
+    ZERO_POLY,
     MonotoneVerdict,
     PiecewisePoly,
     convolve,
@@ -59,8 +60,15 @@ class SplitPair:
 
 def split(f: PiecewisePoly) -> SplitPair:
     """Restrictions to x > 0 and x < 0, with A the support radius and b = 0;
-    plus + minus = f almost everywhere."""
-    return SplitPair(f.restrict(lo=RAT_ZERO), f.restrict(hi=RAT_ZERO), f.support_radius(), RAT_ZERO)
+    plus + minus = f almost everywhere.  Cut on f's breakpoints and 0, each
+    half keeps the pieces on its side and zeros on the other."""
+    if f.is_zero():
+        return SplitPair(f, f, RAT_ZERO, RAT_ZERO)
+    bps = sorted({*f.breakpoints, RAT_ZERO})
+    pieces = [f.piece_at(a) for a in bps[:-1]]
+    plus = PiecewisePoly(bps, [q if a >= 0 else ZERO_POLY for a, q in zip(bps, pieces)])
+    minus = PiecewisePoly(bps, [ZERO_POLY if a >= 0 else q for a, q in zip(bps, pieces)])
+    return SplitPair(plus, minus, f.support_radius(), RAT_ZERO)
 
 
 def apply_split(f: PiecewisePoly, t) -> PiecewisePoly:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormEr
 from splitnorm.multnorm import DiscreteMultiplier
 from splitnorm.oscint import FTEvaluator, NumericNorm
 from splitnorm.polyalg import (
+    ZERO_PP,
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
@@ -187,6 +189,36 @@ def reference_is_nondecreasing_on(f: PiecewisePoly, a, b) -> MonotoneVerdict:
     return MonotoneVerdict(False, (-x2, -x1))
 
 
+def reference_restrict(f: PiecewisePoly, lo=None, hi=None) -> PiecewisePoly:
+    """Test oracle: f zeroed outside [lo, hi), by slicing its breakpoints,
+    as ``PiecewisePoly.restrict`` once did."""
+    if f.is_zero():
+        return f
+    bps = list(f.breakpoints)
+    pieces = list(f.pieces)
+    if lo is not None:
+        lo = rat(lo)
+        if lo >= bps[-1]:
+            return ZERO_PP
+        if lo > bps[0]:
+            k = bisect_right(bps, lo) - 1
+            bps = [lo] + bps[k + 1 :]
+            pieces = pieces[k:]
+    if hi is not None:
+        hi = rat(hi)
+        if hi <= bps[0]:
+            return ZERO_PP
+        if hi < bps[-1]:
+            k = bisect_right(bps, hi) - 1
+            if bps[k] == hi:
+                bps = bps[: k + 1]
+                pieces = pieces[:k]
+            else:
+                bps = bps[: k + 1] + [hi]
+                pieces = pieces[: k + 1]
+    return PiecewisePoly(bps, pieces)
+
+
 def rational_isolation_reference(p: Poly, lo, hi) -> list:
     """Root isolation by rational Descartes bisection, the algorithm the
     integer windows of ``polyalg`` replaced: at every node the window
@@ -265,6 +297,37 @@ def from_function(fn, n: int, omega: float) -> DiscreteMultiplier:
     step = 2.0 * omega / n
     ys = -omega + step * np.arange(n)
     return DiscreteMultiplier(np.asarray([fn(y) for y in ys], dtype=complex), omega)
+
+
+def reference_split_multiplier(m: DiscreteMultiplier, t: float):
+    """Test oracle: ``split_multiplier`` as it once was, shifting the halves
+    through index arrays of the kept and the off-grid bins."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    k = int(round(float(t) / m.step))
+    t_snapped = k * m.step
+    n = m.n
+    zero_idx = n // 2
+    out = np.zeros(n, dtype=complex)
+    pos = np.arange(zero_idx + 1, n)
+    neg = np.arange(0, zero_idx)
+    if k:
+        if (pos + k >= n).any() and np.abs(m.samples[pos[pos + k >= n]]).max(initial=0.0) > 0:
+            raise SplitnormError("positive support would shift beyond the grid")
+        if (neg - k < 0).any() and np.abs(m.samples[neg[neg - k < 0]]).max(initial=0.0) > 0:
+            raise SplitnormError("negative support would shift beyond the grid")
+    keep_pos = pos[pos + k < n]
+    keep_neg = neg[neg - k >= 0]
+    out[keep_pos + k] = m.samples[keep_pos]
+    out[keep_neg - k] = m.samples[keep_neg]
+    v0 = m.samples[zero_idx]
+    if v0 != 0:
+        if zero_idx + k >= n or zero_idx - k < 0:
+            raise SplitnormError("the origin sample would shift beyond the grid")
+        out[zero_idx + k] += v0
+        if k:
+            out[zero_idx - k] += v0
+    return DiscreteMultiplier(out, m.omega, ell=m.ell), t_snapped
 
 
 def _reference_pnorm(v, p):

@@ -153,6 +153,14 @@ def test_class_s_command(capsys):
     assert doc["member"] is False and doc["witness"] is not None
 
 
+def test_class_s_spec_with_a_leading_dash_after_double_dash(capsys):
+    # argparse reads "-1*ind:-1,1" as an option; after "--" it is the spec,
+    # and it means what the spec with a leading space means
+    code, out = run_cli(capsys, "class-s", "--", "-1*ind:-1,1")
+    assert code == EXIT_OK
+    assert run_cli(capsys, "class-s", " -1*ind:-1,1") == (EXIT_OK, out)
+
+
 def test_mult_constants_command(capsys):
     code, out = run_cli(capsys, "mult", "constants", "--p", "4")
     doc = json.loads(out)

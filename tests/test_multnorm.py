@@ -28,6 +28,7 @@ from .helpers import (
     from_function,
     is_even_real,
     reference_estimate_lower,
+    reference_split_multiplier,
     require_applicable,
     sup_norm,
 )
@@ -292,6 +293,46 @@ def test_split_multiplier_overflow():
     m = segment_multiplier(256, 2.0, -1.0, 1.0)
     with pytest.raises(SplitnormError, match=exactly("positive support would shift beyond the grid")):
         split_multiplier(m, 1.5)
+
+
+def _split_or_message(split_fn, m, t):
+    try:
+        return split_fn(m, t)
+    except SplitnormError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_split_multiplier_matches_the_index_array_oracle(n):
+    # samples, snapped shift, ell and refusals all agree with the old
+    # index-array split, for every shift from 0 to past the grid
+    rng = np.random.default_rng(n)
+    z = n // 2
+    supports = [np.ones(n), np.zeros(n)]  # full grid, then nothing
+    for lo, hi in ((0, z), (z + 1, n), (max(z - 1, 0), min(z + 2, n)), (0, 1), (n - 1, n)):
+        s = np.zeros(n)
+        s[lo:hi] = 1.0
+        supports.append(s)
+    supports.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    cases = []
+    for support in supports:
+        for origin in (0.0, 0.5 - 0.25j):  # a zero and a nonzero origin sample
+            samples = np.array(support, dtype=complex)
+            samples[z] = origin
+            cases.append(samples)
+    for samples in cases:
+        for ell in (None, 0.5):
+            m = DiscreteMultiplier(samples, 2.0, ell=ell)
+            for k in range(n + 3):
+                t = k * m.step
+                got = _split_or_message(split_multiplier, m, t)
+                want = _split_or_message(reference_split_multiplier, m, t)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert not isinstance(got, str), got
+                assert np.array_equal(got[0].samples, want[0].samples)
+                assert got[1] == want[1] and got[0].ell == want[0].ell and got[0].omega == want[0].omega
 
 
 # ---------------------------------------------------------------------------

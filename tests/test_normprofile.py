@@ -468,18 +468,29 @@ def test_series_refuses_predicted_work_over_its_cap():
 ])
 def test_series_walk_predicts_the_sum_of_its_shifts(monkeypatch, mapping):
     # the walk's closed form must be the per-shift predictions summed one by
-    # one: the cap at that sum passes, one below it refuses
+    # one: the cap at that sum passes, one below it refuses.  One shift is
+    # the walk t..t, so value(t) takes its cap at its own prediction
     import splitnorm.normprofile as NP
 
     seq = CoeffSeq.from_mapping(mapping)
     prof = series_profile(seq, 6)
+
+    def work(t):
+        return NP._series_work(NP._split_numerators(seq, t)[0], 3)
+
     for t_min, t_max in ((0, 0), (0, 5), (1, 7), (3, 3), (2, 9)):
-        total = sum(NP._series_work(NP._split_numerators(seq, t)[0], 3) for t in range(t_min, t_max + 1))
+        total = sum(work(t) for t in range(t_min, t_max + 1))
         monkeypatch.setattr(NP, "_EXACT_CAP", total)
         assert list(prof.values(t_min, t_max)) == list(range(t_min, t_max + 1))
         monkeypatch.setattr(NP, "_EXACT_CAP", total - 1)
         with pytest.raises(BudgetExceeded, match=f"summed over the shifts {t_min}..{t_max}"):
             prof.values(t_min, t_max)
+    for t in (0, 1, 4):
+        monkeypatch.setattr(NP, "_EXACT_CAP", work(t))
+        assert prof.value(t) >= 0
+        monkeypatch.setattr(NP, "_EXACT_CAP", work(t) - 1)
+        with pytest.raises(BudgetExceeded, match=f"summed over the shifts {t}..{t},"):
+            prof.value(t)
 
 
 # ---------------------------------------------------------------------------

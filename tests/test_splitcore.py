@@ -25,7 +25,7 @@ from splitnorm.splitcore import (
     split,
 )
 
-from .helpers import exactly, reconstruct, rnd_class_s_member, rnd_pp
+from .helpers import exactly, reconstruct, reference_restrict, rnd_class_s_member, rnd_pp
 
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
 
@@ -59,6 +59,34 @@ def test_split_triangle_symmetric_halves():
 def test_split_reconstructs(seed):
     f = rnd_pp(np.random.default_rng(seed), max_pieces=3, max_deg=2, complex_ok=True)
     assert reconstruct(split(f)) == f
+
+
+def _split_by_restriction(f):
+    return reference_restrict(f, lo=0), reference_restrict(f, hi=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_split_matches_the_restriction_oracle(seed):
+    rng = np.random.default_rng(seed)
+    f = rnd_pp(rng, halfwidth=rat(int(rng.integers(1, 4)), 2), max_pieces=4, max_deg=3, complex_ok=True)
+    pair = split(f)
+    assert (pair.plus, pair.minus) == _split_by_restriction(f)
+
+
+@pytest.mark.parametrize("f", [
+    PiecewisePoly([-1, 0, 2], [Poly([1, 2]), Poly([gauss(0, 1), 3])]),  # a breakpoint at 0
+    tent(-2, rat(1, 3), 1) + indicator(-rat(1, 2), rat(3, 4)) * gauss(1, -2),  # pieces straddle 0
+    tent(1, 2, 4),  # support right of 0
+    PiecewisePoly([-3, -1], [Poly([0, 0, 1])]),  # support left of 0
+    indicator(0, 1),  # support starts at 0
+    indicator(-1, 0),  # support ends at 0
+    PiecewisePoly([], []),  # the zero function
+], ids=["breakpoint-at-0", "straddling", "right-only", "left-only", "from-0", "to-0", "zero"])
+def test_split_cases_match_the_restriction_oracle(f):
+    pair = split(f)
+    assert (pair.plus, pair.minus) == _split_by_restriction(f)
+    assert pair.A == f.support_radius() and pair.b == 0
 
 
 def test_apply_split_identity_at_zero():
@@ -213,7 +241,7 @@ def test_negative_support_convolution_preserves_decrease(seed):
     u = indicator(-rat(int(rng.integers(1, 5)), 2), 0) * rat(int(rng.integers(1, 4)), 2)
     if rng.random() < 0.5:
         w = rat(int(rng.integers(1, 5)), 2)
-        u = u + tent(-w - 1, -w, -w + rat(1, 2)).restrict(hi=0) * rat(int(rng.integers(1, 3)))
+        u = u + split(tent(-w - 1, -w, -w + rat(1, 2))).minus * rat(int(rng.integers(1, 3)))
     # v nonincreasing on [0, oo), arbitrary to the left
     v = indicator(0, rat(int(rng.integers(1, 4)), 2)) * rat(int(rng.integers(1, 4)), 2)
     v = v + PiecewisePoly([rat(-2), 0], [Poly([rat(int(rng.integers(-2, 3))), rat(int(rng.integers(-1, 2)))])])
