@@ -407,10 +407,13 @@ class EstimateResult:
     """Outcome of the p-norm power iteration.
 
     ``estimate`` is ||T_m f||_p / ||f||_p for the explicit test function
-    ``test_function``, evaluated in floating point: a lower estimate of the
-    discrete operator norm, not a proved bound, and the continuum norm is
-    only approximated by the grid.  ``history`` is the nondecreasing
-    best-so-far quotient per iteration.
+    ``test_function``, evaluated in floating point on the finest grid (the
+    multiplier's own): a lower estimate of the discrete operator norm, not
+    a proved bound, and the continuum norm is only approximated by the
+    grid.  ``history`` is that grid's nondecreasing best-so-far quotient
+    per iteration, so ``history[-1] == estimate``; ``iterations`` counts
+    the iterations of every grid, and ``converged`` says that the finest
+    grid's quotient stalled.
     """
 
     estimate: float
@@ -451,8 +454,79 @@ def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
     return scale * phase
 
 
-# seeded random starts of estimate_lower, sharing its iteration budget
+# seeded random starts of estimate_lower's coarsest grid, sharing that
+# grid's part of the iteration budget
 _RANDOM_STARTS = 3
+# the coarsest grid of the continuation: a finer multiplier is first
+# ascended on its samples subsampled to N = 2^12
+_COARSEST_N = 2 ** 12
+
+
+def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_functions: bool):
+    """The power iteration on one grid, ``mhat`` the symbol in FFT order:
+    the starts share ``budget`` iterations in order, and a start that ends
+    early passes its leftover on.  Returns ``(best quotient, its test
+    function or None, stalled, iterations, history)``."""
+    import numpy as np
+
+    conj_mhat = np.conj(mhat)
+
+    def apply(v):
+        return np.fft.ifft(mhat * np.fft.fft(v))
+
+    def apply_adj(v):
+        return np.fft.ifft(conj_mhat * np.fft.fft(v))
+
+    q_dual = p / (p - 1.0)
+    best_q = 0.0
+    best_f = None
+    history: list = []
+    total_iters = 0
+    converged = False
+    for idx, f in enumerate(starts):
+        if real_test_functions:
+            f = f.real.astype(complex)
+        nf = _pnorm(f, p)
+        if nf == 0:
+            continue
+        f = f / nf
+        q_here = 0.0
+        stall = 0
+        share = max(1, (budget - total_iters) // (len(starts) - idx))
+        if total_iters >= budget:
+            break
+        # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
+        # the image it was tested with, so no image is computed twice
+        g = apply(f)
+        q = _pnorm(g, p)
+        for _ in range(share):
+            total_iters += 1
+            if q > best_q:
+                best_q = q
+                best_f = f.copy()
+            history.append(best_q)
+            if q <= q_here * (1.0 + 1e-13):
+                stall += 1
+            else:
+                stall = 0
+            q_here = max(q_here, q)
+            if stall >= 4:
+                converged = True
+                break
+            u = apply_adj(_dual_power(g, p))
+            if real_test_functions:
+                u = u.real
+            cand = _dual_power(u, q_dual)
+            nc = _pnorm(cand, p)
+            if nc == 0:
+                break
+            cand = cand / nc
+            g_cand = apply(cand)
+            q_cand = _pnorm(g_cand, p)
+            if not q_cand >= q * (1.0 - 1e-13):
+                break
+            f, g, q = cand, g_cand, q_cand
+    return best_q, best_f, converged, total_iters, history
 
 
 def estimate_lower(
@@ -473,101 +547,77 @@ def estimate_lower(
         f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
 
     and best-so-far tracking.  A start ends when its quotient stalls
-    (``converged``) or when a step would lower it; a step whose dual power
-    overflows gives NaN, which ends the start too.  The image T_m f of an
-    accepted step is the one computed to test it and is carried into the
-    next step, so a step costs two FFT pairs (T_m^* and the candidate's
-    image).  ``iterations`` is the total budget, shared
-    across three seeded random starts (after the optional ``initial`` warm
-    start, e.g. a test function recovered from a checkpoint).  The estimate
-    is the floating-point quotient of an explicit test function: up to
-    rounding a lower bound for the discrete norm, not a proved one, and
-    only an approximation to the continuum norm.  Deterministic for a
-    fixed seed.
+    or when a step would lower it; a step whose dual power overflows gives
+    NaN, which ends the start too.  The image T_m f of an accepted step is
+    the one computed to test it and is carried into the next step, so a
+    step costs two FFT pairs (T_m^* and the candidate's image).
+
+    Grid continuation: for N > 2^12 the ascent runs on the grids 2^12,
+    2^13, ..., N in turn.  The coarsest runs three seeded random starts on
+    a third of the ``iterations`` budget; each finer grid runs one start
+    on an even share of what is left, and a grid that stops early passes
+    its leftover on.  That start is the coarser grid's best test function
+    with zeros appended: every grid keeps ``omega``, so the spatial period
+    doubles and the coarse period becomes the first half of the fine one.
+    (A grid whose coarser one found no nonzero quotient draws the three
+    random starts afresh.)  A grid's symbol is ``m.samples[::N // n]``,
+    the fine samples at the coarse frequencies, not a rebuilt multiplier,
+    so any multiplier ascends on its own values (a rebuilt split symbol
+    would snap its shift to another bin).  N <= 2^12, an ``initial`` test
+    function (a warm start at N, e.g. recovered from a checkpoint, run
+    before the random starts) and a budget of fewer than 9 iterations
+    leave the one grid N; a budget too small to give every finer grid an
+    iteration drops the coarsest grids.
+
+    The estimate is the floating-point quotient of an explicit test
+    function: up to rounding a lower bound for the discrete norm, not a
+    proved one, and only an approximation to the continuum norm.
+    Deterministic for a fixed seed.
     """
     import numpy as np
 
-    if p <= 1:
-        raise SplitnormError(f"estimation needs p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise SplitnormError(f"estimation needs 1 < p < oo, got {p}")
+    if iterations < 1:
+        raise SplitnormError(f"estimation needs at least one iteration, got {iterations}")
     rng = np.random.default_rng(seed)
-    mhat = np.fft.ifftshift(m.samples)
-    conj_mhat = np.conj(mhat)
-
-    def apply(v):
-        return np.fft.ifft(mhat * np.fft.fft(v))
-
-    def apply_adj(v):
-        return np.fft.ifft(conj_mhat * np.fft.fft(v))
-
-    q_dual = p / (p - 1.0)
-    best_q = 0.0
+    coarse_share = iterations // 3
+    levels = [m.n]
+    if initial is None and coarse_share >= _RANDOM_STARTS:
+        while levels[0] > _COARSEST_N and iterations - coarse_share >= len(levels):
+            levels.insert(0, levels[0] // 2)
     best_f = None
-    history: list = []
-    total_iters = 0
-    converged = False
-
-    starts: list = []
     if initial is not None:
-        f0 = np.asarray(initial, dtype=complex).copy()
-        if f0.shape != (m.n,):
+        best_f = np.asarray(initial, dtype=complex)
+        if best_f.shape != (m.n,):
             raise ValueError(f"initial test function must have shape ({m.n},)")
-        starts.append(f0)
-    for _ in range(_RANDOM_STARTS):
-        f0 = rng.standard_normal(m.n).astype(complex)
-        if not real_test_functions:
-            f0 = f0 + 1j * rng.standard_normal(m.n)
-        starts.append(f0)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, f in enumerate(starts):
-            if real_test_functions:
-                f = f.real.astype(complex)
-            nf = _pnorm(f, p)
-            if nf == 0:
-                continue
-            f = f / nf
-            q_here = 0.0
-            stall = 0
-            budget = max(1, (iterations - total_iters) // (len(starts) - idx))
-            if total_iters >= iterations:
-                break
-            # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
-            # the image it was tested with, so no image is computed twice
-            g = apply(f)
-            q = _pnorm(g, p)
-            for _ in range(budget):
-                total_iters += 1
-                if q > best_q:
-                    best_q = q
-                    best_f = f.copy()
-                history.append(best_q)
-                if q <= q_here * (1.0 + 1e-13):
-                    stall += 1
-                else:
-                    stall = 0
-                q_here = max(q_here, q)
-                if stall >= 4:
-                    converged = True
-                    break
-                u = apply_adj(_dual_power(g, p))
-                if real_test_functions:
-                    u = u.real
-                cand = _dual_power(u, q_dual)
-                nc = _pnorm(cand, p)
-                if nc == 0:
-                    break
-                cand = cand / nc
-                g_cand = apply(cand)
-                q_cand = _pnorm(g_cand, p)
-                if not q_cand >= q * (1.0 - 1e-13):
-                    break
-                f, g, q = cand, g_cand, q_cand
+    used = 0
+    for k, n in enumerate(levels):
+        starts = []
+        if best_f is not None:
+            starts.append(np.concatenate([best_f, np.zeros(n - best_f.size, dtype=complex)]))
+        if k == 0 or best_f is None:
+            for _ in range(_RANDOM_STARTS):
+                f0 = rng.standard_normal(n).astype(complex)
+                if not real_test_functions:
+                    f0 = f0 + 1j * rng.standard_normal(n)
+                starts.append(f0)
+        share = (iterations - used) // (len(levels) - k)
+        if k == 0 and len(levels) > 1:
+            share = coarse_share
+        mhat = np.fft.ifftshift(m.samples[:: m.n // n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            best_q, best_f, converged, its, history = _ascend(
+                mhat, p, starts, share, real_test_functions
+            )
+        used += its
 
     result = EstimateResult(
         estimate=best_q,
         test_function=best_f if best_f is not None else np.zeros(m.n, dtype=complex),
         converged=converged,
-        iterations=total_iters,
+        iterations=used,
         history=history,
     )
     if checkpoint_path:

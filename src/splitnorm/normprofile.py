@@ -303,7 +303,8 @@ def _series_work(b: dict, m: int) -> int:
 def _check_series_walk(c: CoeffSeq, m: int, t_min: int, t_max: int) -> None:
     """Raise BudgetExceeded before the first shift when the work that
     ``_series_work`` predicts, summed over the shifts t_min..t_max
-    (0 <= t_min <= t_max; one shift is t..t), passes ``_EXACT_CAP``.
+    (0 <= t_min <= t_max), passes ``_EXACT_CAP``.  ``SeriesProfile.value``
+    checks its one shift t..t from the split sequence it builds anyway.
 
     From t = 1 on the split sequence keeps its n entries, and its index
     range L grows linearly in t: the sum over t >= 1 is that of an
@@ -317,6 +318,12 @@ def _check_series_walk(c: CoeffSeq, m: int, t_min: int, t_max: int) -> None:
     lo = max(t_min, 1)
     if lo <= t_max:
         total += (t_max - lo + 1) * (work(lo) + work(t_max)) // 2
+    _check_series_total(total, t_min, t_max)
+
+
+def _check_series_total(total: int, t_min: int, t_max: int) -> None:
+    """Raise BudgetExceeded when ``total``, the predicted work of the
+    shifts t_min..t_max, passes ``_EXACT_CAP``."""
     if total > _EXACT_CAP:
         raise BudgetExceeded(
             f"the series engine's predicted work m^3 L n at m = p/2, summed over the "
@@ -346,8 +353,8 @@ class SeriesProfile:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise SplitnormError(f"series shifts must be nonnegative integers, got {t!r}")
         m = self.p // 2
-        _check_series_walk(self.seq, m, t, t)
         b, den = _split_numerators(self.seq, t)
+        _check_series_total(_series_work(b, m), t, t)
         d = b
         for _ in range(m - 1):
             d = _sequence_convolve(d, b)

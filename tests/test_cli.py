@@ -210,6 +210,29 @@ def test_mult_estimate_split_and_shift_options(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("option, want", [
+    (("--p", "nan"), "estimation needs 1 < p < oo, got nan"),
+    (("--p", "inf"), "estimation needs 1 < p < oo, got inf"),
+    (("--p", "4", "--iterations", "0"), "estimation needs at least one iteration, got 0"),
+    (("--p", "4", "--iterations", "-5"), "estimation needs at least one iteration, got -5"),
+])
+def test_mult_estimate_refuses_a_meaningless_p_or_budget(capsys, tmp_path, option, want):
+    code = main(["mult", "estimate", "halfline", "--n", "256", *option])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_PARSE, "")
+    assert want in captured.err
+    # a batch job reports the same status and message
+    job = {"command": "mult-estimate", "multiplier": "halfline", "grid_n": 256, "p": 4}
+    name, value = option[-2:]
+    job.update({"p": float(value)} if name == "--p" else {"iterations": int(value)})
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [job]}))
+    code = main(["batch", os.fspath(cfg)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_PARSE
+    assert summary["jobs"][0]["status"] == EXIT_PARSE and summary["jobs"][0]["error"] == want
+
+
 def test_mult_exact_positive_command(capsys):
     code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1", "--p", "4")
     doc = json.loads(out)

@@ -511,3 +511,143 @@ def test_estimator_step_costs_two_fft_pairs(monkeypatch):
     assert not paths["damped"] and r.iterations == 60
     assert new_calls <= 4 * r.iterations + 2 * _RANDOM_STARTS
     assert sum(calls.values()) == 6 * r.iterations  # the loop that recomputed f's image
+
+
+# ---------------------------------------------------------------------------
+# argument checks and grid continuation
+# ---------------------------------------------------------------------------
+
+
+def test_estimator_refuses_a_nan_p():
+    m = halfline_multiplier(256, 8.0)
+    with pytest.raises(SplitnormError, match=exactly("estimation needs 1 < p < oo, got nan")):
+        estimate_lower(m, math.nan)
+
+
+def test_estimator_refuses_an_infinite_p():
+    m = halfline_multiplier(256, 8.0)
+    with pytest.raises(SplitnormError, match=exactly("estimation needs 1 < p < oo, got inf")):
+        estimate_lower(m, math.inf)
+    with pytest.raises(SplitnormError, match=exactly("estimation needs 1 < p < oo, got 1.0")):
+        estimate_lower(m, 1.0)
+
+
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_estimator_refuses_a_budget_below_one_iteration(iterations):
+    m = halfline_multiplier(256, 8.0)
+    want = f"estimation needs at least one iteration, got {iterations}"
+    with pytest.raises(SplitnormError, match=exactly(want)):
+        estimate_lower(m, 4.0, iterations=iterations)
+
+
+@pytest.mark.parametrize("omega", [2.0, 8.0])
+def test_subsampled_symbol_is_the_coarse_builders(omega):
+    # a coarse grid of the continuation reads every (N/n)-th fine sample;
+    # for the builders that is the symbol they build at n, bit for bit
+    from splitnorm.cli import _MULT_BUILDERS
+
+    for name, build in _MULT_BUILDERS.items():
+        fine = build(2 ** 14, omega)
+        for n in (2 ** 12, 2 ** 13):
+            coarse = build(n, omega)
+            assert np.array_equal(fine.samples[:: 2 ** 14 // n], coarse.samples), (name, n)
+
+
+def test_continuation_ascends_the_subsampled_split_symbol(monkeypatch):
+    # a split symbol rebuilt at 2^12 snaps t = 0.6 to another bin than the
+    # fine grid does, so it is another operator; the ascent reads the fine
+    # samples instead
+    import splitnorm.multnorm as MN
+
+    fine, t_fine = split_multiplier(tent_multiplier(2 ** 14, 8.0), 0.6)
+    rebuilt, t_coarse = split_multiplier(tent_multiplier(2 ** 12, 8.0), 0.6)
+    assert t_fine != t_coarse
+    assert not np.array_equal(fine.samples[::4], rebuilt.samples)
+    symbols = []
+    real = MN._ascend
+
+    def spy(mhat, *args):
+        symbols.append(mhat)
+        return real(mhat, *args)
+
+    monkeypatch.setattr(MN, "_ascend", spy)
+    estimate_lower(fine, 4.0, iterations=30, seed=1)
+    assert [s.size for s in symbols] == [2 ** 12, 2 ** 13, 2 ** 14]
+    for s in symbols:
+        assert np.array_equal(s, np.fft.ifftshift(fine.samples[:: 2 ** 14 // s.size]))
+
+
+
+def test_continuation_redraws_its_starts_when_the_coarse_symbol_vanishes():
+    # a symbol on the odd bins alone is zero at every 2^12 frequency, so the
+    # coarse grid finds no test function and the fine grid starts afresh
+    samples = np.zeros(2 ** 13)
+    samples[1::2] = 1.0
+    r = estimate_lower(DiscreteMultiplier(samples, 8.0), 4.0, iterations=60, seed=1)
+    assert r.estimate >= 0.99 and r.history[-1] == r.estimate
+    assert r.test_function.shape == (2 ** 13,)
+
+@pytest.mark.parametrize("name", ["halfline", "segment"])
+def test_continuation_keeps_the_benchmark_invariants(name):
+    from splitnorm.cli import _MULT_BUILDERS
+
+    m = _MULT_BUILDERS[name](2 ** 14, 8.0 if name == "halfline" else 2.0)
+    r = estimate_lower(m, 4.0, iterations=90, seed=1)
+    f = r.test_function
+    assert f.shape == (2 ** 14,)
+    g = np.fft.ifft(np.fft.ifftshift(m.samples) * np.fft.fft(f))
+    quotient = (np.sum(np.abs(g) ** 4) ** 0.25) / (np.sum(np.abs(f) ** 4) ** 0.25)
+    assert quotient == pytest.approx(r.estimate, rel=1e-9)
+    assert r.iterations == 90 or r.converged
+    assert r.history[-1] == r.estimate
+    assert all(a <= b for a, b in zip(r.history, r.history[1:]))
+    assert len(r.history) < r.iterations  # the finest grid's iterations alone
+    again = estimate_lower(m, 4.0, iterations=90, seed=1)
+    assert (again.estimate, again.iterations, again.converged) == (r.estimate, r.iterations, r.converged)
+    assert np.array_equal(again.test_function, f) and again.history == r.history
+
+
+def test_continuation_costs_at_most_half_the_fft_points(monkeypatch):
+    import splitnorm.multnorm as MN
+
+    points = Counter()
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def wrapped(a, *args, **kwargs):
+            points[name] += len(a)
+            return real(a, *args, **kwargs)
+
+        return wrapped
+
+    calls = Counter()
+    real_estimate = MN.estimate_lower
+
+    def entered(*args, **kwargs):
+        calls["estimate_lower"] += 1
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting("fft"))
+    monkeypatch.setattr(np.fft, "ifft", counting("ifft"))
+    monkeypatch.setattr(MN, "estimate_lower", entered)
+    m = halfline_multiplier(2 ** 14, 8.0)
+    MN.estimate_lower(m, 4.0, iterations=100)
+    assert calls["estimate_lower"] == 1  # one traced span per call
+    new_points = sum(points.values())
+    points.clear()
+    reference_estimate_lower(m, 4.0, iterations=100)
+    assert 0 < new_points <= sum(points.values()) / 2
+
+
+def test_estimator_on_one_grid_matches_the_reference_loop_bit_for_bit():
+    # N = 2^12, a warm start and a budget too small for the levels leave
+    # the one grid N, the estimator as it was before the continuation
+    paths = Counter()
+    _same_as_reference(halfline_multiplier(2 ** 12, 8.0), 4.0, paths, seed=1)
+    _same_as_reference(segment_multiplier(2 ** 12, 2.0), 3.0, paths, seed=0, real_test_functions=True)
+    m = segment_multiplier(2 ** 13, 2.0)
+    warm = np.random.default_rng(5).standard_normal(2 ** 13)
+    _same_as_reference(m, 4.0, paths, iterations=40, seed=2, initial=warm)
+    _same_as_reference(m, 4.0, paths, iterations=2, seed=1)
+    assert not paths["damped"]

@@ -493,6 +493,25 @@ def test_series_walk_predicts_the_sum_of_its_shifts(monkeypatch, mapping):
             prof.value(t)
 
 
+def test_series_value_builds_its_split_sequence_once(monkeypatch):
+    # value(t) predicts its one shift's work from the sequence it convolves
+    import splitnorm.normprofile as NP
+
+    calls = []
+    real = NP._split_numerators
+
+    def counting(c, t):
+        calls.append(t)
+        return real(c, t)
+
+    monkeypatch.setattr(NP, "_split_numerators", counting)
+    prof = series_profile(CoeffSeq.from_mapping({-1: rat(1, 2), 0: 1, 1: 2}), 4)
+    for t in (0, 3, 7):
+        calls.clear()
+        prof.value(t)
+        assert calls == [t]
+
+
 # ---------------------------------------------------------------------------
 # randomized structural properties
 # ---------------------------------------------------------------------------
