@@ -43,7 +43,7 @@ from .normprofile import (
 )
 from .oscint import norm_numeric
 from .polyalg import PiecewisePoly, Poly, indicator, tent
-from .scalars import format_rat, gauss, parse_rat, parse_scalar, rat
+from .scalars import format_rat, parse_rat, parse_scalar, rat
 from .splitcore import class_s_check, class_s_sufficient
 
 __all__ = ["main", "console_main", "parse_function_spec", "canonical_json", "ExperimentConfig"]
@@ -114,22 +114,6 @@ def _write_output(text: str, out_path):
 # the function mini-language
 # ---------------------------------------------------------------------------
 
-_COEF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?([+-]?i)?$")
-
-
-def _parse_coef(text: str):
-    s = text.strip().replace(" ", "")
-    m = _COEF_RE.match(s)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise SplitnormError(f"bad coefficient {text!r}")
-    ratpart, ipart = m.group(1), m.group(2)
-    if ipart is None:
-        return parse_rat(ratpart)
-    sign = -1 if ipart.startswith("-") else 1
-    mag = parse_rat(ratpart) if ratpart is not None else rat(1)
-    return gauss(0, sign * mag)
-
-
 def _parse_atom(text: str) -> PiecewisePoly:
     s = text.strip()
     if s.startswith("ind:"):
@@ -155,7 +139,7 @@ def _parse_atom(text: str) -> PiecewisePoly:
         a, b = parse_rat(m.group(1)), parse_rat(m.group(2))
         if not a < b:
             raise SplitnormError(f"poly needs a < b: {text!r}")
-        coeffs = [_parse_coef(c) for c in m.group(3).split(",")]
+        coeffs = [parse_scalar(c) for c in m.group(3).split(",")]
         return PiecewisePoly([a, b], [Poly(coeffs)])
     raise SplitnormError(f"unknown atom {text!r} (want ind:, tent:, or poly:)")
 
@@ -173,7 +157,7 @@ def parse_function_spec(text: str) -> PiecewisePoly:
         factors = term.split("*")
         atom = _parse_atom(factors[-1])
         for coef_text in factors[:-1]:
-            atom = atom * _parse_coef(coef_text)
+            atom = atom * parse_scalar(coef_text)
         total = total + atom
     return total
 
@@ -250,8 +234,6 @@ def profile_csv(doc_spec: str, p: int, samples: int) -> str:
 def run_norm(spec: str, p: float, ts: list, err: float, engine: str = "both") -> list:
     """One document per shift of ``ts``.  The spec is parsed once, and the
     exact profile is built once, at the first shift that reads it."""
-    if not ts:
-        return []
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
     if not err > 0:
@@ -301,7 +283,7 @@ def run_series(coeff_doc: dict, p: int, t_min: int, t_max: int) -> dict:
             idx = int(k)
         except ValueError as exc:
             raise SplitnormError(f"bad coefficient index {k!r}") from exc
-        coeffs[idx] = _parse_coef(v) if isinstance(v, str) else parse_scalar(v)
+        coeffs[idx] = parse_scalar(v)
     seq = CoeffSeq.from_mapping(coeffs, bound)
     prof = series_profile(seq, p)
     values = prof.values(t_min, t_max)
@@ -521,24 +503,29 @@ class ExperimentConfig:
         return cls(command, argparse.Namespace(**{i.name: i.read(doc) for i in inputs}))
 
     def t_values(self) -> list:
-        """The shifts ``t`` names, as finite floats; a range form's ``count``
-        is checked against ``_SHIFT_CAP`` before its list is built."""
+        """The shifts ``t`` names, at least one, as finite floats; a range
+        form's ``count`` is an integer from 1 to ``_SHIFT_CAP``, checked
+        before its list is built."""
         t = self.args.t
         try:
             if isinstance(t, list):
                 ts = [float(x) for x in t]
             elif isinstance(t, dict):
                 start, stop = float(t.get("start", 0.0)), float(t["stop"])
-                count = int(t.get("count", 9))
+                count = t.get("count", 9)
+                if type(count) is not int or count < 1:  # bool is not int here
+                    raise ValueError(f"count must be an integer >= 1, got {count!r}")
                 if count > _SHIFT_CAP:
                     raise BudgetExceeded(
                         f"a range of t with count = {count} passes the cap of "
                         f"10^{math.log10(_SHIFT_CAP):.0f} shifts"
                     )
                 step = (stop - start) / (count - 1) if count > 1 else 0.0
-                ts = [start + step * k for k in range(max(count, 1))]
+                ts = [start + step * k for k in range(count)]
             else:  # a number: the table admits no other type
                 ts = [float(t)]
+            if not ts:
+                raise ValueError("no shift")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SplitnormError(f"bad t specification: {t!r}") from exc
         if not all(math.isfinite(x) for x in ts):

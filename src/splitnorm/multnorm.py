@@ -106,17 +106,20 @@ class BoundReport:
         return doc
 
 
-_QUANTITIES = {
-    "split_upper",
-    "split_upper_real",
-    "dual",
-    "m_plus_upper",
-    "m_plus_upper_real",
-    "split_lower",
-    "two_way",
-    "m_plus_two_way",
-    "poly_two_way",
-    "square",
+_REAL_SPLIT = ("in_R", "requires the split multiplier to map real data to real data (declare in_R)")
+
+# quantity -> (rests on the split theorem, the property it needs declared as (flag, reason) or None)
+_HYPOTHESES = {
+    "split_upper": (True, _REAL_SPLIT),
+    "split_upper_real": (True, ("even_real", "requires m real and even in the split variable (declare even_real)")),
+    "dual": (True, _REAL_SPLIT),
+    "m_plus_upper": (False, None),
+    "m_plus_upper_real": (False, ("in_R", "requires T_m to preserve real data (declare in_R)")),
+    "split_lower": (False, None),
+    "two_way": (True, _REAL_SPLIT),
+    "m_plus_two_way": (False, None),
+    "poly_two_way": (True, ("symmetric", "requires the polygon indicator to be even in both variables")),
+    "square": (True, None),
 }
 
 
@@ -127,17 +130,13 @@ def _need(inputs: dict, *names):
     return [inputs[n] for n in names]
 
 
-def _gate_even_p(inputs):
-    p = inputs.get("p")
+def _split_theorem(inputs):
+    """The first hypothesis of the split theorem that ``inputs`` fail, or None:
+    an even integer p, then t >= t0 = (p-2)A/4."""
+    p = inputs["p"]
     if not isinstance(p, int) or p % 2 or p < 2:
         return f"requires an even integer p (got {p!r})"
-    return None
-
-
-def _gate_t_at_least_t0(inputs):
-    p, A, t = inputs.get("p"), inputs.get("A"), inputs.get("t")
-    if A is None or t is None:
-        raise SplitnormError("missing inputs: A, t")
+    A, t = _need(inputs, "A", "t")
     if A < 0:
         raise ValueError("A must be nonnegative")
     # float arithmetic, not normprofile.gen_t0: a huge A gives inf, which the
@@ -151,104 +150,72 @@ def _gate_t_at_least_t0(inputs):
 def bound_report(quantity: str, inputs: dict) -> BoundReport:
     """Evaluate one inequality of the ledger on the given named inputs.
 
-    Hypothesis failures produce ``applicable=False`` reports; structurally
-    missing numbers raise :class:`SplitnormError`.
+    The first failing check decides, in this order: ``p`` is given; a bound
+    that rests on the split theorem has an even integer p, then t >= t0 =
+    (p-2)A/4 (A and t given, A >= 0); the property the quantity needs is
+    declared (``in_R``, ``even_real`` or ``symmetric``); its other inputs
+    are given; their values meet its conditions (ell > 0, ell != 0, t > 0,
+    the real variant's ``even_real``), where ``m_plus_two_way`` reads
+    ``m_norm`` last.  A failed hypothesis, declaration or value condition
+    gives an ``applicable=False`` report; a missing input raises
+    :class:`SplitnormError`, and a negative A ``ValueError``.
     """
-    if quantity not in _QUANTITIES:
-        raise SplitnormError(f"unknown quantity {quantity!r}; choose from {sorted(_QUANTITIES)}")
+    if quantity not in _HYPOTHESES:
+        raise SplitnormError(f"unknown quantity {quantity!r}; choose from {sorted(_HYPOTHESES)}")
     inputs = dict(inputs)
-    p = inputs.get("p")
-    if p is None:
-        raise SplitnormError("missing inputs: p")
+    (p,) = _need(inputs, "p")
+    theorem, declared = _HYPOTHESES[quantity]
+    reason = _split_theorem(inputs) if theorem else None
+    if reason is None and declared and not inputs.get(declared[0], False):
+        reason = declared[1]
 
-    def report(lower=None, upper=None, gate=None):
-        if gate:
-            return BoundReport(quantity, inputs, None, None, False, gate)
-        return BoundReport(quantity, inputs, lower, upper, True)
+    def report(lower=None, upper=None, reason=""):
+        return BoundReport(quantity, inputs, lower, upper, not reason, reason)
 
+    if reason:
+        return report(reason=reason)
     if quantity in ("split_upper", "dual"):
-        gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
-        if not gate and not inputs.get("in_R", False):
-            gate = "requires the split multiplier to map real data to real data (declare in_R)"
-        if gate:
-            return report(gate=gate)
         mp, mm = _need(inputs, "m_plus_norm", "m_minus_norm")
-        upper = _binom_factor(p) * math.sqrt(mp * mm)
         if quantity == "dual":
             inputs["p_dual"] = p / (p - 1)
-        return report(upper=upper)
-
+        return report(upper=_binom_factor(p) * math.sqrt(mp * mm))
     if quantity == "split_upper_real":
-        gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
-        if not gate and not inputs.get("even_real", False):
-            gate = "requires m real and even in the split variable (declare even_real)"
-        if gate:
-            return report(gate=gate)
         (mp,) = _need(inputs, "m_plus_norm")
         return report(upper=_binom_factor(p) * mp)
-
     if quantity == "m_plus_upper":
         (mn,) = _need(inputs, "m_norm")
         return report(upper=constants(p).c_p * mn)
-
     if quantity == "m_plus_upper_real":
-        if not inputs.get("in_R", False):
-            return report(gate="requires T_m to preserve real data (declare in_R)")
         (mn,) = _need(inputs, "m_norm_real")
         return report(upper=constants(p).c_p_real * mn)
-
     if quantity == "split_lower":
         (ell,) = _need(inputs, "ell")
         if not ell > 0:
-            return report(gate=f"requires ell > 0 (got {ell})")
+            return report(reason=f"requires ell > 0 (got {ell})")
         if inputs.get("t") is not None and not float(inputs["t"]) > 0:
-            return report(gate="requires t > 0")
+            return report(reason="requires t > 0")
         return report(lower=ell * constants(p).c_p)
-
     if quantity == "two_way":
-        gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
-        if not gate and not inputs.get("in_R", False):
-            gate = "requires the split multiplier to map real data to real data (declare in_R)"
-        if gate:
-            return report(gate=gate)
         ell, mn = _need(inputs, "ell", "m_norm")
         if not ell > 0:
-            return report(gate=f"requires ell > 0 (got {ell})")
+            return report(reason=f"requires ell > 0 (got {ell})")
         c = constants(p).c_p
         return report(lower=ell * c, upper=c * _binom_factor(p) * mn)
-
     if quantity == "m_plus_two_way":
-        ell = _need(inputs, "ell")[0]
+        (ell,) = _need(inputs, "ell")
         if ell == 0:
-            return report(gate="requires ell = m(0) != 0")
-        if inputs.get("real_variant", False):
-            if not inputs.get("even_real", False):
-                return report(gate="the real variant requires m real-valued and even")
-            (mn,) = _need(inputs, "m_norm")
-            cr = constants(p).c_p_real
-            return report(lower=cr * abs(ell), upper=cr * mn)
+            return report(reason="requires ell = m(0) != 0")
+        real = inputs.get("real_variant", False)
+        if real and not inputs.get("even_real", False):
+            return report(reason="the real variant requires m real-valued and even")
         (mn,) = _need(inputs, "m_norm")
-        c = constants(p).c_p
+        c = constants(p).c_p_real if real else constants(p).c_p
         return report(lower=c * abs(ell), upper=c * mn)
-
+    cs = constants(p)
     if quantity == "poly_two_way":
-        gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
-        if not gate and not inputs.get("symmetric", False):
-            gate = "requires the polygon indicator to be even in both variables"
-        if gate:
-            return report(gate=gate)
         (mp,) = _need(inputs, "m_plus_norm")
-        cs = constants(p)
         return report(lower=cs.n_p * cs.c_p, upper=_binom_factor(p) * mp)
-
-    if quantity == "square":
-        gate = _gate_even_p(inputs) or _gate_t_at_least_t0(inputs)
-        if gate:
-            return report(gate=gate)
-        cs = constants(p)
-        return report(lower=cs.n_p * cs.c_p, upper=_binom_factor(p) * cs.c_p ** 3)
-
-    raise AssertionError("unreachable")
+    return report(lower=cs.n_p * cs.c_p, upper=_binom_factor(p) * cs.c_p ** 3)  # square
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,7 @@ class PiecewisePoly:
         bps = [rat(b) for b in breakpoints]
         ps = [q if isinstance(q, Poly) else Poly(q) for q in pieces]
         if len(bps) != (len(ps) + 1 if ps else 0):
-            if not (len(bps) == 0 and len(ps) == 0):
-                raise ValueError("need len(breakpoints) == len(pieces) + 1")
+            raise ValueError("need len(breakpoints) == len(pieces) + 1")
         for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")

@@ -13,7 +13,10 @@ combine them explicitly.
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction as rat
+
+from .errors import SplitnormError
 
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
@@ -60,8 +63,6 @@ def format_rat(x) -> str:
 
 def parse_rat(text: str):
     """Parse ``num`` or ``num/den`` with optional sign; integers only."""
-    from .errors import SplitnormError
-
     if not isinstance(text, str):
         raise SplitnormError(f"not a rational: {text!r}")
     s = text.strip()
@@ -82,11 +83,20 @@ def format_scalar(x) -> list[str]:
     return [format_rat(part) for part in parts(x)]
 
 
-def parse_scalar(pair):
-    from .errors import SplitnormError
+# a coefficient string: one optional sign, then a number, ``i``, or both;
+# compiled at the first call, not at import
+_SCALAR_PATTERN = r"([+-]?)(\d+(?:/\d+)?)?(i?)"
 
-    if isinstance(pair, str):
-        return parse_rat(pair)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        return gauss(parse_rat(pair[0]), parse_rat(pair[1]))
-    raise SplitnormError(f"not a coefficient: {pair!r}")
+
+def parse_scalar(value):
+    """A coefficient: a string ``[+-][a[/b]][i]`` that holds a number or
+    ``i`` (spaces ignored, so ``3/4 i`` is ``3/4i``), or an ``[re, im]``
+    pair of rational strings.  ``2-i`` is an error, not a complex sum."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return gauss(parse_rat(value[0]), parse_rat(value[1]))
+    m = isinstance(value, str) and re.fullmatch(_SCALAR_PATTERN, value.strip().replace(" ", ""))
+    if not m or not (m.group(2) or m.group(3)):
+        raise SplitnormError(f"bad coefficient {value!r}")
+    sign, number, unit = m.groups()
+    x = parse_rat(sign + (number or "1"))
+    return gauss(0, x) if unit else x

@@ -11,7 +11,7 @@ import numpy as np
 
 from splitnorm import oscint
 from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
-from splitnorm.multnorm import DiscreteMultiplier
+from splitnorm.multnorm import BoundReport, DiscreteMultiplier, _binom_factor, constants
 from splitnorm.oscint import FTEvaluator, NumericNorm
 from splitnorm.polyalg import (
     ZERO_PP,
@@ -278,6 +278,149 @@ def require_applicable(report):
     if not report.applicable:
         raise InapplicableHypothesis(f"{report.quantity}: {report.reason}")
     return report
+
+
+# the ledger as it stood before its hypotheses became one table, with A and t
+# read one by one, so that a missing-input message names only what is missing
+_REFERENCE_QUANTITIES = {
+    "split_upper",
+    "split_upper_real",
+    "dual",
+    "m_plus_upper",
+    "m_plus_upper_real",
+    "split_lower",
+    "two_way",
+    "m_plus_two_way",
+    "poly_two_way",
+    "square",
+}
+
+
+def _reference_need(inputs: dict, *names):
+    missing = [n for n in names if inputs.get(n) is None]
+    if missing:
+        raise SplitnormError(f"missing inputs: {', '.join(missing)}")
+    return [inputs[n] for n in names]
+
+
+def _reference_gate_even_p(inputs):
+    p = inputs.get("p")
+    if not isinstance(p, int) or p % 2 or p < 2:
+        return f"requires an even integer p (got {p!r})"
+    return None
+
+
+def _reference_gate_t_at_least_t0(inputs):
+    p = inputs.get("p")
+    A, t = _reference_need(inputs, "A", "t")
+    if A < 0:
+        raise ValueError("A must be nonnegative")
+    # float arithmetic, not normprofile.gen_t0: a huge A gives inf, which the
+    # gate reports, where float() of the exact value would overflow
+    thr = (p - 2) * float(A) / 4.0
+    if float(t) < thr:
+        return f"requires t >= t0 = {thr} (got t = {t})"
+    return None
+
+
+def reference_bound_report(quantity: str, inputs: dict) -> BoundReport:
+    """``multnorm.bound_report`` as one branch per quantity, each with its
+    own gates: the oracle of the table-driven ledger."""
+    if quantity not in _REFERENCE_QUANTITIES:
+        raise SplitnormError(f"unknown quantity {quantity!r}; choose from {sorted(_REFERENCE_QUANTITIES)}")
+    inputs = dict(inputs)
+    p = inputs.get("p")
+    if p is None:
+        raise SplitnormError("missing inputs: p")
+
+    def report(lower=None, upper=None, gate=None):
+        if gate:
+            return BoundReport(quantity, inputs, None, None, False, gate)
+        return BoundReport(quantity, inputs, lower, upper, True)
+
+    if quantity in ("split_upper", "dual"):
+        gate = _reference_gate_even_p(inputs) or _reference_gate_t_at_least_t0(inputs)
+        if not gate and not inputs.get("in_R", False):
+            gate = "requires the split multiplier to map real data to real data (declare in_R)"
+        if gate:
+            return report(gate=gate)
+        mp, mm = _reference_need(inputs, "m_plus_norm", "m_minus_norm")
+        upper = _binom_factor(p) * math.sqrt(mp * mm)
+        if quantity == "dual":
+            inputs["p_dual"] = p / (p - 1)
+        return report(upper=upper)
+
+    if quantity == "split_upper_real":
+        gate = _reference_gate_even_p(inputs) or _reference_gate_t_at_least_t0(inputs)
+        if not gate and not inputs.get("even_real", False):
+            gate = "requires m real and even in the split variable (declare even_real)"
+        if gate:
+            return report(gate=gate)
+        (mp,) = _reference_need(inputs, "m_plus_norm")
+        return report(upper=_binom_factor(p) * mp)
+
+    if quantity == "m_plus_upper":
+        (mn,) = _reference_need(inputs, "m_norm")
+        return report(upper=constants(p).c_p * mn)
+
+    if quantity == "m_plus_upper_real":
+        if not inputs.get("in_R", False):
+            return report(gate="requires T_m to preserve real data (declare in_R)")
+        (mn,) = _reference_need(inputs, "m_norm_real")
+        return report(upper=constants(p).c_p_real * mn)
+
+    if quantity == "split_lower":
+        (ell,) = _reference_need(inputs, "ell")
+        if not ell > 0:
+            return report(gate=f"requires ell > 0 (got {ell})")
+        if inputs.get("t") is not None and not float(inputs["t"]) > 0:
+            return report(gate="requires t > 0")
+        return report(lower=ell * constants(p).c_p)
+
+    if quantity == "two_way":
+        gate = _reference_gate_even_p(inputs) or _reference_gate_t_at_least_t0(inputs)
+        if not gate and not inputs.get("in_R", False):
+            gate = "requires the split multiplier to map real data to real data (declare in_R)"
+        if gate:
+            return report(gate=gate)
+        ell, mn = _reference_need(inputs, "ell", "m_norm")
+        if not ell > 0:
+            return report(gate=f"requires ell > 0 (got {ell})")
+        c = constants(p).c_p
+        return report(lower=ell * c, upper=c * _binom_factor(p) * mn)
+
+    if quantity == "m_plus_two_way":
+        ell = _reference_need(inputs, "ell")[0]
+        if ell == 0:
+            return report(gate="requires ell = m(0) != 0")
+        if inputs.get("real_variant", False):
+            if not inputs.get("even_real", False):
+                return report(gate="the real variant requires m real-valued and even")
+            (mn,) = _reference_need(inputs, "m_norm")
+            cr = constants(p).c_p_real
+            return report(lower=cr * abs(ell), upper=cr * mn)
+        (mn,) = _reference_need(inputs, "m_norm")
+        c = constants(p).c_p
+        return report(lower=c * abs(ell), upper=c * mn)
+
+    if quantity == "poly_two_way":
+        gate = _reference_gate_even_p(inputs) or _reference_gate_t_at_least_t0(inputs)
+        if not gate and not inputs.get("symmetric", False):
+            gate = "requires the polygon indicator to be even in both variables"
+        if gate:
+            return report(gate=gate)
+        (mp,) = _reference_need(inputs, "m_plus_norm")
+        cs = constants(p)
+        return report(lower=cs.n_p * cs.c_p, upper=_binom_factor(p) * mp)
+
+    if quantity == "square":
+        gate = _reference_gate_even_p(inputs) or _reference_gate_t_at_least_t0(inputs)
+        if gate:
+            return report(gate=gate)
+        cs = constants(p)
+        return report(lower=cs.n_p * cs.c_p, upper=_binom_factor(p) * cs.c_p ** 3)
+
+    raise AssertionError("unreachable")
 
 
 def is_even_real(m: DiscreteMultiplier) -> bool:

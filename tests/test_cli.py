@@ -82,6 +82,33 @@ def test_parse_rejects_garbage():
             parse_function_spec(bad)
 
 
+def test_coefficient_with_a_second_sign_is_a_parse_error(capsys, tmp_path):
+    # "2-i" was read as -2i: the spec exited 0 with exact_value 10.67 (2 - i
+    # gives 16.67) and the series file printed 16 at t = 0 (2 - i gives 25)
+    code = main(["norm", "2-i*ind:0,1", "--p", "4", "--t", "0.5"])
+    assert (code, capsys.readouterr().err) == (EXIT_PARSE, "error: bad coefficient '2-i'\n")
+    (tmp_path / "c.json").write_text(json.dumps({"coeffs": {"0": "2-i"}}))
+    code = main(["series", os.fspath(tmp_path / "c.json"), "--p", "4", "--t-max", "1"])
+    assert (code, capsys.readouterr().err) == (EXIT_PARSE, "error: bad coefficient '2-i'\n")
+    from splitnorm.cli import _run_job
+
+    for job in [
+        {"command": "norm", "spec": "2-i*ind:0,1", "p": 4, "t": 0.5},
+        {"command": "profile", "spec": "poly:[0,1]:1,2-i", "p": 4},
+        {"command": "series", "coeff_file": os.fspath(tmp_path / "c.json"), "p": 4, "t_max": 1},
+    ]:
+        row = _run_job(job)
+        assert row == {"command": job["command"], "status": EXIT_PARSE, "error": "bad coefficient '2-i'"}
+
+
+def test_series_file_coefficients_take_the_spec_grammar(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    for coeff, want in [("3/4 i", "81/256"), ("-i", "1"), (["2", "-1"], "25"), ("+2", "16")]:
+        path.write_text(json.dumps({"coeffs": {"0": coeff}}))
+        code, out = run_cli(capsys, "series", os.fspath(path), "--p", "4", "--t-max", "0")
+        assert (code, json.loads(out)["values"]["0"]) == (EXIT_OK, want), coeff
+
+
 def test_spec_to_json_roundtrip_identity():
     f = parse_function_spec("1/2*tent:-2,0,2 + i*ind:-1,1 + poly:[0,1]:0,1")
     doc = json.loads(json.dumps(f.to_json_dict()))
@@ -174,6 +201,13 @@ def test_mult_bounds_square_command(capsys):
     doc = json.loads(out)
     assert code == EXIT_OK and doc["applicable"] is True
     assert doc["lower"] == pytest.approx((1 + 2 ** 0.5) * 2 ** 0.5)
+
+
+def test_mult_bounds_names_only_the_missing_inputs(capsys):
+    # --A was given, and the message once read "missing inputs: A, t"
+    for given, missing in [(["--A", "1"], "t"), (["--t", "1"], "A"), ([], "A, t")]:
+        code = main(["mult", "bounds", "square", "--p", "4", *given])
+        assert (code, capsys.readouterr().err) == (EXIT_PARSE, f"error: missing inputs: {missing}\n")
 
 
 def test_mult_bounds_inapplicable_exit(capsys):
@@ -706,6 +740,28 @@ def test_nonfinite_t_and_p_are_job_errors():
         assert row["status"] == EXIT_PARSE and "finite" in row["error"], job
     row = _run_job({"command": "norm", "spec": "ind:-1,1", "p": 4, "t": {"stop": 1, "count": inf}})
     assert row == {"command": "norm", "status": EXIT_PARSE, "error": "bad t specification: {'stop': 1, 'count': inf}"}
+
+
+@pytest.mark.parametrize("t", [
+    [],
+    {"stop": 1, "count": 0},
+    {"stop": 1, "count": -3},
+    {"stop": 1, "count": 2.5},
+    {"stop": 1, "count": "3"},
+    {"stop": 1, "count": True},
+], ids=["empty-list", "count-0", "count-negative", "count-fraction", "count-string", "count-bool"])
+@pytest.mark.parametrize("command", ["norm", "mult-estimate"])
+def test_a_shift_set_names_at_least_one_shift(capsys, command, t):
+    # an empty list ended mult-estimate in an IndexError traceback, and a
+    # count below 1 ran its start; int() truncated 2.5 and converted "3"
+    from splitnorm.cli import _run_job
+
+    job = {"command": command, "p": 4, "t": t}
+    job.update({"spec": "ind:-1,1"} if command == "norm"
+               else {"multiplier": "halfline", "grid_n": 256, "iterations": 5})
+    row = _run_job(job)
+    assert row == {"command": command, "status": EXIT_PARSE, "error": f"bad t specification: {t!r}"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_batch_declarative_mult_bounds_inapplicable(capsys, tmp_path):

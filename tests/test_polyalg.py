@@ -44,6 +44,12 @@ from .helpers import (
 RNG_SEED = 20240811
 
 
+@pytest.mark.parametrize("breakpoints, pieces", [([0, 1], []), ([0, 1, 2], [[1]]), ([0], [[1]])])
+def test_piecewise_poly_refuses_mismatched_lengths(breakpoints, pieces):
+    with pytest.raises(ValueError, match=exactly("need len(breakpoints) == len(pieces) + 1")):
+        PiecewisePoly(breakpoints, pieces)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------

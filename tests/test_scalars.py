@@ -41,6 +41,27 @@ def test_formatting_roundtrip():
     assert parse_scalar("3/4") == rat(3, 4)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("i", gauss(0, 1)),
+    ("-i", gauss(0, -1)),
+    ("+i", gauss(0, 1)),
+    ("3i", gauss(0, 3)),
+    ("-3/4i", gauss(0, rat(-3, 4))),
+    ("+2", rat(2)),
+    ("-7/2", rat(-7, 2)),
+    ("3/4 i", gauss(0, rat(3, 4))),
+])
+def test_parse_scalar_reads_a_sign_a_number_and_i(text, want):
+    assert parse_scalar(text) == want
+
+
+@pytest.mark.parametrize("bad", ["2-i", "1/2+i", "-2+i", "--1", "", "-", "i2", 5, ["1"]])
+def test_parse_scalar_refuses_a_second_sign_and_what_is_no_coefficient(bad):
+    # 2-i, 1/2+i and -2+i were once read as -2i, i/2 and -2i
+    with pytest.raises(SplitnormError, match=exactly(f"bad coefficient {bad!r}")):
+        parse_scalar(bad)
+
+
 def test_rationals_are_fractions_even_when_gmpy2_imports(tmp_path):
     # a stub gmpy2 whose mpq is a Fraction subclass: the rational type stays
     # fractions.Fraction whatever else is installed
