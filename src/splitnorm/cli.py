@@ -92,17 +92,18 @@ def canonical_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _write_output(text: str, out_path):
-    """Write to stdout, or atomically to ``out_path``; a failed write is a SplitnormError."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _write_output(data, out_path):
+    """Write text to stdout, or text or bytes atomically to ``out_path``; a
+    failed write is a SplitnormError."""
+    if isinstance(data, str) and not data.endswith("\n"):
+        data += "\n"
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data)
         return
     tmp = f"{out_path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, out_path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -339,7 +340,7 @@ class _Input:
     and with ``-`` as ``_``.  ``type`` is int, float, str, or bool for a
     switch; positionals are strings, declared ``required``.  ``json_types``
     are further JSON types a declarative job may give (the list and range
-    forms of ``t``).
+    forms of ``norm``'s ``t``).
     """
 
     spelling: Optional[str]
@@ -393,7 +394,6 @@ _SPEC = _Input("spec", required=True, help="function spec (after -- if it starts
 _P_INT = _Input("--p", int, required=True)
 _P_REAL = _Input("--p", float, required=True)
 _EMIT = _Input("--emit", default="json", choices=("json", "csv"))
-_T_FORMS = (list, dict)  # a list of shifts, or {"start", "stop", "count"}
 # the largest count the range form takes; tier-1, demo and benchmark jobs take at most 9
 _SHIFT_CAP = 10 ** 4
 _OUT = _Input("--out", dest="output")  # every command takes it, after its own inputs
@@ -407,7 +407,8 @@ _COMMANDS = {
     "norm": ("numerical (N_t f)^p, any p > 1", (
         _SPEC,
         _P_REAL,
-        _Input("--t", float, required=True, json_types=_T_FORMS),
+        # a job may give a list of shifts, or {"start", "stop", "count"}
+        _Input("--t", float, required=True, json_types=(list, dict)),
         _Input("--err", float, 1e-6, dest="target_abs_err"),
         _Input(None, default="both", choices=("exact", "numeric", "both"), dest="engine"),
     )),
@@ -429,8 +430,8 @@ _COMMANDS = {
         _Input("--iterations", int, 200),
         _Input("--seed", int, 0),
         _Input("--real", bool, False, help="restrict to real test functions"),
-        _Input("--t", float, help="apply the split at shift t first", json_types=_T_FORMS),
-        _Input("--checkpoint"),
+        _Input("--t", float, help="apply the split at shift t first"),
+        _Input("--checkpoint", help="save the best test function as npz to exactly this path"),
     )),
     "mult-exact-positive": (None, (
         _SPEC, _Input("--p", float), _Input("--assert-positive", bool, False),
@@ -575,14 +576,20 @@ class ExperimentConfig:
             m = builder(a.grid_n, a.omega)
             doc = {"multiplier": a.multiplier, "p": a.p, "N": a.grid_n, "omega": a.omega}
             if a.t is not None:
-                t = self.t_values()[0]
+                (t,) = self.t_values()
                 m, snapped = split_multiplier(m, t)
                 doc["t_requested"] = t
                 doc["t_snapped"] = snapped
             result = estimate_lower(
-                m, a.p, iterations=a.iterations, seed=a.seed,
-                real_test_functions=a.real, checkpoint_path=a.checkpoint,
+                m, a.p, iterations=a.iterations, seed=a.seed, real_test_functions=a.real
             )
+            if a.checkpoint:
+                import numpy as np
+
+                npz = io.BytesIO()
+                np.savez(npz, samples=result.test_function, estimate=result.estimate,
+                         p=a.p, seed=a.seed, n=m.n, omega=m.omega)
+                _write_output(npz.getvalue(), a.checkpoint)
             doc.update(result.to_json_dict())
             doc["seed"] = a.seed
         else:  # mult-exact-positive

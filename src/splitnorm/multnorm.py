@@ -150,18 +150,22 @@ def _split_theorem(inputs):
 def bound_report(quantity: str, inputs: dict) -> BoundReport:
     """Evaluate one inequality of the ledger on the given named inputs.
 
-    The first failing check decides, in this order: ``p`` is given; a bound
-    that rests on the split theorem has an even integer p, then t >= t0 =
-    (p-2)A/4 (A and t given, A >= 0); the property the quantity needs is
-    declared (``in_R``, ``even_real`` or ``symmetric``); its other inputs
-    are given; their values meet its conditions (ell > 0, ell != 0, t > 0,
-    the real variant's ``even_real``), where ``m_plus_two_way`` reads
-    ``m_norm`` last.  A failed hypothesis, declaration or value condition
-    gives an ``applicable=False`` report; a missing input raises
-    :class:`SplitnormError`, and a negative A ``ValueError``.
+    The first failing check decides, in this order: no input is NaN; ``p``
+    is given; a bound that rests on the split theorem has an even integer
+    p, then t >= t0 = (p-2)A/4 (A and t given, A >= 0); the property the
+    quantity needs is declared (``in_R``, ``even_real`` or ``symmetric``);
+    its other inputs are given; their values meet its conditions (ell > 0,
+    ell != 0, t > 0, the real variant's ``even_real``), where
+    ``m_plus_two_way`` reads ``m_norm`` last.  A failed hypothesis,
+    declaration or value condition gives an ``applicable=False`` report; a
+    NaN or missing input raises :class:`SplitnormError`, and a negative A
+    ``ValueError``.
     """
     if quantity not in _HYPOTHESES:
         raise SplitnormError(f"unknown quantity {quantity!r}; choose from {sorted(_HYPOTHESES)}")
+    nan = sorted(n for n, v in inputs.items() if isinstance(v, float) and math.isnan(v))
+    if nan:
+        raise SplitnormError(f"NaN inputs: {', '.join(nan)}")
     inputs = dict(inputs)
     (p,) = _need(inputs, "p")
     theorem, declared = _HYPOTHESES[quantity]
@@ -431,9 +435,9 @@ _COARSEST_N = 2 ** 12
 
 def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_functions: bool):
     """The power iteration on one grid, ``mhat`` the symbol in FFT order:
-    the starts share ``budget`` iterations in order, and a start that ends
-    early passes its leftover on.  Returns ``(best quotient, its test
-    function or None, stalled, iterations, history)``."""
+    the starts (real if ``real_test_functions``) share ``budget`` iterations
+    in order, and a start that ends early passes its leftover on.  Returns
+    ``(best quotient, its test function or None, stalled, iterations, history)``."""
     import numpy as np
 
     conj_mhat = np.conj(mhat)
@@ -451,8 +455,6 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
     total_iters = 0
     converged = False
     for idx, f in enumerate(starts):
-        if real_test_functions:
-            f = f.real.astype(complex)
         nf = _pnorm(f, p)
         if nf == 0:
             continue
@@ -466,7 +468,7 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
         # the image it was tested with, so no image is computed twice
         g = apply(f)
         q = _pnorm(g, p)
-        for _ in range(share):
+        for step in range(share):
             total_iters += 1
             if q > best_q:
                 best_q = q
@@ -479,6 +481,8 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
             q_here = max(q_here, q)
             if stall >= 4:
                 converged = True
+                break
+            if step == share - 1:  # no iteration is left to record a further step
                 break
             u = apply_adj(_dual_power(g, p))
             if real_test_functions:
@@ -503,8 +507,6 @@ def estimate_lower(
     iterations: int = 200,
     seed: int = 0,
     real_test_functions: bool = False,
-    initial: Optional[np.ndarray] = None,
-    checkpoint_path: Optional[str] = None,
 ) -> EstimateResult:
     """Lower-bound the (p,p) norm of the discrete multiplier operator.
 
@@ -513,11 +515,12 @@ def estimate_lower(
 
         f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
 
-    and best-so-far tracking.  A start ends when its quotient stalls
-    or when a step would lower it; a step whose dual power overflows gives
-    NaN, which ends the start too.  The image T_m f of an accepted step is
-    the one computed to test it and is carried into the next step, so a
-    step costs two FFT pairs (T_m^* and the candidate's image).
+    and best-so-far tracking.  A start ends when its quotient stalls,
+    when a step would lower it, or once the last iteration of its share is
+    recorded; a step whose dual power overflows gives NaN, which ends the
+    start too.  The image T_m f of an accepted step is the one computed to
+    test it and is carried into the next step, so a step costs two FFT
+    pairs (T_m^* and the candidate's image).
 
     Grid continuation: for N > 2^12 the ascent runs on the grids 2^12,
     2^13, ..., N in turn.  The coarsest runs three seeded random starts on
@@ -530,16 +533,14 @@ def estimate_lower(
     random starts afresh.)  A grid's symbol is ``m.samples[::N // n]``,
     the fine samples at the coarse frequencies, not a rebuilt multiplier,
     so any multiplier ascends on its own values (a rebuilt split symbol
-    would snap its shift to another bin).  N <= 2^12, an ``initial`` test
-    function (a warm start at N, e.g. recovered from a checkpoint, run
-    before the random starts) and a budget of fewer than 9 iterations
-    leave the one grid N; a budget too small to give every finer grid an
-    iteration drops the coarsest grids.
+    would snap its shift to another bin).  N <= 2^12 and a budget of fewer
+    than 9 iterations leave the one grid N; a budget too small to give
+    every finer grid an iteration drops the coarsest grids.
 
     The estimate is the floating-point quotient of an explicit test
     function: up to rounding a lower bound for the discrete norm, not a
     proved one, and only an approximation to the continuum norm.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, and writes no file (see ``--checkpoint``).
     """
     import numpy as np
 
@@ -550,21 +551,16 @@ def estimate_lower(
     rng = np.random.default_rng(seed)
     coarse_share = iterations // 3
     levels = [m.n]
-    if initial is None and coarse_share >= _RANDOM_STARTS:
+    if coarse_share >= _RANDOM_STARTS:
         while levels[0] > _COARSEST_N and iterations - coarse_share >= len(levels):
             levels.insert(0, levels[0] // 2)
     best_f = None
-    if initial is not None:
-        best_f = np.asarray(initial, dtype=complex)
-        if best_f.shape != (m.n,):
-            raise ValueError(f"initial test function must have shape ({m.n},)")
-
     used = 0
     for k, n in enumerate(levels):
         starts = []
         if best_f is not None:
             starts.append(np.concatenate([best_f, np.zeros(n - best_f.size, dtype=complex)]))
-        if k == 0 or best_f is None:
+        else:
             for _ in range(_RANDOM_STARTS):
                 f0 = rng.standard_normal(n).astype(complex)
                 if not real_test_functions:
@@ -580,21 +576,10 @@ def estimate_lower(
             )
         used += its
 
-    result = EstimateResult(
+    return EstimateResult(
         estimate=best_q,
         test_function=best_f if best_f is not None else np.zeros(m.n, dtype=complex),
         converged=converged,
         iterations=used,
         history=history,
     )
-    if checkpoint_path:
-        np.savez(
-            checkpoint_path,
-            samples=result.test_function,
-            estimate=result.estimate,
-            p=p,
-            seed=seed,
-            n=m.n,
-            omega=m.omega,
-        )
-    return result

@@ -61,21 +61,20 @@ def format_rat(x) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+# a rational string: one optional sign, then ASCII digits over optional
+# ASCII digits; compiled at the first call, not at import
+_RAT_PATTERN = r"[+-]?[0-9]+(?:/[0-9]+)?"
+
+
 def parse_rat(text: str):
-    """Parse ``num`` or ``num/den`` with optional sign; integers only."""
-    if not isinstance(text, str):
-        raise SplitnormError(f"not a rational: {text!r}")
-    s = text.strip()
-    try:
-        if "/" in s:
-            a, b = s.split("/")
-            num, den = int(a.strip()), int(b.strip())
-            if den == 0:
-                raise ValueError("zero denominator")
-            return rat(num, den)
-        return rat(int(s))
-    except ValueError as exc:
-        raise SplitnormError(f"not a rational: {text!r}") from exc
+    """Parse ``num`` or ``num/den`` with an optional sign in front (outer
+    spaces ignored); the denominator is nonzero."""
+    m = isinstance(text, str) and re.fullmatch(_RAT_PATTERN, text.strip())
+    if m:
+        num, _, den = m.group().partition("/")
+        if int(den or 1):
+            return rat(int(num), int(den or 1))
+    raise SplitnormError(f"not a rational: {text!r}")
 
 
 def format_scalar(x) -> list[str]:
@@ -85,7 +84,7 @@ def format_scalar(x) -> list[str]:
 
 # a coefficient string: one optional sign, then a number, ``i``, or both;
 # compiled at the first call, not at import
-_SCALAR_PATTERN = r"([+-]?)(\d+(?:/\d+)?)?(i?)"
+_SCALAR_PATTERN = r"([+-]?)([0-9]+(?:/[0-9]+)?)?(i?)"
 
 
 def parse_scalar(value):

@@ -485,7 +485,7 @@ def _reference_dual_power(v, q):
 
 
 def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_functions=False,
-                             initial=None, paths=None):
+                             paths=None):
     """Test oracle: the estimator loop before the accepted image was carried
     over, which recomputes ``apply(f)`` at the top of every step.
 
@@ -513,8 +513,6 @@ def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_function
     paths = paths if paths is not None else Counter()
 
     starts = []
-    if initial is not None:
-        starts.append(np.asarray(initial, dtype=complex).copy())
     for _ in range(3):
         f0 = rng.standard_normal(m.n).astype(complex)
         if not real_test_functions:

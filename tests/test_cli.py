@@ -82,6 +82,21 @@ def test_parse_rejects_garbage():
             parse_function_spec(bad)
 
 
+@pytest.mark.parametrize("bad", ["1_0", "1/-2", "1/+2", "\u0661\u0662", "3 / 4", "1/0"])
+def test_a_rational_is_ascii_digits_over_ascii_digits(capsys, tmp_path, bad):
+    # int() took the first four, so "ind:1_0,2_0" was the indicator of [10, 20)
+    want = f"error: not a rational: {bad!r}\n"
+    if "+" not in bad:  # in a spec, + starts a new term
+        code = main(["class-s", f"ind:{bad},100"])
+        assert (code, capsys.readouterr().err) == (EXIT_PARSE, want)
+    code = main(["class-s", "ind:-1,1", "--bump-radius", bad])
+    assert (code, capsys.readouterr().err) == (EXIT_PARSE, want)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"coeffs": {"0": ["1", bad]}}))
+    code = main(["series", os.fspath(path), "--p", "4", "--t-max", "1"])
+    assert (code, capsys.readouterr().err) == (EXIT_PARSE, want)
+
+
 def test_coefficient_with_a_second_sign_is_a_parse_error(capsys, tmp_path):
     # "2-i" was read as -2i: the spec exited 0 with exact_value 10.67 (2 - i
     # gives 16.67) and the series file printed 16 at t = 0 (2 - i gives 25)
@@ -210,6 +225,24 @@ def test_mult_bounds_names_only_the_missing_inputs(capsys):
         assert (code, capsys.readouterr().err) == (EXIT_PARSE, f"error: missing inputs: {missing}\n")
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["square", "--p", "4", "--A", "1", "--t", "nan"], "t"),
+    (["square", "--p", "4", "--A", "nan", "--t", "0"], "A"),
+    (["m_plus_two_way", "--p", "4", "--ell", "nan", "--m-norm", "1"], "ell"),
+    (["m_plus_upper", "--p", "4", "--m-norm", "nan"], "m_norm"),
+    (["square", "--p", "nan", "--A", "1", "--t", "1"], "p"),  # was exit 3
+])
+def test_mult_bounds_refuses_a_nan_input(capsys, argv, names):
+    # the first two printed "applicable": true, the next two a "NaN" bound
+    argv = ["mult", "bounds", *argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_PARSE, "", f"error: NaN inputs: {names}\n")
+    from splitnorm.cli import _run_job
+
+    assert _run_job({"argv": argv}) == {"argv": argv, "status": EXIT_PARSE, "error": f"NaN inputs: {names}"}
+
+
 def test_mult_bounds_inapplicable_exit(capsys):
     code, out = run_cli(capsys, "mult", "bounds", "split_lower", "--p", "4", "--ell", "0")
     assert code == EXIT_INAPPLICABLE
@@ -227,6 +260,40 @@ def test_mult_estimate_command(capsys, tmp_path):
     assert code == EXIT_OK
     assert doc["estimate"] > 1.2
     assert os.path.exists(ck)
+
+
+def test_mult_estimate_checkpoint_is_written_to_exactly_its_path(capsys, tmp_path):
+    # np.savez wrote "ck.npz" for "--checkpoint ck"
+    import numpy as np
+
+    from splitnorm.multnorm import estimate_lower, halfline_multiplier
+
+    ck = os.fspath(tmp_path / "ck")
+    code, _ = run_cli(capsys, "mult", "estimate", "halfline", "--p", "4", "--n", "256",
+                      "--iterations", "5", "--seed", "3", "--checkpoint", ck)
+    assert code == EXIT_OK and os.listdir(tmp_path) == ["ck"]
+    want = estimate_lower(halfline_multiplier(256, 8.0), 4.0, iterations=5, seed=3)
+    with np.load(ck) as saved:
+        assert np.array_equal(saved["samples"], want.test_function)
+        fields = {k: saved[k].item() for k in ("estimate", "p", "seed", "n", "omega")}
+    assert fields == {"estimate": want.estimate, "p": 4.0, "seed": 3, "n": 256, "omega": 8.0}
+
+
+def test_unwritable_checkpoint_is_one_error_line(tmp_path):
+    # np.savez ended in a FileNotFoundError traceback with exit 1
+    missing = os.fspath(tmp_path / "missing" / "x.npz")
+    argv = ["mult", "estimate", "halfline", "--p", "4", "--n", "256", "--iterations", "5"]
+    proc = _run_subprocess([*argv, "--checkpoint", missing], tmp_path)
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr == f"error: cannot write {missing}: No such file or directory\n"
+    from splitnorm.cli import _run_job
+
+    job = {"command": "mult-estimate", "multiplier": "halfline", "p": 4, "grid_n": 256,
+           "iterations": 5, "checkpoint": missing}
+    row = _run_job(job)
+    assert row == {"command": "mult-estimate", "status": EXIT_PARSE,
+                   "error": f"cannot write {missing}: No such file or directory"}
+    assert os.listdir(tmp_path) == []
 
 
 def test_mult_estimate_split_and_shift_options(capsys):
@@ -760,8 +827,23 @@ def test_a_shift_set_names_at_least_one_shift(capsys, command, t):
     job.update({"spec": "ind:-1,1"} if command == "norm"
                else {"multiplier": "halfline", "grid_n": 256, "iterations": 5})
     row = _run_job(job)
-    assert row == {"command": command, "status": EXIT_PARSE, "error": f"bad t specification: {t!r}"}
+    # mult-estimate takes one shift, so a list or a range is the wrong type
+    error = (f"bad t specification: {t!r}" if command == "norm"
+             else f"job field 't' has the wrong type: {t!r}")
+    assert row == {"command": command, "status": EXIT_PARSE, "error": error}
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [[0.5, 1.0, 2.0], {"start": 0.5, "stop": 2.0, "count": 3}])
+def test_mult_estimate_takes_one_shift(t):
+    # it ran the first shift alone and dropped the others, with status 0
+    from splitnorm.cli import _run_job
+
+    job = {"command": "mult-estimate", "multiplier": "tent", "p": 4, "grid_n": 256,
+           "iterations": 5, "t": t}
+    row = _run_job(job)
+    assert row == {"command": "mult-estimate", "status": EXIT_PARSE,
+                   "error": f"job field 't' has the wrong type: {t!r}"}
 
 
 def test_batch_declarative_mult_bounds_inapplicable(capsys, tmp_path):
@@ -914,7 +996,7 @@ _SUBCOMMANDS = list(_subcommands())
 def test_parser_and_declarative_job_take_the_same_inputs(command, parser):
     # the dests, defaults, required set, types and choices of each subparser
     # are the fields of a declarative job; only norm's engine is job-only, and
-    # only the t of norm and mult-estimate takes the list and range forms
+    # only norm's t takes the list and range forms
     from splitnorm.cli import ExperimentConfig
 
     actions = [a for a in parser._actions if a.dest != "help"]
@@ -943,7 +1025,7 @@ def test_parser_and_declarative_job_take_the_same_inputs(command, parser):
         else:
             good, bad = [a.choices[0] if a.choices else "x"], [1, True]
         bad += ["not-a-choice"] if a.choices else []
-        shifts = a.dest == "t" and command in ("norm", "mult-estimate")
+        shifts = a.dest == "t" and command == "norm"
         assert accepts(a.dest, [1.0]) == shifts, a.dest
         assert all(accepts(a.dest, v) for v in good), a.dest
         assert not any(accepts(a.dest, v) for v in bad), a.dest
@@ -974,6 +1056,39 @@ def test_declarative_job_inputs_are_those_of_its_command(capsys, monkeypatch, tm
     assert row["status"] == EXIT_PARSE and row["error"]
     assert "internal error" not in row["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["norm", "ind:-1,1", "--p", "3", "--t", "0.25", "--err", "0"],
+     "the error target must be positive, got 0.0"),
+    (["series", "{}", "--p", "4", "--t-max", "2"], 'coefficient file needs a "coeffs" mapping'),
+    (["series", '{"A": -1, "coeffs": {"0": "1"}}', "--p", "4", "--t-max", "2"],
+     '"A" must be a nonnegative integer, got -1'),
+    (["series", '{"coeffs": {"x": "1"}}', "--p", "4", "--t-max", "2"], "bad coefficient index 'x'"),
+    (["series", '{"A": 0, "coeffs": {"1": "1"}}', "--p", "4", "--t-max", "2"],
+     "coefficient index exceeds the stated bound 0"),
+    (["series", None, "--p", "4", "--t-max", "2"],
+     "cannot read coefficient file: [Errno 2] No such file or directory: '{missing}'"),
+    (["mult", "estimate", "foo", "--p", "4"],
+     "unknown multiplier 'foo'; choose from ['halfline', 'segment', 'tent', 'tent-plus']"),
+    (["class-s", "ind:-1,1", "--bump-radius", "-1"], "bump radius must be nonnegative"),
+    (["norm", "ind:-1,1", "--p", "3", "--t", "1e200"],
+     "t = 1e+200 is too large: the moments of the split function overflow a float"),
+], ids=["err-0", "series-no-coeffs", "series-negative-A", "series-bad-index",
+        "series-index-past-A", "series-missing-file", "unknown-multiplier",
+        "negative-bump-radius", "huge-t"])
+def test_refusals_are_one_exact_error_line(capsys, tmp_path, argv, err):
+    # for series, the second item is the coefficient file's text, or None
+    # for a file that does not exist
+    if argv[0] == "series":
+        path = tmp_path / "c.json"
+        if argv[1] is not None:
+            path.write_text(argv[1])
+        argv = ["series", os.fspath(path), *argv[2:]]
+        err = err.replace("{missing}", os.fspath(path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_PARSE, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize(

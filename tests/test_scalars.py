@@ -42,6 +42,22 @@ def test_formatting_roundtrip():
 
 
 @pytest.mark.parametrize("text, want", [
+    (" 5 ", rat(5)), ("-7/2", rat(-7, 2)), ("+3", rat(3)), ("0/4", rat(0)), ("0012/08", rat(3, 2)),
+])
+def test_parse_rat_reads_a_sign_and_ascii_digits(text, want):
+    assert parse_rat(text) == want
+
+
+@pytest.mark.parametrize("bad", [
+    "1_0", "1/-2", "1/+2", "\u0661\u0662", "3 / 4", "3/ 4", "1/0", "+", "3/", "/3", "1/2/3", "", 5, None,
+])
+def test_parse_rat_refuses_what_int_alone_would_take(bad):
+    # int() took the first four: "1_0" was 10, "1/-2" was -1/2 and "\u0661\u0662" was 12
+    with pytest.raises(SplitnormError, match=exactly(f"not a rational: {bad!r}")):
+        parse_rat(bad)
+
+
+@pytest.mark.parametrize("text, want", [
     ("i", gauss(0, 1)),
     ("-i", gauss(0, -1)),
     ("+i", gauss(0, 1)),
