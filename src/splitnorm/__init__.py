@@ -14,7 +14,6 @@ from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
-    conv_power,
     convolve,
     correlate,
     indicator,

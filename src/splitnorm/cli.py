@@ -624,8 +624,11 @@ def _run_job(job) -> dict:
     label = {"argv": job["argv"]} if "argv" in job else {"command": job.get("command")}
     try:
         if "argv" in job:
+            argv = job["argv"]
+            if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
+                raise SplitnormError("an argv job needs a list of strings")
             try:
-                args = _build_parser().parse_args(list(job["argv"]))
+                args = _build_parser().parse_args(argv)
             except SystemExit:
                 return {**label, "status": EXIT_PARSE}
             cfg = ExperimentConfig.from_args(args)

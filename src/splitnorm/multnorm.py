@@ -265,8 +265,8 @@ class DiscreteMultiplier:
     """Samples of a multiplier on the uniform grid -Omega + k * (2 Omega / N).
 
     ``samples`` is ordered by ascending frequency; N must be a power of two
-    (the estimator uses the FFT).  ``ell`` optionally records a declared
-    continuity value at 0.
+    (the estimator uses the FFT), and omega positive with 2 omega finite.
+    ``ell`` optionally records a declared continuity value at 0.
     """
 
     samples: np.ndarray
@@ -280,6 +280,8 @@ class DiscreteMultiplier:
         n = arr.shape[0]
         if n == 0 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two, got {n}")
+        if not (self.omega > 0 and math.isfinite(2.0 * float(self.omega))):
+            raise SplitnormError(f"omega must be positive with 2 * omega finite, got {self.omega}")
         if not np.isfinite(arr).all():
             raise ValueError("multiplier samples must be bounded")
         object.__setattr__(self, "samples", arr)

@@ -27,7 +27,6 @@ from .polyalg import (
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
-    conv_power,
     convolve,
     is_nonincreasing_on,
     l2_inner,
@@ -62,7 +61,7 @@ def _half_exponent(p) -> int:
 # tier-1 and benchmark job, the two-bump function at p = 12, predicts
 # 1.7e6; predictions near 1e8 (tent at p = 30, two-bump at p = 22) ran
 # for 4-5 s on one core of a Xeon under Python 3.11.  The series engine
-# takes on the same cap (see _check_series_walk)
+# takes on the same cap (see SeriesProfile.values)
 _EXACT_CAP = 10 ** 9
 
 
@@ -124,22 +123,20 @@ class ConstancyVerdict:
     theorem_holds: bool
 
 
+def _ladder(h: PiecewisePoly, m: int) -> list:
+    """[h, h*h, ..., h^{*m}] for m >= 1, each rung one convolution from the previous one."""
+    rungs = [h]
+    for _ in range(m - 1):
+        rungs.append(convolve(rungs[-1], h))
+    return rungs
+
+
 def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
-    """G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, reusing partial powers."""
-    pow_plus = [None, plus]
-    pow_minus = [None, minus]
-    for k in range(2, m + 1):
-        pow_plus.append(convolve(pow_plus[k - 1], plus))
-        pow_minus.append(convolve(pow_minus[k - 1], minus))
-    blocks = []
-    for i in range(m + 1):
-        if i == 0:
-            blocks.append(pow_minus[m])
-        elif i == m:
-            blocks.append(pow_plus[m])
-        else:
-            blocks.append(convolve(pow_plus[i], pow_minus[m - i]))
-    return blocks
+    """G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, read off the two halves'
+    ladders: the end blocks are their top rungs, and each inner block is one
+    more convolution."""
+    up, down = _ladder(plus, m), _ladder(minus, m)
+    return [down[-1], *(convolve(up[i - 1], down[m - i - 1]) for i in range(1, m)), up[-1]]
 
 
 def _constancy_onset(window: PiecewisePoly, tail):
@@ -217,14 +214,15 @@ def check_monotone(profile: NormProfile) -> MonotoneVerdict:
 def newt_constant(f: PiecewisePoly, p: int):
     """C(p, p/2) * (f_+^{*p/2} * f_-^{*p/2})(0), the exact tail value
     whenever the transform of the split function is real-valued (for
-    instance f real and even)."""
+    instance f real and even).  Each power is the top rung of its half's
+    ladder, m - 1 convolutions."""
     m = _half_exponent(p)
     pair = split(f)
     if pair.plus.is_zero() or pair.minus.is_zero():
         return RAT_ZERO
     _check_size(pair.plus, pair.minus, m)
-    u = conv_power(pair.plus, m)
-    w = conv_power(pair.minus, m)
+    u = _ladder(pair.plus, m)[-1]
+    w = _ladder(pair.minus, m)[-1]
     # C(p, m) (u * w)(0) = int C(p, m) u(y) w(-y) dy
     return l2_inner(u * rat(math.comb(p, m)), w.conj_reflect())
 
@@ -300,38 +298,6 @@ def _series_work(b: dict, m: int) -> int:
     return m ** 3 * (max(b) - min(b) + 1) * len(b) if b else 0
 
 
-def _check_series_walk(c: CoeffSeq, m: int, t_min: int, t_max: int) -> None:
-    """Raise BudgetExceeded before the first shift when the work that
-    ``_series_work`` predicts, summed over the shifts t_min..t_max
-    (0 <= t_min <= t_max), passes ``_EXACT_CAP``.  ``SeriesProfile.value``
-    checks its one shift t..t from the split sequence it builds anyway.
-
-    From t = 1 on the split sequence keeps its n entries, and its index
-    range L grows linearly in t: the sum over t >= 1 is that of an
-    arithmetic progression, taken from its two ends.
-    """
-
-    def work(t: int) -> int:
-        return _series_work(_split_numerators(c, t)[0], m)
-
-    total = work(0) if t_min == 0 else 0
-    lo = max(t_min, 1)
-    if lo <= t_max:
-        total += (t_max - lo + 1) * (work(lo) + work(t_max)) // 2
-    _check_series_total(total, t_min, t_max)
-
-
-def _check_series_total(total: int, t_min: int, t_max: int) -> None:
-    """Raise BudgetExceeded when ``total``, the predicted work of the
-    shifts t_min..t_max, passes ``_EXACT_CAP``."""
-    if total > _EXACT_CAP:
-        raise BudgetExceeded(
-            f"the series engine's predicted work m^3 L n at m = p/2, summed over the "
-            f"shifts {t_min}..{t_max}, is 10^{math.log10(total):.1f}, over its cap of "
-            f"10^{math.log10(_EXACT_CAP):.0f}"
-        )
-
-
 def _sequence_convolve(a: dict, b: dict) -> dict:
     """Convolution of two sequences of integer ``(re, im)`` pairs."""
     out: dict = {}
@@ -350,23 +316,45 @@ class SeriesProfile:
     p: int
 
     def value(self, t):
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise SplitnormError(f"series shifts must be nonnegative integers, got {t!r}")
-        m = self.p // 2
-        b, den = _split_numerators(self.seq, t)
-        _check_series_total(_series_work(b, m), t, t)
-        d = b
-        for _ in range(m - 1):
-            d = _sequence_convolve(d, b)
-        # Parseval: the sum of |d_k|^2, each d_k over den^m
-        return rat(sum(r * r + i * i for r, i in d.values()), den ** (2 * m))
+        return self.values(t, t)[t]
 
     def values(self, t_min: int, t_max: int) -> dict:
-        """``{t: value(t)}`` for the shifts t_min..t_max, the work of the
-        whole walk checked first (a negative t_min fails at its own shift)."""
-        if 0 <= t_min <= t_max:
-            _check_series_walk(self.seq, self.p // 2, t_min, t_max)
-        return {t: self.value(t) for t in range(t_min, t_max + 1)}
+        """``{t: value(t)}`` for the shifts t_min..t_max, the series engine's
+        one entry point (``value(t)`` is the walk t..t).  A non-integer,
+        negative or reversed walk is refused.  Before the first convolution,
+        the work ``_series_work`` predicts, summed over the walk, is checked
+        against ``_EXACT_CAP``: from t = 1 on the split sequence keeps its n
+        entries and its index range L grows linearly in t, so the sum over
+        t >= 1 is an arithmetic progression's, taken from its two ends.  The
+        sequences built for that are reused at their own shifts, so each
+        shift's split sequence is built once."""
+        for t in (t_min, t_max):
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+                raise SplitnormError(f"series shifts must be nonnegative integers, got {t!r}")
+        if t_min > t_max:
+            raise SplitnormError(f"the series walk {t_min}..{t_max} is empty: t_min must be at most t_max")
+        m = self.p // 2
+        lo = max(t_min, 1)
+        seqs = {t: _split_numerators(self.seq, t) for t in {t_min, lo, t_max} if t <= t_max}
+        work = {t: _series_work(b, m) for t, (b, _) in seqs.items()}
+        total = work[0] if t_min == 0 else 0
+        if lo <= t_max:
+            total += (t_max - lo + 1) * (work[lo] + work[t_max]) // 2
+        if total > _EXACT_CAP:
+            raise BudgetExceeded(
+                f"the series engine's predicted work m^3 L n at m = p/2, summed over the "
+                f"shifts {t_min}..{t_max}, is 10^{math.log10(total):.1f}, over its cap of "
+                f"10^{math.log10(_EXACT_CAP):.0f}"
+            )
+        out = {}
+        for t in range(t_min, t_max + 1):
+            b, den = seqs.get(t) or _split_numerators(self.seq, t)
+            d = b
+            for _ in range(m - 1):
+                d = _sequence_convolve(d, b)
+            # Parseval: the sum of |d_k|^2, each d_k over den^m
+            out[t] = rat(sum(r * r + i * i for r, i in d.values()), den ** (2 * m))
+        return out
 
     @property
     def threshold(self) -> int:

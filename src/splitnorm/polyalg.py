@@ -55,7 +55,6 @@ __all__ = [
     "correlate",
     "real_correlation_sum",
     "l2_inner",
-    "conv_power",
     "is_nonincreasing_on",
     "is_nonnegative",
     "isolate_real_roots",
@@ -927,19 +926,6 @@ def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
     # int f conj(g) dx = int F conj(G) dX / L
     den = F.den * G.den * big * scale
     return gauss(rat(re, den), rat(im, den))
-
-
-def conv_power(f: PiecewisePoly, k: int) -> PiecewisePoly:
-    """k-fold convolution power by binary splitting, k >= 1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("conv_power needs a positive integer exponent")
-    if k == 1:
-        return f
-    half = conv_power(f, k // 2)
-    out = convolve(half, half)
-    if k % 2:
-        out = convolve(out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------

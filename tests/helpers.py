@@ -19,6 +19,7 @@ from splitnorm.polyalg import (
     PiecewisePoly,
     Poly,
     _pairs,
+    convolve,
     indicator,
     is_nonincreasing_on,
     tent,
@@ -153,6 +154,20 @@ def conv_numeric(f: PiecewisePoly, g: PiecewisePoly, x: float, n: int = 20000) -
     ys = np.linspace(lo - 1e-9, hi + 1e-9, n)
     vals = np.asarray(evaluate_float(f, ys)) * np.asarray(evaluate_float(g, x - ys))
     return complex(_trapezoid(vals, ys))
+
+
+def conv_power(f: PiecewisePoly, k: int) -> PiecewisePoly:
+    """k-fold convolution power by binary splitting, k >= 1: an oracle for
+    the one-convolution-per-rung ladder of the exact engine."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("conv_power needs a positive integer exponent")
+    if k == 1:
+        return f
+    half = conv_power(f, k // 2)
+    out = convolve(half, half)
+    if k % 2:
+        out = convolve(out, f)
+    return out
 
 
 def grid_increase_search(f: PiecewisePoly, a, n=400):

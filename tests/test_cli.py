@@ -334,6 +334,23 @@ def test_mult_estimate_refuses_a_meaningless_p_or_budget(capsys, tmp_path, optio
     assert summary["jobs"][0]["status"] == EXIT_PARSE and summary["jobs"][0]["error"] == want
 
 
+@pytest.mark.parametrize("option, omega", [
+    (("tent", "--omega", "0", "--t", "1"), "0.0"),
+    (("halfline", "--omega", "nan"), "nan"),
+    (("tent", "--omega", "0"), "0.0"),
+    (("tent", "--omega", "-8"), "-8.0"),
+    (("tent", "--omega", "nan"), "nan"),
+    (("tent", "--omega", "1e308"), "1e+308"),
+], ids=["zero-split", "nan-halfline", "zero", "negative", "nan-tent", "overflowing"])
+def test_mult_estimate_refuses_a_grid_width_that_is_not_positive_and_finite(capsys, option, omega):
+    # these ended in a ZeroDivisionError traceback, numpy RuntimeWarnings, a
+    # misleading message, or an estimate of a zero-width or reversed grid
+    code = main(["mult", "estimate", *option, "--p", "4", "--n", "256", "--iterations", "5"])
+    captured = capsys.readouterr()
+    want = f"error: omega must be positive with 2 * omega finite, got {omega}\n"
+    assert (code, captured.out, captured.err) == (EXIT_PARSE, "", want)
+
+
 def test_mult_exact_positive_command(capsys):
     code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1", "--p", "4")
     doc = json.loads(out)
@@ -1089,6 +1106,39 @@ def test_refusals_are_one_exact_error_line(capsys, tmp_path, argv, err):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (EXIT_PARSE, "", f"error: {err}\n")
+
+
+def test_a_reversed_series_walk_is_refused(capsys, tmp_path):
+    # --t-min 5 --t-max 3 exited 0 with "values": {} and a constancy claim
+    # about no shifts
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"A": 1, "coeffs": {"-1": "1/2", "0": "1", "1": "2"}}))
+    err = "the series walk 5..3 is empty: t_min must be at most t_max"
+    code = main(["series", os.fspath(path), "--p", "4", "--t-min", "5", "--t-max", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_PARSE, "", f"error: {err}\n")
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [
+        {"command": "series", "coeff_file": os.fspath(path), "p": 4, "t_min": 5, "t_max": 3}
+    ]}))
+    assert main(["batch", os.fspath(cfg)]) == EXIT_PARSE
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["jobs"] == [{"command": "series", "status": EXIT_PARSE, "error": err}]
+
+
+@pytest.mark.parametrize("argv", [[1, 2], "profile"], ids=["numbers", "string"])
+def test_batch_argv_job_needs_a_list_of_strings(capsys, tmp_path, argv):
+    # numbers were an "internal error" with a traceback on stderr, and a
+    # string was split into characters for argparse to refuse
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [{"argv": argv}, {"command": "mult-constants", "p": 4}]}))
+    code = main(["batch", os.fspath(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_PARSE, "")
+    assert json.loads(captured.out)["jobs"] == [
+        {"argv": argv, "status": EXIT_PARSE, "error": "an argv job needs a list of strings"},
+        {"command": "mult-constants", "status": EXIT_OK},
+    ]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from splitnorm.normprofile import (
 )
 from splitnorm.oscint import norm_numeric
 from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real_roots, l2_inner, tent
-from splitnorm.scalars import format_rat, gauss, rat
+from splitnorm.scalars import format_rat, gauss, parts, rat
 from splitnorm.splitcore import SplitPair, class_s_check
 
-from .helpers import exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
+from .helpers import conv_power, exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
 
 CHI = indicator(-1, 1)
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
@@ -494,7 +495,8 @@ def test_series_walk_predicts_the_sum_of_its_shifts(monkeypatch, mapping):
 
 
 def test_series_value_builds_its_split_sequence_once(monkeypatch):
-    # value(t) predicts its one shift's work from the sequence it convolves
+    # value(t) predicts its one shift's work from the sequence it convolves,
+    # and a walk reuses the sequences of its prediction at their own shifts
     import splitnorm.normprofile as NP
 
     calls = []
@@ -510,6 +512,24 @@ def test_series_value_builds_its_split_sequence_once(monkeypatch):
         calls.clear()
         prof.value(t)
         assert calls == [t]
+    for t_min, t_max in ((0, 0), (0, 5), (1, 7), (3, 3)):
+        calls.clear()
+        prof.values(t_min, t_max)
+        assert sorted(calls) == list(range(t_min, t_max + 1))
+
+
+@pytest.mark.parametrize("t_min, t_max, err", [
+    (5, 3, "the series walk 5..3 is empty: t_min must be at most t_max"),
+    (-1, 3, "series shifts must be nonnegative integers, got -1"),
+    (0, -1, "series shifts must be nonnegative integers, got -1"),
+    (0, 2.5, "series shifts must be nonnegative integers, got 2.5"),
+    (True, 3, "series shifts must be nonnegative integers, got True"),
+], ids=["reversed", "negative-start", "negative-end", "fractional-end", "bool-start"])
+def test_series_walk_refuses_a_reversed_or_bad_walk(t_min, t_max, err):
+    # a reversed walk returned {} at no work, which the CLI read as constancy
+    prof = series_profile(CoeffSeq.from_mapping({-1: rat(1, 2), 0: 1, 1: 2}), 4)
+    with pytest.raises(SplitnormError, match=exactly(err)):
+        prof.values(t_min, t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +575,6 @@ def test_profile_agrees_with_direct_convolution_power(seed):
     # independent exact route: (N_t f)^{2m} = || (S_t f)^{*m} ||_2^2, with the
     # right side computed by convolving the split function with itself
     # directly (no correlation expansion, no substitution in t)
-    from splitnorm.polyalg import conv_power
     from splitnorm.splitcore import apply_split
 
     rng = np.random.default_rng(seed)
@@ -564,6 +583,26 @@ def test_profile_agrees_with_direct_convolution_power(seed):
     t = rat(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
     g = conv_power(apply_split(f, t), p // 2)
     assert norm_profile(f, p).value_at(t) == l2_inner(g, g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_ladder_and_newt_constant_agree_with_binary_splitting(seed):
+    # every rung of the one-convolution-per-rung ladder, and the Newt
+    # constant read off its top rungs, against convolution powers formed by
+    # binary splitting
+    import splitnorm.normprofile as NP
+    from splitnorm.splitcore import split
+
+    rng = np.random.default_rng(seed)
+    f = rnd_pp(rng, max_pieces=2, max_deg=1, complex_ok=bool(rng.integers(2)))
+    pair = split(f)
+    for h in (pair.plus, pair.minus):
+        assert NP._ladder(h, 6) == [conv_power(h, k) for k in range(1, 7)]
+    for m in range(1, 7):
+        u, w = conv_power(pair.plus, m), conv_power(pair.minus, m)
+        want = [math.comb(2 * m, m) * x for x in parts(l2_inner(u, w.conj_reflect()))]
+        assert list(parts(newt_constant(f, 2 * m))) == want
 
 
 @settings(max_examples=6, deadline=None)

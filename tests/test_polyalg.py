@@ -15,7 +15,6 @@ from splitnorm.errors import SplitnormError
 from splitnorm.polyalg import (
     PiecewisePoly,
     Poly,
-    conv_power,
     convolve,
     correlate,
     indicator,
@@ -30,6 +29,7 @@ from splitnorm.scalars import gauss, rat
 
 from .helpers import (
     conv_numeric,
+    conv_power,
     evaluate_float,
     exactly,
     from_json_dict,

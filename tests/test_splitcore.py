@@ -8,7 +8,6 @@ from splitnorm.errors import SplitnormError
 from splitnorm.polyalg import (
     PiecewisePoly,
     Poly,
-    conv_power,
     convolve,
     indicator,
     is_nonincreasing_on,
@@ -25,7 +24,7 @@ from splitnorm.splitcore import (
     split,
 )
 
-from .helpers import exactly, reconstruct, reference_restrict, rnd_class_s_member, rnd_pp
+from .helpers import conv_power, exactly, reconstruct, reference_restrict, rnd_class_s_member, rnd_pp
 
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
 
