@@ -265,7 +265,8 @@ class DiscreteMultiplier:
     """Samples of a multiplier on the uniform grid -Omega + k * (2 Omega / N).
 
     ``samples`` is ordered by ascending frequency; N must be a power of two
-    (the estimator uses the FFT), and omega positive with 2 omega finite.
+    (the estimator uses the FFT), and omega positive with 2 omega finite and
+    the grid step 2 omega / N positive.
     ``ell`` optionally records a declared continuity value at 0.
     """
 
@@ -282,6 +283,8 @@ class DiscreteMultiplier:
             raise ValueError(f"grid size must be a power of two, got {n}")
         if not (self.omega > 0 and math.isfinite(2.0 * float(self.omega))):
             raise SplitnormError(f"omega must be positive with 2 * omega finite, got {self.omega}")
+        if not 2.0 * float(self.omega) / n > 0:
+            raise SplitnormError(f"omega must give a positive grid step 2 * omega / N, got {self.omega} with N = {n}")
         if not np.isfinite(arr).all():
             raise ValueError("multiplier samples must be bounded")
         object.__setattr__(self, "samples", arr)
@@ -351,7 +354,10 @@ def split_multiplier(m: DiscreteMultiplier, t: float) -> tuple[DiscreteMultiplie
 
     if t < 0:
         raise ValueError("t must be nonnegative")
-    k = int(round(float(t) / m.step))
+    bins = float(t) / m.step
+    if not math.isfinite(bins):
+        raise SplitnormError(f"the shift must be a finite number t / step of grid bins, got t = {t} with step {m.step}")
+    k = int(round(bins))
     t_snapped = k * m.step
     n = m.n
     zero_idx = n // 2

@@ -23,16 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import BudgetExceeded, InvariantViolation, SplitnormError
-from .polyalg import (
-    MonotoneVerdict,
-    PiecewisePoly,
-    Poly,
-    convolve,
-    is_nonincreasing_on,
-    l2_inner,
-    real_correlation_sum,
-)
-from .scalars import RAT_ZERO, as_scalar, format_rat, parts, rat
+from .polyalg import IntLayout, MonotoneVerdict, PiecewisePoly, Poly, is_nonincreasing_on, real_correlation_sum
+from .scalars import RAT_ZERO, as_scalar, format_rat, gauss, parts, rat
 from .splitcore import SplitPair, split
 
 __all__ = [
@@ -123,20 +115,20 @@ class ConstancyVerdict:
     theorem_holds: bool
 
 
-def _ladder(h: PiecewisePoly, m: int) -> list:
-    """[h, h*h, ..., h^{*m}] for m >= 1, each rung one convolution from the previous one."""
+def _ladder(h: IntLayout, m: int) -> list:
+    """Layouts [h, h*h, ..., h^{*m}] for m >= 1 at the scale of h, each rung one convolution from the last."""
     rungs = [h]
     for _ in range(m - 1):
-        rungs.append(convolve(rungs[-1], h))
+        rungs.append(rungs[-1].convolve(h))
     return rungs
 
 
-def _convolution_blocks(plus: PiecewisePoly, minus: PiecewisePoly, m: int):
-    """G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, read off the two halves'
-    ladders: the end blocks are their top rungs, and each inner block is one
-    more convolution."""
+def _convolution_blocks(plus: IntLayout, minus: IntLayout, m: int):
+    """Layouts of G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, read off the
+    ladders of the two halves (laid out at one scale): the end blocks are
+    their top rungs, and each inner block is one more convolution."""
     up, down = _ladder(plus, m), _ladder(minus, m)
-    return [down[-1], *(convolve(up[i - 1], down[m - i - 1]) for i in range(1, m)), up[-1]]
+    return [down[-1], *(up[i - 1].convolve(down[m - i - 1]) for i in range(1, m)), up[-1]]
 
 
 def _constancy_onset(window: PiecewisePoly, tail):
@@ -162,18 +154,20 @@ def norm_profile(f: PiecewisePoly, p: int) -> NormProfile:
 def gen_profile(pair: SplitPair, p: int) -> NormProfile:
     """Profile of the generalized split: plus moves right, minus moves left.
 
-    For i < j the (i, j) and (j, i) terms are complex conjugates, and
-    together they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal
-    pairs go into one real accumulation.
+    The two halves are laid out once, at one scale, and every block,
+    diagonal term and correlation is formed on those integer layouts.  For
+    i < j the (i, j) and (j, i) terms are complex conjugates, and together
+    they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal pairs go into
+    one real accumulation, the one result brought back to rationals in x.
     """
     m = _half_exponent(p)
     _check_size(pair.plus, pair.minus, m)
-    blocks = _convolution_blocks(pair.plus, pair.minus, m)
+    blocks = _convolution_blocks(*IntLayout.of(pair.plus, pair.minus), m)
     weights = [math.comb(m, i) for i in range(m + 1)]
 
     tail = RAT_ZERO
     for i, g in enumerate(blocks):
-        norm_sq = l2_inner(g, g)
+        norm_sq = g.inner(g)
         if isinstance(norm_sq, tuple):
             raise InvariantViolation("the diagonal terms of the profile must be real")
         tail = tail + rat(weights[i] ** 2) * norm_sq
@@ -214,17 +208,18 @@ def check_monotone(profile: NormProfile) -> MonotoneVerdict:
 def newt_constant(f: PiecewisePoly, p: int):
     """C(p, p/2) * (f_+^{*p/2} * f_-^{*p/2})(0), the exact tail value
     whenever the transform of the split function is real-valued (for
-    instance f real and even).  Each power is the top rung of its half's
-    ladder, m - 1 convolutions."""
+    instance f real and even).  The halves are laid out once, each power is
+    the top rung of its half's ladder of layouts (m - 1 convolutions), and
+    the value is one inner product of the two: no function is brought back."""
     m = _half_exponent(p)
     pair = split(f)
     if pair.plus.is_zero() or pair.minus.is_zero():
         return RAT_ZERO
     _check_size(pair.plus, pair.minus, m)
-    u = _ladder(pair.plus, m)[-1]
-    w = _ladder(pair.minus, m)[-1]
-    # C(p, m) (u * w)(0) = int C(p, m) u(y) w(-y) dy
-    return l2_inner(u * rat(math.comb(p, m)), w.conj_reflect())
+    u, w = (_ladder(h, m)[-1] for h in IntLayout.of(pair.plus, pair.minus))
+    # (u * w)(0) = int u(y) w(-y) dy, scaled part by part by C(p, m)
+    re, im = parts(u.inner(w.conj_reflected()))
+    return gauss(math.comb(p, m) * re, math.comb(p, m) * im)
 
 
 def gen_t0(A, b, p: int):

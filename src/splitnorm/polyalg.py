@@ -14,18 +14,18 @@ Convolution uses the one-sided jump decomposition
 polynomial jump at breakpoint ``b_k``); each jump pair contributes through
 ``(u^m H) * (u^n H)(v) = v^{m+n+1} m! n! / (m+n+1)!``.
 
-Convolution, correlation and inner products run on Python ints, in the
-layout of FLINT's rational polynomials: integer numerators over one common
-denominator, and no gcd per operation.  Both operands are written in
-``X = L x``, with ``L`` the lcm of their breakpoint denominators, so every
-breakpoint is an integer and every Taylor shift an integer one.  Each
-operand's pieces become integer numerators over one positive denominator,
-read straight from the two coefficient tuples: a real product is one real
-kernel, a complex one three (Karatsuba).  The jump-pair weights are the integers
-``m! n! M / (m+n+1)!`` with ``M = (deg f + deg g + 1)!``; the one-sided
-terms are summed per start point and then in one running sum, and each
-output coefficient is reduced once, by ``rat(num, den)``, to a Fraction in
-lowest terms.
+Convolution, correlation and inner products run on ``IntLayout``: Python
+ints in the layout of FLINT's rational polynomials, integer numerators over
+one common denominator.  ``IntLayout.of`` writes its functions in
+``X = L x``, with ``L`` the lcm of all their breakpoint denominators, so
+every breakpoint is an integer and every Taylor shift an integer one.  A
+real product is one real kernel, a complex one three (Karatsuba).  The
+jump-pair weights are the integers ``m! n! M / (m+n+1)!`` with
+``M = (deg f + deg g + 1)!``, and the one-sided terms are summed per start
+point and then in one running sum.  A convolution is again a layout at the
+same ``L``, divided through by the gcd of its integers, so the exact engine
+lays out its two split halves once; ``to_piecewise`` is the one way back,
+reducing each coefficient once, by ``rat(num, den)``, to a Fraction.
 
 Monotonicity and sign decisions are exact, via root isolation on integers
 (Collins & Akritas 1976): a polynomial's square-free part, certified by a
@@ -50,6 +50,7 @@ from .scalars import RAT_ONE, RAT_ZERO, as_scalar, format_rat, format_scalar, ga
 __all__ = [
     "Poly",
     "PiecewisePoly",
+    "IntLayout",
     "MonotoneVerdict",
     "convolve",
     "correlate",
@@ -169,9 +170,6 @@ class Poly:
         c = as_scalar(c)
         powers = [c**j for j in range(len(self.coeffs))]
         return Poly(*([a * w for a, w in zip(cs, powers)] for cs in (self.coeffs, self.im)))
-
-    def conjugate(self) -> "Poly":
-        return Poly(self.coeffs, [-c for c in self.im])
 
 
 def _add(a, b) -> list:
@@ -591,9 +589,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.breakpoints, [p.conjugate() for p in self.pieces])
-
     def translate(self, t) -> "PiecewisePoly":
         """x -> f(x - t)."""
         t = rat(t)
@@ -606,10 +601,6 @@ class PiecewisePoly:
         bps = [-b for b in reversed(self.breakpoints)]
         pieces = [p.scale_arg(rat(-1)) for p in reversed(self.pieces)]
         return PiecewisePoly(bps, pieces)
-
-    def conj_reflect(self) -> "PiecewisePoly":
-        """x -> conj(f(-x)), the correlation kernel."""
-        return self.reflect().conjugate()
 
     def _intervals(self):
         for k, p in enumerate(self.pieces):
@@ -644,50 +635,61 @@ def tent(a, b, c) -> PiecewisePoly:
 # ---------------------------------------------------------------------------
 
 
-def _breakpoint_scale(*fs) -> int:
-    """The lcm L of all breakpoint denominators: in X = L x every breakpoint is an integer."""
-    return math.lcm(*(b.denominator for f in fs for b in f.breakpoints))
-
-
 @dataclass(frozen=True)
-class _IntLayout:
-    """A piecewise polynomial in the scaled variable X = L x, as integer numerators.
+class IntLayout:
+    """A piecewise polynomial f in the scaled variable X = L x, as integer numerators.
 
-    ``bps`` are the integer breakpoints in X.  ``re[k]`` and ``im[k]`` (``im``
-    is None for real data) are the ascending coefficients of piece k in X,
-    each padded to ``degree + 1`` entries, all over one positive ``den``.
+    ``bps`` are the integer breakpoints in X and ``scale`` is L.  ``re[k]``
+    and ``im[k]`` (``im`` is None for real data) are the ascending
+    coefficients of piece k of F(X) = f(X / L), each padded to ``degree + 1``
+    entries, all over one positive ``den``.  Zero has no pieces.
     """
 
     bps: list
+    scale: int
     den: int
     re: list
     im: Optional[list]
     degree: int
 
     @classmethod
-    def of(cls, f: PiecewisePoly, scale: int) -> "_IntLayout":
-        bps = [b.numerator * (scale // b.denominator) for b in f.breakpoints]
-        degree = max(len(q.coeffs) for q in f.pieces) - 1
-        powers = [scale**j for j in range(degree + 1)]
-        re = [q.coeffs for q in f.pieces]
-        im = None if f.is_real() else [q.im for q in f.pieces]
-        # a coefficient c of x^j is c / L^j in X
-        den = math.lcm(
-            *(c.denominator * powers[j] for rows in (re, im or ()) for cs in rows for j, c in enumerate(cs))
-        )
+    def of(cls, *fs: PiecewisePoly) -> list:
+        """The layouts of fs at one scale L, the lcm of all their breakpoint
+        denominators: in X = L x every breakpoint is an integer."""
+        scale = math.lcm(*(b.denominator for f in fs for b in f.breakpoints))
 
-        def numerators(rows):
-            out = []
-            for cs in rows:
-                row = [0] * (degree + 1)
-                for j, c in enumerate(cs):
-                    row[j] = c.numerator * (den // (c.denominator * powers[j]))
-                out.append(row)
-            return out
+        def lay_out(f):
+            degree = max((len(q.coeffs) for q in f.pieces), default=1) - 1
+            powers = [scale**j for j in range(degree + 1)]
+            re = [q.coeffs for q in f.pieces]
+            im = None if f.is_real() else [q.im for q in f.pieces]
+            # a coefficient c of x^j is c / L^j in X
+            den = math.lcm(*(c.denominator * w for rows in (re, im or ()) for cs in rows for c, w in zip(cs, powers)))
 
-        return cls(bps, den, numerators(re), None if im is None else numerators(im), degree)
+            def numerators(rows):
+                pad = [0] * (degree + 1)
+                return [[c.numerator * (den // (c.denominator * w)) for c, w in zip(cs, powers)] + pad[len(cs):]
+                        for cs in rows]
 
-    def conj_reflected(self) -> "_IntLayout":
+            bps = [b.numerator * (scale // b.denominator) for b in f.breakpoints]
+            return cls(bps, scale, den, numerators(re), None if im is None else numerators(im), degree)
+
+        return [lay_out(f) for f in fs]
+
+    def to_piecewise(self) -> PiecewisePoly:
+        """The function back in x, with one ``rat`` reduction per coefficient."""
+        if not self.re:
+            return ZERO_PP
+        powers = [self.scale**j for j in range(self.degree + 1)]
+
+        def coeffs(q):
+            return [rat(c * w, self.den) for c, w in zip(q, powers)]
+
+        im = self.im or [()] * len(self.re)
+        pieces = [Poly(coeffs(q), coeffs(i) if any(i) else ()) for q, i in zip(self.re, im)]
+        return PiecewisePoly([rat(b, self.scale) for b in self.bps], pieces)
+
+    def conj_reflected(self) -> "IntLayout":
         """The layout of x -> conj(f(-x))."""
 
         def flip(pieces, negate: bool):
@@ -697,7 +699,7 @@ class _IntLayout:
             ]
 
         im = None if self.im is None else flip(self.im, True)
-        return _IntLayout([-b for b in reversed(self.bps)], self.den, flip(self.re, False), im, self.degree)
+        return IntLayout([-b for b in reversed(self.bps)], self.scale, self.den, flip(self.re, False), im, self.degree)
 
     def jumps(self, part: str) -> list:
         """``(B_k, [m! d_m])`` per breakpoint, ``d_m`` the coefficients of the
@@ -717,6 +719,57 @@ class _IntLayout:
                 out.append((b, [w * c for w, c in zip(fact, _taylor_shift(d, b))]))
             prev = cur
         return out
+
+    def convolve(self, other: "IntLayout") -> "IntLayout":
+        """The layout of the convolution, divided through by the gcd of its
+        numerators and ``den``: without that, the integers of a ladder of
+        convolutions grow rung by rung."""
+        re, im, den = _product_jumps(self, other)
+        starts = sorted(re if im is None else re.keys() | im.keys())
+        width = self.degree + other.degree + 2
+        re = _running_sums(re, starts, width, "convolve")
+        im = None if im is None else _running_sums(im, starts, width, "convolve")
+        g = math.gcd(den, *(c for rows in (re, im or ()) for q in rows for c in q))
+
+        def reduced(rows):
+            return [[c // g for c in q] for q in rows]
+
+        return IntLayout(starts, self.scale, den // g, reduced(re), None if im is None else reduced(im), width - 1)
+
+    def inner(self, other: "IntLayout"):
+        """Exact int f(x) * conj(g(x)) dx."""
+        F, G = self, other
+        if not (F.re and G.re):
+            return RAT_ZERO
+        lo, hi = max(F.bps[0], G.bps[0]), min(F.bps[-1], G.bps[-1])
+        grid = sorted({b for b in F.bps + G.bps if lo <= b <= hi})
+        # int_A^B X^k dX = (B^{k+1} - A^{k+1}) / (k+1), over the common n!
+        n = F.degree + G.degree + 1
+        big = math.factorial(n)
+        weights = [big // (k + 1) for k in range(n)]
+
+        def integral(cs, a, b):
+            at_a = at_b = 0
+            for w, c in zip(reversed(weights), reversed(cs)):
+                at_a = (at_a + w * c) * a
+                at_b = (at_b + w * c) * b
+            return at_b - at_a
+
+        re = im = 0
+        for a, b in zip(grid, grid[1:]):
+            i = bisect_right(F.bps, a) - 1
+            k = bisect_right(G.bps, a) - 1
+            # f conj(g) = (Fr Gr + Fi Gi) + i (Fi Gr - Fr Gi)
+            re += integral(_int_mul_add(F.re[i], G.re[k]), a, b)
+            if F.im is not None and G.im is not None:
+                re += integral(_int_mul_add(F.im[i], G.im[k]), a, b)
+            if F.im is not None:
+                im += integral(_int_mul_add(F.im[i], G.re[k]), a, b)
+            if G.im is not None:
+                im -= integral(_int_mul_add(F.re[i], G.im[k]), a, b)
+        # int f conj(g) dx = int F conj(G) dX / L
+        den = F.den * G.den * big * F.scale
+        return gauss(rat(re, den), rat(im, den))
 
 
 def _taylor_shift(cs, h) -> list:
@@ -757,11 +810,12 @@ def _add_into(dst: dict, src: dict, sign: int) -> dict:
     return dst
 
 
-def _product_jumps(F: _IntLayout, G: _IntLayout, real_only: bool = False):
-    """One-sided terms of F * G: ``(re, im, den)``.
+def _product_jumps(F: IntLayout, G: IntLayout, real_only: bool = False):
+    """One-sided terms of the convolution f * g of the layouts F and G:
+    ``(re, im, den)``.
 
     ``re`` and ``im`` map each start S to the integer coefficients of the
-    polynomial J_S in X with ``F * G = sum_S H(X - S) J_S(X) / den``;
+    polynomial J_S in X with ``(f * g)(x) = sum_S H(X - S) J_S(X) / den``;
     ``im`` is None for a real product or when ``real_only`` is set.  With
     ``M = (deg F + deg G + 1)!`` and the jumps scaled by ``m!``, the jump
     pair ``(u^m H) * (u^n H) = v^{m+n+1} m! n! / (m+n+1)!`` becomes the
@@ -790,7 +844,8 @@ def _product_jumps(F: _IntLayout, G: _IntLayout, real_only: bool = False):
             for s, cs in acc.items()
         }
 
-    return one_sided(re), None if im is None else one_sided(im), big_m * F.den * G.den
+    # (f * g)(x) = (F * G)(X) / L
+    return one_sided(re), None if im is None else one_sided(im), big_m * F.den * G.den * F.scale
 
 
 def _running_sums(jumps: dict, starts: list, width: int, what: str) -> list:
@@ -808,40 +863,14 @@ def _running_sums(jumps: dict, starts: list, width: int, what: str) -> list:
     return pieces[:-1]
 
 
-def _from_int_pieces(starts: list, re: list, im, scale: int, den: int) -> PiecewisePoly:
-    """PiecewisePoly from integer pieces in X = scale * x over ``den``, with
-    one ``rat`` reduction per output coefficient."""
-    if not re:
-        return ZERO_PP
-    powers = [scale**j for j in range(len(re[0]))]
-
-    def coeffs(q):
-        return [rat(c * w, den) for c, w in zip(q, powers)]
-
-    pieces = [Poly(coeffs(q), coeffs(im[k]) if im is not None and any(im[k]) else ()) for k, q in enumerate(re)]
-    return PiecewisePoly([rat(s, scale) for s in starts], pieces)
-
-
-def _convolve_layouts(F: _IntLayout, G: _IntLayout, scale: int) -> PiecewisePoly:
-    re, im, den = _product_jumps(F, G)
-    starts = sorted(re if im is None else re.keys() | im.keys())
-    width = F.degree + G.degree + 2
-    re_pieces = _running_sums(re, starts, width, "convolve")
-    im_pieces = None if im is None else _running_sums(im, starts, width, "convolve")
-    # (f*g)(x) = (F*G)(X) / L
-    return _from_int_pieces(starts, re_pieces, im_pieces, scale, den * scale)
-
-
 def convolve(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     """Exact convolution (f*g)(x) = int f(y) g(x-y) dy.
 
     The support is contained in the sum of the supports (and the result of
     convolving bounded pieces is continuous).
     """
-    if f.is_zero() or g.is_zero():
-        return ZERO_PP
-    scale = _breakpoint_scale(f, g)
-    return _convolve_layouts(_IntLayout.of(f, scale), _IntLayout.of(g, scale), scale)
+    F, G = IntLayout.of(f, g)
+    return F.convolve(G).to_piecewise()
 
 
 def correlate(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
@@ -849,33 +878,36 @@ def correlate(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
 
     ``correlate(f, f)(0)`` is the squared L2 norm of f.
     """
-    if f.is_zero() or g.is_zero():
-        return ZERO_PP
-    scale = _breakpoint_scale(f, g)
-    return _convolve_layouts(_IntLayout.of(g, scale), _IntLayout.of(f, scale).conj_reflected(), scale)
+    F, G = IntLayout.of(f, g)
+    return G.convolve(F.conj_reflected()).to_piecewise()
+
+
+def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
+    """Exact int f(x) * conj(g(x)) dx."""
+    F, G = IntLayout.of(f, g)
+    return F.inner(G)
 
 
 def real_correlation_sum(terms) -> PiecewisePoly:
     """t -> Re sum_k w_k correlate(f_k, g_k)(c_k t) for t >= 0, zero for t < 0.
 
-    ``terms`` holds ``(w_k, c_k, f_k, g_k)`` with integer weights ``w_k`` and
-    positive integer argument scales ``c_k``.  Only real parts are formed,
-    and all terms go into one accumulation of one-sided terms in the common
-    variable ``Z = L lcm(c_k) t``: one sort and one running sum.
+    ``terms`` holds ``(w_k, c_k, F_k, G_k)`` with integer weights ``w_k``,
+    positive integer argument scales ``c_k`` and the layouts ``F_k``, ``G_k``
+    of f_k and g_k, all at one scale L.  Only real parts are formed, and all
+    terms go into one accumulation of one-sided terms in the common variable
+    ``Z = L lcm(c_k) t``: one sort and one running sum, brought back to x once.
     """
-    terms = [(w, c, f, g) for w, c, f, g in terms if w and not (f.is_zero() or g.is_zero())]
+    terms = [(w, c, F, G) for w, c, F, G in terms if w and F.re and G.re]
     if any(not (isinstance(c, int) and c > 0 and isinstance(w, int)) for w, c, _, _ in terms):
         raise ValueError("weights must be integers and scales positive integers")
     if not terms:
         return ZERO_PP
-    scale = _breakpoint_scale(*(h for _, _, f, g in terms for h in (f, g)))
-    layouts = {id(h): _IntLayout.of(h, scale) for _, _, f, g in terms for h in (f, g)}
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     parts = []
-    for w, c, f, g in terms:
-        re, _, den = _product_jumps(layouts[id(g)], layouts[id(f)].conj_reflected(), real_only=True)
+    for w, c, F, G in terms:
+        re, _, den = _product_jumps(G, F.conj_reflected(), real_only=True)
         parts.append((w, lcm_c // c, re, den))
-    width = 2 * max(h.degree for h in layouts.values()) + 2
+    width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
     # X = L c t = Z / r with r = lcm(c) / c; over the common ``den * r^j``
     common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))
     acc: dict = {}
@@ -888,44 +920,7 @@ def real_correlation_sum(terms) -> PiecewisePoly:
             acc[z] = cs if cur is None else [a + b for a, b in zip(cur, cs)]
     starts = sorted(acc.keys() | {0})
     pieces = _running_sums(acc, starts, width, "real_correlation_sum")
-    return _from_int_pieces(starts, pieces, None, scale * lcm_c, common * scale)
-
-
-def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
-    """Exact int f(x) * conj(g(x)) dx."""
-    if f.is_zero() or g.is_zero():
-        return RAT_ZERO
-    scale = _breakpoint_scale(f, g)
-    F, G = _IntLayout.of(f, scale), _IntLayout.of(g, scale)
-    lo, hi = max(F.bps[0], G.bps[0]), min(F.bps[-1], G.bps[-1])
-    grid = sorted({b for b in F.bps + G.bps if lo <= b <= hi})
-    # int_A^B X^k dX = (B^{k+1} - A^{k+1}) / (k+1), over the common n!
-    n = F.degree + G.degree + 1
-    big = math.factorial(n)
-    weights = [big // (k + 1) for k in range(n)]
-
-    def integral(cs, a, b):
-        at_a = at_b = 0
-        for w, c in zip(reversed(weights), reversed(cs)):
-            at_a = (at_a + w * c) * a
-            at_b = (at_b + w * c) * b
-        return at_b - at_a
-
-    re = im = 0
-    for a, b in zip(grid, grid[1:]):
-        i = bisect_right(F.bps, a) - 1
-        k = bisect_right(G.bps, a) - 1
-        # f conj(g) = (Fr Gr + Fi Gi) + i (Fi Gr - Fr Gi)
-        re += integral(_int_mul_add(F.re[i], G.re[k]), a, b)
-        if F.im is not None and G.im is not None:
-            re += integral(_int_mul_add(F.im[i], G.im[k]), a, b)
-        if F.im is not None:
-            im += integral(_int_mul_add(F.im[i], G.re[k]), a, b)
-        if G.im is not None:
-            im -= integral(_int_mul_add(F.re[i], G.im[k]), a, b)
-    # int f conj(g) dx = int F conj(G) dX / L
-    den = F.den * G.den * big * scale
-    return gauss(rat(re, den), rat(im, den))
+    return IntLayout(starts, terms[0][2].scale * lcm_c, common, pieces, None, width - 1).to_piecewise()
 
 
 # ---------------------------------------------------------------------------

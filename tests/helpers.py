@@ -170,6 +170,18 @@ def conv_power(f: PiecewisePoly, k: int) -> PiecewisePoly:
     return out
 
 
+def conjugate(p: Poly) -> Poly:
+    """The polynomial with conjugated coefficients."""
+    return Poly(p.coeffs, [-c for c in p.im])
+
+
+def conj_reflect(f: PiecewisePoly) -> PiecewisePoly:
+    """x -> conj(f(-x)), the correlation kernel: an oracle for the exact
+    engine's ``IntLayout.conj_reflected``."""
+    g = f.reflect()
+    return PiecewisePoly(g.breakpoints, [conjugate(p) for p in g.pieces])
+
+
 def grid_increase_search(f: PiecewisePoly, a, n=400):
     """Dense-grid falsification: a pair x1 < x2 (non-breakpoint rationals)
     with f(x1) < f(x2), or None."""

@@ -351,6 +351,20 @@ def test_mult_estimate_refuses_a_grid_width_that_is_not_positive_and_finite(caps
     assert (code, captured.out, captured.err) == (EXIT_PARSE, "", want)
 
 
+@pytest.mark.parametrize("option, want", [
+    (("--omega", "5e-324", "--t", "1"), "omega must give a positive grid step 2 * omega / N, got 5e-324 with N = 256"),
+    (("--omega", "5e-324"), "omega must give a positive grid step 2 * omega / N, got 5e-324 with N = 256"),
+    (("--omega", "1e-300", "--t", "1e300"),
+     "the shift must be a finite number t / step of grid bins, got t = 1e+300 with step 7.8125e-303"),
+], ids=["vanishing-step-split", "vanishing-step", "overflowing-bins"])
+def test_mult_estimate_refuses_a_vanishing_grid_step_or_an_overflowing_shift(capsys, option, want):
+    # these ended in a ZeroDivisionError traceback, an "estimate" of 1 from a
+    # grid of N copies of -omega, and an OverflowError traceback
+    code = main(["mult", "estimate", "tent", *option, "--p", "4", "--n", "256", "--iterations", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_PARSE, "", f"error: {want}\n")
+
+
 def test_mult_exact_positive_command(capsys):
     code, out = run_cli(capsys, "mult", "exact-positive", "tent:-1,0,1", "--p", "4")
     doc = json.loads(out)

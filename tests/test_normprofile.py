@@ -24,7 +24,7 @@ from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real
 from splitnorm.scalars import format_rat, gauss, parts, rat
 from splitnorm.splitcore import SplitPair, class_s_check
 
-from .helpers import conv_power, exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
+from .helpers import conj_reflect, conv_power, exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
 
 CHI = indicator(-1, 1)
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
@@ -251,6 +251,39 @@ def test_exact_engine_refuses_predicted_work_over_its_cap():
         with pytest.raises(BudgetExceeded):
             gen_profile(SplitPair(indicator(0, 1), indicator(-1, 0), 1, 0), p)
     assert newt_constant(indicator(0, 1), 10 ** 300) == 0  # one half is zero: no work
+
+
+def test_exact_engine_lays_out_the_halves_once_and_brings_back_only_the_profile(monkeypatch):
+    # every convolution, inner product and correlation runs on the two
+    # halves' integer layouts: one constructor call lays out both, and the
+    # profile is the one function brought back to rationals in x
+    from splitnorm.polyalg import IntLayout
+
+    calls = {"of": [], "back": 0}
+    of, back = IntLayout.of.__func__, IntLayout.to_piecewise
+
+    def counted_of(cls, *fs):
+        calls["of"].append(len(fs))
+        return of(cls, *fs)
+
+    def counted_back(self):
+        calls["back"] += 1
+        return back(self)
+
+    monkeypatch.setattr(IntLayout, "of", classmethod(counted_of))
+    monkeypatch.setattr(IntLayout, "to_piecewise", counted_back)
+    f = indicator(-1, 1) + tent(2, 3, 4) * 2
+    for p in (4, 8):
+        for engine, back_calls in ((norm_profile, 1), (newt_constant, 0)):
+            calls.update(of=[], back=0)
+            engine(f, p)
+            assert calls == {"of": [2], "back": back_calls}, (engine.__name__, p)
+    # the size check refuses before any layout is built
+    calls.update(of=[], back=0)
+    for engine in (norm_profile, newt_constant):
+        with pytest.raises(BudgetExceeded):
+            engine(f, 1000)
+    assert calls == {"of": [], "back": 0}
 
 
 def test_profile_zero_function():
@@ -588,20 +621,22 @@ def test_profile_agrees_with_direct_convolution_power(seed):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_ladder_and_newt_constant_agree_with_binary_splitting(seed):
-    # every rung of the one-convolution-per-rung ladder, and the Newt
-    # constant read off its top rungs, against convolution powers formed by
-    # binary splitting
+    # every rung of the one-convolution-per-rung ladder of layouts, brought
+    # back, and the Newt constant read off its top rungs, against convolution
+    # powers formed by binary splitting
     import splitnorm.normprofile as NP
+    from splitnorm.polyalg import IntLayout
     from splitnorm.splitcore import split
 
     rng = np.random.default_rng(seed)
     f = rnd_pp(rng, max_pieces=2, max_deg=1, complex_ok=bool(rng.integers(2)))
     pair = split(f)
-    for h in (pair.plus, pair.minus):
-        assert NP._ladder(h, 6) == [conv_power(h, k) for k in range(1, 7)]
+    for h, layout in zip((pair.plus, pair.minus), IntLayout.of(pair.plus, pair.minus)):
+        rungs = [rung.to_piecewise() for rung in NP._ladder(layout, 6)]
+        assert rungs == [conv_power(h, k) for k in range(1, 7)]
     for m in range(1, 7):
         u, w = conv_power(pair.plus, m), conv_power(pair.minus, m)
-        want = [math.comb(2 * m, m) * x for x in parts(l2_inner(u, w.conj_reflect()))]
+        want = [math.comb(2 * m, m) * x for x in parts(l2_inner(u, conj_reflect(w)))]
         assert list(parts(newt_constant(f, 2 * m))) == want
 
 

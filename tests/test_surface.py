@@ -124,3 +124,14 @@ def test_readme_library_block_runs_as_its_comments_say():
     assert gen.constancy_onset == rat(5, 4)
     assert num.abs_error <= 1e-3
     assert (v.ok, v.witness) == (False, (rat(19, 2), rat(39, 4)))
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    # a module's underscore names (the integer layout's helpers among them)
+    # stay behind its public names: no other module of src/ imports them
+    crossing = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("splitnorm")):
+                crossing += [f"{module.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not crossing, crossing
