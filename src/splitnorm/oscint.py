@@ -7,11 +7,14 @@ the exact finite sum, for every y != 0,
     f^(y) = sum_k e^{-2 pi i b_k y} sum_r J[k][r] / (2 pi i y)^{r+1},
 
 where J[k][r] is the jump of f^(r) at b_k (right limit minus left limit).
-``_boundary_expansion`` computes these jump rows exactly and floats them
-once; the evaluator (with a moment series near the origin to dodge
-cancellation) and all three tails read them.  |F[S_t f]|^p is integrated
-over a phase-aligned panel grid on [-Y, Y] with an embedded
-Gauss/Kronrod error estimate and closed with a tail beyond Y:
+``_boundary_expansion`` computes these jump rows exactly, in integers,
+and floats them once; the evaluator and all three tails read them.  The
+evaluator works on the panel grid: at a node y = mid + half x the phase
+is e^{-2 pi i b mid} e^{-2 pi i b half x}, one exp per panel and
+breakpoint and one table per panel width, and near the origin a moment
+series, its moments exact integer sums, dodges cancellation.
+|F[S_t f]|^p is integrated over a phase-aligned panel grid on [-Y, Y] with
+an embedded Gauss/Kronrod error estimate and closed with a tail beyond Y:
 
 - p = 2: computed, not merely bounded.  The r = 0 part integrates against
   sine/cosine integrals in closed form, and the rest carries a proved
@@ -38,33 +41,27 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SplitnormError
-from .polyalg import ZERO_POLY, PiecewisePoly
-from .scalars import RAT_ONE, parts, rat
+from .polyalg import IntLayout, PiecewisePoly
+from .scalars import rat
 from .splitcore import apply_split
 
 __all__ = ["FTEvaluator", "NumericNorm", "norm_numeric"]
 
 
-# 7/15 Gauss-Kronrod pair on [-1, 1] (QUADPACK values); _panel_integrate
-# turns these into arrays, G7's weights in the odd slots with zeros between
-_GK_NODES = (
-    -0.991455371120813,
-    -0.949107912342759,
-    -0.864864423359769,
-    -0.741531185599394,
-    -0.586087235467691,
-    -0.405845151377397,
-    -0.207784955007898,
-    0.0,
-    0.207784955007898,
-    0.405845151377397,
-    0.586087235467691,
-    0.741531185599394,
-    0.864864423359769,
-    0.949107912342759,
+# 7/15 Gauss-Kronrod pair on [-1, 1], stored as QUADPACK's qk15 stores it:
+# the Kronrod nodes from 1 down to 0 with their weights, and the weights of
+# the G7 nodes among them, every other one
+_XGK = (
     0.991455371120813,
+    0.949107912342759,
+    0.864864423359769,
+    0.741531185599394,
+    0.586087235467691,
+    0.405845151377397,
+    0.207784955007898,
+    0.0,
 )
-_GK_WK = (
+_WGK = (
     0.022935322010529,
     0.063092092629979,
     0.104790010322250,
@@ -73,42 +70,39 @@ _GK_WK = (
     0.190350578064785,
     0.204432940075298,
     0.209482141084728,
-    0.204432940075298,
-    0.190350578064785,
-    0.169004726639267,
-    0.140653259715525,
-    0.104790010322250,
-    0.063092092629979,
-    0.022935322010529,
 )
-_GK_WG = (
-    0.0,
-    0.129484966168870,
-    0.0,
-    0.279705391489277,
-    0.0,
-    0.381830050505119,
-    0.0,
-    0.417959183673469,
-    0.0,
-    0.381830050505119,
-    0.0,
-    0.279705391489277,
-    0.0,
-    0.129484966168870,
-    0.0,
-)
+_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
+# the full rule on -1 ... 1, mirrored about 0; G7's weights sit in the odd
+# slots with zeros between
+_GK_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_GK_WK = _WGK + _WGK[-2::-1]
+_GK_WG = tuple(w for g in _WG + _WG[-2::-1] for w in (0.0, g)) + (0.0,)
 
 _SERIES_TERMS = 12
 
 
 class FTEvaluator:
-    """Closed-form evaluator of f^(y) = int f(x) e^{-2 pi i x y} dx.
+    """Closed-form evaluator of f^(y) = int f(x) e^{-2 pi i x y} dx on a panel grid.
 
-    Vectorized over y.  Away from the origin it sums the jump rows of
-    ``_boundary_expansion``, ``e^{-i w b_k} sum_r J[k][r] / (i w)^{r+1}``
-    with w = 2 pi y, which is exact; for |2 pi y| * (support radius) < 1/2
-    a 12-term moment series avoids the cancellation between the terms.
+    ``on_panels(mid, half)`` gives f^ at the nodes y = mid_k + half_k x_j of
+    every panel; ``__call__(y)`` is its one-node case, mid = y and half = 0.
+    Away from the origin it sums the jump rows of ``_boundary_expansion``
+    exactly, e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} with s = 1 / (2 pi i y),
+    on the split phase e^{-2 pi i b mid} e^{-2 pi i b half x}: one exp per
+    panel and breakpoint, one (breakpoints, nodes) table per panel width.
+    Each r contracts over the breakpoints once,
+    H_r = sum_k e^{-2 pi i b_k mid} J[k][r] e^{-2 pi i b_k half x_j}, and a
+    Horner pass in s finishes each node.  Where |2 pi y| * (support radius)
+    < 1/2 a 12-term moment series avoids the cancellation between the terms.
+
+    Phase rounding, u = 2^-53: the direct e^{-2 pi i b y} carries an argument
+    error of about |2 pi b y| u; the product form about
+    (|2 pi b mid| + |2 pi b half|) u plus the roundings of its two products.
+    The term of b_k moves by that times sum_r |J[k][r]| |s|^{r+1}.
+
+    Moment n of a piece [A, B] of the integer layout, F(X) = sum_j C_j X^j
+    / den in X = L x, is sum_j C_j (B^m - A^m) / m over den L^{n+1} with
+    m = n + j + 1: one integer sum over lcm(1..m_max), correctly rounded.
     """
 
     def __init__(self, f: PiecewisePoly):
@@ -117,32 +111,42 @@ class FTEvaluator:
         self.radius = max(1e-300, float(f.support_radius()))
         self.breaks, self.rows = _boundary_expansion(f)
         self.betas = [float(b) for b in self.breaks]
+        # the rows, all of one length, as a (breakpoints, r) matrix, and -2 pi b_k
+        self._jumps = np.array(self.rows, dtype=complex).reshape(-1, max(map(len, self.rows), default=1))
+        self._freqs = -2.0 * np.pi * np.array(self.betas)
         self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
-        for a, b, piece in f._intervals():
-            # moment int_a^b x^n p(x) dx = sum_j c_j (b^{n+j+1} - a^{n+j+1}) / (n+j+1),
-            # computed exactly then floated
-            pa = pb = RAT_ONE
-            antis = []
-            for k in range(1, len(piece.coeffs) + _SERIES_TERMS):
-                pa, pb = pa * a, pb * b
-                antis.append((pb - pa) / k)
+        (lay,) = IntLayout.of(f)
+        m_max = _SERIES_TERMS + lay.degree
+        big = math.lcm(*range(1, m_max + 1))
+        for a, b, re, im in zip(lay.bps, lay.bps[1:], lay.re, lay.im or [()] * len(lay.re)):
+            # antis[m - 1] = big (b^m - a^m) / m, so moment n of this piece is
+            # sum_j C_j antis[n + j] / (den L^{n+1} big)
+            antis = [big // m * (b ** m - a ** m) for m in range(1, m_max + 1)]
             for n in range(_SERIES_TERMS):
-                re, im = (sum(c * d for c, d in zip(cs, antis[n:])) for cs in (piece.coeffs, piece.im))
-                self._moments[n] += complex(float(re), float(im))
+                den = lay.den * lay.scale ** (n + 1) * big
+                num_re, num_im = (sum(c * d for c, d in zip(cs, antis[n:])) for cs in (re, im))
+                self._moments[n] += complex(num_re / den, num_im / den)
 
     def __call__(self, y):
         import numpy as np
 
-        scalar = np.isscalar(y)
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.zeros(ys.shape, dtype=complex)
-        small = np.abs(2.0 * np.pi * ys) * self.radius < 0.5
+        out = self.on_panels(ys.ravel(), np.zeros(ys.size), (0.0,)).reshape(ys.shape)
+        return complex(out[0]) if np.isscalar(y) else out
+
+    def on_panels(self, mid, half, nodes=_GK_NODES):
+        """f^ at the nodes mid_k + half_k x_j: a (len(mid), len(nodes)) array."""
+        import numpy as np
+
+        y = mid[:, None] + half[:, None] * np.asarray(nodes)
+        w = 2.0 * np.pi * y
+        small = np.abs(w) * self.radius < 0.5
+        # s = 1 / (i w) only where the jump rows serve, so y = 0 divides nothing
+        s = np.divide(1.0, 1j * w, out=np.zeros(y.shape, dtype=complex), where=~small)
+        out = self._jump_sum(mid, half, nodes, s)
         if small.any():
-            out[small] = self._eval_series(ys[small])
-        big = ~small
-        if big.any():
-            out[big] = self._eval_boundary(ys[big])
-        return complex(out[0]) if scalar else out
+            out[small] = self._eval_series(y[small])
+        return out
 
     def _eval_series(self, ys):
         import numpy as np
@@ -155,26 +159,26 @@ class FTEvaluator:
             term = term * z / (n + 1)
         return acc
 
-    def _eval_boundary(self, ys):
+    def _jump_sum(self, mid, half, nodes, s):
+        """sum_k e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} at the nodes y = mid_k + half_k x_j."""
         import numpy as np
 
-        w = 2.0 * np.pi * ys
-        s = 1.0 / (1j * w)
-        powers = [s]  # s, s^2, ...: the longest row's worth, shared by all rows
-        for _ in range(1, max(map(len, self.rows), default=0)):
-            powers.append(powers[-1] * s)
-        # one exp per |b|: the phase at -|b| is the conjugate of the one at |b|
-        phases = {}
-        acc = np.zeros(ys.shape, dtype=complex)
-        for b, row in zip(self.betas, self.rows):
-            g = np.zeros(ys.shape, dtype=complex)
-            for d, pw in zip(row, powers):
-                g += d * pw
-            e = phases.pop(abs(b), None)  # breakpoints are distinct: |b| recurs at most once
-            if e is None:
-                e = phases[abs(b)] = np.exp(-1j * w * abs(b))
-            acc += (np.conj(e) if b < 0 else e) * g
-        return acc
+        e_mid = np.exp(1j * (mid[:, None] * self._freqs))
+        out = np.full(s.shape, np.nan, dtype=complex)  # a NaN width matches no group
+        # the panels of one width share their node phases; a dict groups the
+        # widths (np.unique imports numpy.ma, and a first np.argsort maps the
+        # vectorized sort's code: each costs a cold process some hundred KB)
+        for width in dict.fromkeys(half.tolist()):
+            group = np.flatnonzero(half == width)
+            e_node = np.exp(1j * np.outer(self._freqs, width * np.asarray(nodes)))
+            e_grp, s_grp = e_mid[group], s[group]
+            acc = 0.0
+            for r in reversed(range(self._jumps.shape[1])):
+                # einsum sums over k in order for each node on its own; BLAS
+                # would sum in an order that depends on how many panels came
+                acc = (acc + np.einsum("pk,kj->pj", e_grp * self._jumps[:, r], e_node)) * s_grp
+            out[group] = acc
+        return out
 
 
 @dataclass(frozen=True)
@@ -203,28 +207,22 @@ class NumericNorm:
 def _boundary_expansion(f: PiecewisePoly):
     """Breakpoints b_k (exact) and jump rows J[k][r] (complex arrays).
 
-    J[k][r] is the jump of f^(r) at b_k, right limit minus left limit,
-    computed exactly and floated once; breakpoints where no derivative
-    jumps are left out.
+    J[k][r] is the jump of f^(r) at b_k, right limit minus left limit.  In
+    the integer layout of f, X = L x, it is L^r r! d_r / den with d_r the
+    coefficients of the jump in powers of X - B_k: an exact rational,
+    floated once.  Breakpoints where no derivative jumps are left out, and
+    every row has the layout's degree + 1 entries.
     """
     import numpy as np
 
-    rows = []
-    breaks = []
-    prev = ZERO_POLY
-    for k, b in enumerate(f.breakpoints):
-        cur = f.pieces[k] if k < len(f.pieces) else ZERO_POLY
-        jumps = []
-        ql, qr = prev, cur
-        while not (ql.is_zero() and qr.is_zero()):
-            jumps.append(complex(*map(float, parts((qr - ql).eval(b)))))
-            ql = ql.derivative()
-            qr = qr.derivative()
-        if any(jumps):
-            breaks.append(b)
-            rows.append(np.array(jumps, dtype=complex))
-        prev = cur
-    return breaks, rows
+    (lay,) = IntLayout.of(f)
+    rows = {}
+    for part, unit in [("re", 1.0)] + ([] if lay.im is None else [("im", 1j)]):
+        for b, jumps in lay.jumps(part):
+            row = rows.setdefault(b, np.zeros(lay.degree + 1, dtype=complex))
+            row += unit * np.array([lay.scale ** r * c / lay.den for r, c in enumerate(jumps)])
+    breaks = sorted(rows)
+    return [rat(b, lay.scale) for b in breaks], [rows[b] for b in breaks]
 
 
 def _envelope_tail(rows, p: float, Y: float) -> float:
@@ -463,17 +461,17 @@ _PANEL_CHUNK = 2048
 def _panel_integrate(fn, lo, hi, rows: int):
     """Gauss-Kronrod on the panels [lo, hi]: (K15 values, |K15 - G7| errors).
 
-    One integrand call covers every node.  The weight sums are taken on
-    blocks of ``rows`` consecutive panels (``rows`` divides the panel
-    count): BLAS sums a block in an order that depends on its row count,
-    so a caller that keeps its block sizes keeps every bit.
+    One integrand call, ``fn(mid, half)``, covers every panel's 15 nodes.
+    The weight sums are taken on blocks of ``rows`` consecutive panels
+    (``rows`` divides the panel count): BLAS sums a block in an order that
+    depends on its row count, so a caller that keeps its block sizes keeps
+    every bit.
     """
     import numpy as np
 
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * np.asarray(_GK_NODES)[None, :]
-    fx = fn(x.ravel()).reshape(-1, rows, len(_GK_NODES))
+    fx = fn(mid, half).reshape(-1, rows, len(_GK_NODES))
     k15 = (fx @ np.asarray(_GK_WK)).ravel() * half
     g7 = (fx @ np.asarray(_GK_WG)).ravel() * half
     return k15, np.abs(k15 - g7)
@@ -530,8 +528,8 @@ def norm_numeric(
         )
     n_panels = 2 * int(math.ceil(Y / width))
 
-    def integrand(y):
-        return np.abs(evaluator(y)) ** p
+    def integrand(mid, half):
+        return np.abs(evaluator.on_panels(mid, half)) ** p
 
     # a huge p overflows |f^|^p: the finiteness check below decides, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):

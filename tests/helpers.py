@@ -631,11 +631,12 @@ def reference_moments(f):
 
 
 class ReferenceEvaluator(FTEvaluator):
-    """Test oracle: the evaluator with the boundary sum as it was before the
-    powers of s and the phases e^{-i w |b|} were shared, one complex exp
-    per breakpoint."""
+    """Test oracle: the evaluator with the boundary sum in its direct form, one
+    complex exp of the node itself per breakpoint, as it was before the
+    phases were split on the panel grid."""
 
-    def _eval_boundary(self, ys):
+    def direct(self, ys):
+        """sum_k e^{-2 pi i b_k y} sum_r J[k][r] / (2 pi i y)^{r+1} at the nodes ys."""
         w = 2.0 * np.pi * ys
         s = 1.0 / (1j * w)
         acc = np.zeros(ys.shape, dtype=complex)
@@ -658,8 +659,7 @@ def _reference_panel_integrate(fn, edges):
         b = edges[lo + 1 : hi + 1]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * np.asarray(oscint._GK_NODES)[None, :]
-        fx = fn(x.ravel()).reshape(x.shape)
+        fx = fn(mid, half)
         k15 = (fx @ np.asarray(oscint._GK_WK)) * half
         g7 = (fx @ np.asarray(oscint._GK_WG)) * half
         vals[lo:hi] = k15
@@ -669,9 +669,9 @@ def _reference_panel_integrate(fn, edges):
 
 def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
     """Test oracle: ``norm_numeric`` as it was before the bisection rounds
-    were batched, with a list of panel tuples, one ``_panel_integrate``
-    call per bisected panel and ``ReferenceEvaluator``.  The tail comes
-    from the same ``_place_tail``.
+    were batched, with a list of panel tuples and one ``_panel_integrate``
+    call per bisected panel.  The evaluator's panel form and the tail from
+    ``_place_tail`` are the library's own.
 
     ``stats``, a ``collections.Counter`` if given, counts the bisection
     rounds ("rounds") and the panels they bisect ("bisected").
@@ -684,7 +684,7 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 
     g = apply_split(f, rat(t))
-    evaluator = ReferenceEvaluator(g)
+    evaluator = FTEvaluator(g)
     Y, tail_value, tail_err = oscint._place_tail(evaluator, p, target_abs_err)
     radius = float(g.support_radius())
     width = 1.0 / (4.0 * max(1.0, radius))
@@ -695,8 +695,8 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
         )
     n_panels = 2 * int(math.ceil(Y / width))
 
-    def integrand(y):
-        return np.abs(evaluator(y)) ** p
+    def integrand(mid, half):
+        return np.abs(evaluator.on_panels(mid, half)) ** p
 
     with np.errstate(over="ignore", invalid="ignore"):
         edges = np.linspace(-Y, Y, n_panels + 1)

@@ -39,7 +39,8 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = splitnorm.cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps({"modules": modules, "numpy": sys.modules.get("numpy") is not None, "runs": runs}))
+print(json.dumps({"modules": modules, "numpy": sys.modules.get("numpy") is not None,
+                  "numpy.ma": "numpy.ma" in sys.modules, "runs": runs}))
 """
 
 
@@ -71,6 +72,14 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert [code for code, _, _ in normal["runs"]] == [0] * len(commands)
     assert all(out and not err for _, out, err in normal["runs"])
     assert blocked["runs"] == normal["runs"]
+
+
+def test_numeric_norm_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs a cold process over 1 MB of peak memory; np.unique, for
+    # one, imports it, so grouping the panels by width must not call it
+    run = _run("normal", [["norm", "ind:-1,1", "--p", "3", "--t", "0.25", "--err", "1e-3"]], tmp_path)
+    assert run["numpy"] and run["runs"][0][0] == 0
+    assert not run["numpy.ma"]
 
 
 def test_cli_import_loads_every_traced_module(tmp_path):

@@ -132,15 +132,15 @@ def _numeric_golden_doc(f, ps, target):
 # the quadrature that moves any result by one ulp shows here
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "78f34d3659cbd86fe80ecc762b38333a238ba2764da55773caef84cde2242686"),
+     "179ed9c1e90fdba61141b572738196b5a4f4acaa87c15d6e0d9e0bae24271d30"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "9a46ef4e90cd4c5b5c2272a8fe87ea2b8cce1cad537501d483b126af23f942b6"),
+     "85038f9d64f66c6309a425cf62d43a04e705eef4772f7b389305c4c6df95b9ce"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "6eac34480762a54350bc52fde691a5319ae6d3a182ff71e65da71faac9310699"),
+     "a08f6419aff4ccac415f6b8d9f51b5d8a01ebbbcb9f15aa86cd87393ec384cab"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "8df96b1fb42d7cfd209bc957d8f76396739de2b7e11cc4970f190ea304263ecf"),
+     "e85c1aa73f7a81f54b05c4ddab83ccc62a17afe88fcd76ce9a181f993dd7bf60"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "a701bbab0ec8df9ec853b74b050a58720cc8f2e51be6cbbc5d075e91343d55f4"),
+     "fdc62a1bf0b655c7584e0d5c01fdd995f66bd8286a021ecd51a6435c695b58e8"),
 ]
 
 

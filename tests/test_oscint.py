@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitnorm import oscint
 from splitnorm.errors import BudgetExceeded, SplitnormError
 from splitnorm.oscint import FTEvaluator, NumericNorm, _boundary_expansion, _envelope_tail, norm_numeric
 from splitnorm.normprofile import norm_profile
@@ -70,7 +71,9 @@ def test_ft_series_and_boundary_branches_agree():
     y0 = 0.5 / (2 * math.pi * r)
     for y in [y0 * 0.98, y0 * 1.02]:
         series = ev._eval_series(np.array([y]))[0]
-        boundary = ev._eval_boundary(np.array([y]))[0]
+        # the one-node panel form of the jump rows, which __call__ takes only past y0
+        s = np.array([[1.0 / (2j * math.pi * y)]])
+        boundary = ev._jump_sum(np.array([y]), np.zeros(1), (0.0,), s)[0, 0]
         assert abs(series - boundary) < 1e-9 * (1 + abs(series))
 
 
@@ -235,10 +238,31 @@ def test_norm_numeric_matches_the_reference_loop_bit_for_bit():
     assert got.value.result.abs_error.hex() == want.value.result.abs_error.hex()
 
 
+def _mixed_width_grid(radius, Y, seed):
+    """Panel (mid, half) of the norm_numeric grid on [-Y, Y], with a random
+    eighth of its panels bisected as a round would, so that widths mix."""
+    width = 1.0 / (4.0 * max(1.0, radius))
+    edges = np.linspace(-Y, Y, 2 * int(math.ceil(Y / width)) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    split = np.random.default_rng(seed).random(len(lo)) < 0.125
+    a, b = lo[split], hi[split]
+    m = 0.5 * (a + b)
+    lo = np.concatenate((lo[~split], np.column_stack((a, m)).ravel()))
+    hi = np.concatenate((hi[~split], np.column_stack((m, b)).ravel()))
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 def test_boundary_sum_matches_one_exp_per_breakpoint():
+    # the product e^{-2 pi i b mid} e^{-2 pi i b half x} against the direct
+    # e^{-2 pi i b y}, one exp per breakpoint and node, on panel grids out to
+    # |y| = 400, within the docstring's phase rounding: each term moves by
+    # its argument errors times sum_r |J[k][r]| |s|^{r+1}.  The direct argument
+    # rounds y, 2 pi y and its product with b; the product form rounds
+    # 2 pi b, then its products with mid and with half x.  That is at most
+    # 2 pi |b| (3 |y| + 2 |mid| + 4 |half|) u, and 16 + 2 K units cover the
+    # exps, the two complex products, the powers of s and the K-term sums
     from splitnorm.cli import parse_function_spec
 
-    ys = np.concatenate([np.linspace(-9.0, 9.0, 1000), [-0.3, 0.3, 40.25, -40.25]])
     specs = [
         "ind:-1,1",                      # one +-b pair
         "tent:-1,0,1",                   # rows of length 2, and b = 0
@@ -247,16 +271,44 @@ def test_boundary_sum_matches_one_exp_per_breakpoint():
         "ind:0,1 + i*ind:-1,0",          # complex jumps
         "ind:-1,1 + ind:10,11 + ind:-11,-10",
     ]
-    longest_row = 0
+    u = 2.0 ** -53
+    nodes = np.asarray(oscint._GK_NODES)
+    longest_row, worst = 0, 0.0
     for spec in specs:
         f = parse_function_spec(spec)
         for t in (0, rat(1, 4), rat(5, 3)):
-            g = apply_split(f, t)
-            ev = FTEvaluator(g)
-            want = ReferenceEvaluator(g)._eval_boundary(ys)
-            assert np.array_equal(ev._eval_boundary(ys), want), (spec, t)
+            ev = ReferenceEvaluator(apply_split(f, t))
+            mid, half = _mixed_width_grid(ev.radius, 400.0, len(spec))
+            y = mid[:, None] + half[:, None] * nodes
+            far = np.abs(2.0 * np.pi * y) * ev.radius >= 0.5  # the nodes the jump rows serve
+            got = ev.on_panels(mid, half)[far]
+            want = ev.direct(y[far])
+            abs_s = 1.0 / np.abs(2.0 * np.pi * y[far])
+            reach = (3.0 * np.abs(y) + 2.0 * np.abs(mid)[:, None] + 4.0 * half[:, None])[far]
+            bound = np.zeros(want.shape)
+            for b, row in zip(ev.betas, ev.rows):
+                weight = sum(abs(c) * abs_s ** (r + 1) for r, c in enumerate(row))
+                bound += weight * (2.0 * math.pi * abs(b) * reach + 16.0 + 2.0 * len(ev.rows))
+            gap = np.abs(got - want)
+            assert np.all(gap <= u * bound), (spec, t, float(np.max(gap / (u * bound))))
+            worst = max(worst, float(np.max(gap)))
             longest_row = max(longest_row, *map(len, ev.rows))
     assert longest_row == 3
+    assert 0.0 < worst < 1e-12
+
+
+def test_a_panels_bits_do_not_depend_on_its_batch():
+    # the bisection oracles compare bits, so the panel form must give each
+    # panel the same values whichever panels share its call
+    ev = FTEvaluator(apply_split(TWO_BUMP, rat(5, 3)))
+    mid, half = _mixed_width_grid(ev.radius, 60.0, 1)
+    order = np.random.default_rng(2).permutation(len(mid))[:3000]
+    mid, half = mid[order], half[order]
+    assert len(set(half.tolist())) > 1
+    whole = ev.on_panels(mid, half)
+    for size in (1, 2, 3, 64):
+        chunks = [ev.on_panels(mid[k : k + size], half[k : k + size]) for k in range(0, len(mid), size)]
+        assert np.array_equal(np.concatenate(chunks), whole), size
 
 
 def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
@@ -267,13 +319,13 @@ def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
     assert stats["bisected"] > stats["rounds"] > 1
 
     calls = Counter()
-    inner = FTEvaluator.__call__
+    inner = FTEvaluator.on_panels
 
-    def counting_call(self, y):
+    def counting_call(self, mid, half):
         calls["n"] += 1
-        return inner(self, y)
+        return inner(self, mid, half)
 
-    monkeypatch.setattr(FTEvaluator, "__call__", counting_call)
+    monkeypatch.setattr(FTEvaluator, "on_panels", counting_call)
     got = norm_numeric(CHI, 8.0, 0.25, target_abs_err=1e-11)
     assert calls["n"] == 1 + stats["rounds"]
     assert got == want
