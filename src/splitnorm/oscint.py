@@ -13,8 +13,9 @@ evaluator works on the panel grid: at a node y = mid + half x the phase
 is e^{-2 pi i b mid} e^{-2 pi i b half x}, one exp per panel and
 breakpoint and one table per panel width, and near the origin a moment
 series, its moments exact integer sums, dodges cancellation.
-|F[S_t f]|^p is integrated over a phase-aligned panel grid on [-Y, Y] with
-an embedded Gauss/Kronrod error estimate and closed with a tail beyond Y:
+|F[S_t f]|^p is integrated over a phase-aligned panel grid on [-Y, Y] (on
+[0, Y], counted twice, for a real S_t f, whose |F|^p is even) with an
+embedded Gauss/Kronrod error estimate and closed with a tail beyond Y:
 
 - p = 2: computed, not merely bounded.  The r = 0 part integrates against
   sine/cosine integrals in closed form, and the rest carries a proved
@@ -109,13 +110,13 @@ class FTEvaluator:
         import numpy as np
 
         self.radius = max(1e-300, float(f.support_radius()))
-        self.breaks, self.rows = _boundary_expansion(f)
+        (lay,) = IntLayout.of(f)
+        self.breaks, self.rows = _boundary_expansion(lay)
         self.betas = [float(b) for b in self.breaks]
         # the rows, all of one length, as a (breakpoints, r) matrix, and -2 pi b_k
         self._jumps = np.array(self.rows, dtype=complex).reshape(-1, max(map(len, self.rows), default=1))
         self._freqs = -2.0 * np.pi * np.array(self.betas)
         self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
-        (lay,) = IntLayout.of(f)
         m_max = _SERIES_TERMS + lay.degree
         big = math.lcm(*range(1, m_max + 1))
         for a, b, re, im in zip(lay.bps, lay.bps[1:], lay.re, lay.im or [()] * len(lay.re)):
@@ -204,18 +205,17 @@ class NumericNorm:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_expansion(f: PiecewisePoly):
-    """Breakpoints b_k (exact) and jump rows J[k][r] (complex arrays).
+def _boundary_expansion(lay: IntLayout):
+    """Breakpoints b_k (exact) and jump rows J[k][r] (complex arrays) of f.
 
     J[k][r] is the jump of f^(r) at b_k, right limit minus left limit.  In
-    the integer layout of f, X = L x, it is L^r r! d_r / den with d_r the
-    coefficients of the jump in powers of X - B_k: an exact rational,
+    ``lay``, the integer layout of f, X = L x, it is L^r r! d_r / den with
+    d_r the coefficients of the jump in powers of X - B_k: an exact rational,
     floated once.  Breakpoints where no derivative jumps are left out, and
     every row has the layout's degree + 1 entries.
     """
     import numpy as np
 
-    (lay,) = IntLayout.of(f)
     rows = {}
     for part, unit in [("re", 1.0)] + ([] if lay.im is None else [("im", 1j)]):
         for b, jumps in lay.jumps(part):
@@ -452,7 +452,9 @@ def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
 # the norm computation
 # ---------------------------------------------------------------------------
 
-# the most integrand evaluations norm_numeric makes (15 per panel)
+# the most integrand evaluations norm_numeric makes (15 per panel), counted on
+# the full grid: a grid folded onto [0, Y] counts [-Y, Y]'s 2Y/width panels and
+# 30 per bisected panel, so it refuses the same jobs and stops at the same count
 _NODE_CAP = 2 ** 20
 # panels per vectorized Gauss-Kronrod batch of the initial grid
 _PANEL_CHUNK = 2048
@@ -486,7 +488,8 @@ def norm_numeric(
     """(N_t f)^p = int |F[S_t f](y)|^p dy by adaptive numerical integration.
 
     Phase-aligned Gauss-Kronrod panels on [-Y, Y] (panel width a quarter of
-    the fastest oscillation), plus a tail beyond Y: computed
+    the fastest oscillation; for a real S_t f, whose transform is Hermitian,
+    panels on [0, Y] integrate 2 |f^|^p), plus a tail beyond Y: computed
     semi-analytically for p = 2; for any other p, the periodic mean of the
     transform's leading term with a proved remainder, or the proved envelope
     bound where that needs the smaller Y (``_place_tail``).  Each bisection
@@ -500,7 +503,8 @@ def norm_numeric(
     proved bound.
 
     Raises :class:`BudgetExceeded` when the panel grid alone would need
-    more than ``_NODE_CAP`` = 2^20 integrand evaluations, and (carrying the
+    more than ``_NODE_CAP`` = 2^20 integrand evaluations (counted on the
+    full grid, folded or not), and (carrying the
     result) when the error misses the target or the result is not finite
     (|f^|^p overflows for a huge p).
     """
@@ -526,20 +530,25 @@ def norm_numeric(
         raise BudgetExceeded(
             f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {_NODE_CAP}"
         )
-    n_panels = 2 * int(math.ceil(Y / width))
+    n_half = int(math.ceil(Y / width))
+    # a real g has a Hermitian transform, so |f^|^p is even: the grid covers
+    # [0, Y] and each node counts twice, for itself and its mirror
+    fold = g.is_real()
+    n_panels = n_half if fold else 2 * n_half
 
     def integrand(mid, half):
-        return np.abs(evaluator.on_panels(mid, half)) ** p
+        return np.abs(evaluator.on_panels(mid, half)) ** p * (2.0 if fold else 1.0)
 
     # a huge p overflows |f^|^p: the finiteness check below decides, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linspace(-Y, Y, n_panels + 1)
+        # from 0, not the right half of linspace(-Y, Y), whose middle edge need not be 0
+        edges = np.linspace(0.0 if fold else -Y, Y, n_panels + 1)
         lo, hi = edges[:-1], edges[1:]
         vals, errs = np.empty(n_panels), np.empty(n_panels)
         for k in range(0, n_panels, _PANEL_CHUNK):
             chunk = slice(k, min(k + _PANEL_CHUNK, n_panels))
             vals[chunk], errs[chunk] = _panel_integrate(integrand, lo[chunk], hi[chunk], chunk.stop - k)
-        nodes_used = n_panels * 15
+        nodes_used = 30 * n_half  # the full grid's, folded or not (see _NODE_CAP)
 
         # adaptive bisection of the worst panels, rows (lo, hi, value, error).
         # The rows stay in the order of a list sorted stably by error each

@@ -667,11 +667,14 @@ def _reference_panel_integrate(fn, edges):
     return vals, errs
 
 
-def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
+def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=False):
     """Test oracle: ``norm_numeric`` as it was before the bisection rounds
     were batched, with a list of panel tuples and one ``_panel_integrate``
     call per bisected panel.  The evaluator's panel form and the tail from
-    ``_place_tail`` are the library's own.
+    ``_place_tail`` are the library's own.  A real split function is
+    integrated on [0, Y], counted twice, with nodes counted on the full
+    grid, as the library does; ``full_line`` integrates every input on
+    [-Y, Y], as the library did before it folded.
 
     ``stats``, a ``collections.Counter`` if given, counts the bisection
     rounds ("rounds") and the panels they bisect ("bisected").
@@ -693,15 +696,16 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None):
         raise BudgetExceeded(
             f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {oscint._NODE_CAP}"
         )
-    n_panels = 2 * int(math.ceil(Y / width))
+    n_half = int(math.ceil(Y / width))
+    fold = g.is_real() and not full_line
 
     def integrand(mid, half):
-        return np.abs(evaluator.on_panels(mid, half)) ** p
+        return np.abs(evaluator.on_panels(mid, half)) ** p * (2.0 if fold else 1.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linspace(-Y, Y, n_panels + 1)
+        edges = np.linspace(0.0, Y, n_half + 1) if fold else np.linspace(-Y, Y, 2 * n_half + 1)
         vals, errs = _reference_panel_integrate(integrand, edges)
-        nodes_used = n_panels * 15
+        nodes_used = 2 * n_half * 15
 
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
         intervals = list(zip(edges[:-1], edges[1:], vals, errs))

@@ -132,15 +132,15 @@ def _numeric_golden_doc(f, ps, target):
 # the quadrature that moves any result by one ulp shows here
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "179ed9c1e90fdba61141b572738196b5a4f4acaa87c15d6e0d9e0bae24271d30"),
+     "1a797b2a47397e8a6238e453f80a12de1d6786bde19fe7d706829f3336cda325"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "85038f9d64f66c6309a425cf62d43a04e705eef4772f7b389305c4c6df95b9ce"),
+     "f2b1578bfb8de660d70abe2a197f8c05c52934ef6655d7d16575dddda009b108"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "a08f6419aff4ccac415f6b8d9f51b5d8a01ebbbcb9f15aa86cd87393ec384cab"),
+     "b77a7c7205bd39b99ada9615a7a2a10487fc296f2bc95c10f0cf193d7023eacc"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
      "e85c1aa73f7a81f54b05c4ddab83ccc62a17afe88fcd76ce9a181f993dd7bf60"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "fdc62a1bf0b655c7584e0d5c01fdd995f66bd8286a021ecd51a6435c695b58e8"),
+     "b4e29508bc54990bf5e670a713c3efbf298237b74f394b5c0ecd1360ec2f00b1"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Closed-form transforms, certified quadrature, and tail bounds."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -11,7 +12,7 @@ from splitnorm import oscint
 from splitnorm.errors import BudgetExceeded, SplitnormError
 from splitnorm.oscint import FTEvaluator, NumericNorm, _boundary_expansion, _envelope_tail, norm_numeric
 from splitnorm.normprofile import norm_profile
-from splitnorm.polyalg import indicator, l2_inner, tent
+from splitnorm.polyalg import IntLayout, indicator, l2_inner, tent
 from splitnorm.scalars import rat
 from splitnorm.splitcore import apply_split
 
@@ -252,6 +253,18 @@ def _mixed_width_grid(radius, Y, seed):
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def _phase_allowance(ev, y, reach):
+    """sum_k (2 pi |b_k| reach + 16 + 2K) sum_r |J[k][r]| |s|^{r+1} at the nodes
+    y, s = 1 / (2 pi i y): the docstring's phase rounding in units of u, for
+    argument errors of 2 pi |b_k| reach u."""
+    abs_s = 1.0 / np.abs(2.0 * np.pi * y)
+    bound = np.zeros(y.shape)
+    for b, row in zip(ev.betas, ev.rows):
+        weight = sum(abs(c) * abs_s ** (r + 1) for r, c in enumerate(row))
+        bound += weight * (2.0 * math.pi * abs(b) * reach + 16.0 + 2.0 * len(ev.rows))
+    return bound
+
+
 def test_boundary_sum_matches_one_exp_per_breakpoint():
     # the product e^{-2 pi i b mid} e^{-2 pi i b half x} against the direct
     # e^{-2 pi i b y}, one exp per breakpoint and node, on panel grids out to
@@ -283,12 +296,8 @@ def test_boundary_sum_matches_one_exp_per_breakpoint():
             far = np.abs(2.0 * np.pi * y) * ev.radius >= 0.5  # the nodes the jump rows serve
             got = ev.on_panels(mid, half)[far]
             want = ev.direct(y[far])
-            abs_s = 1.0 / np.abs(2.0 * np.pi * y[far])
             reach = (3.0 * np.abs(y) + 2.0 * np.abs(mid)[:, None] + 4.0 * half[:, None])[far]
-            bound = np.zeros(want.shape)
-            for b, row in zip(ev.betas, ev.rows):
-                weight = sum(abs(c) * abs_s ** (r + 1) for r, c in enumerate(row))
-                bound += weight * (2.0 * math.pi * abs(b) * reach + 16.0 + 2.0 * len(ev.rows))
+            bound = _phase_allowance(ev, y[far], reach)
             gap = np.abs(got - want)
             assert np.all(gap <= u * bound), (spec, t, float(np.max(gap / (u * bound))))
             worst = max(worst, float(np.max(gap)))
@@ -311,11 +320,34 @@ def test_a_panels_bits_do_not_depend_on_its_batch():
         assert np.array_equal(np.concatenate(chunks), whole), size
 
 
+def test_mirrored_panels_are_conjugate_for_real_input():
+    # the fold rests on F(-y) = conj F(y) for a real split function: the
+    # panel (-mid, half) holds the conjugates of (mid, half)'s nodes, in
+    # reverse order, within the docstring's phase rounding for each of the
+    # two calls (the product form's share of the allowance above,
+    # 2 pi |b| (2 |mid| + 4 |half|) u and 16 + 2 K units); near the origin
+    # the moment series, whose moments are then real, within 64 u of them
+    u = 2.0 ** -53
+    nodes = np.asarray(oscint._GK_NODES)
+    for f in (CHI, tent(-1, 0, 1), TWO_BUMP):
+        for t in (rat(1, 4), rat(12)):
+            ev = FTEvaluator(apply_split(f, t))
+            mid, half = _mixed_width_grid(ev.radius, 400.0, 3)
+            y = mid[:, None] + half[:, None] * nodes
+            far = np.abs(2.0 * np.pi * y) * ev.radius >= 0.5
+            gap = np.abs(ev.on_panels(-mid, half)[:, ::-1] - np.conj(ev.on_panels(mid, half)))
+            reach = np.broadcast_to(2.0 * np.abs(mid)[:, None] + 4.0 * half[:, None], y.shape)[far]
+            bound = _phase_allowance(ev, y[far], reach)
+            assert np.all(gap[far] <= 2.0 * u * bound), (f, t)
+            assert np.all(gap[~far] <= 64.0 * u * np.sum(np.abs(ev._moments))), (f, t)
+
+
 def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
-    # one call for the initial grid (210 panels, one batch) and one per
-    # round, where the one-panel-at-a-time loop made one per bisected panel
+    # one call for the initial grid (335 panels on [0, Y], one batch) and one
+    # per round, where the one-panel-at-a-time loop made one per bisected
+    # panel.  At p = 8 the folded grid bisects one panel a round
     stats = Counter()
-    want = reference_norm_numeric(CHI, 8.0, 0.25, 1e-11, stats=stats)
+    want = reference_norm_numeric(CHI, 6.0, 0.25, 1e-11, stats=stats)
     assert stats["bisected"] > stats["rounds"] > 1
 
     calls = Counter()
@@ -326,9 +358,53 @@ def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
         return inner(self, mid, half)
 
     monkeypatch.setattr(FTEvaluator, "on_panels", counting_call)
-    got = norm_numeric(CHI, 8.0, 0.25, target_abs_err=1e-11)
+    got = norm_numeric(CHI, 6.0, 0.25, target_abs_err=1e-11)
     assert calls["n"] == 1 + stats["rounds"]
     assert got == want
+
+
+def test_folded_norm_matches_the_full_line():
+    # a real input integrates 2 |f^|^p on [0, Y]; the full-line oracle
+    # integrates |f^|^p on [-Y, Y].  They agree within the summed error bars,
+    # and a job that the node cap refuses up front is refused by both alike
+    def outcome(run):
+        try:
+            return run(), None
+        except BudgetExceeded as exc:
+            return exc.result, str(exc)
+
+    for f in (CHI, tent(-1, 0, 1), TWO_BUMP):
+        for p in (2.0, 2.5, 3.0, 4.0, 6.0):
+            for t, target in itertools.product((0.25, 12.0), (1e-3, 1e-6)):
+                got, got_msg = outcome(lambda: norm_numeric(f, p, t, target_abs_err=target))
+                want, want_msg = outcome(lambda: reference_norm_numeric(f, p, t, target, full_line=True))
+                if got is None or want is None:
+                    assert got is want is None and got_msg == want_msg, (f, p, t, target)
+                else:
+                    assert abs(got.value - want.value) <= got.abs_error + want.abs_error, (f, p, t, target)
+
+
+def test_only_real_inputs_fold(monkeypatch):
+    # the panels norm_numeric evaluates lie in [0, Y] for a real split
+    # function and reach below 0 for a complex one
+    from splitnorm.cli import parse_function_spec
+
+    lowest = []
+    inner = FTEvaluator.on_panels
+
+    def recording_call(self, mid, half):
+        lowest.append(float(np.min(mid - half)))
+        return inner(self, mid, half)
+
+    monkeypatch.setattr(FTEvaluator, "on_panels", recording_call)
+    for f in (CHI, tent(-1, 0, 1), TWO_BUMP):
+        for p, t in ((3.0, 1.0), (6.0, 5.0)):
+            lowest.clear()
+            norm_numeric(f, p, t, target_abs_err=1e-6)
+            assert lowest and min(lowest) >= 0.0, (f, p, t)
+    lowest.clear()
+    norm_numeric(parse_function_spec("ind:0,1 + i*ind:-1,0"), 3.0, 1.0, target_abs_err=1e-6)
+    assert min(lowest) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +416,8 @@ def tail_bound(f, t, p, Y):
     """The envelope tail of the jump rows of S_t f: a proved bound on
     int_{|y|>Y} |F[S_t f]|^p, one of the tails norm_numeric closes its
     panels with."""
-    return _envelope_tail(_boundary_expansion(apply_split(f, rat(t)))[1], p, Y)
+    (lay,) = IntLayout.of(apply_split(f, rat(t)))
+    return _envelope_tail(_boundary_expansion(lay)[1], p, Y)
 
 
 def test_tail_bound_indicator_formula():
