@@ -24,7 +24,8 @@ embedded Gauss/Kronrod error estimate and closed with a tail beyond Y:
   P(y) = sum_k J[k][0] e^{-2 pi i b_k y} is periodic, because the b_k are
   exact rationals, so the tail is the mean of |P|^p over a period times
   (2 pi)^{-p} Y^{1-p}/(p-1) on each side, with a proved O(Y^{-p})
-  remainder (``_periodic_tail``).  Y then grows like err^{-1/p}.
+  remainder (``_periodic_tail``).  The mean takes n midpoint samples of P,
+  one length-n FFT (``_periodic_mean``).  Y then grows like err^{-1/p}.
 - any other p, the envelope: |f^(y)| <= K(Y) / (2 pi |y|) for |y| >= Y,
   with K(Y) = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, bounds the tail by
   2 (K/2pi)^p Y^{1-p} / (p-1), so Y grows like err^{-1/(p-1)}.  It runs
@@ -111,11 +112,8 @@ class FTEvaluator:
 
         self.radius = max(1e-300, float(f.support_radius()))
         (lay,) = IntLayout.of(f)
-        self.breaks, self.rows = _boundary_expansion(lay)
-        self.betas = [float(b) for b in self.breaks]
-        # the rows, all of one length, as a (breakpoints, r) matrix, and -2 pi b_k
-        self._jumps = np.array(self.rows, dtype=complex).reshape(-1, max(map(len, self.rows), default=1))
-        self._freqs = -2.0 * np.pi * np.array(self.betas)
+        self.breaks, self.jumps = _boundary_expansion(lay)
+        self._freqs = -2.0 * np.pi * np.array([float(b) for b in self.breaks])
         self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
         m_max = _SERIES_TERMS + lay.degree
         big = math.lcm(*range(1, m_max + 1))
@@ -174,10 +172,10 @@ class FTEvaluator:
             e_node = np.exp(1j * np.outer(self._freqs, width * np.asarray(nodes)))
             e_grp, s_grp = e_mid[group], s[group]
             acc = 0.0
-            for r in reversed(range(self._jumps.shape[1])):
+            for r in reversed(range(self.jumps.shape[1])):
                 # einsum sums over k in order for each node on its own; BLAS
                 # would sum in an order that depends on how many panels came
-                acc = (acc + np.einsum("pk,kj->pj", e_grp * self._jumps[:, r], e_node)) * s_grp
+                acc = (acc + np.einsum("pk,kj->pj", e_grp * self.jumps[:, r], e_node)) * s_grp
             out[group] = acc
         return out
 
@@ -206,13 +204,13 @@ class NumericNorm:
 
 
 def _boundary_expansion(lay: IntLayout):
-    """Breakpoints b_k (exact) and jump rows J[k][r] (complex arrays) of f.
+    """Breakpoints b_k (exact) and the jump matrix J (complex) of f.
 
     J[k][r] is the jump of f^(r) at b_k, right limit minus left limit.  In
     ``lay``, the integer layout of f, X = L x, it is L^r r! d_r / den with
     d_r the coefficients of the jump in powers of X - B_k: an exact rational,
     floated once.  Breakpoints where no derivative jumps are left out, and
-    every row has the layout's degree + 1 entries.
+    J has one row per breakpoint and the layout's degree + 1 columns.
     """
     import numpy as np
 
@@ -222,10 +220,11 @@ def _boundary_expansion(lay: IntLayout):
             row = rows.setdefault(b, np.zeros(lay.degree + 1, dtype=complex))
             row += unit * np.array([lay.scale ** r * c / lay.den for r, c in enumerate(jumps)])
     breaks = sorted(rows)
-    return [rat(b, lay.scale) for b in breaks], [rows[b] for b in breaks]
+    jumps = np.array([rows[b] for b in breaks], dtype=complex).reshape(len(breaks), lay.degree + 1)
+    return [rat(b, lay.scale) for b in breaks], jumps
 
 
-def _envelope_tail(rows, p: float, Y: float) -> float:
+def _envelope_tail(jumps, p: float, Y: float) -> float:
     """Proved bound 2 (K/2pi)^p Y^{1-p} / (p-1) for int_{|y|>Y} |f^(y)|^p dy.
 
     K = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, so that |f^(y)| <= K / (2 pi |y|)
@@ -235,7 +234,7 @@ def _envelope_tail(rows, p: float, Y: float) -> float:
 
     s = 1.0 / (2.0 * math.pi * Y)
     K = 0.0
-    for row in rows:
+    for row in jumps:
         K += sum(abs(c) * s ** r for r, c in enumerate(row))
     K *= 1.0 + 1e-12
     # a huge p overflows to inf (or inf * 0 = nan), which the node cap then
@@ -252,15 +251,16 @@ def _cos_tail(a: float, Y: float) -> float:
     return math.cos(a * Y) / Y - a * (math.pi / 2.0 - si)
 
 
-def _sharp_tail_p2(betas, rows, Y: float):
+def _sharp_tail_p2(breaks, jumps, Y: float):
     """(tail integral of |f^|^2 beyond Y, rigorous remainder bound).
 
-    The r = 0 jumps integrate in closed form; the rows' r >= 1 entries
+    The r = 0 jumps integrate in closed form; the r >= 1 columns of J
     only enter the remainder bound.
     """
     import numpy as np
 
-    c0 = np.array([row[0] for row in rows], dtype=complex)
+    betas = [float(b) for b in breaks]
+    c0 = jumps[:, 0]
     inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
     main = float(np.sum(np.abs(c0) ** 2)) * 2.0 / Y * inv4pi2
     slop = 0.0
@@ -273,7 +273,7 @@ def _sharp_tail_p2(betas, rows, Y: float):
     s_Y = 1.0 / (2.0 * math.pi * Y)
     C1 = float(np.sum(np.abs(c0)))
     M2 = 0.0
-    for row in rows:
+    for row in jumps:
         M2 += sum(abs(c) * s_Y ** (r - 1) for r, c in enumerate(row) if r >= 1)
     rem = (
         2.0 * C1 * M2 / ((2.0 * math.pi) ** 3 * Y ** 2)
@@ -287,7 +287,7 @@ def _sharp_tail_p2(betas, rows, Y: float):
 # unit roundoff of a float
 _U = 2.0 ** -53
 # midpoint samples of |P|^p that the periodic mean takes at least, and at
-# most (its table of 2n roots of unity is then 2 MB)
+# most: the cap bounds its one n-entry complex array, 1 MB at 2^16
 _MEAN_SAMPLES = (256, 2 ** 16)
 # the share of the target the periodic-mean tail's error may take.  The
 # bisection stops below half of what the tail leaves, so tail and quadrature
@@ -305,7 +305,35 @@ def _pow(x: float, e: float) -> float:
         return math.inf
 
 
-def _periodic_tail(breaks, rows, p: float, budget: float, lo: float, hi: float):
+def _periodic_mean(steps, coeffs, C1: float, p: float, n: int):
+    """(mu, allowance): the mean of |P / C1|^p at n midpoints of a period.
+
+    P(y_j), y_j = (j + 1/2) T / n, is up to a unit factor the length-n DFT of
+    a[s_k mod n] += c_k w^{s_k}, w = e^{-i pi / n}: its K entries are within
+    (K + 32) u C1 (the exp about 21 u), and ||a||_2 <= sum_k |c_k| <= C1.
+    The FFT is bounded pass by pass, as in Higham (2002), Thm 24.2: numpy's
+    (pocketfft's) passes of radix r = 2, 3, 4, 5, 7, 8, 11 or a generic prime
+    are within 8 r^{3/2} u, and the radices multiply to n; Bluestein's
+    algorithm, which it may take for a large prime factor, is within
+    1100 sqrt(n) (log2 n + 2) u.  rho covers either, so the mean of the
+    samples' errors is within rho C1 and each within rho sqrt(n) C1; abs and
+    the quotient add 3 u a sample, the power, the sum and the division
+    (log2 n + 21) u.
+    """
+    import numpy as np
+
+    a = np.zeros(n, dtype=complex)
+    for s, c in zip(steps, coeffs):
+        a[s % n] += c * np.exp(-1j * math.pi * (s % (2 * n)) / n)
+    mu = float(np.sum((np.abs(np.fft.fft(a)) / C1) ** p)) / n
+    passes = (8.0 * n + 1100.0 * (math.log2(n) + 2.0)) * math.sqrt(n) * _U
+    delta = (len(coeffs) + 32) * _U
+    rho = delta + (1.0 + delta) * passes / (1.0 - passes)
+    fp = p * _pow(1.0 + rho * math.sqrt(n) + 3.0 * _U, p - 1.0) * (rho + 3.0 * _U)
+    return mu, fp + (math.log2(n) + 21.0) * _U
+
+
+def _periodic_tail(breaks, jumps, p: float, budget: float, lo: float, hi: float):
     """(Y, tail value, tail error) with lo <= Y < hi and error <= budget, or None.
 
     For |y| >= Y the jump rows give F(y) = P(y) / (2 pi i y) + R(y), with
@@ -321,23 +349,19 @@ def _periodic_tail(breaks, rows, p: float, budget: float, lo: float, hi: float):
         ||a+b|^p - |a|^p| <= p (|a|+|b|)^{p-1} |b|.
     mu is the mean of n midpoint samples on [0, T], within L T / (4n) for L =
     p C1^{p-1} 2 pi sum_k |J[k][0]| |b_k - c| (c the middle of the b_k), the
-    Lipschitz constant of |P|^p, plus a floating-point allowance.  All of it
-    is carried in units of C1^p, so that a huge p stays finite where it can.
+    Lipschitz constant of |P|^p, plus the floating-point allowance of its one
+    FFT (``_periodic_mean``).  All of it is carried in units of C1^p, so that
+    a huge p stays finite where it can.
 
     None where no Y below hi meets the budget, or where the samples needed
     pass the cap: a float t, whose exact value has a period near 2^55, does.
     """
-    import numpy as np
-
     tau = 2.0 * math.pi
     pad = 1.0 + 1e-12
     # Python floats from here on: they overflow to inf quietly, or raise for _pow
-    lead = [(b, complex(row[0])) for b, row in zip(breaks, rows) if row[0] != 0]
+    lead = [(b, complex(row[0])) for b, row in zip(breaks, jumps) if row[0] != 0]
     # higher[r-1] = sum_k |J[k][r]|, r >= 1
-    higher = [0.0] * (max(map(len, rows)) - 1)
-    for row in rows:
-        for r in range(1, len(row)):
-            higher[r - 1] += abs(complex(row[r]))
+    higher = [sum(abs(complex(c)) for c in col) for col in jumps.T[1:]]
     C1 = pad * sum(abs(c) for _, c in lead)
     period = lip = 0.0
     if lead:
@@ -391,22 +415,7 @@ def _periodic_tail(breaks, rows, p: float, budget: float, lo: float, hi: float):
     n = max(_MEAN_SAMPLES[0], math.ceil(n_goal))
     mu = eps = 0.0
     if lead:
-        # P at y_j = (j + 1/2) T / n, up to a unit factor, is
-        # sum_k J[k][0] w^{steps_k (2j + 1)} with w = e^{-i pi / n}
-        roots = np.exp(-1j * math.pi / n * np.arange(2 * n))
-        total = 0.0
-        for j in range(0, n, _PANEL_CHUNK * 15):
-            odd = 2 * np.arange(j, min(j + _PANEL_CHUNK * 15, n)) + 1
-            P = np.zeros(len(odd), dtype=complex)
-            for k, (_, c) in zip(steps, lead):
-                P += c * roots[(k % (2 * n)) * odd % (2 * n)]
-            total += float(np.sum((np.abs(P) / C1) ** p))
-        mu = total / n
-        # each sample of P is within delta C1 (the roots carry about 15 ulp,
-        # each product and sum one more); the power, the quotient and the
-        # pairwise sum add theirs
-        delta = (len(lead) + 32) * _U
-        fp = p * _pow(1.0 + delta, p - 1.0) * (delta + _U) + (math.log2(n) + 2.0) * _U
+        mu, fp = _periodic_mean(steps, [c for _, c in lead], C1, p, n)
         eps = lip * period / (4.0 * n) + fp
     Y = smallest_y(mu, eps)
     if Y is None:
@@ -430,21 +439,21 @@ def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
     floor = max(8.0, evaluator.radius * 2.0)
     if p == 2.0:
         Y = floor
-        main, rem = _sharp_tail_p2(evaluator.betas, evaluator.rows, Y)
+        main, rem = _sharp_tail_p2(evaluator.breaks, evaluator.jumps, Y)
         while rem > half and Y < 1e9:
             Y *= 2.0
-            main, rem = _sharp_tail_p2(evaluator.betas, evaluator.rows, Y)
+            main, rem = _sharp_tail_p2(evaluator.breaks, evaluator.jumps, Y)
         return Y, main, rem
-    rows = evaluator.rows
+    jumps = evaluator.jumps
     # the envelope tail falls like Y^{1-p}: solve for the Y where it is `half`
-    log_y = math.log(max(_envelope_tail(rows, p, 1.0) / half, 1e-300)) / (p - 1.0)
+    log_y = math.log(max(_envelope_tail(jumps, p, 1.0) / half, 1e-300)) / (p - 1.0)
     Y = max(floor, math.exp(min(log_y, 700.0)))
     if Y > floor:
-        periodic = _periodic_tail(evaluator.breaks, rows, p, _PERIODIC_SHARE * target_abs_err, floor, Y)
+        periodic = _periodic_tail(evaluator.breaks, jumps, p, _PERIODIC_SHARE * target_abs_err, floor, Y)
         if periodic is not None:
             return periodic
     # the tail lies in [0, bound]: report the midpoint
-    bound = _envelope_tail(rows, p, Y)
+    bound = _envelope_tail(jumps, p, Y)
     return Y, 0.5 * bound, 0.5 * bound + 1e-300
 
 
@@ -456,26 +465,25 @@ def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
 # the full grid: a grid folded onto [0, Y] counts [-Y, Y]'s 2Y/width panels and
 # 30 per bisected panel, so it refuses the same jobs and stops at the same count
 _NODE_CAP = 2 ** 20
-# panels per vectorized Gauss-Kronrod batch of the initial grid
+# panels per vectorized Gauss-Kronrod batch of the initial grid: it bounds
+# the batch's memory and moves no result
 _PANEL_CHUNK = 2048
 
 
-def _panel_integrate(fn, lo, hi, rows: int):
+def _panel_integrate(fn, lo, hi):
     """Gauss-Kronrod on the panels [lo, hi]: (K15 values, |K15 - G7| errors).
 
     One integrand call, ``fn(mid, half)``, covers every panel's 15 nodes.
-    The weight sums are taken on blocks of ``rows`` consecutive panels
-    (``rows`` divides the panel count): BLAS sums a block in an order that
-    depends on its row count, so a caller that keeps its block sizes keeps
-    every bit.
+    einsum takes each panel's weight sums over its own nodes, in order, so a
+    panel's bits do not depend on which panels share its call.
     """
     import numpy as np
 
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fx = fn(mid, half).reshape(-1, rows, len(_GK_NODES))
-    k15 = (fx @ np.asarray(_GK_WK)).ravel() * half
-    g7 = (fx @ np.asarray(_GK_WG)).ravel() * half
+    fx = fn(mid, half)
+    k15 = np.einsum("pj,j->p", fx, np.asarray(_GK_WK)) * half
+    g7 = np.einsum("pj,j->p", fx, np.asarray(_GK_WG)) * half
     return k15, np.abs(k15 - g7)
 
 
@@ -547,7 +555,7 @@ def norm_numeric(
         vals, errs = np.empty(n_panels), np.empty(n_panels)
         for k in range(0, n_panels, _PANEL_CHUNK):
             chunk = slice(k, min(k + _PANEL_CHUNK, n_panels))
-            vals[chunk], errs[chunk] = _panel_integrate(integrand, lo[chunk], hi[chunk], chunk.stop - k)
+            vals[chunk], errs[chunk] = _panel_integrate(integrand, lo[chunk], hi[chunk])
         nodes_used = 30 * n_half  # the full grid's, folded or not (see _NODE_CAP)
 
         # adaptive bisection of the worst panels, rows (lo, hi, value, error).
@@ -562,11 +570,11 @@ def norm_numeric(
             keep = len(panels) - max(1, len(panels) // 64)
             a, b = panels[keep:, 0], panels[keep:, 1]
             mid = 0.5 * (a + b)
-            # each panel's halves [a, mid] and [mid, b] side by side, with the
-            # weight sums taken per pair, as when each panel was bisected alone
+            # each panel's halves [a, mid] and [mid, b] side by side, in the
+            # order of appending them when each panel was bisected alone
             sub_lo = np.column_stack((a, mid)).ravel()
             sub_hi = np.column_stack((mid, b)).ravel()
-            sub_vals, sub_errs = _panel_integrate(integrand, sub_lo, sub_hi, 2)
+            sub_vals, sub_errs = _panel_integrate(integrand, sub_lo, sub_hi)
             panels = np.concatenate((panels[:keep], np.column_stack((sub_lo, sub_hi, sub_vals, sub_errs))))
             nodes_used += 15 * len(sub_lo)
 

@@ -640,7 +640,7 @@ class ReferenceEvaluator(FTEvaluator):
         w = 2.0 * np.pi * ys
         s = 1.0 / (1j * w)
         acc = np.zeros(ys.shape, dtype=complex)
-        for b, row in zip(self.betas, self.rows):
+        for b, row in zip(map(float, self.breaks), self.jumps):
             g = np.zeros(ys.shape, dtype=complex)
             pw = s
             for d in row:
@@ -648,6 +648,25 @@ class ReferenceEvaluator(FTEvaluator):
                 pw = pw * s
             acc += np.exp(-1j * w * b) * g
         return acc
+
+
+def reference_periodic_mean(steps, coeffs, C1, p, n):
+    """Test oracle: ``oscint._periodic_mean`` as it was before the FFT, a sum
+    over a table of 2n roots of unity, one gather per term and block of
+    samples, with its allowance: each sample within (K + 32) u C1 for K terms
+    (the roots about 15 u, each product and sum one more), and the power, the
+    quotient and the pairwise sum (log2 n + 2) u."""
+    u = 2.0 ** -53
+    roots = np.exp(-1j * math.pi / n * np.arange(2 * n))
+    total = 0.0
+    for j in range(0, n, oscint._PANEL_CHUNK * 15):
+        odd = 2 * np.arange(j, min(j + oscint._PANEL_CHUNK * 15, n)) + 1
+        P = np.zeros(len(odd), dtype=complex)
+        for k, c in zip(steps, coeffs):
+            P += c * roots[(k % (2 * n)) * odd % (2 * n)]
+        total += float(np.sum((np.abs(P) / C1) ** p))
+    delta = (len(coeffs) + 32) * u
+    return total / n, p * (1.0 + delta) ** (p - 1.0) * (delta + u) + (math.log2(n) + 2.0) * u
 
 
 def _reference_panel_integrate(fn, edges):
@@ -660,8 +679,8 @@ def _reference_panel_integrate(fn, edges):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         fx = fn(mid, half)
-        k15 = (fx @ np.asarray(oscint._GK_WK)) * half
-        g7 = (fx @ np.asarray(oscint._GK_WG)) * half
+        k15 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WK)) * half
+        g7 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WG)) * half
         vals[lo:hi] = k15
         errs[lo:hi] = np.abs(k15 - g7)
     return vals, errs

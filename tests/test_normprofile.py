@@ -132,15 +132,15 @@ def _numeric_golden_doc(f, ps, target):
 # the quadrature that moves any result by one ulp shows here
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "1a797b2a47397e8a6238e453f80a12de1d6786bde19fe7d706829f3336cda325"),
+     "ac23bb4f990bc06fd4ad925033698e63a10aea4e08dd0dd7460980f6e254b188"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "f2b1578bfb8de660d70abe2a197f8c05c52934ef6655d7d16575dddda009b108"),
+     "7eb55e56d266a355e6e195d20f5a129139d8059bcdcd3692dcb9e8e3866882ab"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "b77a7c7205bd39b99ada9615a7a2a10487fc296f2bc95c10f0cf193d7023eacc"),
+     "45b028efd82601a290f5bc7bc4b44ba19e10a2b47cd40689a25729710e10f5cb"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "e85c1aa73f7a81f54b05c4ddab83ccc62a17afe88fcd76ce9a181f993dd7bf60"),
+     "a7b6705ccc6205b344d0bb3ed5d9dde2fc2e03e49deb88089ce075afb91c53cd"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "b4e29508bc54990bf5e670a713c3efbf298237b74f394b5c0ecd1360ec2f00b1"),
+     "3b4fc4773542fa790b7134dcd4e47e741a6d4c7483e23295cd4177e6f2dc2bc4"),
 ]
 
 

@@ -259,9 +259,9 @@ def _phase_allowance(ev, y, reach):
     argument errors of 2 pi |b_k| reach u."""
     abs_s = 1.0 / np.abs(2.0 * np.pi * y)
     bound = np.zeros(y.shape)
-    for b, row in zip(ev.betas, ev.rows):
+    for b, row in zip(ev.breaks, ev.jumps):
         weight = sum(abs(c) * abs_s ** (r + 1) for r, c in enumerate(row))
-        bound += weight * (2.0 * math.pi * abs(b) * reach + 16.0 + 2.0 * len(ev.rows))
+        bound += weight * (2.0 * math.pi * abs(float(b)) * reach + 16.0 + 2.0 * len(ev.jumps))
     return bound
 
 
@@ -301,23 +301,32 @@ def test_boundary_sum_matches_one_exp_per_breakpoint():
             gap = np.abs(got - want)
             assert np.all(gap <= u * bound), (spec, t, float(np.max(gap / (u * bound))))
             worst = max(worst, float(np.max(gap)))
-            longest_row = max(longest_row, *map(len, ev.rows))
+            longest_row = max(longest_row, ev.jumps.shape[1])
     assert longest_row == 3
     assert 0.0 < worst < 1e-12
 
 
 def test_a_panels_bits_do_not_depend_on_its_batch():
     # the bisection oracles compare bits, so the panel form must give each
-    # panel the same values whichever panels share its call
+    # panel the same values whichever panels share its call, and so must
+    # _panel_integrate, whose K15 and G7 sums are one in-order einsum a panel
     ev = FTEvaluator(apply_split(TWO_BUMP, rat(5, 3)))
     mid, half = _mixed_width_grid(ev.radius, 60.0, 1)
     order = np.random.default_rng(2).permutation(len(mid))[:3000]
     mid, half = mid[order], half[order]
     assert len(set(half.tolist())) > 1
-    whole = ev.on_panels(mid, half)
+    lo, hi = mid - half, mid + half
+
+    def integrand(m, h):
+        return np.abs(ev.on_panels(m, h)) ** 3.0
+
+    whole, sums = ev.on_panels(mid, half), oscint._panel_integrate(integrand, lo, hi)
     for size in (1, 2, 3, 64):
         chunks = [ev.on_panels(mid[k : k + size], half[k : k + size]) for k in range(0, len(mid), size)]
         assert np.array_equal(np.concatenate(chunks), whole), size
+        chunks = [oscint._panel_integrate(integrand, lo[k : k + size], hi[k : k + size]) for k in range(0, len(lo), size)]
+        for got, want in zip(map(np.concatenate, zip(*chunks)), sums):
+            assert np.array_equal(got, want), size
 
 
 def test_mirrored_panels_are_conjugate_for_real_input():
@@ -485,12 +494,59 @@ def test_periodic_tail_encloses_the_integrated_tail():
         ev = FTEvaluator(apply_split(f, rat(1)))
         for p in (1.5, 2.5, 3.0, 4.0, 6.0):
             budget = {1.5: 1e-3, 2.5: 1e-4}.get(p, 1e-7)
-            Y, value, err = _periodic_tail(ev.breaks, ev.rows, p, budget, 8.0, 1e6)
+            Y, value, err = _periodic_tail(ev.breaks, ev.jumps, p, budget, 8.0, 1e6)
             assert err <= budget
             ys = np.linspace(Y, 60 * Y, 300001)
             observed = float(_trapezoid(np.abs(ev(ys)) ** p + np.abs(ev(-ys)) ** p, ys))
-            beyond = _envelope_tail(ev.rows, p, 60 * Y)
+            beyond = _envelope_tail(ev.jumps, p, 60 * Y)
             assert value - err <= observed + beyond and observed <= value + err, (f, p)
+
+
+def _lead_terms(f, t):
+    """(s_k, J[k][0], C1) of the leading term P of S_t f's transform, as
+    ``_periodic_tail`` hands them to ``_periodic_mean``: s_k = (b_k - b_0) / T."""
+    ev = FTEvaluator(apply_split(f, rat(t)))
+    lead = [(b, complex(c)) for b, c in zip(ev.breaks, ev.jumps[:, 0]) if c != 0]
+    den = math.lcm(*(b.denominator for b, _ in lead))
+    nums = [int((b - lead[0][0]) * den) for b, _ in lead]
+    g = math.gcd(*nums)
+    return [k // g for k in nums], [c for _, c in lead], (1.0 + 1e-12) * sum(abs(c) for _, c in lead)
+
+
+@pytest.mark.parametrize("n", [256, 12473, 30721, 2 ** 16])
+def test_fft_periodic_mean_matches_the_root_table_sum(n):
+    # the mean of |P / C1|^p by one FFT against the sum over a table of 2n
+    # roots, within the two allowances summed.  256 is the fewest samples the
+    # mean takes, 12473 (a prime) the most a seed-1 numeric-norms round takes,
+    # 30721 one past the root-table sum's first block, 2^16 the cap
+    from splitnorm.scalars import gauss
+
+    from .helpers import reference_periodic_mean
+
+    for f, t in ((TWO_BUMP, 12), (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 1)):
+        steps, coeffs, C1 = _lead_terms(f, t)
+        for p in (1.5, 2.5, 3.0, 6.0):
+            mu, fp = oscint._periodic_mean(steps, coeffs, C1, p, n)
+            want, want_fp = reference_periodic_mean(steps, coeffs, C1, p, n)
+            assert abs(mu - want) <= fp + want_fp and fp < 1e-6, (n, p)
+
+
+def test_periodic_tail_returns_none_past_the_sample_cap(monkeypatch):
+    # two-bump at p = 4, t = 12, 1e-6 takes n = 12473 samples, a seed-1
+    # round's most: a cap of 12473 keeps its tail; one less, and the periodic
+    # tail returns None, so the envelope places a larger Y
+    ev = FTEvaluator(apply_split(TWO_BUMP, rat(12)))
+    taken, tails = [], []
+    mean, tail = oscint._periodic_mean, oscint._periodic_tail
+    monkeypatch.setattr(oscint, "_periodic_mean", lambda *args: taken.append(args[-1]) or mean(*args))
+    monkeypatch.setattr(oscint, "_periodic_tail", lambda *args: tails.append(tail(*args)) or tails[-1])
+    want = oscint._place_tail(ev, 4.0, 1e-6)
+    assert taken == [12473] and tails == [want]
+    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 12473))
+    assert oscint._place_tail(ev, 4.0, 1e-6) == want
+    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 12472))
+    assert oscint._place_tail(ev, 4.0, 1e-6)[0] > want[0]
+    assert tails[-1] is None and taken == [12473, 12473]
 
 
 @settings(max_examples=6, deadline=None)
