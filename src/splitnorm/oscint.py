@@ -8,33 +8,31 @@ the exact finite sum, for every y != 0,
 
 where J[k][r] is the jump of f^(r) at b_k (right limit minus left limit).
 ``_boundary_expansion`` computes these jump rows exactly, in integers,
-and floats them once; the evaluator and all three tails read them.  The
+and floats them once; the evaluator and both tails read them.  The
 evaluator works on the panel grid: at a node y = mid + half x the phase
 is e^{-2 pi i b mid} e^{-2 pi i b half x}, one exp per panel and
 breakpoint and one table per panel width, and near the origin a moment
 series, its moments exact integer sums, dodges cancellation.
 |F[S_t f]|^p is integrated over a phase-aligned panel grid on [-Y, Y] (on
 [0, Y], counted twice, for a real S_t f, whose |F|^p is even) with an
-embedded Gauss/Kronrod error estimate and closed with a tail beyond Y:
+embedded Gauss/Kronrod error estimate and closed with a tail beyond Y
+(p = 2 skips all this: by Plancherel, (N_t f)^2 = ||S_t f||_2^2 exactly):
 
-- p = 2: computed, not merely bounded.  The r = 0 part integrates against
-  sine/cosine integrals in closed form, and the rest carries a proved
-  O(1/Y^2) bound.
-- any other p, the periodic-mean tail: the r = 0 part
+- the periodic-mean tail: the r = 0 part
   P(y) = sum_k J[k][0] e^{-2 pi i b_k y} is periodic, because the b_k are
   exact rationals, so the tail is the mean of |P|^p over a period times
   (2 pi)^{-p} Y^{1-p}/(p-1) on each side, with a proved O(Y^{-p})
   remainder (``_periodic_tail``).  The mean takes n midpoint samples of P,
   one length-n FFT (``_periodic_mean``).  Y then grows like err^{-1/p}.
-- any other p, the envelope: |f^(y)| <= K(Y) / (2 pi |y|) for |y| >= Y,
+- the envelope: |f^(y)| <= K(Y) / (2 pi |y|) for |y| >= Y,
   with K(Y) = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, bounds the tail by
   2 (K/2pi)^p Y^{1-p} / (p-1), so Y grows like err^{-1/(p-1)}.  It runs
   where it needs no larger a Y: where both stop at the floor max(8, 2R),
   as a large p at a modest budget does, and for a float t, whose exact
   value gives P a period near 2^55.
 
-numpy is imported inside each function that uses it (scipy only inside
-``_cos_tail``), so importing the package loads neither for exact work.
+numpy is imported inside each function that uses it, so importing the
+package, and the p = 2 norm, load no numpy.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SplitnormError
-from .polyalg import IntLayout, PiecewisePoly
+from .polyalg import IntLayout, PiecewisePoly, l2_inner
 from .scalars import rat
 from .splitcore import apply_split
 
@@ -243,47 +241,6 @@ def _envelope_tail(jumps, p: float, Y: float) -> float:
         return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
 
 
-def _cos_tail(a: float, Y: float) -> float:
-    """int_Y^inf cos(a y) / y^2 dy for a >= 0 (exact, via Si)."""
-    from scipy.special import sici  # imported here: only the p = 2 tail needs scipy
-
-    si, _ = sici(a * Y)
-    return math.cos(a * Y) / Y - a * (math.pi / 2.0 - si)
-
-
-def _sharp_tail_p2(breaks, jumps, Y: float):
-    """(tail integral of |f^|^2 beyond Y, rigorous remainder bound).
-
-    The r = 0 jumps integrate in closed form; the r >= 1 columns of J
-    only enter the remainder bound.
-    """
-    import numpy as np
-
-    betas = [float(b) for b in breaks]
-    c0 = jumps[:, 0]
-    inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
-    main = float(np.sum(np.abs(c0) ** 2)) * 2.0 / Y * inv4pi2
-    slop = 0.0
-    for k in range(len(betas)):
-        for l in range(k + 1, len(betas)):
-            a = 2.0 * math.pi * abs(betas[k] - betas[l])
-            t = _cos_tail(a, Y)
-            main += 2.0 * float(np.real(c0[k] * np.conj(c0[l]))) * 2.0 * t * inv4pi2
-            slop += abs(c0[k]) * abs(c0[l]) * (a * 4e-16 + 4e-16 / Y)
-    s_Y = 1.0 / (2.0 * math.pi * Y)
-    C1 = float(np.sum(np.abs(c0)))
-    M2 = 0.0
-    for row in jumps:
-        M2 += sum(abs(c) * s_Y ** (r - 1) for r, c in enumerate(row) if r >= 1)
-    rem = (
-        2.0 * C1 * M2 / ((2.0 * math.pi) ** 3 * Y ** 2)
-        + M2 ** 2 * 2.0 / (3.0 * (2.0 * math.pi) ** 4 * Y ** 3)
-        + slop
-        + 1e-13 * (1.0 + abs(main))
-    )
-    return main, rem
-
-
 # unit roundoff of a float
 _U = 2.0 ** -53
 # midpoint samples of |P|^p that the periodic mean takes at least, and at
@@ -427,23 +384,16 @@ def _periodic_tail(breaks, jumps, p: float, budget: float, lo: float, hi: float)
 def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
     """(Y, tail value, tail error): where the panel grid ends, and what lies beyond it.
 
-    Y is at least max(8, 2R), R the support radius.  p = 2 takes the
-    sine/cosine-integral tail and doubles Y until its remainder is within
-    0.45 of the target.  Any other p takes whichever of two tails needs the
-    smaller Y, the envelope on a tie: the envelope bound, solved to be 0.45
-    of the target and reported as its midpoint (Y ~ err^{-1/(p-1)}), or the
-    periodic-mean tail, placed where its error is ``_PERIODIC_SHARE`` of the
-    target (Y ~ err^{-1/p}).  Every tail error here is proved.
+    Y is at least max(8, 2R), R the support radius.  For p != 2 (p = 2 is
+    exact by Plancherel and integrates nothing) it takes whichever of two
+    tails needs the smaller Y, the envelope on a tie: the envelope bound,
+    solved to be 0.45 of the target and reported as its midpoint
+    (Y ~ err^{-1/(p-1)}), or the periodic-mean tail, placed where its error
+    is ``_PERIODIC_SHARE`` of the target (Y ~ err^{-1/p}).  Every tail error
+    here is proved.
     """
     half = 0.45 * target_abs_err
     floor = max(8.0, evaluator.radius * 2.0)
-    if p == 2.0:
-        Y = floor
-        main, rem = _sharp_tail_p2(evaluator.breaks, evaluator.jumps, Y)
-        while rem > half and Y < 1e9:
-            Y *= 2.0
-            main, rem = _sharp_tail_p2(evaluator.breaks, evaluator.jumps, Y)
-        return Y, main, rem
     jumps = evaluator.jumps
     # the envelope tail falls like Y^{1-p}: solve for the Y where it is `half`
     log_y = math.log(max(_envelope_tail(jumps, p, 1.0) / half, 1e-300)) / (p - 1.0)
@@ -493,14 +443,17 @@ def norm_numeric(
     t: float,
     target_abs_err: float = 1e-6,
 ) -> NumericNorm:
-    """(N_t f)^p = int |F[S_t f](y)|^p dy by adaptive numerical integration.
+    """(N_t f)^p = int |F[S_t f](y)|^p dy: exact at p = 2, else by adaptive quadrature.
 
-    Phase-aligned Gauss-Kronrod panels on [-Y, Y] (panel width a quarter of
-    the fastest oscillation; for a real S_t f, whose transform is Hermitian,
-    panels on [0, Y] integrate 2 |f^|^p), plus a tail beyond Y: computed
-    semi-analytically for p = 2; for any other p, the periodic mean of the
-    transform's leading term with a proved remainder, or the proved envelope
-    bound where that needs the smaller Y (``_place_tail``).  Each bisection
+    At p = 2, Plancherel gives (N_t f)^2 = ||S_t f||_2^2, an exact rational,
+    rounded once: ``abs_error`` is 0 where the float is exact, else ulp(value).
+
+    Any other p integrates phase-aligned Gauss-Kronrod panels on [-Y, Y]
+    (panel width a quarter of the fastest oscillation; for a real S_t f,
+    whose transform is Hermitian, panels on [0, Y] integrate 2 |f^|^p), plus
+    a tail beyond Y: the periodic mean of the transform's leading term with
+    a proved remainder, or the proved envelope bound where that needs the
+    smaller Y (``_place_tail``).  Each bisection
     round halves the worst 1/64 of the panels (at least one) by their error
     estimate and evaluates all the halves' nodes in one batch, until the
     summed estimates fall below half the quadrature target.
@@ -512,12 +465,10 @@ def norm_numeric(
 
     Raises :class:`BudgetExceeded` when the panel grid alone would need
     more than ``_NODE_CAP`` = 2^20 integrand evaluations (counted on the
-    full grid, folded or not), and (carrying the
-    result) when the error misses the target or the result is not finite
-    (|f^|^p overflows for a huge p).
+    full grid, folded or not), and (carrying the result) when the error
+    misses the target or the result is not finite (|f^|^p overflows for a
+    huge p, or ||S_t f||_2^2 passes the float range).
     """
-    import numpy as np
-
     p = float(p)
     if p <= 1:
         raise SplitnormError(f"(N_t f)^p requires p > 1, got {p}")
@@ -527,6 +478,17 @@ def norm_numeric(
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 
     g = apply_split(f, rat(t))
+    if p == 2.0:
+        exact = l2_inner(g, g)
+        try:
+            value = float(exact)
+        except OverflowError:
+            value = math.inf
+        abs_error = 0.0 if math.isfinite(value) and rat(value) == exact else math.ulp(value)
+        return _checked(NumericNorm(value=value, abs_error=abs_error, p=p, t=float(t)), target_abs_err)
+
+    import numpy as np
+
     try:
         evaluator = FTEvaluator(g)
     except OverflowError as exc:
@@ -583,12 +545,16 @@ def norm_numeric(
     fp_err = 1e-13 * (1.0 + abs(integral))
     value = integral + tail_value
     abs_error = quad_err + tail_err + fp_err
-    result = NumericNorm(value=value, abs_error=abs_error, p=p, t=float(t))
-    if not math.isfinite(value):
-        raise BudgetExceeded(f"the result {value:.3g} +- {abs_error:.3g} is not finite", result=result)
-    if not abs_error <= target_abs_err:  # a NaN error fails too
+    return _checked(NumericNorm(value=value, abs_error=abs_error, p=p, t=float(t)), target_abs_err)
+
+
+def _checked(result: NumericNorm, target_abs_err: float) -> NumericNorm:
+    """``result``, or :class:`BudgetExceeded` carrying it where it is not finite or misses the target."""
+    if not math.isfinite(result.value):
+        raise BudgetExceeded(f"the result {result.value:.3g} +- {result.abs_error:.3g} is not finite", result=result)
+    if not result.abs_error <= target_abs_err:  # a NaN error fails too
         raise BudgetExceeded(
-            f"achieved error {abs_error:.3g} exceeds the target {target_abs_err:.3g}",
+            f"achieved error {result.abs_error:.3g} exceeds the target {target_abs_err:.3g}",
             result=result,
         )
     return result

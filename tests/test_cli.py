@@ -671,6 +671,21 @@ def test_norm_huge_p_envelope_tail_is_quiet(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
 
 
+def test_norm_p2_is_exact_for_any_shift_and_refuses_a_norm_past_float_range(tmp_path):
+    # p = 2 is ||S_t f||_2^2 = ||f||_2^2 by Plancherel, computed exactly: a
+    # norm of 10^400 exits 4 with one line, where numpy's overflow
+    # warnings from a p = 2 tail once came first; and a shift whose moments
+    # overflow a float, refused at p = 3 (huge-t below), is no obstacle
+    proc = _run_subprocess(["norm", f"poly:[0,1]:{10 ** 200}", "--p", "2", "--t", "1"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == "budget exceeded: the result inf +- inf is not finite", proc.stderr
+    proc = _run_subprocess(["norm", "ind:-1,1", "--p", "2", "--t", "1e200"], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["value_pth_power"] == 2 and doc["abs_error"] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["mult", "bounds", "square", "--p", "4", "--A", "-1", "--t", "0.5"],
     ["mult", "bounds", "two_way", "--p", "4", "--A", "-5", "--t", "-1", "--ell", "1", "--m-norm", "1", "--in-R"],

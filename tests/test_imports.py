@@ -1,4 +1,4 @@
-"""What a fresh process loads: numpy only on the numeric and estimator paths.
+"""What a fresh process loads: numpy only on the numeric and estimator paths, scipy never.
 
 Each check runs in a new interpreter, because this test process has numpy
 loaded already.
@@ -13,7 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the README's commands that need no numpy; norm, mult estimate and batch load it
+# the README's commands that need no numpy; norm at p != 2, mult estimate and
+# batch load it.  The p = 2 norm is ||S_t f||_2^2, exact by Plancherel
 NUMPY_FREE_COMMANDS = (
     ["profile", "ind:-1,1", "--p", "4"],
     ["profile", "ind:-1,1", "--p", "4", "--emit", "csv"],
@@ -23,6 +24,7 @@ NUMPY_FREE_COMMANDS = (
     ["mult", "bounds", "two_way", "--p", "4", "--A", "1", "--t", "0.6", "--ell", "1", "--m-norm", "1", "--in-R"],
     ["mult", "exact-positive", "tent:-1,0,1", "--p", "4"],
     ["series", "coeffs.json", "--p", "4", "--t-max", "6"],
+    ["norm", "ind:-1,1", "--p", "2", "--t", "0.25", "--err", "1e-3"],
 )
 
 # argv: "blocked" or "normal", then the commands as JSON.  "blocked" makes
@@ -40,7 +42,9 @@ for argv in json.loads(sys.argv[2]):
         code = splitnorm.cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps({"modules": modules, "numpy": sys.modules.get("numpy") is not None,
-                  "numpy.ma": "numpy.ma" in sys.modules, "runs": runs}))
+                  "numpy.ma": "numpy.ma" in sys.modules,
+                  "scipy": any(name.partition(".")[0] == "scipy" for name in sys.modules),
+                  "runs": runs}))
 """
 
 
@@ -51,7 +55,9 @@ def _run(mode, commands, cwd):
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    run = json.loads(proc.stdout)
+    assert not run["scipy"]  # no command, numeric or exact, needs scipy
+    return run
 
 
 def _spans():

@@ -129,18 +129,19 @@ def _numeric_golden_doc(f, ps, target):
 
 # SHA-256 of json.dumps(_numeric_golden_doc(...)): pins the bits of every
 # numeric (value, abs_error) pair, so a change to the transform, the tails or
-# the quadrature that moves any result by one ulp shows here
+# the quadrature that moves any result by one ulp shows here (each p = 2 pair
+# is ||f||_2^2 rounded once)
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "ac23bb4f990bc06fd4ad925033698e63a10aea4e08dd0dd7460980f6e254b188"),
+     "e71a1feea9b33210838fa4312f6e7c940e8167b127d352c822df2be104ff5a77"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "7eb55e56d266a355e6e195d20f5a129139d8059bcdcd3692dcb9e8e3866882ab"),
+     "c73daedb89ce07533ad22bd4c72008a52bc7dba340dc2caeaec6ace4abce3db5"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "45b028efd82601a290f5bc7bc4b44ba19e10a2b47cd40689a25729710e10f5cb"),
+     "5cade9eda8f4606e304ef400815f5a28fcf58bbb0e4f1cf48095c276ab736d05"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "a7b6705ccc6205b344d0bb3ed5d9dde2fc2e03e49deb88089ce075afb91c53cd"),
+     "6fc01232bc3f88e6766ce1282f4dd769911a2ce59601ad809ccd231d8c90ca57"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "3b4fc4773542fa790b7134dcd4e47e741a6d4c7483e23295cd4177e6f2dc2bc4"),
+     "8ac9304aa7edc91e3d8a893b37b5f86f309d453e7753a08756efb2224ecb3579"),
 ]
 
 

@@ -13,7 +13,7 @@ from splitnorm.errors import BudgetExceeded, SplitnormError
 from splitnorm.oscint import FTEvaluator, NumericNorm, _boundary_expansion, _envelope_tail, norm_numeric
 from splitnorm.normprofile import norm_profile
 from splitnorm.polyalg import IntLayout, indicator, l2_inner, tent
-from splitnorm.scalars import rat
+from splitnorm.scalars import gauss, rat
 from splitnorm.splitcore import apply_split
 
 from .helpers import ReferenceEvaluator, exactly, poly_integral, reference_moments, reference_norm_numeric, rnd_pp
@@ -108,6 +108,41 @@ def test_norm_numeric_p2_plancherel():
         res = norm_numeric(f, 2.0, t, target_abs_err=1e-6 * (1 + exact))
         assert abs(res.value - exact) <= res.abs_error
         assert res.abs_error <= 1e-6 * (1 + exact)
+
+
+# real and complex, with ||f||_2^2 a float (2) and not one (2/3, 32/3, 20/3)
+P2_CASES = (
+    CHI,
+    tent(-1, 0, 1),
+    TWO_BUMP + tent(-1, 0, 1) * 2,
+    indicator(0, 1) + indicator(-1, 0) * gauss(0, 1),
+    indicator(0, 1) * gauss(1, 1) + tent(-1, 0, 1) * gauss(0, 2),
+)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.1, 12.0])
+def test_norm_numeric_p2_is_the_rounded_l2_norm(t):
+    # Plancherel: (N_t f)^2 = ||S_t f||_2^2 = ||f||_2^2 for every t, and
+    # norm_numeric returns that rational rounded once, with an error bar of
+    # 0 exactly where the rounding is exact
+    exact_floats = set()
+    for f in P2_CASES:
+        want = l2_inner(f, f)
+        res = norm_numeric(f, 2.0, t, target_abs_err=1e-6)
+        assert abs(rat(res.value) - want) <= rat(res.abs_error)
+        assert (res.abs_error == 0.0) == (rat(res.value) == want)
+        assert res.value == float(want) and res.abs_error <= math.ulp(res.value)
+        exact_floats.add(res.abs_error == 0.0)
+    assert exact_floats == {True, False}
+
+
+def test_norm_numeric_p2_budget_exceeded_carries_result():
+    # 2/3 is no float, so the one rounding is the error: a target below it fails
+    res = norm_numeric(tent(-1, 0, 1), 2.0, 0.25, target_abs_err=1e-6)
+    assert res.abs_error > 0.0
+    with pytest.raises(BudgetExceeded, match="exceeds the target") as info:
+        norm_numeric(tent(-1, 0, 1), 2.0, 0.25, target_abs_err=res.abs_error / 2)
+    assert info.value.result == res
 
 
 def test_norm_numeric_even_p_cross_check():
@@ -383,7 +418,8 @@ def test_folded_norm_matches_the_full_line():
             return exc.result, str(exc)
 
     for f in (CHI, tent(-1, 0, 1), TWO_BUMP):
-        for p in (2.0, 2.5, 3.0, 4.0, 6.0):
+        # no p = 2: norm_numeric answers it exactly and integrates nothing
+        for p in (2.5, 3.0, 4.0, 6.0):
             for t, target in itertools.product((0.25, 12.0), (1e-3, 1e-6)):
                 got, got_msg = outcome(lambda: norm_numeric(f, p, t, target_abs_err=target))
                 want, want_msg = outcome(lambda: reference_norm_numeric(f, p, t, target, full_line=True))
@@ -465,7 +501,6 @@ def test_tail_bound_actually_bounds():
 def test_tail_bound_dominates_complex_and_polynomial_tails():
     # |F[S_t f]|^p is not even for complex f: both half-lines are integrated
     from splitnorm.cli import parse_function_spec
-    from splitnorm.scalars import gauss
 
     from .helpers import _trapezoid
 
@@ -485,7 +520,6 @@ def test_periodic_tail_encloses_the_integrated_tail():
     # envelope bound beyond 60 Y
     from splitnorm.cli import parse_function_spec
     from splitnorm.oscint import _periodic_tail
-    from splitnorm.scalars import gauss
 
     from .helpers import _trapezoid
 
@@ -519,8 +553,6 @@ def test_fft_periodic_mean_matches_the_root_table_sum(n):
     # roots, within the two allowances summed.  256 is the fewest samples the
     # mean takes, 12473 (a prime) the most a seed-1 numeric-norms round takes,
     # 30721 one past the root-table sum's first block, 2^16 the cap
-    from splitnorm.scalars import gauss
-
     from .helpers import reference_periodic_mean
 
     for f, t in ((TWO_BUMP, 12), (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 1)):
@@ -529,6 +561,9 @@ def test_fft_periodic_mean_matches_the_root_table_sum(n):
             mu, fp = oscint._periodic_mean(steps, coeffs, C1, p, n)
             want, want_fp = reference_periodic_mean(steps, coeffs, C1, p, n)
             assert abs(mu - want) <= fp + want_fp and fp < 1e-6, (n, p)
+            # far inside that allowance: sampling at jT/n, not the
+            # midpoints, misses this by 4e-12 or more at every n here
+            assert abs(mu - want) <= 64 * math.log2(n) * 2 ** -53, (n, p)
 
 
 def test_periodic_tail_returns_none_past_the_sample_cap(monkeypatch):
