@@ -49,11 +49,11 @@ def _half_exponent(p) -> int:
 
 
 # the largest predicted work m^6 n^2 (d+1)^2 the exact engine takes on: n
-# pieces of degree at most d in the two halves, m = p/2.  The largest
-# tier-1 and benchmark job, the two-bump function at p = 12, predicts
-# 1.7e6; predictions near 1e8 (tent at p = 30, two-bump at p = 22) ran
-# for 4-5 s on one core of a Xeon under Python 3.11.  The series engine
-# takes on the same cap (see SeriesProfile.values)
+# pieces of degree at most d in the two halves, m = p/2.  Benchmark jobs
+# predict at most 1.7e6 (two-bump at p = 12), tier-1 ones 2.6e8 (the
+# indicator at p = 40); predictions near 1e8 (tent at p = 30, two-bump at
+# p = 22) ran for 0.6 s on one core of a Xeon under Python 3.11.  The
+# series engine takes on the same cap (see SeriesProfile.values)
 _EXACT_CAP = 10 ** 9
 
 

@@ -19,13 +19,14 @@ ints in the layout of FLINT's rational polynomials, integer numerators over
 one common denominator.  ``IntLayout.of`` writes its functions in
 ``X = L x``, with ``L`` the lcm of all their breakpoint denominators, so
 every breakpoint is an integer and every Taylor shift an integer one.  A
-real product is one real kernel, a complex one three (Karatsuba).  The
-jump-pair weights are the integers ``m! n! M / (m+n+1)!`` with
-``M = (deg f + deg g + 1)!``, and the one-sided terms are summed per start
-point and then in one running sum.  A convolution is again a layout at the
-same ``L``, divided through by the gcd of its integers, so the exact engine
-lays out its two split halves once; ``to_piecewise`` is the one way back,
-reducing each coefficient once, by ``rat(num, den)``, to a Fraction.
+real product is one real kernel, a complex one three (Karatsuba).  Jump
+pairs multiply as packed integers (Kronecker substitution), with weights
+``m! n! M / (m+n+1)!``, ``M = (deg f + deg g + 1)!``; the one-sided terms
+are summed per start in its local basis, shifted once, then in one running
+sum.  A convolution is again a layout at the same ``L``, divided through by
+the gcd of its integers, so the exact engine lays out its two split halves
+once; ``to_piecewise`` is the one way back, reducing each coefficient once,
+by ``rat(num, den)``, to a Fraction.
 
 Monotonicity and sign decisions are exact, via root isolation on integers
 (Collins & Akritas 1976): a polynomial's square-free part, certified by a
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate, repeat, zip_longest
+from dataclasses import dataclass, field
+from itertools import accumulate, compress, count, repeat, zip_longest
 from typing import Optional
 
 from .errors import InvariantViolation, SplitnormError
@@ -642,7 +643,8 @@ class IntLayout:
     ``bps`` are the integer breakpoints in X and ``scale`` is L.  ``re[k]``
     and ``im[k]`` (``im`` is None for real data) are the ascending
     coefficients of piece k of F(X) = f(X / L), each padded to ``degree + 1``
-    entries, all over one positive ``den``.  Zero has no pieces.
+    entries, all over one positive ``den``.  Zero has no pieces.  A layout
+    is never changed: its jumps and reflection are formed once, in ``_memo``.
     """
 
     bps: list
@@ -651,6 +653,7 @@ class IntLayout:
     re: list
     im: Optional[list]
     degree: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, *fs: PiecewisePoly) -> list:
@@ -690,7 +693,7 @@ class IntLayout:
         return PiecewisePoly([rat(b, self.scale) for b in self.bps], pieces)
 
     def conj_reflected(self) -> "IntLayout":
-        """The layout of x -> conj(f(-x))."""
+        """The layout of x -> conj(f(-x)), formed once."""
 
         def flip(pieces, negate: bool):
             return [
@@ -698,12 +701,17 @@ class IntLayout:
                 for q in reversed(pieces)
             ]
 
-        im = None if self.im is None else flip(self.im, True)
-        return IntLayout([-b for b in reversed(self.bps)], self.scale, self.den, flip(self.re, False), im, self.degree)
+        if "conj" not in self._memo:
+            im = None if self.im is None else flip(self.im, True)
+            bps = [-b for b in reversed(self.bps)]
+            self._memo["conj"] = IntLayout(bps, self.scale, self.den, flip(self.re, False), im, self.degree)
+        return self._memo["conj"]
 
     def jumps(self, part: str) -> list:
-        """``(B_k, [m! d_m])`` per breakpoint, ``d_m`` the coefficients of the
-        jump of ``part`` ("re", "im", or "sum" for re + im) in powers of X - B_k."""
+        """``(B_k, [m! d_m])`` per breakpoint, a shared list, ``d_m`` the coefficients of
+        the jump of ``part`` ("re", "im", or "sum" for re + im) in powers of X - B_k."""
+        if part in self._memo:
+            return self._memo[part]
         if part == "sum":
             pieces = [[a + b for a, b in zip(r, i)] for r, i in zip(self.re, self.im)]
         else:
@@ -718,6 +726,7 @@ class IntLayout:
             if any(d):
                 out.append((b, [w * c for w, c in zip(fact, _taylor_shift(d, b))]))
             prev = cur
+        self._memo[part] = out
         return out
 
     def convolve(self, other: "IntLayout") -> "IntLayout":
@@ -795,12 +804,47 @@ def _int_mul_add(a: list, b: list, out: Optional[list] = None) -> list:
 
 
 def _jump_pair_products(fj: list, gj: list) -> dict:
-    """start -> sum of the coefficient products of the jump pairs starting there."""
+    """start -> sum of the coefficient products of the jump pairs starting there.
+
+    The jumps of ``fj`` have one length, those of ``gj`` another.  Kronecker
+    substitution: each jump's nonzero span is packed into one integer in
+    B-bit digits, B at least two bits over the bound on every output
+    coefficient, ``max|a| max|e| min(len) pairs``, and its offset kept.  A
+    pair costs one product, shifted by the offsets into its start's sum (a
+    one-nonzero jump, as of a B-spline, is one digit); a start is unpacked once.
+    """
+    if not (fj and gj):
+        return {}
+    la, le = len(fj[0][1]), len(gj[0][1])
+    top = max(abs(c) for _, a in fj for c in a) * max(abs(c) for _, e in gj for c in e)
+    nbytes = ((top * min(la, le) * len(fj) * len(gj)).bit_length() + 9) // 8
+    bits = 8 * nbytes
+
+    def packed(jumps):  # (start, offset in bits, the span from the first nonzero)
+        out = []
+        for b, cs in jumps:
+            lo = next(compress(count(), cs), 0)
+            v = 0
+            for c in reversed(cs[lo:]):
+                v = (v << bits) + c
+            out.append((b, lo * bits, v))
+        return out
+
+    # each sum starts at 2^(B-1) per digit, so that its digits, below 2^(B-1)
+    # in size, are B-bit nonnegative ones
+    width, half = la + le - 1, 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * width, "little")
     acc: dict = {}
-    for b, a in fj:
-        for c, e in gj:
-            acc[b + c] = _int_mul_add(a, e, acc.get(b + c))
-    return acc
+    pg = packed(gj)
+    for b, i, u in packed(fj):
+        for c, j, v in pg:
+            acc[b + c] = acc.get(b + c, bias) + (u * v << (i + j))
+    ends = range(0, nbytes * width, nbytes)
+    out = {}
+    for s, x in acc.items():
+        raw = x.to_bytes(nbytes * width, "little")
+        out[s] = [int.from_bytes(raw[k : k + nbytes], "little") - half for k in ends]
+    return out
 
 
 def _add_into(dst: dict, src: dict, sign: int) -> dict:
@@ -811,12 +855,13 @@ def _add_into(dst: dict, src: dict, sign: int) -> dict:
 
 
 def _product_jumps(F: IntLayout, G: IntLayout, real_only: bool = False):
-    """One-sided terms of the convolution f * g of the layouts F and G:
-    ``(re, im, den)``.
+    """One-sided terms of the convolution f * g of the layouts F and G, each
+    in its start's local basis: ``(re, im, den)``.
 
-    ``re`` and ``im`` map each start S to the integer coefficients of the
-    polynomial J_S in X with ``(f * g)(x) = sum_S H(X - S) J_S(X) / den``;
-    ``im`` is None for a real product or when ``real_only`` is set.  With
+    ``re`` and ``im`` map each start S to the integer coefficients of J_S,
+    ``(f * g)(x) = sum_S H(X - S) J_S(X - S) / den``, unshifted, so that a
+    caller summing many products shifts each start once; ``im`` is None
+    for a real product or when ``real_only`` is set.  With
     ``M = (deg F + deg G + 1)!`` and the jumps scaled by ``m!``, the jump
     pair ``(u^m H) * (u^n H) = v^{m+n+1} m! n! / (m+n+1)!`` becomes the
     integer weight ``M / (m+n+1)!`` on the product coefficient of ``v^{m+n}``.
@@ -838,25 +883,23 @@ def _product_jumps(F: IntLayout, G: IntLayout, real_only: bool = False):
     big_m = math.factorial(length)
     weights = [0] + [big_m // math.factorial(k + 1) for k in range(length)]
 
-    def one_sided(acc):
-        return {
-            s: _taylor_shift([w * c for w, c in zip(weights, [0] + cs)], -s)
-            for s, cs in acc.items()
-        }
+    def weighted(acc):
+        return {s: [w * c for w, c in zip(weights, [0] + cs)] for s, cs in acc.items()}
 
     # (f * g)(x) = (F * G)(X) / L
-    return one_sided(re), None if im is None else one_sided(im), big_m * F.den * G.den * F.scale
+    return weighted(re), None if im is None else weighted(im), big_m * F.den * G.den * F.scale
 
 
 def _running_sums(jumps: dict, starts: list, width: int, what: str) -> list:
     """The pieces between consecutive starts, as running sums of the one-sided
-    terms; the sum past the last start must vanish."""
+    terms, each given in its start's local basis and shifted to X once; the
+    sum past the last start must vanish."""
     acc = [0] * width
     pieces = []
     for s in starts:
         cs = jumps.get(s)
         if cs is not None:
-            acc = [a + c for a, c in zip(acc, cs)]
+            acc = [a + c for a, c in zip(acc, _taylor_shift(cs, -s))]
         pieces.append(acc)
     if any(acc):
         raise InvariantViolation(f"{what}: one-sided terms failed to cancel")
@@ -895,7 +938,10 @@ def real_correlation_sum(terms) -> PiecewisePoly:
     positive integer argument scales ``c_k`` and the layouts ``F_k``, ``G_k``
     of f_k and g_k, all at one scale L.  Only real parts are formed, and all
     terms go into one accumulation of one-sided terms in the common variable
-    ``Z = L lcm(c_k) t``: one sort and one running sum, brought back to x once.
+    ``Z = L lcm(c_k) t``.  A term at S in X = Z / r starts at z = S r, its
+    coefficients of ``(X - S)^j`` those of ``(Z - z)^j`` over ``r^j``; the
+    terms at one z are summed in that basis and shifted to Z once, before
+    the cut-off at t = 0.  One sort and one running sum, back to x once.
     """
     terms = [(w, c, F, G) for w, c, F, G in terms if w and F.re and G.re]
     if any(not (isinstance(c, int) and c > 0 and isinstance(w, int)) for w, c, _, _ in terms):
@@ -910,16 +956,15 @@ def real_correlation_sum(terms) -> PiecewisePoly:
     width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
     # X = L c t = Z / r with r = lcm(c) / c; over the common ``den * r^j``
     common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))
-    acc: dict = {}
+    local: dict = {}
     for w, r, re, den in parts:
         mult = [w * (common // (den * r**j)) for j in range(width)]
         for s, cs in re.items():
-            z = max(s * r, 0)  # t < 0 is cut off: those terms act from t = 0
-            cs = [m * x for m, x in zip(mult, cs)] + [0] * (width - len(cs))
-            cur = acc.get(z)
-            acc[z] = cs if cur is None else [a + b for a, b in zip(cur, cs)]
-    starts = sorted(acc.keys() | {0})
-    pieces = _running_sums(acc, starts, width, "real_correlation_sum")
+            local[s * r] = [a + m * x for a, m, x in zip_longest(local.get(s * r, ()), mult, cs, fillvalue=0)]
+    # t < 0 is cut off: the terms starting there act from t = 0, shifted to Z
+    local[0] = [sum(col) for col in zip([0] * width, *(_taylor_shift(cs, -z) for z, cs in local.items() if z <= 0))]
+    starts = sorted(z for z in local if z >= 0)
+    pieces = _running_sums(local, starts, width, "real_correlation_sum")
     return IntLayout(starts, terms[0][2].scale * lcm_c, common, pieces, None, width - 1).to_piecewise()
 
 

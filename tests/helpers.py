@@ -15,10 +15,14 @@ from splitnorm.multnorm import BoundReport, DiscreteMultiplier, _binom_factor, c
 from splitnorm.oscint import FTEvaluator, NumericNorm
 from splitnorm.polyalg import (
     ZERO_PP,
+    IntLayout,
     MonotoneVerdict,
     PiecewisePoly,
     Poly,
+    _int_mul_add,
     _pairs,
+    _product_jumps,
+    _taylor_shift,
     convolve,
     indicator,
     is_nonincreasing_on,
@@ -759,3 +763,45 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=F
             result=result,
         )
     return result
+
+
+def schoolbook_jump_pair_products(fj: list, gj: list) -> dict:
+    """start -> sum of the coefficient products of the jump pairs starting
+    there, one schoolbook product per pair: the oracle of the packed
+    ``polyalg._jump_pair_products``."""
+    acc: dict = {}
+    for b, a in fj:
+        for c, e in gj:
+            acc[b + c] = _int_mul_add(a, e, acc.get(b + c))
+    return acc
+
+
+def reference_real_correlation_sum(terms) -> PiecewisePoly:
+    """``polyalg.real_correlation_sum`` with one Taylor shift per one-sided
+    term: each term is moved to X on its own, then rescaled to Z, cut off at
+    t = 0, summed per start and then in a running sum."""
+    terms = [(w, c, F, G) for w, c, F, G in terms if w and F.re and G.re]
+    if not terms:
+        return ZERO_PP
+    lcm_c = math.lcm(*(c for _, c, _, _ in terms))
+    parts = []
+    for w, c, F, G in terms:
+        re, _, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        parts.append((w, lcm_c // c, {s: _taylor_shift(cs, -s) for s, cs in re.items()}, den))
+    width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
+    common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))
+    acc: dict = {}
+    for w, r, re, den in parts:
+        mult = [w * (common // (den * r**j)) for j in range(width)]
+        for s, cs in re.items():
+            z = max(s * r, 0)
+            cs = [m * x for m, x in zip(mult, cs)] + [0] * (width - len(cs))
+            cur = acc.get(z)
+            acc[z] = cs if cur is None else [a + b for a, b in zip(cur, cs)]
+    starts = sorted(acc.keys() | {0})
+    running, pieces = [0] * width, []
+    for s in starts:
+        running = [a + c for a, c in zip(running, acc.get(s, [0] * width))]
+        pieces.append(running)
+    assert not any(running), "the one-sided terms must cancel past the last start"
+    return IntLayout(starts, terms[0][2].scale * lcm_c, common, pieces[:-1], None, width - 1).to_piecewise()

@@ -79,6 +79,17 @@ GOLDEN_PROFILES = [
         SplitPair(plus=indicator(rat(-1, 2), 1) * rat(3, 2), minus=tent(-1, rat(-1, 3), rat(1, 2)),
                   A=1, b=rat(1, 2)), 6),
      "0f81a3050e136425eb60398a7252486ce67dec384eb3b3bbf2de3141885b8911"),
+    # large p: many pairs per start and wide packed digits in the engine
+    ("ind p40", lambda: norm_profile(CHI, 40),
+     "4cbc224f9c0c46b956172ca6d6c7e67f876ef423752a06fe355ba6649879ff00"),
+    ("tent p24", lambda: norm_profile(tent(-1, 0, 1), 24),
+     "b64de2a2ca2c1d2fc11f0a0be78ed7cd5cd93a47deb9a9216a60ba712eda29a9"),
+    ("complex p16", lambda: norm_profile(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 16),
+     "92ce629fcc3ce3f366f7c40b6e82a0f6bc33d19ef8b1448eec124967028572f8"),
+    ("gen p14", lambda: gen_profile(
+        SplitPair(plus=indicator(rat(-1, 2), 1) * rat(3, 2), minus=tent(-1, rat(-1, 3), rat(1, 2)),
+                  A=1, b=rat(1, 2)), 14),
+     "1b2b8d4562d414ff3c747cc7a02951e08c95ce790bec95f752a6bd19109df341"),
 ]
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitnorm import polyalg
 from splitnorm.errors import SplitnormError
 from splitnorm.polyalg import (
+    IntLayout,
     PiecewisePoly,
     Poly,
     convolve,
@@ -23,6 +26,7 @@ from splitnorm.polyalg import (
     isolate_real_roots,
     ZERO_PP,
     l2_inner,
+    real_correlation_sum,
     tent,
 )
 from splitnorm.scalars import gauss, rat
@@ -39,8 +43,10 @@ from .helpers import (
     poly_integral,
     rational_isolation_reference,
     reference_is_nondecreasing_on,
+    reference_real_correlation_sum,
     rnd_poly,
     rnd_pp,
+    schoolbook_jump_pair_products,
 )
 
 RNG_SEED = 20240811
@@ -171,6 +177,95 @@ def test_convolution_cancellation_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "raised convolve: one-sided terms failed to cancel" in proc.stdout
+
+
+def _random_jumps(rng: random.Random, length: int, count: int, starts: list) -> list:
+    """``count`` jumps of ``length`` integer coefficients: one-nonzero (as of
+    a B-spline), dense or all zero, of either sign, some above 2^200."""
+    out = []
+    for _ in range(count):
+        top = 1 << rng.choice((3, 40, 220))
+        kind = rng.choice(("one", "dense", "zero"))
+        cs = [0] * length
+        if kind == "one":
+            cs[rng.randrange(length)] = rng.choice((-1, 1)) * rng.randint(1, top)
+        elif kind == "dense":
+            cs = [rng.randint(-top, top) for _ in range(length)]
+        out.append((rng.choice(starts), cs))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_packed_pair_products_match_the_schoolbook(seed):
+    rng = random.Random(seed)
+    la, le = rng.randint(1, 6), rng.randint(1, 6)
+    # a narrow pool of breakpoints lands many pairs on one start
+    starts = [rng.randint(-9, 9) for _ in range(rng.choice((1, 2, 8)))]
+    fj = _random_jumps(rng, la, rng.randint(0, 6), starts)
+    gj = _random_jumps(rng, le, rng.randint(0, 6), starts)
+    assert polyalg._jump_pair_products(fj, gj) == schoolbook_jump_pair_products(fj, gj)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_pair_products_reach_the_digit_bound(sign):
+    # every coefficient at +-2^201 and every pair on one start: the middle
+    # output coefficient is pairs * min(len) * max|a| * max|e| exactly
+    top = 1 << 201
+    fj = [(0, [top] * 5)] * 7
+    gj = [(0, [sign * top] * 4)] * 6
+    out = polyalg._jump_pair_products(fj, gj)
+    assert out == schoolbook_jump_pair_products(fj, gj)
+    assert max(abs(c) for c in out[0]) == 7 * 6 * 4 * top * top
+
+
+def test_packed_pair_products_of_empty_and_zero_jumps():
+    fj = [(1, [0, 0, 0]), (2, [0, 5, 0])]
+    assert polyalg._jump_pair_products([], fj) == polyalg._jump_pair_products(fj, []) == {}
+    assert polyalg._jump_pair_products(fj, [(0, [0, 0])]) == {1: [0] * 4, 2: [0] * 4}
+    assert polyalg._jump_pair_products(fj, fj) == schoolbook_jump_pair_products(fj, fj)
+
+
+def _correlation_terms(rng, count):
+    """``count`` random ``(w, c, F, G)`` terms at one scale, real or complex,
+    with mixed argument scales c."""
+    fs = [rnd_pp(rng, max_pieces=3, max_deg=2, complex_ok=rng.random() < 0.5) for _ in range(2 * count)]
+    lays = IntLayout.of(*fs)
+    return [
+        (int(rng.choice([-3, -1, 1, 2, 5])), int(rng.integers(1, 5)), lays[2 * k], lays[2 * k + 1])
+        for k in range(count)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_one_shift_per_start_matches_the_per_term_shift(seed):
+    rng = np.random.default_rng(seed)
+    terms = _correlation_terms(rng, int(rng.integers(1, 5)))
+    assert real_correlation_sum(terms) == reference_real_correlation_sum(terms)
+
+
+def test_real_correlation_sum_shifts_once_per_distinct_start(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED)
+    terms = _correlation_terms(rng, 6)
+    lcm_c = math.lcm(*(c for _, c, _, _ in terms))
+    per_term = [
+        {s * (lcm_c // c) for s in polyalg._product_jumps(G, F.conj_reflected(), real_only=True)[0]}
+        for _, c, F, G in terms
+    ]
+    distinct = set().union(*per_term)
+    assert min(distinct) < 0  # some starts are cut off at t = 0
+    assert any(F.im is not None for _, _, F, _ in terms)
+    # the layouts keep their jumps and reflections: a second sum forms none
+    first = real_correlation_sum(terms)
+    for _, _, F, G in terms:
+        assert F.conj_reflected() is F.conj_reflected()
+        assert G.jumps("re") is G.jumps("re")
+    shifts = []  # the nonzero ones: a shift by 0 is a copy
+    shift = polyalg._taylor_shift
+    monkeypatch.setattr(polyalg, "_taylor_shift", lambda cs, h: (h and shifts.append(h)) or shift(cs, h))
+    assert real_correlation_sum(terms) == first
+    assert 0 < len(shifts) <= len(distinct) < sum(map(len, per_term))
 
 
 def test_correlate_indicator_autocorrelation():
