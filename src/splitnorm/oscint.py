@@ -90,7 +90,10 @@ class FTEvaluator:
     exactly, e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} with s = 1 / (2 pi i y),
     on the split phase e^{-2 pi i b mid} e^{-2 pi i b half x}: one exp per
     panel and breakpoint, one (breakpoints, nodes) table per panel width.
-    Each r contracts over the breakpoints once,
+    Every panel of one grid level of ``norm_numeric`` has one bitwise width
+    (its ends mid -+ half tile the grid up to the rounding of mid), so a
+    call from one level is one contraction of its rows as they are
+    (``_jump_sum``).  Each r contracts over the breakpoints once,
     H_r = sum_k e^{-2 pi i b_k mid} J[k][r] e^{-2 pi i b_k half x_j}, and a
     Horner pass in s finishes each node.  Where |2 pi y| * (support radius)
     < 1/2 a 12-term moment series avoids the cancellation between the terms.
@@ -138,8 +141,11 @@ class FTEvaluator:
         y = mid[:, None] + half[:, None] * np.asarray(nodes)
         w = 2.0 * np.pi * y
         small = np.abs(w) * self.radius < 0.5
-        # s = 1 / (i w) only where the jump rows serve, so y = 0 divides nothing
-        s = np.divide(1.0, 1j * w, out=np.zeros(y.shape, dtype=complex), where=~small)
+        # s = 1 / (i w) = -i / w only where the jump rows serve, so y = 0
+        # divides nothing: its imaginary part has the bits of numpy's complex
+        # quotient, and its real part is 0 where that quotient's is +-0
+        s = np.zeros(y.shape, dtype=complex)
+        np.divide(-1.0, w, out=s.imag, where=~small)
         out = self._jump_sum(mid, half, nodes, s)
         if small.any():
             out[small] = self._eval_series(y[small])
@@ -157,25 +163,40 @@ class FTEvaluator:
         return acc
 
     def _jump_sum(self, mid, half, nodes, s):
-        """sum_k e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} at the nodes y = mid_k + half_k x_j."""
+        """sum_k e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} at the nodes y = mid_k + half_k x_j.
+
+        The panels of one width share their node phases.  A call whose panels
+        all have one width, as every chunk of a grid level has (the level's
+        ends mid -+ half tile it up to the rounding of mid), is one
+        contraction of its rows as they are; a call that mixes widths, as a
+        bisection round can, contracts each width's rows apart.  Either way
+        each panel's bits are those of a call holding it alone.
+        """
         import numpy as np
 
         e_mid = np.exp(1j * (mid[:, None] * self._freqs))
+        if half.size and (half == half[0]).all():
+            return self._width_sum(e_mid, half[0], nodes, s)
         out = np.full(s.shape, np.nan, dtype=complex)  # a NaN width matches no group
-        # the panels of one width share their node phases; a dict groups the
-        # widths (np.unique imports numpy.ma, and a first np.argsort maps the
-        # vectorized sort's code: each costs a cold process some hundred KB)
+        # a dict groups the widths (np.unique imports numpy.ma, and a first
+        # np.argsort maps the vectorized sort's code: each costs a cold
+        # process some hundred KB)
         for width in dict.fromkeys(half.tolist()):
             group = np.flatnonzero(half == width)
-            e_node = np.exp(1j * np.outer(self._freqs, width * np.asarray(nodes)))
-            e_grp, s_grp = e_mid[group], s[group]
-            acc = 0.0
-            for r in reversed(range(self.jumps.shape[1])):
-                # einsum sums over k in order for each node on its own; BLAS
-                # would sum in an order that depends on how many panels came
-                acc = (acc + np.einsum("pk,kj->pj", e_grp * self.jumps[:, r], e_node)) * s_grp
-            out[group] = acc
+            out[group] = self._width_sum(e_mid[group], width, nodes, s[group])
         return out
+
+    def _width_sum(self, e_mid, width, nodes, s):
+        """``_jump_sum`` for panels of the one half-width ``width``, from their e^{-2 pi i b_k mid}."""
+        import numpy as np
+
+        e_node = np.exp(1j * np.outer(self._freqs, width * np.asarray(nodes)))
+        acc = 0.0
+        for r in reversed(range(self.jumps.shape[1])):
+            # einsum sums over k in order for each node on its own; BLAS
+            # would sum in an order that depends on how many panels came
+            acc = (acc + np.einsum("pk,kj->pj", e_mid * self.jumps[:, r], e_node)) * s
+        return acc
 
 
 @dataclass(frozen=True)
@@ -420,17 +441,17 @@ _NODE_CAP = 2 ** 20
 _PANEL_CHUNK = 2048
 
 
-def _panel_integrate(fn, lo, hi):
-    """Gauss-Kronrod on the panels [lo, hi]: (K15 values, |K15 - G7| errors).
+def _panel_integrate(fn, mid, half):
+    """Gauss-Kronrod on the panels [mid - half, mid + half]: (K15 values, |K15 - G7| errors).
 
     One integrand call, ``fn(mid, half)``, covers every panel's 15 nodes.
+    The panels of one grid level share one bitwise ``half``, and their ends
+    mid -+ half tile the grid up to the rounding of mid (``norm_numeric``).
     einsum takes each panel's weight sums over its own nodes, in order, so a
     panel's bits do not depend on which panels share its call.
     """
     import numpy as np
 
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
     fx = fn(mid, half)
     k15 = np.einsum("pj,j->p", fx, np.asarray(_GK_WK)) * half
     g7 = np.einsum("pj,j->p", fx, np.asarray(_GK_WG)) * half
@@ -445,7 +466,8 @@ def norm_numeric(
 ) -> NumericNorm:
     """(N_t f)^p = int |F[S_t f](y)|^p dy: exact at p = 2, else by adaptive quadrature.
 
-    At p = 2, Plancherel gives (N_t f)^2 = ||S_t f||_2^2, an exact rational,
+    At p = 2, Plancherel gives (N_t f)^2 = ||S_t f||_2^2 = ||f||_2^2 (S_t f
+    is two disjoint translates of the halves of f), an exact rational,
     rounded once: ``abs_error`` is 0 where the float is exact, else ulp(value).
 
     Any other p integrates phase-aligned Gauss-Kronrod panels on [-Y, Y]
@@ -453,10 +475,15 @@ def norm_numeric(
     whose transform is Hermitian, panels on [0, Y] integrate 2 |f^|^p), plus
     a tail beyond Y: the periodic mean of the transform's leading term with
     a proved remainder, or the proved envelope bound where that needs the
-    smaller Y (``_place_tail``).  Each bisection
-    round halves the worst 1/64 of the panels (at least one) by their error
-    estimate and evaluates all the halves' nodes in one batch, until the
-    summed estimates fall below half the quadrature target.
+    smaller Y (``_place_tail``).  A panel is its (mid, half), as in QUADPACK:
+    the n panels of the initial grid on [start, Y] have the one bitwise half
+    h/2, h = (Y - start) / n, and mid_k = start + (k + 1/2) h, and a bisected
+    panel's halves are (mid -+ half/2, half/2), so every panel of a grid
+    level has one width.  The ends mid -+ half tile [start, Y] up to the
+    rounding of mid.  Each bisection round halves the worst 1/64 of the
+    panels (at least one) by their error estimate and evaluates all the
+    halves' nodes in one batch, until the summed estimates fall below half
+    the quadrature target.
 
     The reported ``abs_error`` adds the quadrature part, the tail
     remainder, and a floating-point allowance.  The tail part is proved;
@@ -477,9 +504,10 @@ def norm_numeric(
     if f.is_zero():
         return NumericNorm(value=0.0, abs_error=0.0, p=p, t=float(t))
 
-    g = apply_split(f, rat(t))
+    shift = rat(t)  # refuses an infinite or NaN t, at p = 2 too
     if p == 2.0:
-        exact = l2_inner(g, g)
+        # S_t f is two disjoint translates of the halves of f: ||S_t f||_2 = ||f||_2
+        exact = l2_inner(f, f)
         try:
             value = float(exact)
         except OverflowError:
@@ -489,6 +517,7 @@ def norm_numeric(
 
     import numpy as np
 
+    g = apply_split(f, shift)
     try:
         evaluator = FTEvaluator(g)
     except OverflowError as exc:
@@ -511,34 +540,37 @@ def norm_numeric(
 
     # a huge p overflows |f^|^p: the finiteness check below decides, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        # from 0, not the right half of linspace(-Y, Y), whose middle edge need not be 0
-        edges = np.linspace(0.0 if fold else -Y, Y, n_panels + 1)
-        lo, hi = edges[:-1], edges[1:]
+        # the initial grid level: one bitwise half for every panel, so each
+        # chunk is one contraction in the evaluator
+        start = 0.0 if fold else -Y
+        h = (Y - start) / n_panels
+        mid = start + (np.arange(n_panels) + 0.5) * h
+        half = np.full(n_panels, 0.5 * h)
         vals, errs = np.empty(n_panels), np.empty(n_panels)
         for k in range(0, n_panels, _PANEL_CHUNK):
             chunk = slice(k, min(k + _PANEL_CHUNK, n_panels))
-            vals[chunk], errs[chunk] = _panel_integrate(integrand, lo[chunk], hi[chunk])
+            vals[chunk], errs[chunk] = _panel_integrate(integrand, mid[chunk], half[chunk])
         nodes_used = 30 * n_half  # the full grid's, folded or not (see _NODE_CAP)
 
-        # adaptive bisection of the worst panels, rows (lo, hi, value, error).
+        # adaptive bisection of the worst panels, rows (mid, half, value, error).
         # The rows stay in the order of a list sorted stably by error each
         # round, with the halves appended, and the stopping sum runs left to
         # right (cumsum, not the pairwise np.sum): the rounds and every bit
         # of the result are those of bisecting one panel at a time.
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
-        panels = np.column_stack((lo, hi, vals, errs))
+        panels = np.column_stack((mid, half, vals, errs))
         while np.cumsum(panels[:, 3])[-1] > 0.5 * quad_target and nodes_used + 30 <= _NODE_CAP:
             panels = panels[np.argsort(panels[:, 3], kind="stable")]
             keep = len(panels) - max(1, len(panels) // 64)
-            a, b = panels[keep:, 0], panels[keep:, 1]
-            mid = 0.5 * (a + b)
-            # each panel's halves [a, mid] and [mid, b] side by side, in the
-            # order of appending them when each panel was bisected alone
-            sub_lo = np.column_stack((a, mid)).ravel()
-            sub_hi = np.column_stack((mid, b)).ravel()
-            sub_vals, sub_errs = _panel_integrate(integrand, sub_lo, sub_hi)
-            panels = np.concatenate((panels[:keep], np.column_stack((sub_lo, sub_hi, sub_vals, sub_errs))))
-            nodes_used += 15 * len(sub_lo)
+            # each panel's halves (mid - half/2, half/2) and (mid + half/2,
+            # half/2) side by side, in the order of appending them when each
+            # panel was bisected alone; half/2 is exact, one grid level down
+            m, q = panels[keep:, 0], 0.5 * panels[keep:, 1]
+            sub_mid = np.column_stack((m - q, m + q)).ravel()
+            sub_half = np.repeat(q, 2)
+            sub_vals, sub_errs = _panel_integrate(integrand, sub_mid, sub_half)
+            panels = np.concatenate((panels[:keep], np.column_stack((sub_mid, sub_half, sub_vals, sub_errs))))
+            nodes_used += 15 * len(sub_mid)
 
     integral = math.fsum(panels[:, 2])
     quad_err = math.fsum(panels[:, 3])

@@ -733,7 +733,8 @@ class IntLayout:
         """The layout of the convolution, divided through by the gcd of its
         numerators and ``den``: without that, the integers of a ladder of
         convolutions grow rung by rung."""
-        re, im, den = _product_jumps(self, other)
+        re, im, weights, den = _product_jumps(self, other)
+        re, im = _weighted(re, weights), None if im is None else _weighted(im, weights)
         starts = sorted(re if im is None else re.keys() | im.keys())
         width = self.degree + other.degree + 2
         re = _running_sums(re, starts, width, "convolve")
@@ -856,15 +857,17 @@ def _add_into(dst: dict, src: dict, sign: int) -> dict:
 
 def _product_jumps(F: IntLayout, G: IntLayout, real_only: bool = False):
     """One-sided terms of the convolution f * g of the layouts F and G, each
-    in its start's local basis: ``(re, im, den)``.
+    in its start's local basis: ``(re, im, weights, den)``.
 
-    ``re`` and ``im`` map each start S to the integer coefficients of J_S,
+    ``re`` and ``im`` map each start S to the integer coefficient products of
+    its jump pairs; with ``weights`` (``_weighted``) they give J_S,
     ``(f * g)(x) = sum_S H(X - S) J_S(X - S) / den``, unshifted, so that a
-    caller summing many products shifts each start once; ``im`` is None
-    for a real product or when ``real_only`` is set.  With
-    ``M = (deg F + deg G + 1)!`` and the jumps scaled by ``m!``, the jump
-    pair ``(u^m H) * (u^n H) = v^{m+n+1} m! n! / (m+n+1)!`` becomes the
-    integer weight ``M / (m+n+1)!`` on the product coefficient of ``v^{m+n}``.
+    caller summing many products shifts each start once and can fold its own
+    rescaling into the one weighting pass; ``im`` is None for a real product
+    or when ``real_only`` is set.  With ``M = (deg F + deg G + 1)!`` and the
+    jumps scaled by ``m!``, the jump pair ``(u^m H) * (u^n H) = v^{m+n+1} m!
+    n! / (m+n+1)!`` becomes the integer weight ``weights[m+n+1] = M /
+    (m+n+1)!`` on the product coefficient of ``v^{m+n}``.
     """
     fr, gr = F.jumps("re"), G.jumps("re")
     re = _jump_pair_products(fr, gr)
@@ -882,12 +885,13 @@ def _product_jumps(F: IntLayout, G: IntLayout, real_only: bool = False):
     length = F.degree + G.degree + 1
     big_m = math.factorial(length)
     weights = [0] + [big_m // math.factorial(k + 1) for k in range(length)]
-
-    def weighted(acc):
-        return {s: [w * c for w, c in zip(weights, [0] + cs)] for s, cs in acc.items()}
-
     # (f * g)(x) = (F * G)(X) / L
-    return weighted(re), None if im is None else weighted(im), big_m * F.den * G.den * F.scale
+    return re, im, weights, big_m * F.den * G.den * F.scale
+
+
+def _weighted(acc: dict, weights: list) -> dict:
+    """start -> J_S: coefficient j is ``weights[j]`` times product coefficient j - 1."""
+    return {s: [w * c for w, c in zip(weights, [0] + cs)] for s, cs in acc.items()}
 
 
 def _running_sums(jumps: dict, starts: list, width: int, what: str) -> list:
@@ -951,16 +955,18 @@ def real_correlation_sum(terms) -> PiecewisePoly:
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     parts = []
     for w, c, F, G in terms:
-        re, _, den = _product_jumps(G, F.conj_reflected(), real_only=True)
-        parts.append((w, lcm_c // c, re, den))
+        re, _, weights, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        parts.append((w, lcm_c // c, re, weights, den))
     width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
     # X = L c t = Z / r with r = lcm(c) / c; over the common ``den * r^j``
-    common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))
+    common = math.lcm(*(den * r ** (width - 1) for _, r, _, _, den in parts))
     local: dict = {}
-    for w, r, re, den in parts:
-        mult = [w * (common // (den * r**j)) for j in range(width)]
+    for w, r, re, weights, den in parts:
+        # the product weights and the rescaling to ``common`` in one vector,
+        # so that each start's products are walked once
+        mult = [w * k * (common // (den * r**j)) for j, k in zip_longest(range(width), weights, fillvalue=0)]
         for s, cs in re.items():
-            local[s * r] = [a + m * x for a, m, x in zip_longest(local.get(s * r, ()), mult, cs, fillvalue=0)]
+            local[s * r] = [a + m * x for a, m, x in zip_longest(local.get(s * r, ()), mult, [0] + cs, fillvalue=0)]
     # t < 0 is cut off: the terms starting there act from t = 0, shifted to Z
     local[0] = [sum(col) for col in zip([0] * width, *(_taylor_shift(cs, -z) for z, cs in local.items() if z <= 0))]
     starts = sorted(z for z in local if z >= 0)

@@ -23,6 +23,7 @@ from splitnorm.polyalg import (
     _pairs,
     _product_jumps,
     _taylor_shift,
+    _weighted,
     convolve,
     indicator,
     is_nonincreasing_on,
@@ -673,18 +674,14 @@ def reference_periodic_mean(steps, coeffs, C1, p, n):
     return total / n, p * (1.0 + delta) ** (p - 1.0) * (delta + u) + (math.log2(n) + 2.0) * u
 
 
-def _reference_panel_integrate(fn, edges):
-    vals = np.empty(len(edges) - 1)
-    errs = np.empty(len(edges) - 1)
-    for lo in range(0, len(edges) - 1, oscint._PANEL_CHUNK):
-        hi = min(lo + oscint._PANEL_CHUNK, len(edges) - 1)
-        a = edges[lo:hi]
-        b = edges[lo + 1 : hi + 1]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        fx = fn(mid, half)
-        k15 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WK)) * half
-        g7 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WG)) * half
+def _reference_panel_integrate(fn, mid, half):
+    vals = np.empty(len(mid))
+    errs = np.empty(len(mid))
+    for lo in range(0, len(mid), oscint._PANEL_CHUNK):
+        hi = min(lo + oscint._PANEL_CHUNK, len(mid))
+        fx = fn(mid[lo:hi], half[lo:hi])
+        k15 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WK)) * half[lo:hi]
+        g7 = np.einsum("pj,j->p", fx, np.asarray(oscint._GK_WG)) * half[lo:hi]
         vals[lo:hi] = k15
         errs[lo:hi] = np.abs(k15 - g7)
     return vals, errs
@@ -693,11 +690,14 @@ def _reference_panel_integrate(fn, edges):
 def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=False):
     """Test oracle: ``norm_numeric`` as it was before the bisection rounds
     were batched, with a list of panel tuples and one ``_panel_integrate``
-    call per bisected panel.  The evaluator's panel form and the tail from
-    ``_place_tail`` are the library's own.  A real split function is
-    integrated on [0, Y], counted twice, with nodes counted on the full
-    grid, as the library does; ``full_line`` integrates every input on
-    [-Y, Y], as the library did before it folded.
+    call per bisected panel.  Panels are (mid, half) pairs: the initial
+    grid gives every panel the half-width h/2 of its n panels of width h,
+    and a bisected panel's halves are (mid -+ half/2, half/2).  The
+    evaluator's panel form and the tail from ``_place_tail`` are the
+    library's own.  A real split function is integrated on [0, Y], counted
+    twice, with nodes counted on the full grid, as the library does;
+    ``full_line`` integrates every input on [-Y, Y], as the library did
+    before it folded.
 
     ``stats``, a ``collections.Counter`` if given, counts the bisection
     rounds ("rounds") and the panels they bisect ("bisected").
@@ -726,26 +726,26 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=F
         return np.abs(evaluator.on_panels(mid, half)) ** p * (2.0 if fold else 1.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linspace(0.0, Y, n_half + 1) if fold else np.linspace(-Y, Y, 2 * n_half + 1)
-        vals, errs = _reference_panel_integrate(integrand, edges)
+        start, n_panels = (0.0, n_half) if fold else (-Y, 2 * n_half)
+        h = (Y - start) / n_panels
+        mid = start + (np.arange(n_panels) + 0.5) * h
+        half = np.full(n_panels, 0.5 * h)
+        vals, errs = _reference_panel_integrate(integrand, mid, half)
         nodes_used = 2 * n_half * 15
 
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
-        intervals = list(zip(edges[:-1], edges[1:], vals, errs))
+        intervals = list(zip(mid, half, vals, errs))
         while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= oscint._NODE_CAP:
             intervals.sort(key=lambda iv: iv[3])
             worst = intervals[-max(1, len(intervals) // 64) :]
             keep = intervals[: -len(worst)]
             stats["rounds"] += 1
             stats["bisected"] += len(worst)
-            new_edges = []
-            for a, b, _, _ in worst:
-                new_edges.extend([a, 0.5 * (a + b), b])
-            sub_edges = np.array(new_edges)
-            for k in range(0, len(sub_edges), 3):
-                e = sub_edges[k : k + 3]
-                v, er = _reference_panel_integrate(integrand, e)
-                keep.extend([(e[0], e[1], v[0], er[0]), (e[1], e[2], v[1], er[1])])
+            for m, q, _, _ in worst:
+                sub_mid = np.array([m - 0.5 * q, m + 0.5 * q])
+                sub_half = np.array([0.5 * q, 0.5 * q])
+                v, er = _reference_panel_integrate(integrand, sub_mid, sub_half)
+                keep.extend(zip(sub_mid, sub_half, v, er))
                 nodes_used += 30
             intervals = keep
 
@@ -786,7 +786,8 @@ def reference_real_correlation_sum(terms) -> PiecewisePoly:
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     parts = []
     for w, c, F, G in terms:
-        re, _, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        re, _, weights, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        re = _weighted(re, weights)
         parts.append((w, lcm_c // c, {s: _taylor_shift(cs, -s) for s, cs in re.items()}, den))
     width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
     common = math.lcm(*(den * r ** (width - 1) for _, r, _, den in parts))

@@ -144,15 +144,15 @@ def _numeric_golden_doc(f, ps, target):
 # is ||f||_2^2 rounded once)
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "e71a1feea9b33210838fa4312f6e7c940e8167b127d352c822df2be104ff5a77"),
+     "1f6009b38992037b5f9d55b5fa8b50febc28abc09233b6a23efef3b3de25fdbf"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "c73daedb89ce07533ad22bd4c72008a52bc7dba340dc2caeaec6ace4abce3db5"),
+     "ba27968b9fddb94359256c8f8b27661ccd27205472218f87bbbfa5408b86e73d"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "5cade9eda8f4606e304ef400815f5a28fcf58bbb0e4f1cf48095c276ab736d05"),
+     "60498dce9cce18fc528145a3ab8c2744fadb004ab918a058c010677fa87a5923"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "6fc01232bc3f88e6766ce1282f4dd769911a2ce59601ad809ccd231d8c90ca57"),
+     "584e00873daa9aed9bcdf3e806fa39ce6d64170f6da07115944c44d5a2b3fb7f"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "8ac9304aa7edc91e3d8a893b37b5f86f309d453e7753a08756efb2224ecb3579"),
+     "89f05d42b0372b27e778aa8e098a0bf8cfff65d1185b18981c6644b238fd6b49"),
 ]
 
 

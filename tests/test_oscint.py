@@ -136,6 +136,31 @@ def test_norm_numeric_p2_is_the_rounded_l2_norm(t):
     assert exact_floats == {True, False}
 
 
+def test_norm_numeric_p2_builds_no_split_function(monkeypatch):
+    # ||S_t f||_2 = ||f||_2, so p = 2 never calls apply_split; an infinite
+    # or NaN t is still refused, as at every other p, by its conversion
+    calls = Counter()
+    inner = oscint.apply_split
+
+    def counting_split(f, t):
+        calls["n"] += 1
+        return inner(f, t)
+
+    monkeypatch.setattr(oscint, "apply_split", counting_split)
+    for f in P2_CASES:
+        for t in (0.0, 0.25, 12.0):
+            norm_numeric(f, 2.0, t, target_abs_err=1e-6)
+    assert calls["n"] == 0
+    for p in (2.0, 3.0):
+        with pytest.raises(OverflowError, match="cannot convert Infinity to integer ratio"):
+            norm_numeric(CHI, p, math.inf)
+        with pytest.raises(ValueError, match="cannot convert NaN to integer ratio"):
+            norm_numeric(CHI, p, math.nan)
+    assert calls["n"] == 0
+    norm_numeric(CHI, 3.0, 1.0, target_abs_err=1e-3)
+    assert calls["n"] == 1
+
+
 def test_norm_numeric_p2_budget_exceeded_carries_result():
     # 2/3 is no float, so the one rounding is the error: a target below it fails
     res = norm_numeric(tent(-1, 0, 1), 2.0, 0.25, target_abs_err=1e-6)
@@ -350,16 +375,15 @@ def test_a_panels_bits_do_not_depend_on_its_batch():
     order = np.random.default_rng(2).permutation(len(mid))[:3000]
     mid, half = mid[order], half[order]
     assert len(set(half.tolist())) > 1
-    lo, hi = mid - half, mid + half
 
     def integrand(m, h):
         return np.abs(ev.on_panels(m, h)) ** 3.0
 
-    whole, sums = ev.on_panels(mid, half), oscint._panel_integrate(integrand, lo, hi)
+    whole, sums = ev.on_panels(mid, half), oscint._panel_integrate(integrand, mid, half)
     for size in (1, 2, 3, 64):
         chunks = [ev.on_panels(mid[k : k + size], half[k : k + size]) for k in range(0, len(mid), size)]
         assert np.array_equal(np.concatenate(chunks), whole), size
-        chunks = [oscint._panel_integrate(integrand, lo[k : k + size], hi[k : k + size]) for k in range(0, len(lo), size)]
+        chunks = [oscint._panel_integrate(integrand, mid[k : k + size], half[k : k + size]) for k in range(0, len(mid), size)]
         for got, want in zip(map(np.concatenate, zip(*chunks)), sums):
             assert np.array_equal(got, want), size
 
@@ -427,6 +451,59 @@ def test_folded_norm_matches_the_full_line():
                     assert got is want is None and got_msg == want_msg, (f, p, t, target)
                 else:
                     assert abs(got.value - want.value) <= got.abs_error + want.abs_error, (f, p, t, target)
+
+
+def test_each_grid_level_has_one_bitwise_width(monkeypatch):
+    # the initial grid is n panels (start + (k + 1/2) h, h/2): every one of
+    # its chunks reaches the evaluator with the one bitwise half h/2, and
+    # the implied ends mid -+ half tile [start, Y] up to the rounding of mid.
+    # A bisected panel (m, q) gives the pair (m - q/2, q/2), (m + q/2, q/2),
+    # each child an exact half of a panel evaluated before
+    from splitnorm.cli import parse_function_spec
+
+    calls = []
+    inner = FTEvaluator.on_panels
+
+    def recording_call(self, mid, half):
+        calls.append((mid.copy(), half.copy()))
+        return inner(self, mid, half)
+
+    monkeypatch.setattr(FTEvaluator, "on_panels", recording_call)
+    complex_f = parse_function_spec("ind:0,1 + i*ind:-1,0")
+    chunked = mixed = 0
+    for f, p, t, target in ((CHI, 3.0, 5.0, 1e-6), (complex_f, 3.0, 5.0, 1e-6), (CHI, 6.0, 0.25, 1e-11)):
+        calls.clear()
+        norm_numeric(f, p, t, target_abs_err=target)
+        g = apply_split(f, rat(t))
+        Y = oscint._place_tail(FTEvaluator(g), p, target)[0]
+        n_half = math.ceil(Y / (1.0 / (4.0 * max(1.0, float(g.support_radius())))))
+        start, n_panels = (0.0, n_half) if g.is_real() else (-Y, 2 * n_half)
+        n_chunks = -(-n_panels // oscint._PANEL_CHUNK)
+        chunked += n_chunks > 1
+        initial, rounds = calls[:n_chunks], calls[n_chunks:]
+        assert [len(set(half.tolist())) for _, half in initial] == [1] * n_chunks
+        mid, half = (np.concatenate(col) for col in zip(*initial))
+        assert len(mid) == n_panels and set(half.tolist()) == {0.5 * ((Y - start) / n_panels)}
+        assert mid[0] - half[0] == start and abs(mid[-1] + half[-1] - Y) <= math.ulp(Y)
+        # each mid within 1.5 ulp(Y) (its product and its sum), each end 1/2 more
+        assert np.all(np.abs((mid[1:] - half[1:]) - (mid[:-1] + half[:-1])) <= 4.0 * math.ulp(Y))
+
+        seen = {}  # half -> the mids evaluated at that half-width
+        for m, q in zip(mid.tolist(), half.tolist()):
+            seen.setdefault(q, set()).add(m)
+        assert rounds, (f, p, t)
+        for sub_mid, sub_half in rounds:
+            mixed += len(set(sub_half.tolist())) > 1
+            for (lo_mid, hi_mid), (q, q2) in zip(sub_mid.reshape(-1, 2).tolist(), sub_half.reshape(-1, 2).tolist()):
+                assert q == q2
+                # the parent (m, 2q): m is lo_mid + q up to its rounding
+                guess = lo_mid + q
+                parents = [m for m in (guess, *np.nextafter(guess, [-math.inf, math.inf]).tolist())
+                           if m in seen.get(2.0 * q, ()) and m - q == lo_mid and m + q == hi_mid]
+                assert parents, (f, p, t, lo_mid, hi_mid, q)
+            for m, q in zip(sub_mid.tolist(), sub_half.tolist()):
+                seen.setdefault(q, set()).add(m)
+    assert chunked == 2 and mixed > 0
 
 
 def test_only_real_inputs_fold(monkeypatch):
