@@ -409,20 +409,18 @@ class EstimateResult:
         }
 
 
-def _pnorm(v: np.ndarray, p: float) -> float:
-    import numpy as np
+def _pnorm(av: np.ndarray, p: float) -> float:
+    """||v||_p from av = |v|."""
+    return float((av ** p).sum() ** (1.0 / p))
 
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
-
-def _dual_power(v: np.ndarray, q: float) -> np.ndarray:
-    """|v|^{q-1} sgn(v), the duality map used by the ascent, up to a
-    positive factor: where the power would overflow or underflow (q near 1
-    makes q - 1 large), v is first divided by max|v|.  The ascent
+def _dual_power(v: np.ndarray, q: float, av: np.ndarray) -> np.ndarray:
+    """|v|^{q-1} sgn(v), with av = |v|, the duality map used by the ascent,
+    up to a positive factor: where the power would overflow or underflow (q
+    near 1 makes q - 1 large), v is first divided by max|v|.  The ascent
     normalises the result, so only the overflow or underflow changes."""
     import numpy as np
 
-    av = np.abs(v)
     top = av.max(initial=0.0)
     if top > 0 and abs((q - 1.0) * math.log(top)) > 700.0:
         v = v / top
@@ -463,7 +461,7 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
     total_iters = 0
     converged = False
     for idx, f in enumerate(starts):
-        nf = _pnorm(f, p)
+        nf = _pnorm(np.abs(f), p)
         if nf == 0:
             continue
         f = f / nf
@@ -472,10 +470,12 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
         share = max(1, (budget - total_iters) // (len(starts) - idx))
         if total_iters >= budget:
             break
-        # (f, g, q) = (iterate, its image, ||g||_p); an accepted step carries
-        # the image it was tested with, so no image is computed twice
+        # (f, g, ag, q) = (iterate, its image, |g|, ||g||_p); an accepted step
+        # carries the image it was tested with, so no image or |image| is
+        # computed twice
         g = apply(f)
-        q = _pnorm(g, p)
+        ag = np.abs(g)
+        q = _pnorm(ag, p)
         for step in range(share):
             total_iters += 1
             if q > best_q:
@@ -492,19 +492,20 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
                 break
             if step == share - 1:  # no iteration is left to record a further step
                 break
-            u = apply_adj(_dual_power(g, p))
+            u = apply_adj(_dual_power(g, p, ag))
             if real_test_functions:
                 u = u.real
-            cand = _dual_power(u, q_dual)
-            nc = _pnorm(cand, p)
+            cand = _dual_power(u, q_dual, np.abs(u))
+            nc = _pnorm(np.abs(cand), p)
             if nc == 0:
                 break
             cand = cand / nc
             g_cand = apply(cand)
-            q_cand = _pnorm(g_cand, p)
+            ag_cand = np.abs(g_cand)
+            q_cand = _pnorm(ag_cand, p)
             if not q_cand >= q * (1.0 - 1e-13):
                 break
-            f, g, q = cand, g_cand, q_cand
+            f, g, ag, q = cand, g_cand, ag_cand, q_cand
     return best_q, best_f, converged, total_iters, history
 
 

@@ -115,17 +115,19 @@ class FTEvaluator:
         (lay,) = IntLayout.of(f)
         self.breaks, self.jumps = _boundary_expansion(lay)
         self._freqs = -2.0 * np.pi * np.array([float(b) for b in self.breaks])
-        self._moments = np.zeros(_SERIES_TERMS, dtype=complex)
         m_max = _SERIES_TERMS + lay.degree
         big = math.lcm(*range(1, m_max + 1))
+        dens = [lay.den * lay.scale ** (n + 1) * big for n in range(_SERIES_TERMS)]
+        # Python complex sums: the bits of summing into the array, without its item access
+        moments = [0j] * _SERIES_TERMS
         for a, b, re, im in zip(lay.bps, lay.bps[1:], lay.re, lay.im or [()] * len(lay.re)):
             # antis[m - 1] = big (b^m - a^m) / m, so moment n of this piece is
             # sum_j C_j antis[n + j] / (den L^{n+1} big)
             antis = [big // m * (b ** m - a ** m) for m in range(1, m_max + 1)]
-            for n in range(_SERIES_TERMS):
-                den = lay.den * lay.scale ** (n + 1) * big
+            for n, den in enumerate(dens):
                 num_re, num_im = (sum(c * d for c, d in zip(cs, antis[n:])) for cs in (re, im))
-                self._moments[n] += complex(num_re / den, num_im / den)
+                moments[n] += complex(num_re / den, num_im / den)
+        self._moments = np.array(moments)
 
     def __call__(self, y):
         import numpy as np
@@ -432,13 +434,18 @@ def _place_tail(evaluator: FTEvaluator, p: float, target_abs_err: float):
 # the norm computation
 # ---------------------------------------------------------------------------
 
-# the most integrand evaluations norm_numeric makes (15 per panel), counted on
-# the full grid: a grid folded onto [0, Y] counts [-Y, Y]'s 2Y/width panels and
-# 30 per bisected panel, so it refuses the same jobs and stops at the same count
+# the most integrand evaluations norm_numeric makes (15 per panel), which no
+# bisection round passes, counted on the full grid: a grid folded onto [0, Y]
+# counts 2Y/width panels and 30 per bisected panel, as the full line would
 _NODE_CAP = 2 ** 20
 # panels per vectorized Gauss-Kronrod batch of the initial grid: it bounds
 # the batch's memory and moves no result
 _PANEL_CHUNK = 2048
+
+
+def _panel_width(radius: float) -> float:
+    """The initial panel width: half the period of the fastest phase e^{-2 pi i b y}, |b| <= radius."""
+    return 1.0 / (2.0 * max(1.0, radius))
 
 
 def _panel_integrate(fn, mid, half):
@@ -471,7 +478,7 @@ def norm_numeric(
     rounded once: ``abs_error`` is 0 where the float is exact, else ulp(value).
 
     Any other p integrates phase-aligned Gauss-Kronrod panels on [-Y, Y]
-    (panel width a quarter of the fastest oscillation; for a real S_t f,
+    (panel width half the period of the fastest phase; for a real S_t f,
     whose transform is Hermitian, panels on [0, Y] integrate 2 |f^|^p), plus
     a tail beyond Y: the periodic mean of the transform's leading term with
     a proved remainder, or the proved envelope bound where that needs the
@@ -480,10 +487,12 @@ def norm_numeric(
     h/2, h = (Y - start) / n, and mid_k = start + (k + 1/2) h, and a bisected
     panel's halves are (mid -+ half/2, half/2), so every panel of a grid
     level has one width.  The ends mid -+ half tile [start, Y] up to the
-    rounding of mid.  Each bisection round halves the worst 1/64 of the
-    panels (at least one) by their error estimate and evaluates all the
-    halves' nodes in one batch, until the summed estimates fall below half
-    the quadrature target.
+    rounding of mid.  Each bisection round sorts the panels by their error
+    estimate and halves the worst: at least one, 1/64 of the panels, and the
+    fewest whose estimates reach the excess of the sum over half the
+    quadrature target, but no more than the node cap leaves room for.  It
+    evaluates all the halves' nodes in one batch, and the rounds go on until
+    the summed estimates fall below half the quadrature target.
 
     The reported ``abs_error`` adds the quadrature part, the tail
     remainder, and a floating-point allowance.  The tail part is proved;
@@ -523,7 +532,7 @@ def norm_numeric(
     except OverflowError as exc:
         raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
     Y, tail_value, tail_err = _place_tail(evaluator, p, target_abs_err)
-    width = 1.0 / (4.0 * max(1.0, evaluator.radius))
+    width = _panel_width(evaluator.radius)
     nodes = 2.0 * Y / width * 15.0
     if nodes > _NODE_CAP:
         raise BudgetExceeded(
@@ -554,14 +563,18 @@ def norm_numeric(
 
         # adaptive bisection of the worst panels, rows (mid, half, value, error).
         # The rows stay in the order of a list sorted stably by error each
-        # round, with the halves appended, and the stopping sum runs left to
-        # right (cumsum, not the pairwise np.sum): the rounds and every bit
-        # of the result are those of bisecting one panel at a time.
+        # round, with the halves appended, and the stopping sum and the
+        # worst-first sum run left to right (cumsum, not the pairwise np.sum):
+        # the rounds and every bit of the result are those of bisecting one
+        # panel at a time.
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
         panels = np.column_stack((mid, half, vals, errs))
-        while np.cumsum(panels[:, 3])[-1] > 0.5 * quad_target and nodes_used + 30 <= _NODE_CAP:
+        while (excess := np.cumsum(panels[:, 3])[-1] - 0.5 * quad_target) > 0 and nodes_used + 30 <= _NODE_CAP:
+            n = len(panels)
             panels = panels[np.argsort(panels[:, 3], kind="stable")]
-            keep = len(panels) - max(1, len(panels) // 64)
+            # the fewest worst panels whose estimates, summed worst first, reach the excess
+            reach = np.searchsorted(np.cumsum(panels[::-1, 3]), excess) + 1
+            keep = n - min(max(1, n // 64, reach), n, (_NODE_CAP - nodes_used) // 30)
             # each panel's halves (mid - half/2, half/2) and (mid + half/2,
             # half/2) side by side, in the order of appending them when each
             # panel was bisected alone; half/2 is exact, one grid level down

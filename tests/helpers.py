@@ -692,12 +692,13 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=F
     were batched, with a list of panel tuples and one ``_panel_integrate``
     call per bisected panel.  Panels are (mid, half) pairs: the initial
     grid gives every panel the half-width h/2 of its n panels of width h,
-    and a bisected panel's halves are (mid -+ half/2, half/2).  The
-    evaluator's panel form and the tail from ``_place_tail`` are the
-    library's own.  A real split function is integrated on [0, Y], counted
-    twice, with nodes counted on the full grid, as the library does;
-    ``full_line`` integrates every input on [-Y, Y], as the library did
-    before it folded.
+    and a bisected panel's halves are (mid -+ half/2, half/2).  A round
+    bisects the worst panels the library's rule picks, its excess summed
+    left to right as the library's cumsum sums it.  The evaluator's panel
+    form and the tail from ``_place_tail`` are the library's own.  A real
+    split function is integrated on [0, Y], counted twice, with nodes
+    counted on the full grid, as the library does; ``full_line`` integrates
+    every input on [-Y, Y], as the library did before it folded.
 
     ``stats``, a ``collections.Counter`` if given, counts the bisection
     rounds ("rounds") and the panels they bisect ("bisected").
@@ -713,7 +714,7 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=F
     evaluator = FTEvaluator(g)
     Y, tail_value, tail_err = oscint._place_tail(evaluator, p, target_abs_err)
     radius = float(g.support_radius())
-    width = 1.0 / (4.0 * max(1.0, radius))
+    width = oscint._panel_width(radius)
     nodes = 2.0 * Y / width * 15.0
     if nodes > oscint._NODE_CAP:
         raise BudgetExceeded(
@@ -735,10 +736,24 @@ def reference_norm_numeric(f, p, t, target_abs_err=1e-6, stats=None, full_line=F
 
         quad_target = max(target_abs_err - tail_err, target_abs_err * 0.5)
         intervals = list(zip(mid, half, vals, errs))
-        while sum(iv[3] for iv in intervals) > 0.5 * quad_target and nodes_used + 30 <= oscint._NODE_CAP:
+        while True:
+            excess = 0.0  # summed left to right, as the library's cumsum sums
+            for iv in intervals:
+                excess += iv[3]
+            excess -= 0.5 * quad_target
+            if not (excess > 0 and nodes_used + 30 <= oscint._NODE_CAP):
+                break
             intervals.sort(key=lambda iv: iv[3])
-            worst = intervals[-max(1, len(intervals) // 64) :]
-            keep = intervals[: -len(worst)]
+            # the fewest worst panels whose estimates, summed worst first, reach the excess
+            n = len(intervals)
+            reach, acc = n, 0.0
+            for i, iv in enumerate(reversed(intervals)):
+                acc += iv[3]
+                if acc >= excess:
+                    reach = i + 1
+                    break
+            count = min(max(1, n // 64, reach), n, (oscint._NODE_CAP - nodes_used) // 30)
+            worst, keep = intervals[-count:], intervals[:-count]
             stats["rounds"] += 1
             stats["bisected"] += len(worst)
             for m, q, _, _ in worst:

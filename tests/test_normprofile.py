@@ -144,15 +144,15 @@ def _numeric_golden_doc(f, ps, target):
 # is ||f||_2^2 rounded once)
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "1f6009b38992037b5f9d55b5fa8b50febc28abc09233b6a23efef3b3de25fdbf"),
+     "fbc499b88aaec5e7257824a6848890ad8bd47b69ff95b3ad2a18f7f556089299"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "ba27968b9fddb94359256c8f8b27661ccd27205472218f87bbbfa5408b86e73d"),
+     "2185caa910ff78fb3cf3dc9e714de090100d4aaa89cefa3800663994128c1e95"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "60498dce9cce18fc528145a3ab8c2744fadb004ab918a058c010677fa87a5923"),
+     "8428d372db7385f5d5b6c19d4907cee448c906ecae38d7f157432f80f2692ddc"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "584e00873daa9aed9bcdf3e806fa39ce6d64170f6da07115944c44d5a2b3fb7f"),
+     "2eb7fef3c4682d96d4da78ab7802f5016ad34eaf778c9e2f353c63a984dae6b6"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "89f05d42b0372b27e778aa8e098a0bf8cfff65d1185b18981c6644b238fd6b49"),
+     "18ccfd1fa7b41b2890eccdd5f8a509ee906281002086082b3940b4f512519f4b"),
 ]
 
 

@@ -171,11 +171,18 @@ def test_norm_numeric_p2_budget_exceeded_carries_result():
 
 
 def test_norm_numeric_even_p_cross_check():
-    prof = norm_profile(CHI, 4)
-    for t in [rat(0), rat(1, 3), rat(1)]:
-        exact = float(prof.value_at(t))
-        res = norm_numeric(CHI, 4.0, float(t), target_abs_err=1e-6)
-        assert abs(res.value - exact) <= res.abs_error <= 1e-6
+    # at p = 4 and 6 the exact engine gives (N_t f)^p: on the benchmark's four
+    # inputs, at every t and target, the reported error bar encloses it at
+    # the float t (1/3 is no dyadic rational, so its tail takes the envelope)
+    from splitnorm.cli import parse_function_spec
+
+    complex_f = parse_function_spec("ind:0,1 + i*ind:-1,0")
+    for f in (CHI, tent(-1, 0, 1), TWO_BUMP, complex_f):
+        for p in (4, 6):
+            prof = norm_profile(f, p)
+            for t, target in itertools.product((0.0, 1 / 3, 0.25, 1.0, 5.0, 12.0), (1e-3, 1e-6)):
+                res = norm_numeric(f, p, t, target_abs_err=target)
+                assert abs(rat(res.value) - prof.value_at(rat(t))) <= rat(res.abs_error), (f, p, t, target)
 
 
 def test_norm_numeric_p3_table():
@@ -302,7 +309,7 @@ def test_norm_numeric_matches_the_reference_loop_bit_for_bit():
 def _mixed_width_grid(radius, Y, seed):
     """Panel (mid, half) of the norm_numeric grid on [-Y, Y], with a random
     eighth of its panels bisected as a round would, so that widths mix."""
-    width = 1.0 / (4.0 * max(1.0, radius))
+    width = oscint._panel_width(radius)
     edges = np.linspace(-Y, Y, 2 * int(math.ceil(Y / width)) + 1)
     lo, hi = edges[:-1], edges[1:]
     split = np.random.default_rng(seed).random(len(lo)) < 0.125
@@ -411,9 +418,9 @@ def test_mirrored_panels_are_conjugate_for_real_input():
 
 
 def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
-    # one call for the initial grid (335 panels on [0, Y], one batch) and one
+    # one call for the initial grid (168 panels on [0, Y], one batch) and one
     # per round, where the one-panel-at-a-time loop made one per bisected
-    # panel.  At p = 8 the folded grid bisects one panel a round
+    # panel: here 3 rounds bisect 29 panels
     stats = Counter()
     want = reference_norm_numeric(CHI, 6.0, 0.25, 1e-11, stats=stats)
     assert stats["bisected"] > stats["rounds"] > 1
@@ -429,6 +436,32 @@ def test_each_bisection_round_is_one_evaluator_call(monkeypatch):
     got = norm_numeric(CHI, 6.0, 0.25, target_abs_err=1e-11)
     assert calls["n"] == 1 + stats["rounds"]
     assert got == want
+
+
+def test_no_bisection_round_passes_the_node_cap(monkeypatch):
+    # a cap one node short of the first round's bisections cuts that round
+    # to one panel fewer and ends the run there, in the library and in the
+    # oracle alike (both read the cap at call time)
+    sizes = []
+    inner = FTEvaluator.on_panels
+
+    def recording_call(self, mid, half):
+        sizes.append(len(mid))
+        return inner(self, mid, half)
+
+    monkeypatch.setattr(FTEvaluator, "on_panels", recording_call)
+    norm_numeric(CHI, 6.0, 0.25, target_abs_err=1e-11)
+    n_half, first = sizes[0], sizes[1] // 2
+    assert first > 1
+    monkeypatch.setattr(oscint, "_NODE_CAP", 30 * (n_half + first) - 1)
+    sizes.clear()
+    with pytest.raises(BudgetExceeded) as got:
+        norm_numeric(CHI, 6.0, 0.25, target_abs_err=1e-11)
+    assert sizes == [n_half, 2 * (first - 1)]
+    with pytest.raises(BudgetExceeded) as want:
+        reference_norm_numeric(CHI, 6.0, 0.25, 1e-11)
+    assert got.value.result.value.hex() == want.value.result.value.hex()
+    assert got.value.result.abs_error.hex() == want.value.result.abs_error.hex()
 
 
 def test_folded_norm_matches_the_full_line():
@@ -471,12 +504,13 @@ def test_each_grid_level_has_one_bitwise_width(monkeypatch):
     monkeypatch.setattr(FTEvaluator, "on_panels", recording_call)
     complex_f = parse_function_spec("ind:0,1 + i*ind:-1,0")
     chunked = mixed = 0
-    for f, p, t, target in ((CHI, 3.0, 5.0, 1e-6), (complex_f, 3.0, 5.0, 1e-6), (CHI, 6.0, 0.25, 1e-11)):
+    # the first two span two chunks of the initial grid (3178 and 2954 panels)
+    for f, p, t, target in ((CHI, 3.0, 5.0, 1e-7), (complex_f, 3.0, 5.0, 1e-6), (CHI, 6.0, 0.25, 1e-11)):
         calls.clear()
         norm_numeric(f, p, t, target_abs_err=target)
         g = apply_split(f, rat(t))
         Y = oscint._place_tail(FTEvaluator(g), p, target)[0]
-        n_half = math.ceil(Y / (1.0 / (4.0 * max(1.0, float(g.support_radius())))))
+        n_half = math.ceil(Y / oscint._panel_width(float(g.support_radius())))
         start, n_panels = (0.0, n_half) if g.is_real() else (-Y, 2 * n_half)
         n_chunks = -(-n_panels // oscint._PANEL_CHUNK)
         chunked += n_chunks > 1
