@@ -7,12 +7,13 @@ the exact finite sum, for every y != 0,
     f^(y) = sum_k e^{-2 pi i b_k y} sum_r J[k][r] / (2 pi i y)^{r+1},
 
 where J[k][r] is the jump of f^(r) at b_k (right limit minus left limit).
-``_boundary_expansion`` computes these jump rows exactly, in integers,
-and floats them once; the evaluator and both tails read them.  The
-evaluator works on the panel grid: at a node y = mid + half x the phase
-is e^{-2 pi i b mid} e^{-2 pi i b half x}, one exp per panel and
-breakpoint and one table per panel width, and near the origin a moment
-series, its moments exact integer sums, dodges cancellation.
+A translation moves a row and keeps it, so ``FTEvaluator(f, t)`` reads the
+rows of S_t f off f's two halves, exactly, in integers, and floats them
+once; the evaluator and both tails read them.  The evaluator works on the
+panel grid: at a node y = mid + half x the phase is e^{-2 pi i b mid}
+e^{-2 pi i b half x}, one exp per panel and breakpoint and one table per
+panel width, and near the origin a moment series dodges cancellation, each
+moment one integer sum over the same rows, rounded once.
 |F[S_t f]|^p is integrated over a phase-aligned panel grid on [-Y, Y] (on
 [0, Y], counted twice, for a real S_t f, whose |F|^p is even) with an
 embedded Gauss/Kronrod error estimate and closed with a tail beyond Y
@@ -23,7 +24,7 @@ embedded Gauss/Kronrod error estimate and closed with a tail beyond Y
   exact rationals, so the tail is the mean of |P|^p over a period times
   (2 pi)^{-p} Y^{1-p}/(p-1) on each side, with a proved O(Y^{-p})
   remainder (``_periodic_tail``).  The mean takes n midpoint samples of P,
-  one length-n FFT (``_periodic_mean``).  Y then grows like err^{-1/p}.
+  n a power of two, in one FFT (``_periodic_mean``); Y grows like err^{-1/p}.
 - the envelope: |f^(y)| <= K(Y) / (2 pi |y|) for |y| >= Y,
   with K(Y) = sum_{k,r} |J[k][r]| (2 pi Y)^{-r}, bounds the tail by
   2 (K/2pi)^p Y^{1-p} / (p-1), so Y grows like err^{-1/(p-1)}.  It runs
@@ -38,12 +39,12 @@ package, and the p = 2 norm, load no numpy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SplitnormError
 from .polyalg import IntLayout, PiecewisePoly, l2_inner
 from .scalars import rat
-from .splitcore import apply_split
 
 __all__ = ["FTEvaluator", "NumericNorm", "norm_numeric"]
 
@@ -82,11 +83,15 @@ _SERIES_TERMS = 12
 
 
 class FTEvaluator:
-    """Closed-form evaluator of f^(y) = int f(x) e^{-2 pi i x y} dx on a panel grid.
+    """Closed-form evaluator of the transform of S_t f (f at t = 0) on a panel grid.
 
-    ``on_panels(mid, half)`` gives f^ at the nodes y = mid_k + half_k x_j of
-    every panel; ``__call__(y)`` is its one-node case, mid = y and half = 0.
-    Away from the origin it sums the jump rows of ``_boundary_expansion``
+    Its jump rows are f's off 0 and the cut at 0 (the plus half starts with
+    the piece right of 0, the minus half ends with minus the piece left of
+    0), moved to b + t (plus) or b - t (minus), summed as integers where
+    they meet (at 0, for t = 0), and rounded once, as S_t f's own layout
+    rounds them.  ``on_panels(mid, half)`` gives the transform at the nodes
+    y = mid_k + half_k x_j of every panel; ``__call__(y)`` is its one-node
+    case, mid = y and half = 0.  Away from the origin it sums the jump rows
     exactly, e^{-2 pi i b_k y} sum_r J[k][r] s^{r+1} with s = 1 / (2 pi i y),
     on the split phase e^{-2 pi i b mid} e^{-2 pi i b half x}: one exp per
     panel and breakpoint, one (breakpoints, nodes) table per panel width.
@@ -103,31 +108,46 @@ class FTEvaluator:
     (|2 pi b mid| + |2 pi b half|) u plus the roundings of its two products.
     The term of b_k moves by that times sum_r |J[k][r]| |s|^{r+1}.
 
-    Moment n of a piece [A, B] of the integer layout, F(X) = sum_j C_j X^j
-    / den in X = L x, is sum_j C_j (B^m - A^m) / m over den L^{n+1} with
-    m = n + j + 1: one integer sum over lcm(1..m_max), correctly rounded.
+    The moments come from the same rows, M_n = -n! sum_{k,r} (-1)^r J[k][r]
+    b_k^{n+r+1} / (n+r+1)!, each one integer sum rounded once, and the
+    series sum_n M_n z^n / n!, z = -2 pi i y, is taken by Horner in z.
     """
 
-    def __init__(self, f: PiecewisePoly):
+    def __init__(self, f: PiecewisePoly, t=0):
         import numpy as np
 
-        self.radius = max(1e-300, float(f.support_radius()))
         (lay,) = IntLayout.of(f)
-        self.breaks, self.jumps = _boundary_expansion(lay)
+        t, L, R, terms = rat(t), lay.scale, lay.degree, range(_SERIES_TERMS)
+        # the breakpoints B/L -+ t of S_t f, as integers beta over D
+        D = math.lcm(L, t.denominator)
+        move = t.numerator * (D // t.denominator)
+        fact = [math.factorial(m) for m in range(_SERIES_TERMS + R + 1)]
+        right, left = bisect_right(lay.bps, 0) - 1, bisect_left(lay.bps, 0) - 1
+        rows, sums, zeros = {}, {}, [0] * _SERIES_TERMS
+        for part, unit in (("re", 1.0),) if lay.im is None else (("re", 1.0), ("im", 1j)):
+            pieces, ints = getattr(lay, part), {}
+            moved = [(B * (D // L) + (move if B > 0 else -move), row) for B, row in lay.jumps(part) if B]
+            moved += [(beta, [sign * w * c for w, c in zip(fact, pieces[k])])  # the cut at 0
+                      for beta, k, sign in ((move, right, 1), (-move, left, -1)) if 0 <= k < len(pieces)]
+            for beta, row in moved:  # two rows meet only at t = 0, at 0: f's own jump there
+                ints[beta] = [a + b for a, b in zip(ints[beta], row)] if beta in ints else row
+            for beta, row in ((beta, row) for beta, row in ints.items() if any(row)):
+                rows[beta] = rows.get(beta, 0j) + unit * np.array([L ** r * c / lay.den for r, c in enumerate(row)])
+                powers = [beta ** m for m in range(_SERIES_TERMS + R + 1)]
+                for r, c in enumerate(row):  # sums[part, r][n] = sum_k c_kr beta_k^{n+r+1}
+                    sums[part, r] = [s + c * x for s, x in zip(sums.get((part, r), zeros), powers[r + 1:])]
+        betas = sorted(rows)
+        self.breaks = [rat(beta, D) for beta in betas]
+        self.jumps = np.array([rows[beta] for beta in betas], dtype=complex).reshape(len(betas), R + 1)
         self._freqs = -2.0 * np.pi * np.array([float(b) for b in self.breaks])
-        m_max = _SERIES_TERMS + lay.degree
-        big = math.lcm(*range(1, m_max + 1))
-        dens = [lay.den * lay.scale ** (n + 1) * big for n in range(_SERIES_TERMS)]
-        # Python complex sums: the bits of summing into the array, without its item access
-        moments = [0j] * _SERIES_TERMS
-        for a, b, re, im in zip(lay.bps, lay.bps[1:], lay.re, lay.im or [()] * len(lay.re)):
-            # antis[m - 1] = big (b^m - a^m) / m, so moment n of this piece is
-            # sum_j C_j antis[n + j] / (den L^{n+1} big)
-            antis = [big // m * (b ** m - a ** m) for m in range(1, m_max + 1)]
-            for n, den in enumerate(dens):
-                num_re, num_im = (sum(c * d for c, d in zip(cs, antis[n:])) for cs in (re, im))
-                moments[n] += complex(num_re / den, num_im / den)
-        self._moments = np.array(moments)
+        self.radius = max(1e-300, max(abs(betas[0]), abs(betas[-1])) / D if betas else 0.0)
+        # M_n = -n! sum_{k,r} (-1)^r J[k][r] b_k^{n+r+1} / (n+r+1)!, b_k = beta_k / D, is minus the
+        # sum over r of (-L)^r D^{R-r} (n+R+1)! / (n+r+1)! sums[part, r][n], over den D^{n+R+1} (n+R+1)! / n!
+        nums = [[-sum((-L) ** r * D ** (R - r) * fact[n + R + 1] // fact[n + r + 1] * sums.get((part, r), zeros)[n]
+                      for r in range(R + 1)) for n in terms] for part in ("re", "im")]
+        dens = [lay.den * D ** (n + R + 1) * (fact[n + R + 1] // fact[n]) for n in terms]
+        self._moments = np.array([complex(a / d, b / d) for a, b, d in zip(*nums, dens)])
+        self._series = self._moments / np.array(fact[:_SERIES_TERMS], dtype=float)
 
     def __call__(self, y):
         import numpy as np
@@ -156,12 +176,11 @@ class FTEvaluator:
     def _eval_series(self, ys):
         import numpy as np
 
+        # sum_n M_n z^n / n! by Horner in z
         z = -2j * np.pi * ys
-        acc = np.zeros(ys.shape, dtype=complex)
-        term = np.ones(ys.shape, dtype=complex)
-        for n in range(_SERIES_TERMS):
-            acc += term * self._moments[n]
-            term = term * z / (n + 1)
+        acc = np.full(ys.shape, self._series[-1])
+        for c in self._series[-2::-1]:
+            acc = acc * z + c
         return acc
 
     def _jump_sum(self, mid, half, nodes, s):
@@ -220,29 +239,8 @@ class NumericNorm:
 
 
 # ---------------------------------------------------------------------------
-# the jump rows: f^(y) = sum_k e^{-2 pi i b_k y} sum_r J[k][r] / (2 pi i y)^{r+1}
+# the tails beyond the panel grid
 # ---------------------------------------------------------------------------
-
-
-def _boundary_expansion(lay: IntLayout):
-    """Breakpoints b_k (exact) and the jump matrix J (complex) of f.
-
-    J[k][r] is the jump of f^(r) at b_k, right limit minus left limit.  In
-    ``lay``, the integer layout of f, X = L x, it is L^r r! d_r / den with
-    d_r the coefficients of the jump in powers of X - B_k: an exact rational,
-    floated once.  Breakpoints where no derivative jumps are left out, and
-    J has one row per breakpoint and the layout's degree + 1 columns.
-    """
-    import numpy as np
-
-    rows = {}
-    for part, unit in [("re", 1.0)] + ([] if lay.im is None else [("im", 1j)]):
-        for b, jumps in lay.jumps(part):
-            row = rows.setdefault(b, np.zeros(lay.degree + 1, dtype=complex))
-            row += unit * np.array([lay.scale ** r * c / lay.den for r, c in enumerate(jumps)])
-    breaks = sorted(rows)
-    jumps = np.array([rows[b] for b in breaks], dtype=complex).reshape(len(breaks), lay.degree + 1)
-    return [rat(b, lay.scale) for b in breaks], jumps
 
 
 def _envelope_tail(jumps, p: float, Y: float) -> float:
@@ -254,9 +252,9 @@ def _envelope_tail(jumps, p: float, Y: float) -> float:
     import numpy as np
 
     s = 1.0 / (2.0 * math.pi * Y)
-    K = 0.0
+    K = np.float64(0.0)  # a numpy float, so that its power below overflows quietly
     for row in jumps:
-        K += sum(abs(c) * s ** r for r, c in enumerate(row))
+        K += _fsum(abs(c) * s ** r for r, c in enumerate(row))
     K *= 1.0 + 1e-12
     # a huge p overflows to inf (or inf * 0 = nan), which the node cap then
     # rejects: numpy stays quiet
@@ -277,6 +275,14 @@ _MEAN_SAMPLES = (256, 2 ** 16)
 _PERIODIC_SHARE = 0.1
 
 
+def _fsum(xs) -> float:
+    """math.fsum of nonnegative terms, inf where the sum overflows: the same on every Python."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
+
+
 def _pow(x: float, e: float) -> float:
     """x ** e for x >= 0, inf where that overflows."""
     try:
@@ -295,7 +301,8 @@ def _periodic_mean(steps, coeffs, C1: float, p: float, n: int):
     (pocketfft's) passes of radix r = 2, 3, 4, 5, 7, 8, 11 or a generic prime
     are within 8 r^{3/2} u, and the radices multiply to n; Bluestein's
     algorithm, which it may take for a large prime factor, is within
-    1100 sqrt(n) (log2 n + 2) u.  rho covers either, so the mean of the
+    1100 sqrt(n) (log2 n + 2) u.  ``_periodic_tail`` takes n a power of two,
+    so Bluestein never runs, but rho still covers either: the mean of the
     samples' errors is within rho C1 and each within rho sqrt(n) C1; abs and
     the quotient add 3 u a sample, the power, the sum and the division
     (log2 n + 21) u.
@@ -327,22 +334,23 @@ def _periodic_tail(breaks, jumps, p: float, budget: float, lo: float, hi: float)
         antiderivative Phi of |P|^p - mu, which oscillates by at most T mu;
       - at most (C1 + M2/(2 pi Y))^{p-1} M2 (2 pi)^{-(p+1)} Y^{-p}, from
         ||a+b|^p - |a|^p| <= p (|a|+|b|)^{p-1} |b|.
-    mu is the mean of n midpoint samples on [0, T], within L T / (4n) for L =
-    p C1^{p-1} 2 pi sum_k |J[k][0]| |b_k - c| (c the middle of the b_k), the
-    Lipschitz constant of |P|^p, plus the floating-point allowance of its one
-    FFT (``_periodic_mean``).  All of it is carried in units of C1^p, so that
-    a huge p stays finite where it can.
+    mu is the mean of n midpoint samples on [0, T], n the least power of two
+    at or above the goal, within L T / (4n) for L = p C1^{p-1} 2 pi sum_k
+    |J[k][0]| |b_k - c| (c the middle of the b_k), the Lipschitz constant of
+    |P|^p, plus the floating-point allowance of its one FFT
+    (``_periodic_mean``).  All of it is carried in units of C1^p, so that a
+    huge p stays finite where it can.
 
-    None where no Y below hi meets the budget, or where the samples needed
-    pass the cap: a float t, whose exact value has a period near 2^55, does.
+    None where no Y below hi meets the budget, or where n would pass the
+    cap: a float t, whose exact value has a period near 2^55, does.
     """
     tau = 2.0 * math.pi
     pad = 1.0 + 1e-12
     # Python floats from here on: they overflow to inf quietly, or raise for _pow
     lead = [(b, complex(row[0])) for b, row in zip(breaks, jumps) if row[0] != 0]
     # higher[r-1] = sum_k |J[k][r]|, r >= 1
-    higher = [sum(abs(complex(c)) for c in col) for col in jumps.T[1:]]
-    C1 = pad * sum(abs(c) for _, c in lead)
+    higher = [_fsum(abs(complex(c)) for c in col) for col in jumps.T[1:]]
+    C1 = pad * _fsum(abs(c) for _, c in lead)
     period = lip = 0.0
     if lead:
         b0 = min(b for b, _ in lead)
@@ -355,12 +363,12 @@ def _periodic_tail(breaks, jumps, p: float, budget: float, lo: float, hi: float)
         except OverflowError:  # beyond any sample cap
             return None
         middle = (b0 + max(b for b, _ in lead)) / 2
-        lip = pad * p * tau * sum(abs(c) * float(abs(b - middle)) for b, c in lead) / C1
+        lip = pad * p * tau * _fsum(abs(c) * float(abs(b - middle)) for b, c in lead) / C1
 
     def bound(Y, mu, eps):
         """(value, error) at Y for a mean mu within eps, both in units of C1^p."""
         s = 1.0 / (tau * Y)
-        m2 = pad * sum(a * s ** r for r, a in enumerate(higher))
+        m2 = pad * _fsum(a * s ** r for r, a in enumerate(higher))
         q = _pow(C1 * s, p)
         main = 2.0 * mu * q * Y / (p - 1.0)
         err = 2.0 * (
@@ -392,7 +400,9 @@ def _periodic_tail(breaks, jumps, p: float, budget: float, lo: float, hi: float)
     n_goal = 2.0 * lip * period * q_ref * y_ref / (budget * (p - 1.0))
     if not n_goal <= _MEAN_SAMPLES[1]:
         return None
-    n = max(_MEAN_SAMPLES[0], math.ceil(n_goal))
+    n = 1 << (max(_MEAN_SAMPLES[0], math.ceil(n_goal)) - 1).bit_length()
+    if n > _MEAN_SAMPLES[1]:
+        return None
     mu = eps = 0.0
     if lead:
         mu, fp = _periodic_mean(steps, [c for _, c in lead], C1, p, n)
@@ -526,9 +536,8 @@ def norm_numeric(
 
     import numpy as np
 
-    g = apply_split(f, shift)
     try:
-        evaluator = FTEvaluator(g)
+        evaluator = FTEvaluator(f, shift)
     except OverflowError as exc:
         raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
     Y, tail_value, tail_err = _place_tail(evaluator, p, target_abs_err)
@@ -539,9 +548,9 @@ def norm_numeric(
             f"{nodes:.3g} nodes (15 per panel) would exceed the node cap {_NODE_CAP}"
         )
     n_half = int(math.ceil(Y / width))
-    # a real g has a Hermitian transform, so |f^|^p is even: the grid covers
-    # [0, Y] and each node counts twice, for itself and its mirror
-    fold = g.is_real()
+    # a real S_t f (f real) has a Hermitian transform, so |f^|^p is even: the
+    # grid covers [0, Y] and each node counts twice, for itself and its mirror
+    fold = f.is_real()
     n_panels = n_half if fold else 2 * n_half
 
     def integrand(mid, half):

@@ -29,7 +29,7 @@ from splitnorm.polyalg import (
     is_nonincreasing_on,
     tent,
 )
-from splitnorm.scalars import gauss, parse_rat, parse_scalar, parts, rat
+from splitnorm.scalars import gauss, parse_rat, parse_scalar, rat
 from splitnorm.splitcore import apply_split
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -620,19 +620,6 @@ def poly_integral(q, a, b):
         return at_b - at_a
 
     return gauss(definite(q.coeffs), definite(q.im))
-
-
-def reference_moments(f):
-    """Test oracle: the evaluator's moments int x^n f(x) dx, n < 12, as they
-    were computed before the endpoint powers: one ``Poly`` x^n p(x) per
-    moment, integrated exactly, then floated."""
-    moments = np.zeros(oscint._SERIES_TERMS, dtype=complex)
-    for a, b, xnp in f._intervals():
-        for n in range(oscint._SERIES_TERMS):
-            re, im = parts(poly_integral(xnp, a, b))
-            moments[n] += complex(float(re), float(im))
-            xnp = Poly((rat(0),) + xnp.coeffs, (rat(0),) + xnp.im)  # x * xnp
-    return moments
 
 
 class ReferenceEvaluator(FTEvaluator):

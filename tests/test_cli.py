@@ -1213,7 +1213,7 @@ GOLDEN_COMMANDS = [
     (["profile", "ind:-1,1", "--p", "4", "--emit", "csv"],
      "90aadfe02f79e6dc14e31509a3fa226da4fe1dc0fc8ca0cc92698db93eef23ea"),
     (["norm", "ind:-1,1", "--p", "3", "--t", "0.25", "--err", "1e-3"],
-     "fbdc9b1e3b1a20f2ce98004d4c104031508c4439bca1e705f5bb4e7f869c844a"),
+     "cb54365e932284ca22c4e03ae4e1cad705f494b56b3e4964c9dab4376adc5e3d"),
     (["class-s", "ind:-1,1 + ind:10,11 + ind:-11,-10"],
      "11e22ae3c22aed7790b4b7d7d6cedde5d7ce743bc9d39d857b1fb0814e8953d5"),
     (["mult", "constants", "--p", "4"],

@@ -144,15 +144,15 @@ def _numeric_golden_doc(f, ps, target):
 # is ||f||_2^2 rounded once)
 GOLDEN_NUMERIC = [
     ("ind", lambda: _numeric_golden_doc(CHI, (2, 3, 4), 1e-3),
-     "fbc499b88aaec5e7257824a6848890ad8bd47b69ff95b3ad2a18f7f556089299"),
+     "92b3af7bfb02b633dba19efd476edb8467b58c7ac982cdf8ba9075a7f8d375ff"),
     ("tent", lambda: _numeric_golden_doc(tent(-1, 0, 1), (2, 3, 4), 1e-3),
-     "2185caa910ff78fb3cf3dc9e714de090100d4aaa89cefa3800663994128c1e95"),
+     "91504e71aed1ba4144c0529d14aca418de2556d36a2696b07a3ffd784a7787fa"),
     ("two-bump", lambda: _numeric_golden_doc(TWO_BUMP, (2, 3, 4), 1e-3),
-     "8428d372db7385f5d5b6c19d4907cee448c906ecae38d7f157432f80f2692ddc"),
+     "b5709281e8157e12e69db65a93b26927412413d46e80d704ac8e68c3bf7422a3"),
     ("complex", lambda: _numeric_golden_doc(indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (2, 3, 4), 1e-3),
-     "2eb7fef3c4682d96d4da78ab7802f5016ad34eaf778c9e2f353c63a984dae6b6"),
+     "1189bebc1c257caa82eed4ae10d74581a5f3174b9010babb1beefabb97e15e28"),
     ("ind 1e-6", lambda: _numeric_golden_doc(CHI, (2, 4), 1e-6),
-     "18ccfd1fa7b41b2890eccdd5f8a509ee906281002086082b3940b4f512519f4b"),
+     "11510ca776e161f7a0cf962b6218886accc3893d392133d4abddbbe48b2ba522"),
 ]
 
 

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from splitnorm import oscint
 from splitnorm.errors import BudgetExceeded, SplitnormError
-from splitnorm.oscint import FTEvaluator, NumericNorm, _boundary_expansion, _envelope_tail, norm_numeric
+from splitnorm.oscint import FTEvaluator, NumericNorm, _envelope_tail, norm_numeric
 from splitnorm.normprofile import norm_profile
-from splitnorm.polyalg import IntLayout, indicator, l2_inner, tent
+from splitnorm.polyalg import indicator, l2_inner, tent
 from splitnorm.scalars import gauss, rat
 from splitnorm.splitcore import apply_split
 
-from .helpers import ReferenceEvaluator, exactly, poly_integral, reference_moments, reference_norm_numeric, rnd_pp
+from .helpers import ReferenceEvaluator, exactly, poly_integral, reference_norm_numeric, rnd_pp
 
 CHI = indicator(-1, 1)
 TWO_BUMP = CHI + indicator(10, 11) + indicator(-11, -10)
@@ -44,17 +44,36 @@ def test_ft_at_zero_is_exact_integral():
         assert abs(FTEvaluator(f)(0.0) - want) < 1e-12 * (1 + abs(want))
 
 
-def test_moments_match_the_per_moment_polynomial_loop_bit_for_bit():
-    # the moments come from the endpoints' powers; the exact rationals are
-    # those of integrating x^n p(x) one moment at a time, so are the floats
+def test_evaluator_reads_the_split_function_off_the_halves_of_f():
+    # FTEvaluator(f, t) moves f's jump rows, cut at 0, to b -+ t: its rows,
+    # breakpoints, phases and radius are those of the split function's own
+    # evaluator bit for bit, and each moment is the exact int x^n S_t f dx,
+    # rounded once
     from splitnorm.cli import parse_function_spec
+    from splitnorm.polyalg import Poly
+    from splitnorm.scalars import parts
 
-    fns = [parse_function_spec(s) for s in ("ind:-1,1", "tent:-1,0,1", "poly:[-1,1]:1,0,-1", "ind:0,1 + i*ind:-1,0")]
-    fns += [rnd_pp(np.random.default_rng(seed), max_pieces=3, max_deg=3, complex_ok=True) for seed in range(8)]
+    specs = (
+        "ind:-1,1", "tent:-1,0,1", "ind:-1,1 + ind:10,11 + ind:-11,-10", "ind:0,1 + i*ind:-1,0",
+        "ind:0,1", "tent:-2,-1,0",           # supports that touch 0 from either side
+        "ind:1,2", "ind:-3,-1/3",            # supports that miss 0
+        "poly:[-1,1]:1,0,-1", "tent:-1,0,1 + ind:-1/2,1/2",  # continuous at 0
+    )
+    fns = [parse_function_spec(s) for s in specs]
+    fns += [rnd_pp(np.random.default_rng(seed), max_pieces=3, max_deg=3, complex_ok=seed % 2 == 1) for seed in range(8)]
+    assert {f.is_real() for f in fns} == {True, False}
     for f in fns:
-        for t in (0, rat(1, 4), rat(5, 3), rat(0.1)):
+        for t in (0, rat(1, 4), rat(1, 3), rat(12)):
             g = apply_split(f, t)
-            assert np.array_equal(FTEvaluator(g)._moments, reference_moments(g)), (f, t)
+            got, want = FTEvaluator(f, t), FTEvaluator(g)
+            assert got.breaks == want.breaks, (f, t)
+            for name in ("jumps", "_freqs", "radius"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (f, t, name)
+            for n, moment in enumerate(got._moments):
+                xn = (rat(0),) * n
+                exact = [parts(poly_integral(Poly(xn + q.coeffs, xn + q.im), a, b))
+                         for a, b, q in zip(g.breakpoints, g.breakpoints[1:], g.pieces)]
+                assert moment == complex(float(sum(re for re, _ in exact)), float(sum(im for _, im in exact))), (f, t, n)
 
 
 def test_ft_tent_closed_form():
@@ -137,28 +156,37 @@ def test_norm_numeric_p2_is_the_rounded_l2_norm(t):
 
 
 def test_norm_numeric_p2_builds_no_split_function(monkeypatch):
-    # ||S_t f||_2 = ||f||_2, so p = 2 never calls apply_split; an infinite
+    # no p builds S_t f: the evaluator reads its rows off the halves of f, and
+    # ||S_t f||_2 = ||f||_2, so p = 2 builds no evaluator either; an infinite
     # or NaN t is still refused, as at every other p, by its conversion
+    from splitnorm import splitcore
+
     calls = Counter()
-    inner = oscint.apply_split
+    split, evaluator = splitcore.apply_split, oscint.FTEvaluator
 
     def counting_split(f, t):
-        calls["n"] += 1
-        return inner(f, t)
+        calls["split"] += 1
+        return split(f, t)
 
-    monkeypatch.setattr(oscint, "apply_split", counting_split)
+    class CountingEvaluator(evaluator):
+        def __init__(self, *args):
+            calls["evaluator"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(splitcore, "apply_split", counting_split)
+    monkeypatch.setattr(oscint, "FTEvaluator", CountingEvaluator)
     for f in P2_CASES:
         for t in (0.0, 0.25, 12.0):
             norm_numeric(f, 2.0, t, target_abs_err=1e-6)
-    assert calls["n"] == 0
+    assert calls == Counter()
     for p in (2.0, 3.0):
         with pytest.raises(OverflowError, match="cannot convert Infinity to integer ratio"):
             norm_numeric(CHI, p, math.inf)
         with pytest.raises(ValueError, match="cannot convert NaN to integer ratio"):
             norm_numeric(CHI, p, math.nan)
-    assert calls["n"] == 0
+    assert calls == Counter()
     norm_numeric(CHI, 3.0, 1.0, target_abs_err=1e-3)
-    assert calls["n"] == 1
+    assert calls == Counter(evaluator=1)
 
 
 def test_norm_numeric_p2_budget_exceeded_carries_result():
@@ -296,7 +324,9 @@ def test_norm_numeric_matches_the_reference_loop_bit_for_bit():
         assert got.value.hex() == want.value.hex(), (name, p, t)
         assert got.abs_error.hex() == want.abs_error.hex(), (name, p, t)
 
-    # the carried result of a run that ends at the node cap
+    # the carried result of a run that misses its target: it stops below half
+    # the quadrature target, short of the node cap, and misses only through
+    # the 1e-13 (1 + |I|) floating-point allowance
     with pytest.raises(BudgetExceeded) as want:
         reference_norm_numeric(CHI, 6.0, 0.5, 1e-13)
     with pytest.raises(BudgetExceeded) as got:
@@ -572,8 +602,7 @@ def tail_bound(f, t, p, Y):
     """The envelope tail of the jump rows of S_t f: a proved bound on
     int_{|y|>Y} |F[S_t f]|^p, one of the tails norm_numeric closes its
     panels with."""
-    (lay,) = IntLayout.of(apply_split(f, rat(t)))
-    return _envelope_tail(_boundary_expansion(lay)[1], p, Y)
+    return _envelope_tail(FTEvaluator(f, rat(t)).jumps, p, Y)
 
 
 def test_tail_bound_indicator_formula():
@@ -678,21 +707,22 @@ def test_fft_periodic_mean_matches_the_root_table_sum(n):
 
 
 def test_periodic_tail_returns_none_past_the_sample_cap(monkeypatch):
-    # two-bump at p = 4, t = 12, 1e-6 takes n = 12473 samples, a seed-1
-    # round's most: a cap of 12473 keeps its tail; one less, and the periodic
-    # tail returns None, so the envelope places a larger Y
+    # two-bump at p = 4, t = 12, 1e-6 asks for 12473 samples, a seed-1
+    # round's most, and takes the next power of two, n = 16384: a cap of
+    # 16384 keeps its tail; one less, and the periodic tail returns None, so
+    # the envelope places a larger Y
     ev = FTEvaluator(apply_split(TWO_BUMP, rat(12)))
     taken, tails = [], []
     mean, tail = oscint._periodic_mean, oscint._periodic_tail
     monkeypatch.setattr(oscint, "_periodic_mean", lambda *args: taken.append(args[-1]) or mean(*args))
     monkeypatch.setattr(oscint, "_periodic_tail", lambda *args: tails.append(tail(*args)) or tails[-1])
     want = oscint._place_tail(ev, 4.0, 1e-6)
-    assert taken == [12473] and tails == [want]
-    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 12473))
+    assert taken == [16384] and tails == [want]
+    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 16384))
     assert oscint._place_tail(ev, 4.0, 1e-6) == want
-    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 12472))
+    monkeypatch.setattr(oscint, "_MEAN_SAMPLES", (256, 16383))
     assert oscint._place_tail(ev, 4.0, 1e-6)[0] > want[0]
-    assert tails[-1] is None and taken == [12473, 12473]
+    assert tails[-1] is None and taken == [16384, 16384]
 
 
 @settings(max_examples=6, deadline=None)
