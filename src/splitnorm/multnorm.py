@@ -409,26 +409,26 @@ class EstimateResult:
         }
 
 
-def _pnorm(av: np.ndarray, p: float) -> float:
-    """||v||_p from av = |v|."""
-    return float((av ** p).sum() ** (1.0 / p))
-
-
-def _dual_power(v: np.ndarray, q: float, av: np.ndarray) -> np.ndarray:
-    """|v|^{q-1} sgn(v), with av = |v|, the duality map used by the ascent,
-    up to a positive factor: where the power would overflow or underflow (q
-    near 1 makes q - 1 large), v is first divided by max|v|.  The ascent
-    normalises the result, so only the overflow or underflow changes."""
+def _dual_factor(v: np.ndarray, r: float) -> tuple:
+    """The duality map Psi_r(v) = v |v|^{r-2} as a real factor: ``(w, s, total)``
+    with w = |v/s|^{r-2} (0 where v/s is 0, or subnormal and r < 2) and total
+    = ||v/s||_r^r = sum w |v/s|^2: v w is Psi_r(v) up to a positive factor, and
+    ||v||_r = s total^{1/r}.  s = max|v| where |(r - 1) log max|v|| > 700 (p
+    near 1 makes r = p' large) to keep the power in range, and 1 otherwise."""
     import numpy as np
 
-    top = av.max(initial=0.0)
-    if top > 0 and abs((q - 1.0) * math.log(top)) > 700.0:
-        v = v / top
-        av = np.abs(v)
-    nonzero = av > 0
-    scale = np.power(av, q - 1.0, out=np.zeros_like(av), where=nonzero)
-    phase = np.divide(v, av, out=np.zeros_like(v), where=nonzero)
-    return scale * phase
+    a = np.abs(v)
+    s = 1.0
+    top = float(a.max(initial=0.0))
+    if top > 0 and abs((r - 1.0) * math.log(top)) > 700.0:
+        s = top
+        a /= s
+    if r >= 2.0:
+        w = np.power(a, r - 2.0)
+    else:  # a subnormal a would give a^{r-2} = inf: its factor is 0, like v = 0
+        w = np.power(a, r - 2.0, out=np.zeros_like(a), where=a >= np.finfo(float).tiny)
+    a *= w * a
+    return w, s, float(a.sum())
 
 
 # seeded random starts of estimate_lower's coarsest grid, sharing that
@@ -448,11 +448,17 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
 
     conj_mhat = np.conj(mhat)
 
-    def apply(v):
-        return np.fft.ifft(mhat * np.fft.fft(v))
+    def apply(v, symbol):
+        x = np.fft.fft(v)
+        x *= symbol
+        return np.fft.ifft(x)
 
-    def apply_adj(v):
-        return np.fft.ifft(conj_mhat * np.fft.fft(v))
+    def image(v):
+        """(Psi_p(T_m v) up to a positive factor, written over T_m v; ||T_m v||_p)"""
+        g = apply(v, mhat)
+        w, s, total = _dual_factor(g, p)
+        g *= w
+        return g, s * total ** (1.0 / p)
 
     q_dual = p / (p - 1.0)
     best_q = 0.0
@@ -461,7 +467,8 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
     total_iters = 0
     converged = False
     for idx, f in enumerate(starts):
-        nf = _pnorm(np.abs(f), p)
+        _, s, total = _dual_factor(f, p)
+        nf = s * total ** (1.0 / p)
         if nf == 0:
             continue
         f = f / nf
@@ -470,12 +477,10 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
         share = max(1, (budget - total_iters) // (len(starts) - idx))
         if total_iters >= budget:
             break
-        # (f, g, ag, q) = (iterate, its image, |g|, ||g||_p); an accepted step
-        # carries the image it was tested with, so no image or |image| is
-        # computed twice
-        g = apply(f)
-        ag = np.abs(g)
-        q = _pnorm(ag, p)
+        # (f, d, q) = (iterate, the dual map of its image, ||image||_p): the
+        # image is read only through its dual map, and an accepted step
+        # carries the one computed to test it
+        d, q = image(f)
         for step in range(share):
             total_iters += 1
             if q > best_q:
@@ -492,20 +497,21 @@ def _ascend(mhat: np.ndarray, p: float, starts: list, budget: int, real_test_fun
                 break
             if step == share - 1:  # no iteration is left to record a further step
                 break
-            u = apply_adj(_dual_power(g, p, ag))
+            u = apply(d, conj_mhat)
             if real_test_functions:
                 u = u.real
-            cand = _dual_power(u, q_dual, np.abs(u))
-            nc = _pnorm(np.abs(cand), p)
-            if nc == 0:
+            # cand = Psi_{p'}(u) / ||Psi_{p'}(u)||_p, whose p-norm is read off
+            # the same power: |Psi_{p'}(u)|^p = |u|^{p'}
+            w, s, total = _dual_factor(u, q_dual)
+            if total == 0:
                 break
-            cand = cand / nc
-            g_cand = apply(cand)
-            ag_cand = np.abs(g_cand)
-            q_cand = _pnorm(ag_cand, p)
+            w /= s * total ** (1.0 / p)
+            cand = np.multiply(u, w, out=u)  # u is not read again
+            del w  # nor w: the image's arrays may take its memory
+            d_cand, q_cand = image(cand)
             if not q_cand >= q * (1.0 - 1e-13):
                 break
-            f, g, ag, q = cand, g_cand, ag_cand, q_cand
+            f, d, q = cand, d_cand, q_cand
     return best_q, best_f, converged, total_iters, history
 
 
@@ -522,14 +528,16 @@ def estimate_lower(
     Power iteration on the quotient ||T_m f||_p / ||f||_p with the
     dual-exponent signed-power map
 
-        f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = |u|^{r-1} sgn(u),
+        f  <-  Psi_{p'}( T_m^* Psi_p(T_m f) ),     Psi_r(u) = u |u|^{r-2},
 
     and best-so-far tracking.  A start ends when its quotient stalls,
     when a step would lower it, or once the last iteration of its share is
     recorded; a step whose dual power overflows gives NaN, which ends the
-    start too.  The image T_m f of an accepted step is the one computed to
-    test it and is carried into the next step, so a step costs two FFT
-    pairs (T_m^* and the candidate's image).
+    start too.  Each Psi_r is u times a real factor from one elementwise
+    power, which gives the norm too (|Psi_{p'}(u)|^p = |u|^{p'}).  An
+    accepted step carries Psi_p of the image computed to test it, the only
+    way the image is read, so a step costs two FFT pairs (T_m^* and the
+    candidate's image) and two elementwise powers.
 
     Grid continuation: for N > 2^12 the ascent runs on the grids 2^12,
     2^13, ..., N in turn.  The coarsest runs three seeded random starts on

@@ -252,13 +252,13 @@ def _envelope_tail(jumps, p: float, Y: float) -> float:
     import numpy as np
 
     s = 1.0 / (2.0 * math.pi * Y)
-    K = np.float64(0.0)  # a numpy float, so that its power below overflows quietly
-    for row in jumps:
-        K += _fsum(abs(c) * s ** r for r, c in enumerate(row))
-    K *= 1.0 + 1e-12
-    # a huge p overflows to inf (or inf * 0 = nan), which the node cap then
-    # rejects: numpy stays quiet
+    K = np.float64(0.0)  # a numpy float, so that its sum and power overflow quietly
+    # a huge row sum or p overflows to inf (or inf * 0 = nan), which the node
+    # cap then rejects: numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
+        for row in jumps:
+            K += _fsum(abs(c) * s ** r for r, c in enumerate(row))
+        K *= 1.0 + 1e-12
         return 2.0 * (K / (2.0 * math.pi)) ** p * Y ** (1.0 - p) / (p - 1.0)
 
 
@@ -539,7 +539,9 @@ def norm_numeric(
     try:
         evaluator = FTEvaluator(f, shift)
     except OverflowError as exc:
-        raise ValueError(f"t = {t} is too large: the moments of the split function overflow a float") from exc
+        # t alone overflows the top moment, int x^11 S_t f, where t^11 does
+        culprit = f"t = {t} is" if _pow(float(t), _SERIES_TERMS - 1) == math.inf else "f's coefficients or support are"
+        raise ValueError(f"{culprit} too large: the moments of the split function overflow a float") from exc
     Y, tail_value, tail_err = _place_tail(evaluator, p, target_abs_err)
     width = _panel_width(evaluator.radius)
     nodes = 2.0 * Y / width * 15.0

@@ -505,15 +505,21 @@ def reference_split_multiplier(m: DiscreteMultiplier, t: float):
     return DiscreteMultiplier(out, m.omega, ell=m.ell), t_snapped
 
 
+def _reference_dual_power(v, r):
+    """The dual map Psi_r(v) = v |v|^{r-2}, 0 where v = 0 (for r < 2 also where
+    |v| is subnormal, whose power overflows), as its real factor
+    |v|^{r-2}, with ||v||_r^r = sum |v|^{r-2} |v|^2: the estimator's element
+    formulas without its overflow guard."""
+    a = np.abs(v)
+    if r >= 2.0:
+        w = np.power(a, r - 2.0)
+    else:
+        w = np.power(a, r - 2.0, out=np.zeros_like(a), where=a >= np.finfo(float).tiny)
+    return w, float((w * a * a).sum())
+
+
 def _reference_pnorm(v, p):
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-
-
-def _reference_dual_power(v, q):
-    av = np.abs(v)
-    scale = np.where(av > 0, av ** (q - 1.0), 0.0)
-    phase = np.where(av > 0, v / np.where(av > 0, av, 1.0), 0.0)
-    return scale * phase
+    return _reference_dual_power(v, p)[1] ** (1.0 / p)
 
 
 def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_functions=False,
@@ -580,14 +586,15 @@ def reference_estimate_lower(m, p, *, iterations=200, seed=0, real_test_function
                 converged = True
                 paths["stall"] += 1
                 break
-            u = apply_adj(_reference_dual_power(g, p))
+            u = apply_adj(g * _reference_dual_power(g, p)[0])
             if real_test_functions:
                 u = u.real
-            cand = _reference_dual_power(u, q_dual)
-            nc = _reference_pnorm(cand, p)
+            # |Psi_{p'}(u)|^p = |u|^{p'}: the candidate's norm from its own power
+            w, total = _reference_dual_power(u, q_dual)
+            nc = total ** (1.0 / p)
             if nc == 0:
                 break
-            cand = cand / nc
+            cand = u * (w / nc)
             q_cand = _reference_pnorm(apply(cand), p)
             if q_cand >= q * (1.0 - 1e-13):
                 f = cand

@@ -671,6 +671,17 @@ def test_norm_huge_p_envelope_tail_is_quiet(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
 
 
+def test_norm_envelope_tail_row_sum_overflow_is_quiet(tmp_path):
+    # here the envelope tail's sum of jump rows, not its power, passes the
+    # float range: its accumulation ran outside the errstate, and numpy's
+    # "overflow encountered in scalar add" reached stderr ahead of the error line
+    proc = _run_subprocess(["norm", f"poly:[-1/4,1/4]:{15 * 10 ** 307}", "--p", "3", "--t", "0", "--err", "1e-3"],
+                           tmp_path, timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: "), proc.stderr
+
+
 def test_norm_p2_is_exact_for_any_shift_and_refuses_a_norm_past_float_range(tmp_path):
     # p = 2 is ||S_t f||_2^2 = ||f||_2^2 by Plancherel, computed exactly: a
     # norm of 10^400 exits 4 with one line, where numpy's overflow
@@ -1120,9 +1131,12 @@ def test_declarative_job_inputs_are_those_of_its_command(capsys, monkeypatch, tm
     (["class-s", "ind:-1,1", "--bump-radius", "-1"], "bump radius must be nonnegative"),
     (["norm", "ind:-1,1", "--p", "3", "--t", "1e200"],
      "t = 1e+200 is too large: the moments of the split function overflow a float"),
+    # t = 1 is small: the coefficient overflows the moments
+    (["norm", f"poly:[-1,1]:{10 ** 307}", "--p", "3", "--t", "1"],
+     "f's coefficients or support are too large: the moments of the split function overflow a float"),
 ], ids=["err-0", "series-no-coeffs", "series-negative-A", "series-bad-index",
         "series-index-past-A", "series-missing-file", "unknown-multiplier",
-        "negative-bump-radius", "huge-t"])
+        "negative-bump-radius", "huge-t", "huge-coefficient"])
 def test_refusals_are_one_exact_error_line(capsys, tmp_path, argv, err):
     # for series, the second item is the coefficient file's text, or None
     # for a file that does not exist

@@ -11,6 +11,7 @@ from splitnorm.errors import InapplicableHypothesis, SplitnormError
 from splitnorm.multnorm import (
     _RANDOM_STARTS,
     DiscreteMultiplier,
+    _dual_factor,
     bound_report,
     constants,
     estimate_lower,
@@ -561,6 +562,92 @@ def test_estimator_step_costs_two_fft_pairs(monkeypatch):
     assert not paths["damped"] and r.iterations == 60
     assert new_calls <= 4 * r.iterations + 2 * _RANDOM_STARTS
     assert sum(calls.values()) == 6 * r.iterations  # the loop that recomputed f's image
+
+
+@pytest.mark.parametrize("r", [1.001, 1.01, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0])
+def test_dual_factor_is_the_signed_power(r):
+    # v w = |v|^{r-1} v / |v|, 0 where v = 0, and total = ||v||_r^r, also on
+    # tiny entries, where |v|^{r-2} is near the float range for r near 1
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(257) + 1j * rng.standard_normal(257)
+    v[::16] = 0
+    v[1::16] *= 1e-300
+    v[2::16] *= 4 * np.finfo(float).tiny
+    a = np.abs(v)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        w, s, total = _dual_factor(v, r)
+    want = np.zeros_like(v)
+    want[a > 0] = a[a > 0] ** (r - 1.0) * (v[a > 0] / a[a > 0])
+    assert s == 1.0 and np.array_equal((v * w)[a == 0], want[a == 0])
+    assert np.allclose(v * w, want, rtol=4 * np.finfo(float).eps, atol=0)
+    assert total == pytest.approx(np.sum(a ** r), rel=1e-14)
+
+
+def test_dual_factor_gives_a_subnormal_entry_factor_zero():
+    # for r < 2 a subnormal |v| would give |v|^{r-2} = inf (1e-320^-0.999 at
+    # r = 1.001): its factor is 0, as where v = 0, and its share of the norm,
+    # below 1e-300, is dropped
+    v = np.array([1.0, 1e-320, 0.5, 0.0, -1e-320j])
+    for r in (1.001, 1.01, 1.5):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            w, s, total = _dual_factor(v, r)
+        assert s == 1.0 and np.all(np.isfinite(w)) and not w[[1, 3, 4]].any()
+        assert total == pytest.approx(1.0 + 0.5 ** r, rel=1e-15)
+
+
+def test_fine_grid_reads_a_coarse_test_function_with_subnormal_entries():
+    # at p = 1.001 the coarse grid's test function is Psi_{p'}(u), p' = 1001,
+    # over its norm: entries where |u| / max|u| is below about 0.49 are
+    # subnormal.  The finer grid's start norm must stay finite, or the start
+    # becomes 0 and the fine grid finds nothing
+    coarse = estimate_lower(segment_multiplier(2 ** 12, 8.0), 1.001, iterations=10, seed=1)
+    a = np.abs(coarse.test_function)
+    assert np.any((a > 0) & (a < np.finfo(float).tiny))
+    fine = estimate_lower(segment_multiplier(2 ** 13, 8.0), 1.001, iterations=30, seed=1)
+    assert fine.estimate > coarse.estimate
+
+
+def test_dual_factor_scales_by_the_top_before_an_overflowing_power():
+    # r = p' = 1001 at p = 1.001: 3^1000 overflows, so v is read as v / max|v|
+    r = 1001.0
+    rng = np.random.default_rng(6)
+    v = rng.uniform(0.6, 1.0, 64) * np.exp(2j * np.pi * rng.random(64)) * 3.0
+    v[::8] = 0
+    a = np.abs(v)
+    with np.errstate(over="ignore"):
+        assert np.isinf(a.max() ** (r - 1.0))
+    w, s, total = _dual_factor(v, r)
+    assert s == a.max()
+    scaled = a / s
+    want = np.zeros_like(v)
+    want[a > 0] = s * scaled[a > 0] ** (r - 1.0) * (v[a > 0] / a[a > 0])
+    assert np.array_equal((v * w)[a == 0], want[a == 0])
+    assert np.allclose(v * w, want, rtol=4 * np.finfo(float).eps, atol=0)
+    assert total == pytest.approx(np.sum(scaled ** r), rel=1e-14)
+
+
+def test_estimator_step_costs_two_powers(monkeypatch):
+    # each dual map takes one elementwise power, which gives its norm too: a
+    # start spends one on its norm and one on its first image, a step one on
+    # the candidate and one on its image, so a step's two FFT calls (each
+    # pairs with an ifft) come with two powers
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft, "fft"))
+    monkeypatch.setattr(np, "power", counting(np, "power"))
+    m = segment_multiplier(2 ** 10, 8.0)
+    r = estimate_lower(m, 4.0, iterations=60, seed=1)
+    assert r.iterations == 60 and calls["fft"] > 2 * _RANDOM_STARTS
+    assert calls["power"] == calls["fft"] + _RANDOM_STARTS
 
 
 # ---------------------------------------------------------------------------

@@ -691,8 +691,10 @@ def _lead_terms(f, t):
 def test_fft_periodic_mean_matches_the_root_table_sum(n):
     # the mean of |P / C1|^p by one FFT against the sum over a table of 2n
     # roots, within the two allowances summed.  256 is the fewest samples the
-    # mean takes, 12473 (a prime) the most a seed-1 numeric-norms round takes,
-    # 30721 one past the root-table sum's first block, 2^16 the cap
+    # mean takes; 12473 (a prime) is the largest sample goal of a seed-1
+    # numeric-norms round, which takes the power of two above it, 16384, but
+    # _periodic_mean still takes a prime; 30721 is one past the root-table
+    # sum's first block, 2^16 the cap
     from .helpers import reference_periodic_mean
 
     for f, t in ((TWO_BUMP, 12), (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), 1)):
