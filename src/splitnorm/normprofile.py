@@ -50,7 +50,7 @@ def _half_exponent(p) -> int:
 
 # the largest predicted work m^6 n^2 (d+1)^2 the exact engine takes on: n
 # pieces of degree at most d in the two halves, m = p/2.  Benchmark jobs
-# predict at most 1.7e6 (two-bump at p = 12), tier-1 ones 2.6e8 (the
+# predict at most 2.5e5 (tent at p = 10), tier-1 ones 2.6e8 (the
 # indicator at p = 40); predictions near 1e8 (tent at p = 30, two-bump at
 # p = 22) ran for 0.6 s on one core of a Xeon under Python 3.11.  The
 # series engine takes on the same cap (see SeriesProfile.values)
@@ -177,9 +177,15 @@ def gen_profile(pair: SplitPair, p: int) -> NormProfile:
         for i in range(m + 1)
         for j in range(i + 1, m + 1)
     )
-    sup = offdiag.support()
-    t_max = (sup[1] if sup is not None else RAT_ZERO) + 1
-    window = offdiag + PiecewisePoly([RAT_ZERO, t_max], [Poly([tail])])
+    # the tail added to the constant term of every off-diagonal piece, and
+    # one constant piece on either side of their support (from t >= 0 on)
+    const = Poly([tail])
+    pieces = [Poly([q.coeffs[0] + tail, *q.coeffs[1:]] if q else [tail], ()) for q in offdiag.pieces]
+    bps = list(offdiag.breakpoints) or [RAT_ZERO]
+    if bps[0] > 0:
+        bps, pieces = [RAT_ZERO, *bps], [const, *pieces]
+    t_max = bps[-1] + 1
+    window = PiecewisePoly([*bps, t_max], [*pieces, const])
     return NormProfile(
         p=p,
         profile=window,

@@ -28,19 +28,22 @@ the gcd of its integers, so the exact engine lays out its two split halves
 once; ``to_piecewise`` is the one way back, reducing each coefficient once,
 by ``rat(num, den)``, to a Fraction.
 
-Monotonicity and sign decisions are exact, via root isolation on integers
-(Collins & Akritas 1976): a polynomial's square-free part, certified by a
-gcd with its derivative modulo the prime 2^61 - 1 (the rational Euclid
-runs only when that certificate fails), is mapped once to an integer
-polynomial on [0, 1], and Descartes bisection halves it with integer
-scalings and Taylor shifts.  No floating point is involved anywhere in
-this module.
+Monotonicity and sign decisions run on f's ``IntLayout`` too, each sign
+read as ``den^n P(num / den)``.  Descartes' rule bounds the roots of any
+polynomial, so where a piece's window (its derivative's, for monotonicity)
+has no sign variation, its interval is one sign region.  Elsewhere roots
+are isolated on integers (Collins & Akritas 1976): the square-free part,
+certified by a gcd with its derivative modulo the prime 2^61 - 1 (the
+rational Euclid runs only when that certificate fails), is mapped once to
+an integer polynomial on [0, 1], and Descartes bisection halves it with
+integer scalings and Taylor shifts.  No floating point is involved
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat, zip_longest
 from typing import Optional
@@ -356,18 +359,28 @@ def _divide_root_at_one(w: list) -> list:
     return sums[-2::-1]
 
 
-def _int_window(sf: Poly, lo, hi) -> list:
-    """The window of sf over (lo, hi), with content 1."""
-    cs = _int_primitive(sf.coeffs)
+def _int_window(cs: list, lo, hi) -> list:
+    """The window of the integer polynomial cs over (lo, hi), with content 1."""
     den = math.lcm(lo.denominator, hi.denominator)
     n0 = lo.numerator * (den // lo.denominator)
     n1 = hi.numerator * (den // hi.denominator) - n0
     d = len(cs) - 1
-    # den^d sf(Y / den) in Y = den X, then Y = n0 + n1 x
+    # den^d cs(Y / den) in Y = den X, then Y = n0 + n1 x
     w = _taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], n0)
     w = [c * n1**j for j, c in enumerate(w)]
     g = math.gcd(*w)
     return [c // g for c in w]
+
+
+def _open_window(cs: list, lo, hi) -> list:
+    """The window of cs over (lo, hi) with its roots at lo and hi divided
+    out: its roots in (0, 1) are those of cs in the open (lo, hi)."""
+    w = _int_window(cs, lo, hi)
+    while len(w) > 1 and not w[0]:
+        w = w[1:]
+    while len(w) > 1 and not sum(w):
+        w = _divide_root_at_one(w)
+    return w
 
 
 def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
@@ -380,21 +393,17 @@ def isolate_real_roots(p: Poly, lo, hi) -> list[tuple]:
     """
     if p.is_zero():
         raise SplitnormError("cannot isolate roots of the zero polynomial")
-    return [(a, b) for a, b, _ in _isolate_square_free(_square_free(p), lo, hi)]
+    sf = _int_primitive(_square_free(p).coeffs)
+    return [(a, b) for a, b, _ in _isolate_square_free(sf, rat(lo), rat(hi))]
 
 
-def _isolate_square_free(sf: Poly, lo, hi) -> list[tuple]:
-    """``isolate_real_roots`` for a square-free sf, each interval ``(a, b)``
-    with its window ``w`` as ``(a, b, w)`` (``w`` is None for ``(r, r)``)."""
-    lo, hi = rat(lo), rat(hi)
-    if not lo < hi or sf.degree <= 0:
+def _isolate_square_free(sf: list, lo, hi) -> list[tuple]:
+    """``isolate_real_roots`` for a square-free integer sf and rational ends,
+    each interval ``(a, b)`` with its window ``w`` as ``(a, b, w)`` (``w`` is
+    None for ``(r, r)``)."""
+    if not lo < hi or len(sf) <= 1:
         return []
-    w = _int_window(sf, lo, hi)
-    # roots at lo and hi are outside the open interval: divide them out
-    while len(w) > 1 and not w[0]:
-        w = w[1:]
-    while len(w) > 1 and not sum(w):
-        w = _divide_root_at_one(w)
+    w = _open_window(sf, lo, hi)
     if len(w) <= 1:
         return []
 
@@ -442,28 +451,47 @@ def _bisect_toward_root(a, b, w):
     return mid, b, _taylor_shift(left, 1)
 
 
-def _sign_regions(p: Poly, lo, hi):
-    """Constant-sign regions of a nonzero real p on (lo, hi).
+def _int_at(p: list, x) -> int:
+    """den^n p(x) for the rational x = num / den, n = len(p) - 1: an integer of p(x)'s sign."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return acc
+
+
+def _trimmed(p: list) -> list:
+    """p without its trailing zeros."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _sign_regions(p: list, lo, hi):
+    """Constant-sign regions on (lo, hi) of the integer polynomial p, which
+    is nonzero and has no trailing zeros; lo and hi are rationals.
 
     Yields ``(sample, anchor, sign)`` per region between consecutive roots:
     ``sample`` is a non-root interior point, ``anchor`` a second point with
-    ``sample < anchor`` and no root of p in ``[sample, anchor]``.
+    ``sample < anchor`` and no root of p in ``[sample, anchor]``.  When the
+    window of p has no sign variation, (lo, hi) is one region: no square-free
+    part is formed.
     """
-    sf = _square_free(p)
     regions = []
     prev = lo  # a point <= the next root, with no uncovered root behind it
-    for a, b, w in _isolate_square_free(sf, lo, hi):
-        sample = (prev + a) / 2 if prev < a else prev
-        if p.eval(sample) == 0:
-            raise InvariantViolation("a sign-region sample point is a root")
-        nxt = _refine(a, b, w, lambda a, b, w: a > sample)
-        anchor = (sample + nxt[0]) / 2
-        if not sample < anchor:
-            raise InvariantViolation("a sign-region anchor must lie right of its sample")
-        regions.append((sample, anchor, 1 if p.eval(sample) > 0 else -1))
-        prev = nxt[1]
+    if _variations_01(_open_window(p, lo, hi)):
+        for a, b, w in _isolate_square_free(_int_primitive(_square_free(Poly(p)).coeffs), lo, hi):
+            sample = (prev + a) / 2 if prev < a else prev
+            if not _int_at(p, sample):
+                raise InvariantViolation("a sign-region sample point is a root")
+            nxt = _refine(a, b, w, lambda a, b, w: a > sample)
+            anchor = (sample + nxt[0]) / 2
+            if not sample < anchor:
+                raise InvariantViolation("a sign-region anchor must lie right of its sample")
+            regions.append((sample, anchor, 1 if _int_at(p, sample) > 0 else -1))
+            prev = nxt[1]
     sample = (prev + hi) / 2
-    regions.append((sample, (sample + hi) / 2, 1 if p.eval(sample) > 0 else -1))
+    regions.append((sample, (sample + hi) / 2, 1 if _int_at(p, sample) > 0 else -1))
     return regions
 
 
@@ -602,10 +630,6 @@ class PiecewisePoly:
         bps = [-b for b in reversed(self.breakpoints)]
         pieces = [p.scale_arg(rat(-1)) for p in reversed(self.pieces)]
         return PiecewisePoly(bps, pieces)
-
-    def _intervals(self):
-        for k, p in enumerate(self.pieces):
-            yield self.breakpoints[k], self.breakpoints[k + 1], p
 
     # -- serialization ---------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -992,20 +1016,6 @@ class MonotoneVerdict:
     witness: Optional[tuple] = None
 
 
-def _piece_increase_witness(p: Poly, lo, hi):
-    """A pair (x1, x2) in (lo, hi) with p(x1) < p(x2), or None."""
-    d = p.derivative()
-    if d.is_zero():
-        return None
-    for sample, anchor, sign in _sign_regions(d, lo, hi):
-        if sign > 0:
-            # p is strictly increasing on the root-free [sample, anchor]
-            if not p.eval(sample) < p.eval(anchor):
-                raise InvariantViolation("an increase witness must increase")
-            return (sample, anchor)
-    return None
-
-
 def _upward_jump_witness(f: PiecewisePoly, x, left_val, right_val, region_lo):
     """Witness for an upward jump at x: some x1 < x with f(x1) < f(x)."""
     midv = (left_val + right_val) / 2
@@ -1033,23 +1043,33 @@ def is_nonincreasing_on(f: PiecewisePoly, a, b=None) -> MonotoneVerdict:
     if f.support() is None:
         return MonotoneVerdict(True)
 
-    cuts = [x for x in f.breakpoints if a < x and (b is None or x < b)]
+    bps = f.breakpoints
+    # the cuts are the breakpoints inside (a, b), from bps[k0] on; f in X = L x
+    # is F, and pieces[k] is its integer piece left of bps[k]
+    k0 = bisect_right(bps, a)
+    cuts = bps[k0:len(bps) if b is None else bisect_left(bps, b)]
+    F, = IntLayout.of(f)
+    L = F.scale
+    pieces = [[0], *map(_trimmed, F.re), [0]]
 
     # within-piece monotonicity on every maximal polynomial interval
-    grid = [a] + cuts + ([b] if b is not None else [])
-    for u, v in zip(grid, grid[1:]):
-        w = _piece_increase_witness(f.piece_at(u), u, v)
-        if w is not None:
-            return MonotoneVerdict(False, w)
+    grid = [a, *cuts] + ([b] if b is not None else [])
+    for q, u, v in zip(pieces[k0:], grid, grid[1:]):
+        d = [j * c for j, c in enumerate(q)][1:]
+        rising = d and next((r for r in _sign_regions(d, u * L, v * L) if r[2] > 0), None)
+        if rising:
+            # q is strictly increasing on the root-free [sample, anchor]
+            sample, anchor = rising[:2]
+            n = len(q) - 1
+            if not _int_at(q, sample) * anchor.denominator**n < _int_at(q, anchor) * sample.denominator**n:
+                raise InvariantViolation("an increase witness must increase")
+            return MonotoneVerdict(False, (sample / L, anchor / L))
 
     # jumps at interior cuts must go downward (left limit >= right value)
-    for x in cuts:
-        lv = f.left_limit(x)
-        rv = f.eval(x)
-        if lv < rv:
-            below = [c for c in f.breakpoints if c < x]
-            region_lo = max([a] + below[-1:])
-            return MonotoneVerdict(False, _upward_jump_witness(f, x, lv, rv, region_lo))
+    for k, x in enumerate(cuts, start=k0):
+        if _int_at(pieces[k], F.bps[k]) < _int_at(pieces[k + 1], F.bps[k]):
+            region_lo = max(a, bps[k - 1]) if k else a
+            return MonotoneVerdict(False, _upward_jump_witness(f, x, f.left_limit(x), f.eval(x), region_lo))
     return MonotoneVerdict(True)
 
 
@@ -1061,10 +1081,11 @@ def is_nonnegative(f: PiecewisePoly) -> MonotoneVerdict:
     """
     if not f.is_real():
         raise SplitnormError("sign is decided for real-valued functions only")
-    for u, v, p in f._intervals():
-        if p.is_zero():
+    F, = IntLayout.of(f)
+    for u, v, q in zip(F.bps, F.bps[1:], map(_trimmed, F.re)):
+        if not q:
             continue
-        for sample, _, sign in _sign_regions(p, u, v):
+        for sample, _, sign in _sign_regions(q, rat(u), rat(v)):
             if sign < 0:
-                return MonotoneVerdict(False, sample)
+                return MonotoneVerdict(False, sample / F.scale)
     return MonotoneVerdict(True)

@@ -20,9 +20,14 @@ from splitnorm.polyalg import (
     PiecewisePoly,
     Poly,
     _int_mul_add,
+    _int_primitive,
+    _isolate_square_free,
     _pairs,
     _product_jumps,
+    _refine,
+    _square_free,
     _taylor_shift,
+    _upward_jump_witness,
     _weighted,
     convolve,
     indicator,
@@ -303,6 +308,79 @@ def rational_isolation_reference(p: Poly, lo, hi) -> list:
                 a = mid
         refined.append((a, b))
     return refined
+
+
+# the monotone and sign decisions as they stood before they ran on integer
+# pieces: every sign is a Fraction evaluation in x, and every interval takes
+# the square-free part and its isolation, with no Descartes pre-test
+
+
+def reference_sign_regions(p: Poly, lo, hi) -> list:
+    """``(sample, anchor, sign)`` per constant-sign region of the nonzero
+    real p on (lo, hi), the oracle of ``polyalg._sign_regions``."""
+    regions = []
+    prev = lo
+    for a, b, w in _isolate_square_free(_int_primitive(_square_free(p).coeffs), lo, hi):
+        sample = (prev + a) / 2 if prev < a else prev
+        assert p.eval(sample) != 0, "a sign-region sample point is a root"
+        nxt = _refine(a, b, w, lambda a, b, w: a > sample)
+        anchor = (sample + nxt[0]) / 2
+        assert sample < anchor, "a sign-region anchor must lie right of its sample"
+        regions.append((sample, anchor, 1 if p.eval(sample) > 0 else -1))
+        prev = nxt[1]
+    sample = (prev + hi) / 2
+    regions.append((sample, (sample + hi) / 2, 1 if p.eval(sample) > 0 else -1))
+    return regions
+
+
+def _reference_piece_increase_witness(p: Poly, lo, hi):
+    """A pair (x1, x2) in (lo, hi) with p(x1) < p(x2), or None."""
+    d = p.derivative()
+    if d.is_zero():
+        return None
+    for sample, anchor, sign in reference_sign_regions(d, lo, hi):
+        if sign > 0:
+            assert p.eval(sample) < p.eval(anchor), "an increase witness must increase"
+            return (sample, anchor)
+    return None
+
+
+def reference_is_nonincreasing_on(f: PiecewisePoly, a, b=None) -> MonotoneVerdict:
+    """Test oracle: ``polyalg.is_nonincreasing_on`` on the Fraction pieces of f."""
+    assert f.is_real()
+    a = rat(a)
+    if b is not None:
+        b = rat(b)
+        if not a < b:
+            return MonotoneVerdict(True)
+    if f.support() is None:
+        return MonotoneVerdict(True)
+    cuts = [x for x in f.breakpoints if a < x and (b is None or x < b)]
+    grid = [a] + cuts + ([b] if b is not None else [])
+    for u, v in zip(grid, grid[1:]):
+        w = _reference_piece_increase_witness(f.piece_at(u), u, v)
+        if w is not None:
+            return MonotoneVerdict(False, w)
+    for x in cuts:
+        lv = f.left_limit(x)
+        rv = f.eval(x)
+        if lv < rv:
+            below = [c for c in f.breakpoints if c < x]
+            region_lo = max([a] + below[-1:])
+            return MonotoneVerdict(False, _upward_jump_witness(f, x, lv, rv, region_lo))
+    return MonotoneVerdict(True)
+
+
+def reference_is_nonnegative(f: PiecewisePoly) -> MonotoneVerdict:
+    """Test oracle: ``polyalg.is_nonnegative`` on the Fraction pieces of f."""
+    assert f.is_real()
+    for u, v, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if p.is_zero():
+            continue
+        for sample, _, sign in reference_sign_regions(p, u, v):
+            if sign < 0:
+                return MonotoneVerdict(False, sample)
+    return MonotoneVerdict(True)
 
 
 def require_applicable(report):

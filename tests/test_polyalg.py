@@ -43,6 +43,8 @@ from .helpers import (
     poly_integral,
     rational_isolation_reference,
     reference_is_nondecreasing_on,
+    reference_is_nonincreasing_on,
+    reference_is_nonnegative,
     reference_real_correlation_sum,
     rnd_poly,
     rnd_pp,
@@ -421,6 +423,99 @@ def test_is_nonnegative():
     assert verdict.witness is not None
 
 
+def _decisions(f, a, b):
+    """The monotone decisions on [a, b] and [a, oo) and the sign decision of f."""
+    return [is_nonincreasing_on(f, a, b), is_nonincreasing_on(f, a), is_nonnegative(f)]
+
+
+def _reference_decisions(f, a, b):
+    return [reference_is_nonincreasing_on(f, a, b), reference_is_nonincreasing_on(f, a), reference_is_nonnegative(f)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_integer_decisions_match_the_fraction_oracle(seed):
+    # verdict and witness, bit for bit, on random real functions, with a and
+    # b at quarter points and with b = None
+    rng = np.random.default_rng(seed)
+    f = rnd_pp(rng, halfwidth=2, max_pieces=4, max_deg=3)
+    a, b = sorted(rat(int(k), 4) for k in rng.choice(np.arange(-10, 11), size=2, replace=False))
+    assert _decisions(f, a, b) == _reference_decisions(f, a, b)
+    assert _decisions(-f, a, b) == _reference_decisions(-f, a, b)
+
+
+def test_integer_decisions_match_the_fraction_oracle_on_benchmark_profiles():
+    # the 23 profiles of the exact-profiles benchmark, and their negations
+    from splitnorm.normprofile import check_monotone, norm_profile
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+        import workloads
+    finally:
+        sys.path.pop(0)
+    jobs = [j for j in workloads.exact_profiles(1) if "table" in j]
+    assert len(jobs) == 23
+    for job in jobs:
+        prof = norm_profile(inputs.to_piecewise(job["table"]), job["p"])
+        assert check_monotone(prof) == reference_is_nonincreasing_on(prof.profile, 0, prof.t_max), job["name"]
+        for g in (prof.profile, -prof.profile):
+            assert _decisions(g, 0, prof.t_max) == _reference_decisions(g, 0, prof.t_max), job["name"]
+
+
+def _count_square_free(monkeypatch):
+    calls = []
+    real_square_free = polyalg._square_free
+    monkeypatch.setattr(polyalg, "_square_free", lambda q: calls.append(q) or real_square_free(q))
+    return calls
+
+
+def test_root_free_pieces_take_no_square_free_part(monkeypatch):
+    # every piece of the indicator's p = 4 profile has a derivative window
+    # without sign variations: the double root at t = 1/2 is an end root
+    from splitnorm.normprofile import check_monotone, norm_profile
+
+    prof = norm_profile(indicator(-1, 1), 4)
+    calls = _count_square_free(monkeypatch)
+    assert check_monotone(prof).ok and is_nonnegative(prof.profile).ok
+    assert calls == []
+
+
+def test_double_root_inside_falls_back_to_isolation(monkeypatch):
+    # -(x - 1/2)^3 on (0, 1): the derivative -3 (x - 1/2)^2 has a double
+    # root at 1/2, so its window varies and the square-free part is formed
+    f = PiecewisePoly([0, 1], [Poly([rat(1, 8), -rat(3, 4), rat(3, 2), -1])])
+    calls = _count_square_free(monkeypatch)
+    assert is_nonincreasing_on(f, 0, 1) == reference_is_nonincreasing_on(f, 0, 1) == polyalg.MonotoneVerdict(True)
+    assert len(calls) == 1
+
+
+def test_descartes_overcount_without_roots_matches_the_oracle(monkeypatch):
+    # d = x^2 - x + 5/16 has no real root, but its window over (0, 1) has two
+    # sign variations: isolation runs and finds one region
+    d = Poly([rat(5, 16), -1, 1])
+    f = PiecewisePoly([0, 1], [Poly([0, rat(5, 16), -rat(1, 2), rat(1, 3)])])  # f' = d > 0
+    assert f.pieces[0].derivative() == d
+    calls = _count_square_free(monkeypatch)
+    for g in (f, -f):
+        assert _decisions(g, 0, 1) == _reference_decisions(g, 0, 1)
+    assert calls  # the pre-test passed it on
+    assert not is_nonincreasing_on(f, 0, 1).ok and is_nonincreasing_on(-f, 0, 1).ok
+
+
+def test_increase_witness_equals_the_oracle():
+    # a rising line (no root: one region) and (x - 1/3)^2 (a root inside: the
+    # rising region after it), on a quarter-point window and on [0, oo)
+    for f in (PiecewisePoly([0, 1], [Poly([0, 1])]),
+              PiecewisePoly([-1, rat(1, 2), 1], [Poly([rat(1, 9), -rat(2, 3), 1]), Poly([2])])):
+        for a, b in ((rat(-1, 4), rat(3, 4)), (rat(0), None)):
+            verdict = is_nonincreasing_on(f, a, b)
+            assert not verdict.ok
+            assert verdict == reference_is_nonincreasing_on(f, a, b)
+            x1, x2 = verdict.witness
+            assert x1 < x2 and f.eval(x1) < f.eval(x2)
+
+
 # ---------------------------------------------------------------------------
 # root isolation
 # ---------------------------------------------------------------------------
@@ -472,12 +567,13 @@ def test_sign_regions_square_free_once(monkeypatch):
     real_square_free = PA._square_free
     monkeypatch.setattr(PA, "_square_free", lambda q: calls.append(q) or real_square_free(q))
     cases = [
-        (Poly([-6, 11, -6, 1]), 0, 4, [-1, 1, -1, 1]),  # (x-1)(x-2)(x-3)
-        (Poly([2, -3, 0, 1]), -5, 5, [-1, 1, 1]),  # (x-1)^2 (x+2): no change at 1
-        (Poly([1, 0, 1]), -10, 10, [1]),
+        ([-6, 11, -6, 1], 0, 4, [-1, 1, -1, 1]),  # (x-1)(x-2)(x-3)
+        ([2, -3, 0, 1], -5, 5, [-1, 1, 1]),  # (x-1)^2 (x+2): no change at 1
+        ([1, 0, 1], -10, 10, [1]),  # its window varies, so isolation runs
     ]
-    for k, (p, lo, hi, signs) in enumerate(cases, start=1):
-        regions = PA._sign_regions(p, rat(lo), rat(hi))
+    for k, (cs, lo, hi, signs) in enumerate(cases, start=1):
+        p = Poly(cs)
+        regions = PA._sign_regions(cs, rat(lo), rat(hi))
         assert len(calls) == k
         assert [sign for _, _, sign in regions] == signs
         for sample, anchor, sign in regions:
@@ -590,7 +686,7 @@ def test_isolate_exact_root_hit_by_bisection():
     import splitnorm.polyalg as PA
 
     q = Poly([-rat(1, 3), 1]) * Poly([-rat(3, 4), 1])
-    regions = PA._sign_regions(q, rat(0), rat(2))
+    regions = PA._sign_regions([3, -13, 12], rat(0), rat(2))  # 12 q = (3x - 1)(4x - 3)
     assert regions[1] == (rat(1, 2), rat(5, 8), -1)
     assert [sign for _, _, sign in regions] == [1, -1, 1]
     for sample, anchor, sign in regions:
