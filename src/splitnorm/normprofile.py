@@ -51,9 +51,11 @@ def _half_exponent(p) -> int:
 # the largest predicted work m^6 n^2 (d+1)^2 the exact engine takes on: n
 # pieces of degree at most d in the two halves, m = p/2.  Benchmark jobs
 # predict at most 2.5e5 (tent at p = 10), tier-1 ones 2.6e8 (the
-# indicator at p = 40); predictions near 1e8 (tent at p = 30, two-bump at
-# p = 22) ran for 0.6 s on one core of a Xeon under Python 3.11.  The
-# series engine takes on the same cap (see SeriesProfile.values)
+# indicator at p = 40).  tent at p = 30 (1.8e8) and two-bump at p = 22
+# (6.4e7) take 0.35 and 0.38 s of CPU on one core of an Intel Xeon (2
+# shared cores, Python 3.11.7): both are mirrored, which the model does
+# not see, and the general path took 0.58 and 0.59 s on them.  The series
+# engine takes on the same cap (see SeriesProfile.values)
 _EXACT_CAP = 10 ** 9
 
 
@@ -123,12 +125,23 @@ def _ladder(h: IntLayout, m: int) -> list:
     return rungs
 
 
-def _convolution_blocks(plus: IntLayout, minus: IntLayout, m: int):
+def _mirror(plus: IntLayout, minus: IntLayout):
+    """``conj`` with ``minus == plus.reflected(conj)``, or None: the pair is not mirrored."""
+    flags = (False,) if plus.im is None else (False, True)  # a real half's two reflections are one
+    return next((conj for conj in flags if plus.reflected(conj) == minus), None)
+
+
+def _convolution_blocks(plus: IntLayout, minus: IntLayout, m: int, conj: Optional[bool]):
     """Layouts of G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, read off the
     ladders of the two halves (laid out at one scale): the end blocks are
-    their top rungs, and each inner block is one more convolution."""
-    up, down = _ladder(plus, m), _ladder(minus, m)
-    return [down[-1], *(up[i - 1].convolve(down[m - i - 1]) for i in range(1, m)), up[-1]]
+    their top rungs, and each inner block is one more convolution.  For a
+    mirrored pair, minus = R plus with R = ``reflected(conj)``, G_{m-i} = R G_i:
+    the minus rungs and the blocks past m/2 are reflections, and m - 1 +
+    floor(m/2) convolutions do for 3(m - 1).  Every block keeps its jumps."""
+    up = _ladder(plus, m)
+    down = _ladder(minus, m) if conj is None else [h.reflected(conj) for h in up]
+    blocks = [down[-1], *(up[i - 1].convolve(down[m - i - 1]) for i in range(1, m if conj is None else m // 2 + 1))]
+    return [*blocks, *(g.reflected(conj) for g in blocks[m - len(blocks):0:-1]), up[-1]]
 
 
 def _constancy_onset(window: PiecewisePoly, tail):
@@ -159,23 +172,32 @@ def gen_profile(pair: SplitPair, p: int) -> NormProfile:
     i < j the (i, j) and (j, i) terms are complex conjugates, and together
     they make ``2 w_i w_j Re K_ji(2(j-i)t)``: all off-diagonal pairs go into
     one real accumulation, the one result brought back to rationals in x.
+    A mirrored pair (minus the reflection of plus, conjugated or not: f even
+    or Hermitian) has G_{m-i} = R G_i, and equal (i, j) and (m-j, m-i)
+    terms: only those with i + j <= m are formed, twice where i + j < m.
     """
     m = _half_exponent(p)
     _check_size(pair.plus, pair.minus, m)
-    blocks = _convolution_blocks(*IntLayout.of(pair.plus, pair.minus), m)
+    plus, minus = IntLayout.of(pair.plus, pair.minus)
+    conj = _mirror(plus, minus)
+    blocks = _convolution_blocks(plus, minus, m, conj)
     weights = [math.comb(m, i) for i in range(m + 1)]
 
+    def times(i, j):  # how often the (i, j) term is counted
+        return 1 if conj is None or i + j == m else 2
+
     tail = RAT_ZERO
-    for i, g in enumerate(blocks):
-        norm_sq = g.inner(g)
+    for i in range(m + 1 if conj is None else m // 2 + 1):
+        norm_sq = blocks[i].inner(blocks[i])
         if isinstance(norm_sq, tuple):
             raise InvariantViolation("the diagonal terms of the profile must be real")
-        tail = tail + rat(weights[i] ** 2) * norm_sq
+        tail = tail + rat(times(i, i) * weights[i] ** 2) * norm_sq
 
     offdiag = real_correlation_sum(
-        (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
+        (2 * times(i, j) * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
         for i in range(m + 1)
         for j in range(i + 1, m + 1)
+        if conj is None or i + j <= m
     )
     # the tail added to the constant term of every off-diagonal piece, and
     # one constant piece on either side of their support (from t >= 0 on)
@@ -216,15 +238,19 @@ def newt_constant(f: PiecewisePoly, p: int):
     whenever the transform of the split function is real-valued (for
     instance f real and even).  The halves are laid out once, each power is
     the top rung of its half's ladder of layouts (m - 1 convolutions), and
-    the value is one inner product of the two: no function is brought back."""
+    the value is one inner product of the two: no function is brought back.
+    A mirrored pair's minus power is the reflection of its plus power."""
     m = _half_exponent(p)
     pair = split(f)
     if pair.plus.is_zero() or pair.minus.is_zero():
         return RAT_ZERO
     _check_size(pair.plus, pair.minus, m)
-    u, w = (_ladder(h, m)[-1] for h in IntLayout.of(pair.plus, pair.minus))
+    plus, minus = IntLayout.of(pair.plus, pair.minus)
+    conj = _mirror(plus, minus)
+    u = _ladder(plus, m)[-1]
+    w = _ladder(minus, m)[-1] if conj is None else u.reflected(conj)
     # (u * w)(0) = int u(y) w(-y) dy, scaled part by part by C(p, m)
-    re, im = parts(u.inner(w.conj_reflected()))
+    re, im = parts(u.inner(w.reflected(True)))
     return gauss(math.comb(p, m) * re, math.comb(p, m) * im)
 
 

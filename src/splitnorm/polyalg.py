@@ -668,7 +668,8 @@ class IntLayout:
     and ``im[k]`` (``im`` is None for real data) are the ascending
     coefficients of piece k of F(X) = f(X / L), each padded to ``degree + 1``
     entries, all over one positive ``den``.  Zero has no pieces.  A layout
-    is never changed: its jumps and reflection are formed once, in ``_memo``.
+    is never changed: its jumps and reflections are formed once, in
+    ``_memo``, and only a layout from ``of`` forms jumps from its pieces.
     """
 
     bps: list
@@ -716,8 +717,8 @@ class IntLayout:
         pieces = [Poly(coeffs(q), coeffs(i) if any(i) else ()) for q, i in zip(self.re, im)]
         return PiecewisePoly([rat(b, self.scale) for b in self.bps], pieces)
 
-    def conj_reflected(self) -> "IntLayout":
-        """The layout of x -> conj(f(-x)), formed once."""
+    def reflected(self, conj: bool) -> "IntLayout":
+        """The layout of x -> f(-x), conjugated if ``conj``, formed once; its jumps are f's (see ``jumps``)."""
 
         def flip(pieces, negate: bool):
             return [
@@ -725,50 +726,65 @@ class IntLayout:
                 for q in reversed(pieces)
             ]
 
-        if "conj" not in self._memo:
-            im = None if self.im is None else flip(self.im, True)
+        key = ("reflected", conj)
+        if key not in self._memo:
+            im = None if self.im is None else flip(self.im, conj)
             bps = [-b for b in reversed(self.bps)]
-            self._memo["conj"] = IntLayout(bps, self.scale, self.den, flip(self.re, False), im, self.degree)
-        return self._memo["conj"]
+            out = IntLayout(bps, self.scale, self.den, flip(self.re, False), im, self.degree)
+            out._memo["source"] = (self, conj)
+            self._memo[key] = out
+        return self._memo[key]
 
     def jumps(self, part: str) -> list:
         """``(B_k, [m! d_m])`` per breakpoint, a shared list, ``d_m`` the coefficients of
-        the jump of ``part`` ("re", "im", or "sum" for re + im) in powers of X - B_k."""
+        the jump of ``part`` ("re", "im", or "sum" for re + im) in powers of X - B_k.
+        A reflection's jump at -B is ``-(-1)^m d_m`` of its source's at B, with
+        the imaginary part negated once more by ``conj``; "sum" adds up the two.
+        A convolution's jump at S is ``m! J_S / g``, with g the gcd it divided by."""
         if part in self._memo:
             return self._memo[part]
+        source, conj = self._memo.get("source", (None, False))
+        terms, g = self._memo.get("terms", ({}, 1))
         if part == "sum":
-            pieces = [[a + b for a, b in zip(r, i)] for r, i in zip(self.re, self.im)]
+            acc = _add_into(_add_into({}, dict(self.jumps("re")), 1), dict(self.jumps("im")), 1)
+            out = [(b, cs) for b, cs in sorted(acc.items()) if any(cs)]
+        elif source is not None:
+            odd = conj and part == "im"  # negate the odd powers, else the even ones
+            out = [(-b, [-c if (m % 2 == 1) == odd else c for m, c in enumerate(cs)])
+                   for b, cs in reversed(source.jumps(part))]
+        elif terms.get(part) is not None:
+            fact = [math.factorial(m) for m in range(self.degree + 1)]
+            out = [(s, [w * c // g for w, c in zip(fact, cs)]) for s, cs in sorted(terms.pop(part).items()) if any(cs)]
         else:
             pieces = getattr(self, part)
-        zero = [0] * (self.degree + 1)
-        fact = [math.factorial(m) for m in range(self.degree + 1)]
-        out = []
-        prev = zero
-        for k, b in enumerate(self.bps):
-            cur = pieces[k] if k < len(pieces) else zero
-            d = [x - y for x, y in zip(cur, prev)]
-            if any(d):
-                out.append((b, [w * c for w, c in zip(fact, _taylor_shift(d, b))]))
-            prev = cur
+            zero = [0] * (self.degree + 1)
+            fact = [math.factorial(m) for m in range(self.degree + 1)]
+            out = []
+            prev = zero
+            for k, b in enumerate(self.bps):
+                cur = pieces[k] if k < len(pieces) else zero
+                d = [x - y for x, y in zip(cur, prev)]
+                if any(d):
+                    out.append((b, [w * c for w, c in zip(fact, _taylor_shift(d, b))]))
+                prev = cur
         self._memo[part] = out
         return out
 
     def convolve(self, other: "IntLayout") -> "IntLayout":
         """The layout of the convolution, divided through by the gcd of its
         numerators and ``den``: without that, the integers of a ladder of
-        convolutions grow rung by rung."""
+        convolutions grow rung by rung.  It keeps the one-sided terms J_S it
+        was summed from, and its jumps are read off them (see ``jumps``)."""
         re, im, weights, den = _product_jumps(self, other)
         re, im = _weighted(re, weights), None if im is None else _weighted(im, weights)
         starts = sorted(re if im is None else re.keys() | im.keys())
         width = self.degree + other.degree + 2
-        re = _running_sums(re, starts, width, "convolve")
-        im = None if im is None else _running_sums(im, starts, width, "convolve")
-        g = math.gcd(den, *(c for rows in (re, im or ()) for q in rows for c in q))
-
-        def reduced(rows):
-            return [[c // g for c in q] for q in rows]
-
-        return IntLayout(starts, self.scale, den // g, reduced(re), None if im is None else reduced(im), width - 1)
+        rows = [_running_sums(J, starts, width, "convolve") for J in (re, im) if J is not None]
+        g = math.gcd(den, *(c for pieces in rows for q in pieces for c in q))
+        rows = [[[c // g for c in q] for q in pieces] for pieces in rows]
+        out = IntLayout(starts, self.scale, den // g, rows[0], None if im is None else rows[1], width - 1)
+        out._memo["terms"] = ({"re": re, "im": im}, g)
+        return out
 
     def inner(self, other: "IntLayout"):
         """Exact int f(x) * conj(g(x)) dx."""
@@ -950,7 +966,7 @@ def correlate(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     ``correlate(f, f)(0)`` is the squared L2 norm of f.
     """
     F, G = IntLayout.of(f, g)
-    return G.convolve(F.conj_reflected()).to_piecewise()
+    return G.convolve(F.reflected(True)).to_piecewise()
 
 
 def l2_inner(f: PiecewisePoly, g: PiecewisePoly):
@@ -979,7 +995,7 @@ def real_correlation_sum(terms) -> PiecewisePoly:
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     parts = []
     for w, c, F, G in terms:
-        re, _, weights, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        re, _, weights, den = _product_jumps(G, F.reflected(True), real_only=True)
         parts.append((w, lcm_c // c, re, weights, den))
     width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
     # X = L c t = Z / r with r = lcm(c) / c; over the common ``den * r^j``

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 
-from splitnorm import oscint
+from splitnorm import normprofile as NP, oscint
 from splitnorm.errors import BudgetExceeded, InapplicableHypothesis, SplitnormError
 from splitnorm.multnorm import BoundReport, DiscreteMultiplier, _binom_factor, constants
 from splitnorm.oscint import FTEvaluator, NumericNorm
@@ -32,10 +32,11 @@ from splitnorm.polyalg import (
     convolve,
     indicator,
     is_nonincreasing_on,
+    real_correlation_sum,
     tent,
 )
-from splitnorm.scalars import gauss, parse_rat, parse_scalar, rat
-from splitnorm.splitcore import apply_split
+from splitnorm.scalars import gauss, parse_rat, parse_scalar, parts, rat
+from splitnorm.splitcore import apply_split, split
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -187,7 +188,7 @@ def conjugate(p: Poly) -> Poly:
 
 def conj_reflect(f: PiecewisePoly) -> PiecewisePoly:
     """x -> conj(f(-x)), the correlation kernel: an oracle for the exact
-    engine's ``IntLayout.conj_reflected``."""
+    engine's ``IntLayout.reflected(True)``."""
     g = f.reflect()
     return PiecewisePoly(g.breakpoints, [conjugate(p) for p in g.pieces])
 
@@ -873,7 +874,7 @@ def reference_real_correlation_sum(terms) -> PiecewisePoly:
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     parts = []
     for w, c, F, G in terms:
-        re, _, weights, den = _product_jumps(G, F.conj_reflected(), real_only=True)
+        re, _, weights, den = _product_jumps(G, F.reflected(True), real_only=True)
         re = _weighted(re, weights)
         parts.append((w, lcm_c // c, {s: _taylor_shift(cs, -s) for s, cs in re.items()}, den))
     width = 2 * max(h.degree for _, _, F, G in terms for h in (F, G)) + 2
@@ -893,3 +894,64 @@ def reference_real_correlation_sum(terms) -> PiecewisePoly:
         pieces.append(running)
     assert not any(running), "the one-sided terms must cancel past the last start"
     return IntLayout(starts, terms[0][2].scale * lcm_c, common, pieces[:-1], None, width - 1).to_piecewise()
+
+
+# the exact engine's general path, which every split pair took before a
+# mirrored pair (minus the reflection of plus) shared one ladder: two
+# ladders, every block convolved, every diagonal and off-diagonal term formed
+
+
+def reference_convolution_blocks(plus: IntLayout, minus: IntLayout, m: int) -> list:
+    """Layouts of G_i = plus^{*i} * minus^{*(m-i)} for i = 0..m, read off the
+    ladders of both halves."""
+    up, down = NP._ladder(plus, m), NP._ladder(minus, m)
+    return [down[-1], *(up[i - 1].convolve(down[m - i - 1]) for i in range(1, m)), up[-1]]
+
+
+def reference_gen_profile(pair, p: int):
+    """Test oracle: ``normprofile.gen_profile`` with all m + 1 diagonal and
+    m (m + 1) / 2 off-diagonal terms."""
+    m = NP._half_exponent(p)
+    NP._check_size(pair.plus, pair.minus, m)
+    blocks = reference_convolution_blocks(*IntLayout.of(pair.plus, pair.minus), m)
+    weights = [math.comb(m, i) for i in range(m + 1)]
+    tail = rat(0)
+    for i, g in enumerate(blocks):
+        tail = tail + rat(weights[i] ** 2) * g.inner(g)
+    offdiag = real_correlation_sum(
+        (2 * weights[i] * weights[j], 2 * (j - i), blocks[j], blocks[i])
+        for i in range(m + 1)
+        for j in range(i + 1, m + 1)
+    )
+    const = Poly([tail])
+    pieces = [Poly([q.coeffs[0] + tail, *q.coeffs[1:]] if q else [tail], ()) for q in offdiag.pieces]
+    bps = list(offdiag.breakpoints) or [rat(0)]
+    if bps[0] > 0:
+        bps, pieces = [rat(0), *bps], [const, *pieces]
+    t_max = bps[-1] + 1
+    window = PiecewisePoly([*bps, t_max], [*pieces, const])
+    return NP.NormProfile(
+        p=p,
+        profile=window,
+        t0=max(NP.gen_t0(pair.A, pair.b, p), rat(0)),
+        tail_value=tail,
+        constancy_onset=NP._constancy_onset(window, tail),
+        t_max=t_max,
+    )
+
+
+def reference_newt_constant(f: PiecewisePoly, p: int):
+    """Test oracle: ``normprofile.newt_constant`` from the top rungs of both
+    halves' ladders."""
+    m = NP._half_exponent(p)
+    pair = split(f)
+    if pair.plus.is_zero() or pair.minus.is_zero():
+        return rat(0)
+    u, w = (NP._ladder(h, m)[-1] for h in IntLayout.of(pair.plus, pair.minus))
+    re, im = parts(u.inner(w.reflected(True)))
+    return gauss(math.comb(p, m) * re, math.comb(p, m) * im)
+
+
+def fresh_layout(h: IntLayout) -> IntLayout:
+    """A copy of h with nothing memoized: its jumps are formed from its pieces."""
+    return IntLayout(h.bps, h.scale, h.den, h.re, h.im, h.degree)

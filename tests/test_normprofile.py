@@ -24,7 +24,16 @@ from splitnorm.polyalg import Poly, indicator, is_nonincreasing_on, isolate_real
 from splitnorm.scalars import format_rat, gauss, parts, rat
 from splitnorm.splitcore import SplitPair, class_s_check
 
-from .helpers import conj_reflect, conv_power, exactly, rnd_class_s_member, rnd_even_nonneg, rnd_pp
+from .helpers import (
+    conj_reflect,
+    conv_power,
+    exactly,
+    reference_gen_profile,
+    reference_newt_constant,
+    rnd_class_s_member,
+    rnd_even_nonneg,
+    rnd_pp,
+)
 
 CHI = indicator(-1, 1)
 TWO_BUMP = indicator(-1, 1) + indicator(10, 11) + indicator(-11, -10)
@@ -663,3 +672,114 @@ def test_profile_agrees_with_quadrature(seed):
     exact = float(prof.value_at(t))
     numeric = norm_numeric(f, float(p), float(t), target_abs_err=1e-6 * (1 + exact))
     assert abs(numeric.value - exact) <= numeric.abs_error
+
+
+# ---------------------------------------------------------------------------
+# mirrored split pairs: one ladder, half the blocks and correlations
+# ---------------------------------------------------------------------------
+
+
+def _is_mirrored(pair) -> bool:
+    import splitnorm.normprofile as NP
+    from splitnorm.polyalg import IntLayout
+
+    return NP._mirror(*IntLayout.of(pair.plus, pair.minus)) is not None
+
+
+def _assert_matches_the_general_path(f, p):
+    from splitnorm.splitcore import split
+
+    assert norm_profile(f, p) == reference_gen_profile(split(f), p)
+    assert newt_constant(f, p) == reference_newt_constant(f, p)
+
+
+def test_mirrored_path_matches_the_general_path_on_the_benchmark_profiles():
+    # the 23 exact-profiles profiles of seeds 1 and 2: 16 of them mirrored
+    import sys
+    from pathlib import Path
+
+    from splitnorm.splitcore import split
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 2):
+        jobs = [j for j in workloads.exact_profiles(seed) if "table" in j]
+        assert len(jobs) == 23
+        mirrored = 0
+        for job in jobs:
+            f = inputs.to_piecewise(job["table"])
+            mirrored += _is_mirrored(split(f))
+            _assert_matches_the_general_path(f, job["p"])
+        assert mirrored == 16
+
+
+def test_mirrored_path_matches_the_general_path_on_the_newt_sweep():
+    sweep = {CHI: range(4, 13, 2), tent(-1, 0, 1): range(4, 11, 2), TWO_BUMP: (4, 6, 8),
+             indicator(0, 1) + indicator(-1, 0) * gauss(0, 1): (4, 6, 8)}
+    for f, ps in sweep.items():
+        for p in ps:
+            assert newt_constant(f, p) == reference_newt_constant(f, p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_symmetrized_draws_match_the_general_path(seed):
+    # a random table made even, even and complex, or Hermitian takes the
+    # mirrored path; with one coefficient off it takes the general one
+    from splitnorm.polyalg import PiecewisePoly
+    from splitnorm.splitcore import split
+
+    rng = np.random.default_rng(seed)
+    kind = ("even", "even-complex", "hermitian")[int(rng.integers(3))]
+    g = rnd_pp(rng, max_pieces=3, max_deg=2, complex_ok=kind != "even")
+    f = g + (conj_reflect(g) if kind == "hermitian" else g.reflect())
+    p = int(rng.choice([2, 4, 6]))
+    pair = split(f)
+    assert f.is_zero() or _is_mirrored(pair)
+    _assert_matches_the_general_path(f, p)
+    if pair.plus.is_zero():
+        return
+    # the near miss: the top coefficient of one piece of plus is one off
+    k = int(rng.integers(len(pair.plus.pieces)))
+    q = pair.plus.pieces[k]
+    pieces = [*pair.plus.pieces[:k], q + Poly([0] * q.degree + [1]), *pair.plus.pieces[k + 1:]]
+    near = PiecewisePoly(pair.plus.breakpoints, pieces) + pair.minus
+    assert not _is_mirrored(split(near))
+    _assert_matches_the_general_path(near, p)
+
+
+def test_one_sided_and_offset_mirrored_pairs_match_the_general_path():
+    one_sided = indicator(0, 1) + tent(1, 2, 3) * 2
+    for p in (2, 4, 6):
+        _assert_matches_the_general_path(one_sided, p)
+    # b = 1/4: plus on [-1/4, 1], minus its reflection (and, complex, its
+    # conjugate reflection) on [-1, 1/4]
+    b = rat(1, 4)
+    plus = indicator(-b, 1) + tent(-b, 0, 1) * 3
+    cplus = plus + indicator(-b, rat(1, 2)) * gauss(0, 2)
+    for pair in (SplitPair(plus, plus.reflect(), 1, b), SplitPair(cplus, conj_reflect(cplus), 1, b),
+                 SplitPair(cplus, cplus.reflect(), 1, b)):
+        assert _is_mirrored(pair)
+        for p in (2, 4, 6):
+            assert gen_profile(pair, p) == reference_gen_profile(pair, p)
+
+
+def test_mirrored_pair_convolves_one_ladder_and_half_the_blocks(monkeypatch):
+    # m = 4: m - 1 + m // 2 = 5 convolutions where the general path makes
+    # 3 (m - 1) = 9; the Newt constant skips the second ladder (3 against 6)
+    from splitnorm.polyalg import IntLayout
+
+    calls = []
+    convolve = IntLayout.convolve
+    monkeypatch.setattr(IntLayout, "convolve", lambda self, other: calls.append(1) or convolve(self, other))
+    for f, counts in ((CHI, (5, 3)), (indicator(0, 1) + indicator(-1, 0) * gauss(0, 1), (9, 6))):
+        got = []
+        for engine in (norm_profile, newt_constant):
+            calls.clear()
+            engine(f, 8)
+            got.append(len(calls))
+        assert tuple(got) == counts

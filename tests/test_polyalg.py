@@ -38,6 +38,7 @@ from .helpers import (
     conv_power,
     evaluate_float,
     exactly,
+    fresh_layout,
     from_json_dict,
     grid_increase_search,
     poly_integral,
@@ -181,6 +182,42 @@ def test_convolution_cancellation_check_survives_python_O():
     assert "raised convolve: one-sided terms failed to cancel" in proc.stdout
 
 
+def _assert_kept_jumps(h: IntLayout):
+    # every part's jumps, and those of both reflections, against the jumps
+    # an unmemoized copy forms from its pieces
+    parts = ("re",) if h.im is None else ("re", "im", "sum")
+    for g in (h, h.reflected(False), h.reflected(True), h.reflected(True).reflected(False)):
+        for part in parts:
+            assert g.jumps(part) == fresh_layout(g).jumps(part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_convolutions_and_reflections_keep_the_jumps_their_pieces_give(seed):
+    rng = np.random.default_rng(seed)
+    f, g = (rnd_pp(rng, max_pieces=3, max_deg=2, complex_ok=rng.random() < 0.5) for _ in range(2))
+    F, G = IntLayout.of(f, g)
+    for h in (F, G, F.convolve(G), F.convolve(G.reflected(True)).convolve(F)):
+        _assert_kept_jumps(h)
+
+
+def test_a_start_whose_terms_cancel_keeps_its_breakpoint_but_no_jump(monkeypatch):
+    # (ind[0,1) + 2 ind[1,2)) * ind[0,1) is x on [0, 2): the pairs starting
+    # at 1 cancel, so 1 stays a breakpoint of the layout and has no jump.
+    # Halved and doubled, in X = 2x, it is X over 2 / 2: the gcd divides
+    F, G = IntLayout.of((indicator(0, rat(1, 2)) + indicator(rat(1, 2), 1) * 2) * 2, indicator(0, rat(1, 2)))
+    H = F.convolve(G)
+    assert 1 in H.bps and H.den == 1
+    shifts = []
+    shift = polyalg._taylor_shift
+    monkeypatch.setattr(polyalg, "_taylor_shift", lambda cs, h: shifts.append(h) or shift(cs, h))
+    kept = H.jumps("re")
+    assert shifts == []  # read off the convolution, not rebuilt
+    assert 1 not in [b for b, _ in kept]
+    assert kept == fresh_layout(H).jumps("re")
+    _assert_kept_jumps(H)
+
+
 def _random_jumps(rng: random.Random, length: int, count: int, starts: list) -> list:
     """``count`` jumps of ``length`` integer coefficients: one-nonzero (as of
     a B-spline), dense or all zero, of either sign, some above 2^200."""
@@ -252,7 +289,7 @@ def test_real_correlation_sum_shifts_once_per_distinct_start(monkeypatch):
     terms = _correlation_terms(rng, 6)
     lcm_c = math.lcm(*(c for _, c, _, _ in terms))
     per_term = [
-        {s * (lcm_c // c) for s in polyalg._product_jumps(G, F.conj_reflected(), real_only=True)[0]}
+        {s * (lcm_c // c) for s in polyalg._product_jumps(G, F.reflected(True), real_only=True)[0]}
         for _, c, F, G in terms
     ]
     distinct = set().union(*per_term)
@@ -261,7 +298,7 @@ def test_real_correlation_sum_shifts_once_per_distinct_start(monkeypatch):
     # the layouts keep their jumps and reflections: a second sum forms none
     first = real_correlation_sum(terms)
     for _, _, F, G in terms:
-        assert F.conj_reflected() is F.conj_reflected()
+        assert F.reflected(True) is F.reflected(True)
         assert G.jumps("re") is G.jumps("re")
     shifts = []  # the nonzero ones: a shift by 0 is a copy
     shift = polyalg._taylor_shift
